@@ -62,13 +62,20 @@ def contour_distance(eta_j: BoundaryFunction, z: np.ndarray | complex) -> np.nda
     return d if np.ndim(z) else d[0]
 
 
-def _node_count(eta_j: BoundaryFunction, dist: float, squared: bool) -> int:
-    samples = _contour_samples(eta_j)
-    c_q = 40.0 * _z_diameter(samples)
-    n = max(eta_j.n_modes, int(np.ceil(c_q / max(dist, 1e-300))))
+def _node_plan(eta_j: BoundaryFunction, dists: np.ndarray,
+               squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature node count per target distance, and the exclusion band.
+
+    The count resolves the kernel's scale diam / dist (doubled for the
+    squared kernel) up to _MAX_NODES; a target closer to the contour than
+    its band 4 * arclength / count is refused as TooCloseToContour.
+    """
+    c_q = 40.0 * _z_diameter(_contour_samples(eta_j))
+    counts = np.maximum(eta_j.n_modes, np.ceil(c_q / np.maximum(dists, 1e-300)))
     if squared:
-        n *= 2
-    return min(n, _MAX_NODES)
+        counts *= 2
+    counts = np.minimum(counts, _MAX_NODES).astype(int)
+    return counts, 4.0 * _z_arclength(eta_j) / counts
 
 
 def _z_arclength(eta_j: BoundaryFunction) -> float:
@@ -95,9 +102,7 @@ def _cauchy_many(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
     zs = np.asarray(zs, dtype=complex)
     dists = contour_distance(eta_j, zs)
     out = np.empty(zs.size, dtype=complex)
-    counts = np.array([_node_count(eta_j, d, squared) for d in dists])
-    arclen = _z_arclength(eta_j)
-    eps_min = 4.0 * arclen / counts
+    counts, eps_min = _node_plan(eta_j, dists, squared)
     if np.any(dists < eps_min):
         bad = int(np.argmax(dists < eps_min))
         raise TooCloseToContour(

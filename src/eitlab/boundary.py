@@ -7,16 +7,23 @@ on ``N`` equispaced nodes ``l_k = k L / N``.  Operators are dense real
 stacked (Re, Im)-coefficient representation for real-linear operators and
 keeps composition and application to complex traces trivial.
 
+Fourier convention: coefficients are held in FFT ordering (modes
+0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
+cosine cos(pi N l / L), so real samples have a real interpolant.  Padding a
+spectrum to more modes splits the Nyquist coefficient evenly between +N/2
+and -N/2; truncating it to M < N modes folds the pair +-M/2 into the coarse
+Nyquist coefficient.  Only this module codes that convention; every other
+module reaches the Fourier basis through the helpers here, all of them FFTs.
+
 Orientation convention: the positive tangent direction is the one for which
 the disk identity ``J Lambda cos(n theta) = sin(n theta)`` holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import dft
 
 from .errors import DimensionMismatch, NonZeroMean
 
@@ -69,14 +76,10 @@ class BoundaryFunction:
 
     def values(self, n_points: int | None = None) -> np.ndarray:
         """Sample values on n_points equispaced nodes (default: native grid)."""
-        n = self.n_modes
-        if n_points is None or n_points == n:
-            v = np.fft.ifft(self.coeffs) * n
-        else:
-            if n_points < n:
-                raise ValueError("downsampling not supported")
-            c = _embed_spectrum(self.coeffs, n_points)
-            v = np.fft.ifft(c) * n_points
+        m = self.n_modes if n_points is None else n_points
+        if m < self.n_modes:
+            raise ValueError("downsampling not supported")
+        v = np.fft.ifft(_resize_spectrum(self.coeffs, m)) * m
         if self.is_real:
             return v.real
         return v
@@ -88,21 +91,8 @@ class BoundaryFunction:
     def eval_at(self, l: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary arclength points."""
         l = np.atleast_1d(np.asarray(l, dtype=float))
-        n = self.n_modes
-        modes = mode_numbers(n).copy()
-        c = self.coeffs.copy()
-        # Nyquist as cosine: split between +N/2 and -N/2.
-        ny = n // 2
-        c_ny = c[ny]
-        phase = np.exp(2j * np.pi * np.outer(l, modes) / self.length)
-        out = phase @ c
-        out += 0.5 * c_ny * (
-            np.exp(2j * np.pi * l * (ny) / self.length)
-            - np.exp(-2j * np.pi * l * ny / self.length)
-        )
-        if self.is_real:
-            out = out.real
-        return out
+        out = _phase_kernel(self.n_modes, self.length, l) @ self.coeffs
+        return out.real if self.is_real else out
 
     def conj(self) -> "BoundaryFunction":
         return from_samples(np.conj(self.values()), self.length)
@@ -148,16 +138,46 @@ class BoundaryFunction:
         return _tag_reality(f)
 
 
-def _embed_spectrum(c: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad an FFT-ordered spectrum to m entries, splitting the Nyquist."""
-    n = c.size
-    out = np.zeros(m, dtype=complex)
-    half = n // 2
-    out[:half] = c[:half]
-    out[m - half + 1:] = c[half + 1:]
-    out[half] = 0.5 * c[half]
-    out[m - half] += 0.5 * c[half]
-    return out
+def _phase_kernel(n: int, length: float, l: np.ndarray) -> np.ndarray:
+    """exp(2 pi i m l / L) per point (rows) and mode m in FFT ordering (columns).
+
+    The Nyquist column is the cosine, so kernel @ coeffs is the interpolant.
+    """
+    l = np.asarray(l, dtype=float)
+    kern = np.exp(2j * np.pi * np.outer(l, mode_numbers(n)) / length)
+    kern[:, n // 2] = np.cos(2.0 * np.pi * (n // 2) * l / length)
+    return kern
+
+
+def _resize_spectrum(c: np.ndarray, m: int, axis: int = -1) -> np.ndarray:
+    """Band-limit an FFT-ordered spectrum to m modes along `axis`.
+
+    Padding splits the Nyquist coefficient; truncation folds the pair +-m/2.
+    """
+    c = np.moveaxis(np.asarray(c, dtype=complex), axis, -1)
+    n = c.shape[-1]
+    half = min(n, m) // 2
+    out = np.zeros(c.shape[:-1] + (m,), dtype=complex)
+    out[..., :half] = c[..., :half]
+    out[..., m - half + 1:] = c[..., n - half + 1:]
+    if m < n:
+        out[..., half] = c[..., half] + c[..., n - half]
+    else:
+        out[..., half] = 0.5 * c[..., half]
+        out[..., m - half] += 0.5 * c[..., half]
+    return np.moveaxis(out, -1, axis)
+
+
+def _resample(v: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
+    """Band-limited resampling of equispaced samples to m nodes along `axis`."""
+    n = np.shape(v)[axis]
+    c = np.fft.fft(v, axis=axis) / n
+    return np.fft.ifft(_resize_spectrum(c, m, axis), axis=axis) * m
+
+
+def _fourier_matrix(a: np.ndarray) -> np.ndarray:
+    """F A F^H / N: a nodal matrix in the Fourier basis (F the unnormalized DFT)."""
+    return np.fft.fft(np.fft.ifft(a, axis=1), axis=0)
 
 
 def _tag_reality(f: BoundaryFunction) -> BoundaryFunction:
@@ -379,28 +399,16 @@ def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:
     with the real-restricted one.
     """
     n = a.n_modes
-    f = dft(n)  # unnormalized DFT matrix
     w_from = sobolev_weights(n, a.length, s_from)
     w_to = sobolev_weights(n, a.length, s_to)
-    b = (w_to[:, None] * (f @ a.matrix @ f.conj().T) / n) / w_from[None, :]
+    b = (w_to[:, None] * _fourier_matrix(a.matrix)) / w_from[None, :]
     return float(np.linalg.norm(b, ord=2))
 
 
 def trig_interp_matrix(n: int, length: float, targets: np.ndarray) -> np.ndarray:
     """Real matrix mapping N equispaced samples to values at arbitrary points.
 
-    Rows are the periodic-sinc (Dirichlet) cardinal functions for even N with
-    the Nyquist mode treated as a cosine.
+    Row t is the phase kernel at t composed with the forward DFT / N, i.e. the
+    cardinal functions of the interpolant with the Nyquist mode as a cosine.
     """
-    targets = np.asarray(targets, dtype=float)
-    h = length / n
-    x = targets[:, None] - h * np.arange(n)[None, :]
-    u = np.pi * x / length
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.sin(n * u) / (n * np.tan(u))
-    # x congruent to 0 mod L: cardinal limit 1 (tan vanishes there)
-    on_period = np.isclose(np.remainder(x / length + 0.5, 1.0), 0.5,
-                           rtol=0.0, atol=1e-13)
-    k[on_period] = 1.0
-    k[~np.isfinite(k)] = 0.0
-    return k
+    return np.fft.fft(_phase_kernel(n, length, targets), axis=1).real / n

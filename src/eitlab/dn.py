@@ -13,7 +13,7 @@ rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,39 +88,6 @@ class ConformalDN:
     scale: float               # similarity factor applied to the domain
 
 
-def _periodic_antiderivative(values: np.ndarray, period: float) -> tuple[np.ndarray, float]:
-    """Given samples of g on a uniform grid, return samples of its
-    antiderivative split as (periodic part at nodes, mean slope)."""
-    n = values.size
-    c = np.fft.fft(values) / n
-    mean = c[0].real
-    omega = 2.0 * np.pi * bc.mode_numbers(n) / period
-    omega[n // 2] = 2.0 * np.pi * (n // 2) / period
-    ci = np.zeros_like(c)
-    ci[1:] = c[1:] / (1j * omega[1:])
-    ci[0] = -np.sum(ci[1:])  # antiderivative vanishing at 0
-    per = np.fft.ifft(ci).real * n
-    return per, mean
-
-
-def _spectral_downsample_matrix(n_fine: int, n_coarse: int) -> np.ndarray:
-    """Real (n_coarse x n_fine) matrix: truncate the spectrum to the coarse
-    band (folding the coarse Nyquist pair) and resample on the coarse grid."""
-    from scipy.linalg import dft
-
-    f_fine = dft(n_fine) / n_fine
-    half = n_coarse // 2
-    sel = np.zeros((n_coarse, n_fine), dtype=complex)
-    for i in range(half):
-        sel[i, i] = 1.0
-    for i in range(1, half):
-        sel[n_coarse - i, n_fine - i] = 1.0
-    sel[half, half] = 1.0
-    sel[half, n_fine - half] = 1.0
-    w_c = dft(n_coarse).conj()  # inverse DFT * n_coarse
-    return (w_c @ sel @ f_fine).real
-
-
 def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
                  tail_tol: float = 1e-8, oversample: int = 4) -> ConformalDN:
     """DN map of the conformal image of the disk on N arclength nodes.
@@ -133,40 +100,43 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
     fine = 8 * n
     theta_f = np.arange(fine) * (2.0 * np.pi / fine)
     speed_f = np.abs(domain.map_derivative(theta_f))
-    per_f, mean_speed = _periodic_antiderivative(speed_f, 2.0 * np.pi)
+    mean_speed = float(np.mean(speed_f))
     total = 2.0 * np.pi * mean_speed
     alpha = (2.0 * np.pi / total) if rescale else 1.0
     length = alpha * total
 
+    # periodic part of s(theta) / alpha, vanishing at theta = 0
+    per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)).values()
+    per_f = per_f - per_f[0]
+
     # tail check on the reparametrization s(theta) - mean * theta
-    c = np.fft.fft(per_f) / fine
+    c = bc.from_samples(per_f, 2.0 * np.pi).coeffs
     tail = np.sqrt(np.sum(np.abs(c[fine // 8: fine - fine // 8 + 1]) ** 2))
     head = np.sqrt(np.sum(np.abs(c) ** 2)) or 1.0
     if tail > tail_tol * max(head, 1.0):
         raise InterpolationUnderresolved(
             f"reparametrization tail {tail:.2e} exceeds {tail_tol:.1e}; increase N")
-
-    def s_of(theta):
-        per, m = _s_interp(theta)
-        return alpha * (m + per)
-
-    per_bf = bc.from_samples(per_f, 2.0 * np.pi)
-
-    def _s_interp(theta):
-        return per_bf.eval_at(np.atleast_1d(theta)).real, mean_speed * np.atleast_1d(theta)
+    # the tail check certifies modes |m| < n, so Newton evaluates that band
+    per_band = bc.from_samples(bc._resample(per_f, 2 * n).real, 2.0 * np.pi)
 
     # invert s(theta) at the N equispaced arclength nodes by Newton
     s_nodes = np.arange(n) * (length / n)
     theta_nodes = s_nodes / (alpha * mean_speed)
+    tol = 1e-14 * max(length, 1.0)
     for _ in range(60):
-        res = s_of(theta_nodes) - s_nodes
+        res = alpha * (mean_speed * theta_nodes + per_band.eval_at(theta_nodes)) - s_nodes
         slope = alpha * np.abs(domain.map_derivative(theta_nodes))
         theta_nodes = theta_nodes - res / slope
-        if np.max(np.abs(res)) < 1e-14 * max(length, 1.0):
+        if np.max(np.abs(res)) < tol:
             break
+    else:
+        raise InterpolationUnderresolved(
+            f"boundary correspondence Newton residual {np.max(np.abs(res)):.2e} "
+            f"above {tol:.1e} after 60 iterations")
 
+    # theta_eq is every 8th fine node
     theta_eq = np.arange(n) * (2.0 * np.pi / n)
-    s_eq = s_of(theta_eq)
+    s_eq = alpha * (mean_speed * theta_eq + per_f[::8])
 
     # f on arclength nodes -> f(s(theta)) on equispaced theta nodes
     e_s_to_theta = bc.trig_interp_matrix(n, length, s_eq)
@@ -179,9 +149,8 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
 
     # project onto the requested band
     nm = n_modes
-    down = _spectral_downsample_matrix(n, nm)
-    up = bc.trig_interp_matrix(nm, length, np.arange(n) * (length / n))
-    mat = down @ mat @ up
+    up = bc._resample(np.eye(nm), n).real
+    mat = bc._resample(mat @ up, nm).real
     # continuum identities enforced as a gauge: kill constants, zero-mean range
     ones = np.ones((nm, 1))
     mat = mat - (mat @ ones) @ ones.T / nm
@@ -530,7 +499,6 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     # boundary arclength, possibly rescaled
     arc = np.asarray(b_arc, dtype=float)
     nbv = arc.size
-    gaps = np.diff(np.concatenate([arc, [arc[0] + mesh.perimeter]]))
     perim = mesh.perimeter
     scale = (rescale_to / perim) if rescale_to else 1.0
     arc = arc * scale

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def _lemma1_ratio(lam, lam_p, proj_p, t: float, seed: int, n_traces: int = 5) ->
 
 
 def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
-    """Execute the sweep; returns (records, summary)."""
+    """Execute the sweep; returns (records, summary, clouds)."""
     cfg.validate()
     n = cfg.n_modes
     lam = dnm.dn_disk(n)

@@ -120,13 +120,9 @@ def j_lambda(lam: BoundaryOperator) -> BoundaryOperator:
 
 def _band_projection(n: int, length: float, max_mode: int) -> BoundaryOperator:
     """Projection onto the zero-mean modes with 1 <= |m| <= max_mode."""
-    from scipy.linalg import dft
-
     ms = np.abs(bc.mode_numbers(n))
     sym = ((ms >= 1) & (ms <= max_mode)).astype(float)
-    f = dft(n)
-    mat = (f.conj().T @ (sym[:, None] * f)).real / n
-    return BoundaryOperator(mat, length, "band-projection")
+    return bc.operator_from_symbol(sym, length, "band-projection")
 
 
 def resolved_band(lam: BoundaryOperator, floor: float = 0.5) -> int:
@@ -135,11 +131,12 @@ def resolved_band(lam: BoundaryOperator, floor: float = 0.5) -> int:
     A band-limited discrete DN map annihilates modes beyond its cap; on the
     resolved band the eigenvalues of Lambda J have magnitude close to 1.
     """
-    from scipy.linalg import dft
+    return _resolved_band(lambda_j(lam).matrix, floor)
 
-    n = lam.n_modes
-    f = dft(n)
-    diag = np.abs(np.diag(f @ lambda_j(lam).matrix @ f.conj().T)) / n
+
+def _resolved_band(lj: np.ndarray, floor: float = 0.5) -> int:
+    n = lj.shape[0]
+    diag = np.abs(np.diag(bc._fourier_matrix(lj)))
     ms = bc.mode_numbers(n)
     m_max = 0
     for m in range(1, n // 2):
@@ -160,16 +157,26 @@ def defect_operator(lam: BoundaryOperator, max_mode: int | None = None) -> Bound
     only represents a finite band, and past it the identity is trivially
     violated.  By default the band is inferred from the operator itself.
     """
+    return BoundaryOperator(_defect(lam, max_mode)[1], lam.length, "defect")
+
+
+def _defect(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda J, defect matrix), building Lambda J once."""
     n = lam.n_modes
+    lj = lambda_j(lam).matrix
     if max_mode is None:
         # default to the well-resolved core: discretization error grows with
         # mode number, and rank detection only needs a modest band
-        max_mode = min(resolved_band(lam), 8)
-    lj = lambda_j(lam)
-    pi0 = _band_projection(n, lam.length, max_mode)
-    core = np.eye(n) + lj.matrix @ lj.matrix
-    mat = pi0.matrix @ core @ pi0.matrix
-    return BoundaryOperator(mat, lam.length, "defect")
+        max_mode = min(_resolved_band(lj), 8)
+    pi0 = _band_projection(n, lam.length, max_mode).matrix
+    return lj, pi0 @ (np.eye(n) + lj @ lj) @ pi0
+
+
+def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.ndarray, float]:
+    """Defect singular values and the rank scale max(||Lambda J||_2, 1)."""
+    lj, d = _defect(lam, max_mode)
+    sv = np.linalg.svd(d, compute_uv=False)
+    return sv, max(np.linalg.norm(lj, 2), 1.0)
 
 
 def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
@@ -177,9 +184,7 @@ def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
     """Rank of the defect operator = 1 - chi(M)."""
     if tau_rank <= 0:
         raise ValueError("tau_rank must be positive")
-    d = defect_operator(lam, max_mode)
-    sv = np.linalg.svd(d.matrix, compute_uv=False)
-    scale = max(np.linalg.norm(lambda_j(lam).matrix, 2), 1.0)
+    sv, scale = _defect_spectrum(lam, max_mode)
     thresh = tau_rank * scale
     kappa = int(np.sum(sv > thresh))
     above = sv[kappa - 1] if kappa > 0 else None
@@ -194,8 +199,7 @@ def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
 def spectral_gap(lam: BoundaryOperator, kappa: int,
                  max_mode: int | None = None) -> float:
     """Ratio between the kappa-th and (kappa+1)-th defect singular values."""
-    sv = np.linalg.svd(defect_operator(lam, max_mode).matrix, compute_uv=False)
-    scale = max(np.linalg.norm(lambda_j(lam).matrix, 2), 1.0)
+    sv, scale = _defect_spectrum(lam, max_mode)
     num = sv[kappa - 1] if kappa > 0 else scale
     return float(num / sv[kappa])
 
@@ -205,12 +209,10 @@ def _random_probes(n: int, length: float, count: int, seed: int) -> list[Boundar
     cap = max(2, n // 8)
     probes = []
     for _ in range(count):
-        c = np.zeros(n, dtype=complex)
         amp = rng.standard_normal(cap) + 1j * rng.standard_normal(cap)
-        for m in range(1, cap + 1):
-            c[m] = amp[m - 1]
-            c[-m] = np.conj(amp[m - 1])
-        probes.append(BoundaryFunction(c, length, is_real=True))
+        modes = {m: amp[m - 1] for m in range(1, cap + 1)}
+        modes.update({-m: np.conj(a) for m, a in modes.items()})
+        probes.append(bc.from_modes(n, length, modes))
     return probes
 
 

@@ -196,17 +196,13 @@ def split_cauchy(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
     if delta < 4.0 * length / n:
         raise DeltaTooSmall(f"delta {delta:.3e} below 4 grid steps")
     delta = min(delta, 0.25 * length)
-    deta = bc.derivative_gamma(eta_j)
-    ek_s = 1.0 if eta_k is None else complex(eta_k.eval_at(s)[0])
-
-    def integrand(ls):
-        num = 0.0 if eta_k is None else (eta_k.eval_at(ls) - ek_s)
-        if eta_k is None:
-            return np.zeros_like(ls, dtype=complex)
-        return num * deta.eval_at(ls) / (eta_j.eval_at(ls) - z)
-
     if eta_k is None:
         return complex(1.0)  # winding-1 premise: the constant reconstructs itself
+    deta = bc.derivative_gamma(eta_j)
+    ek_s = complex(eta_k.eval_at(s)[0])
+
+    def integrand(ls):
+        return (eta_k.eval_at(ls) - ek_s) * deta.eval_at(ls) / (eta_j.eval_at(ls) - z)
 
     dist = float(ap.contour_distance(eta_j, z))
     finest = max(dist / 4.0, length / (64.0 * n))
@@ -226,10 +222,8 @@ def split_cauchy(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
 
 def _near_band(eta_j: BoundaryFunction, z: complex) -> bool:
     """True when plain adaptive quadrature would refuse the target."""
-    dist = float(ap.contour_distance(eta_j, z))
-    n_q = ap._node_count(eta_j, dist, squared=False)
-    eps_min = 4.0 * ap._z_arclength(eta_j) / n_q
-    return dist < eps_min
+    dist = ap.contour_distance(eta_j, np.array([z]))
+    return bool(dist[0] < ap._node_plan(eta_j, dist)[1][0])
 
 
 def _coordinate_at(e: TraceTuple, j: int, z: complex, s_foot: float,

@@ -7,7 +7,7 @@ import pytest
 
 from eitlab import boundary as bc
 from eitlab import dn as dnm
-from eitlab.errors import NonManifoldMesh, UnivalenceViolated
+from eitlab.errors import InterpolationUnderresolved, NonManifoldMesh, UnivalenceViolated
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,6 +64,16 @@ class TestConformalDN:
             f = bc.from_samples(np.cos(m * th), cdn.length)
             got = cdn.operator.apply(f).values().real
             assert np.abs(got - m * np.cos(m * th) / speed).max() < 1e-9
+
+    def test_newton_nonconvergence_raises(self, monkeypatch):
+        # noise far above the stopping tolerance keeps every residual large
+        rng = np.random.default_rng(0)
+        eval_at = bc.BoundaryFunction.eval_at
+        monkeypatch.setattr(
+            bc.BoundaryFunction, "eval_at",
+            lambda self, l: eval_at(self, l) + 1e-9 * rng.standard_normal(np.size(l)))
+        with pytest.raises(InterpolationUnderresolved, match="Newton residual"):
+            dnm.dn_conformal(dnm.ConformalDomain((0.04,)), 32)
 
     def test_symmetry(self):
         n = 128

@@ -1,0 +1,191 @@
+"""Property tests: the FFT boundary calculus against dense DFT references.
+
+The references are the dense-matrix forms the FFT code replaced: the
+periodic-sinc cardinal functions, the phase sum with a separate Nyquist
+correction, and conjugation by scipy's DFT matrix.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import dft
+
+from eitlab import boundary as bc
+from eitlab import dn as dnm
+from eitlab import holomorphic as hm
+
+TWO_PI = 2.0 * np.pi
+
+sizes = st.sampled_from([8, 16, 32, 64, 128])
+lengths = st.floats(0.5, 20.0)
+seeds = st.integers(0, 2 ** 32 - 1)
+property_test = settings(deadline=None, derandomize=True, database=None,
+                         max_examples=25)
+
+
+def sinc_interp_matrix(n, length, targets):
+    """Periodic-sinc (Dirichlet) cardinal functions, Nyquist as a cosine."""
+    x = np.asarray(targets, dtype=float)[:, None] - (length / n) * np.arange(n)[None, :]
+    u = np.pi * x / length
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.sin(n * u) / (n * np.tan(u))
+    on_period = np.isclose(np.remainder(x / length + 0.5, 1.0), 0.5,
+                           rtol=0.0, atol=1e-13)
+    k[on_period] = 1.0
+    return k
+
+
+def phase_sum(c, length, l):
+    """Interpolant as the phase sum over FFT modes plus a Nyquist correction."""
+    n = c.size
+    ny = n // 2
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    out = np.exp(2j * np.pi * np.outer(l, modes) / length) @ c
+    return out + 0.5 * c[ny] * (np.exp(2j * np.pi * l * ny / length)
+                                - np.exp(-2j * np.pi * l * ny / length))
+
+
+def dense_downsample(n_fine, n_coarse):
+    """Truncate to the coarse band (folding the Nyquist pair), resample."""
+    half = n_coarse // 2
+    sel = np.zeros((n_coarse, n_fine))
+    for i in range(half):
+        sel[i, i] = 1.0
+    for i in range(1, half):
+        sel[n_coarse - i, n_fine - i] = 1.0
+    sel[half, half] = sel[half, n_fine - half] = 1.0
+    return (dft(n_coarse).conj() @ sel @ dft(n_fine) / n_fine).real
+
+
+def dense_fourier(a):
+    f = dft(a.shape[0])
+    return f @ a @ f.conj().T / a.shape[0]
+
+
+def dense_resolved_band(lam, floor=0.5):
+    diag = np.abs(np.diag(dense_fourier(hm.lambda_j(lam).matrix)))
+    ms = np.fft.fftfreq(lam.n_modes, d=1.0 / lam.n_modes)
+    m_max = 0
+    for m in range(1, lam.n_modes // 2):
+        if min(diag[ms == m][0], diag[ms == -m][0]) < floor:
+            break
+        m_max = m
+    return m_max
+
+
+def targets_with_nodes(n, length, rng):
+    """Random points plus every node, 0 and several periods of 0."""
+    nodes = np.arange(n) * (length / n)
+    periods = length * np.array([0.0, 1.0, -1.0, 3.0])
+    return np.concatenate([rng.uniform(-length, 2 * length, 3 * n), nodes, periods])
+
+
+class TestInterpolant:
+    @property_test
+    @given(n=sizes, length=lengths, seed=seeds)
+    def test_matrix_matches_eval_at(self, n, length, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n)
+        t = targets_with_nodes(n, length, rng)
+        f = bc.from_samples(v, length)
+        got = bc.trig_interp_matrix(n, length, t) @ v
+        assert np.allclose(got, f.eval_at(t), rtol=0.0, atol=1e-12 * n)
+        assert np.allclose(f.eval_at(t), phase_sum(f.coeffs, length, t).real,
+                           rtol=0.0, atol=1e-12 * n)
+
+    @property_test
+    @given(n=sizes, length=lengths, seed=seeds)
+    def test_matrix_matches_sinc_cardinals(self, n, length, seed):
+        rng = np.random.default_rng(seed)
+        t = targets_with_nodes(n, length, rng)
+        assert np.allclose(bc.trig_interp_matrix(n, length, t),
+                           sinc_interp_matrix(n, length, t), rtol=0.0, atol=1e-11)
+
+    @property_test
+    @given(n=sizes, length=lengths, seed=seeds)
+    def test_complex_eval_at_matches_phase_sum(self, n, length, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = bc.BoundaryFunction(c, length)
+        t = targets_with_nodes(n, length, rng)
+        assert np.allclose(f.eval_at(t), phase_sum(c, length, t),
+                           rtol=0.0, atol=1e-12 * n)
+
+
+class TestResampler:
+    @property_test
+    @given(n=sizes, factor=st.sampled_from([1, 2, 4, 8]), seed=seeds)
+    def test_down_after_up_is_identity(self, n, factor, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        back = bc._resample(bc._resample(v, factor * n), n)
+        assert np.allclose(back, v, rtol=0.0, atol=1e-13 * n)
+
+    @property_test
+    @given(n=sizes, factor=st.sampled_from([2, 4, 8]), seed=seeds)
+    def test_downsample_matches_dense_matrix(self, n, factor, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((factor * n, 5))
+        got = bc._resample(v, n)
+        assert np.allclose(got.imag, 0.0, atol=1e-12)
+        assert np.allclose(got.real, dense_downsample(factor * n, n) @ v,
+                           rtol=0.0, atol=1e-12 * factor * n)
+        # along the other axis too
+        assert np.allclose(bc._resample(v.T, n, axis=1), got.T, rtol=0.0, atol=1e-13)
+
+    @property_test
+    @given(n=sizes, factor=st.sampled_from([2, 4]), length=lengths, seed=seeds)
+    def test_upsample_matches_interpolant(self, n, factor, length, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n)
+        fine = np.arange(factor * n) * (length / (factor * n))
+        expect = sinc_interp_matrix(n, length, fine) @ v
+        assert np.allclose(bc._resample(v, factor * n).real, expect,
+                           rtol=0.0, atol=1e-12 * n)
+        assert np.allclose(bc.from_samples(v, length).values(factor * n), expect,
+                           rtol=0.0, atol=1e-12 * n)
+
+
+class TestFourierConjugation:
+    @property_test
+    @given(n=sizes, length=lengths, s_from=st.sampled_from([0, 1, 2, 3]),
+           s_to=st.sampled_from([0, 1, 2]), seed=seeds)
+    def test_operator_norm_matches_dense(self, n, length, s_from, s_to, seed):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        w_from = bc.sobolev_weights(n, length, s_from)
+        w_to = bc.sobolev_weights(n, length, s_to)
+        ref = np.linalg.norm(w_to[:, None] * dense_fourier(a) / w_from[None, :], 2)
+        got = bc.operator_norm(bc.BoundaryOperator(a, length), s_from, s_to)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @property_test
+    @given(n=sizes, length=lengths, data=st.data())
+    def test_band_projection_matches_dense(self, n, length, data):
+        max_mode = data.draw(st.integers(1, n // 2 - 1))
+        ms = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        sym = ((ms >= 1) & (ms <= max_mode)).astype(float)
+        f = dft(n)
+        ref = (f.conj().T @ (sym[:, None] * f)).real / n
+        got = hm._band_projection(n, length, max_mode).matrix
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+class TestResolvedBand:
+    @property_test
+    @given(n=sizes, length=lengths)
+    def test_disk(self, n, length):
+        lam = dnm.dn_disk(n, length)
+        assert hm.resolved_band(lam) == dense_resolved_band(lam) == n // 2 - 1
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=8)
+    @given(a2=st.floats(0.0, 0.2), a3=st.floats(0.0, 0.1),
+           n=st.sampled_from([32, 64]))
+    def test_conformal(self, a2, a3, n):
+        lam = dnm.dn_conformal(dnm.ConformalDomain((a2, a3)), n).operator
+        assert hm.resolved_band(lam) == dense_resolved_band(lam)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=6)
+    @given(res=st.integers(3, 6), order=st.sampled_from([1, 2]),
+           n=st.sampled_from([32, 64]))
+    def test_fem(self, res, order, n):
+        lam = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=n, order=order)
+        assert hm.resolved_band(lam) == dense_resolved_band(lam)

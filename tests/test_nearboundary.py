@@ -6,7 +6,7 @@ import pytest
 from eitlab import argument as ap
 from eitlab import boundary as bc
 from eitlab import nearboundary as nb
-from eitlab.errors import AllChartsFailed, DeltaTooSmall, OutOfChart
+from eitlab.errors import AllChartsFailed, DeltaTooSmall, OutOfChart, TooCloseToContour
 from eitlab.holomorphic import TraceTuple
 
 TWO_PI = 2.0 * np.pi
@@ -112,6 +112,20 @@ class TestSplitCauchy:
             plain = ap.cauchy_integral(sq, circ, z)
             split = nb.split_cauchy(sq, circ, z, 0.4)
             assert abs(plain - split) < 1e-8
+
+    def test_near_band_is_the_plain_quadrature_refusal(self, circ):
+        # the split path takes exactly the targets plain quadrature refuses
+        seen = set()
+        for d in (2e-4, 5e-4, 8e-4, 2e-3, 1e-2):
+            z = complex((1.0 - d) * np.exp(0.4j))
+            try:
+                ap.cauchy_integral(circ, circ, z)
+                refused = False
+            except TooCloseToContour:
+                refused = True
+            assert nb._near_band(circ, z) == refused
+            seen.add(refused)
+        assert seen == {True, False}
 
     def test_constant_coordinate(self, circ):
         assert nb.split_cauchy(None, circ, 0.99 + 0j, 0.0) == 1.0
