@@ -4,10 +4,16 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from eitlab import boundary as bc
 from eitlab import dn as dnm
-from eitlab.errors import InterpolationUnderresolved, NonManifoldMesh, UnivalenceViolated
+from eitlab.errors import (
+    InterpolationUnderresolved,
+    NonManifoldMesh,
+    SingularInterior,
+    UnivalenceViolated,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,6 +175,101 @@ class TestFemDN:
         moved = bc.operator_norm(pert - base, 1, 0)
         assert moved < 2.0 * disc_err
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("mode_cap", [None, 9])
+    @pytest.mark.parametrize("rescale_to", [None, TWO_PI])
+    @pytest.mark.parametrize("with_rho", [False, True])
+    def test_matches_nodal_schur_reference(self, order, mode_cap, rescale_to,
+                                           with_rho):
+        mesh = dnm.unit_disk_mesh(8)
+        r = np.linalg.norm(mesh.vertices, axis=1)
+        rho = 1.0 + 0.8 * np.clip(1.0 - r, 0.0, 1.0) ** 2 if with_rho else None
+        n = 32
+        got = dnm.dn_fem(mesh, rho=rho, n_modes=n, rescale_to=rescale_to,
+                         mode_cap=mode_cap, order=order).matrix
+        want = _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() < 1e-12 * scale
+        assert np.abs(got - got.T).max() < 1e-12 * np.abs(got).max()
+
+    def test_cap_above_boundary_count_matches_reference(self):
+        # 2 * cap + 1 Fourier columns exceed the 96 P2 boundary nodes
+        mesh = dnm.unit_disk_mesh(8)
+        got = dnm.dn_fem(mesh, n_modes=256, mode_cap=60, order=2).matrix
+        want = _nodal_schur_dn(mesh, None, 256, None, 60, 2)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_p2_numbering_matches_edge_loop(self):
+        mesh = dnm.make_one_holed_torus_mesh(8)
+        k, b_nodes, b_arc = dnm._p2_stiffness(mesh)
+        t, nv = mesh.triangles, mesh.n_vertices
+        # reference: number each edge when first met, triangle by triangle
+        edge_id = {}
+        mid = np.empty_like(t)
+        for f in range(len(t)):
+            for i in range(3):
+                key = tuple(sorted((t[f, (i + 1) % 3], t[f, (i + 2) % 3])))
+                mid[f, i] = edge_id.setdefault(key, nv + len(edge_id))
+        k = k.tocsr()
+        assert k.shape[0] == nv + len(edge_id) == nv + mesh._n_edges
+        for f in range(len(t)):
+            for i in range(3):
+                # a P2 edge unknown couples to both endpoints of its edge
+                assert k[mid[f, i], t[f, (i + 1) % 3]] != 0.0
+                assert k[mid[f, i], t[f, (i + 2) % 3]] != 0.0
+        loop, arc = mesh.boundary_loop, mesh.boundary_arclength
+        nxt = np.roll(loop, -1)
+        want = [edge_id[tuple(sorted(e))] for e in zip(loop, nxt)]
+        assert np.array_equal(b_nodes[0::2], loop)
+        assert np.array_equal(b_nodes[1::2], want)
+        nxt_arc = np.append(arc[1:], arc[0] + mesh.perimeter)
+        assert np.array_equal(b_arc[0::2], arc)
+        assert np.array_equal(b_arc[1::2], 0.5 * (arc + nxt_arc))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_disconnected_interior_raises(self, order):
+        # a closed tetrahedron beside the disk has no boundary edge, so the
+        # mesh validates (chi = 1 + 2), but its nodes never see the boundary
+        disk = dnm.unit_disk_mesh(4)
+        nv = disk.n_vertices
+        tet = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]) + 5.0
+        verts = np.vstack([np.hstack([disk.vertices, np.zeros((nv, 1))]), tet])
+        tris = np.vstack([disk.triangles,
+                          nv + np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])])
+        mesh = dnm.TriMesh(verts, tris, disk.boundary_loop,
+                           disk.boundary_arclength)
+        assert mesh.euler_characteristic == 3
+        stranded = 4 if order == 1 else 10
+        with pytest.raises(SingularInterior, match=f"^{stranded} interior nodes"):
+            dnm.dn_fem(mesh, n_modes=16, order=order)
+
+
+def _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order):
+    """DN matrix from the dense nodal Schur complement, one boundary column
+    per sparse solve, contracted with the capped Fourier modes."""
+    work = mesh if rho is None else mesh.with_conformal_factor(rho)
+    if order == 1:
+        k = dnm._cotan_stiffness(work)
+        bidx, arc = mesh.boundary_loop, mesh.boundary_arclength
+    else:
+        k, bidx, arc = dnm._p2_stiffness(work)
+    k = k.tocsr()
+    iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
+    k_ii = k[iidx][:, iidx].tocsc()
+    k_ib = k[iidx][:, bidx].toarray()
+    x = np.column_stack([spla.spsolve(k_ii, k_ib[:, j])
+                         for j in range(bidx.size)])
+    schur = k[bidx][:, bidx].toarray() - k[bidx][:, iidx] @ x
+    scale = rescale_to / mesh.perimeter if rescale_to else 1.0
+    arc, length = arc * scale, mesh.perimeter * scale
+    cap = mode_cap if mode_cap is not None else min(n // 2, arc.size // 4)
+    ms = (np.arange(-(n // 2) + 1, n // 2 + 1) if cap >= n // 2
+          else np.arange(-cap, cap + 1))
+    v = np.exp(2j * np.pi * np.outer(arc, ms) / length)
+    b = v.conj().T @ schur @ v / length
+    u = np.exp(2j * np.pi * np.outer(np.arange(n) * (length / n), ms) / length)
+    return (u @ b @ u.conj().T).real / n
+
 
 class TestTorusMesh:
     def test_euler_characteristic(self):
@@ -227,17 +328,26 @@ class TestOffIO:
     def test_roundtrip(self, tmp_path):
         mesh = dnm.unit_disk_mesh(6)
         path = os.path.join(tmp_path, "disk.off")
-        with open(path, "w") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{mesh.n_vertices} {len(mesh.triangles)} 0\n")
-            for v in mesh.vertices:
-                fh.write(f"{v[0]} {v[1]} 0.0\n")
-            for t in mesh.triangles:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        _write_off(path, mesh.vertices, mesh.triangles)
         loaded = dnm.load_off(path)
         assert loaded.n_vertices == mesh.n_vertices
         assert loaded.euler_characteristic == 1
         assert len(loaded.boundary_loop) == len(mesh.boundary_loop)
+
+    def test_nonuniform_boundary_perimeter(self, tmp_path):
+        # 3-fold perturbed disk: boundary segments of unequal length
+        mesh = dnm.unit_disk_mesh(12)
+        p = mesh.vertices
+        th = np.arctan2(p[:, 1], p[:, 0])
+        p = p * (1.0 + 0.1 * np.hypot(p[:, 0], p[:, 1]) * np.cos(3 * th))[:, None]
+        path = os.path.join(tmp_path, "wavy.off")
+        _write_off(path, p, mesh.triangles)
+        loaded = dnm.load_off(path)
+        q = p[loaded.boundary_loop]
+        true = np.linalg.norm(q - np.roll(q, -1, axis=0), axis=1).sum()
+        assert abs(loaded.perimeter - true) < 1e-12 * true
+        rho = np.full(loaded.n_vertices, 1.0)
+        assert loaded.with_conformal_factor(rho).perimeter == loaded.perimeter
 
     def test_nonmanifold_rejected(self):
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])
@@ -245,3 +355,13 @@ class TestOffIO:
         tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
         with pytest.raises(NonManifoldMesh):
             dnm.TriMesh(verts, tris, np.array([0]), np.array([0.0]))
+
+
+def _write_off(path, vertices, triangles):
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(vertices)} {len(triangles)} 0\n")
+        for v in vertices:
+            fh.write(f"{float(v[0])!r} {float(v[1])!r} 0.0\n")
+        for t in triangles:
+            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")

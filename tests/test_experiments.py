@@ -140,7 +140,9 @@ class TestRunSweep:
         mesh = dnm.make_one_holed_torus_mesh(24)
         torus = dnm.dn_fem(mesh, n_modes=cfg.n_modes, order=2,
                            rescale_to=2 * np.pi)
-        monkeypatch.setattr(ex, "_perturbed_dn", lambda c, s: torus)
+        # the s = 0 reference stays the disk; every perturbed operator is the torus
+        monkeypatch.setattr(ex, "_perturbed_dn",
+                            lambda c, s: torus if s else dnm.dn_disk(c.n_modes))
         records, summary, _ = ex.run_sweep(cfg)
         assert not records[0].valid
         assert "kappa" in records[0].failure
@@ -204,3 +206,18 @@ class TestFemFamily:
         lam = ex._perturbed_dn(cfg, 0.3)
         diff = np.abs(lam.matrix - lam0.matrix).max()
         assert diff > 1e-4
+
+    def test_fem_sweep_valid_end_to_end(self, tmp_path):
+        # the reference is the s = 0 FEM operator on the same mesh, and the
+        # FEM certificate tolerance holds for transport and lemma-1 traces
+        cfg = small_config(
+            tmp_path,
+            perturbation_family={"kind": "fem_metric",
+                                 "parameter_list": [0.08, 0.04, 0.02, 0.01],
+                                 "resolution": 24},
+        )
+        records, summary, _ = ex.run_sweep(cfg)
+        assert [r.failure for r in records] == [""] * 4
+        assert summary["n_valid"] == 4
+        assert all(r.lemma1_ratio > 0 for r in records)
+        assert 0.8 <= summary["slope_dh_interior_vs_t"] <= 1.2
