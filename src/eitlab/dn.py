@@ -468,8 +468,7 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     S = K_BB - K_BI K_II^{-1} K_IB.  K_II is factored once under a symmetric
     minimum-degree ordering, and S is applied in one block solve to the real
     Fourier columns [cos(m l), m >= 0 | sin(m l), m > 0] of the capped modes:
-    2*cap + 1 of them, n_modes + 1 in the full band, or the boundary nodes
-    themselves when those are fewer.  The coefficient block
+    2*cap + 1 of them, n_modes + 1 in the full band.  The coefficient block
     b = V^H S V / L is symmetrized to its Hermitian part, which keeps the
     returned matrix exactly symmetric in L2(Gamma, dl).
     order=2 assembles quadratic elements, which sharpens the high-mode
@@ -504,7 +503,6 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
 
     # boundary arclength, possibly rescaled
     arc = np.asarray(b_arc, dtype=float)
-    nbv = arc.size
     perim = mesh.perimeter
     scale = (rescale_to / perim) if rescale_to else 1.0
     arc = arc * scale
@@ -513,27 +511,21 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     # the coefficient formula below produces the 1/scale decay of the DN map
 
     n = n_modes
-    cap = mode_cap if mode_cap is not None else min(n // 2, nbv // 4)
+    cap = mode_cap if mode_cap is not None else min(n // 2, arc.size // 4)
     if cap >= n // 2:
         # full band: include the Nyquist mode once (as +N/2)
         ms = np.arange(-(n // 2) + 1, n // 2 + 1)
     else:
         ms = np.arange(-cap, cap + 1)
     v = np.exp(2j * np.pi * np.outer(arc, ms) / length)  # (Vb, modes)
-    top = int(np.abs(ms).max())
-
-    def schur(w):
-        return k_bb @ w - k_ib.T @ lu.solve(k_ib @ w)
-
-    if 2 * top + 1 < nbv:
-        # S V from S on the real columns cos(m l), m >= 0, and sin(m l),
-        # m > 0; sign(0) = 0 drops the sine part of m = 0
-        phase = 2.0 * np.pi * np.outer(arc, np.arange(top + 1)) / length
-        sw = schur(np.hstack([np.cos(phase), np.sin(phase[:, 1:])]))
-        am = np.abs(ms)
-        sv = sw[:, am] + 1j * np.sign(ms) * sw[:, top + am]
-    else:
-        sv = schur(np.eye(nbv)) @ v
+    # S V from S on the real columns cos(m l), m >= 0, and sin(m l), m > 0;
+    # sign(0) = 0 drops the sine part of m = 0
+    am = np.abs(ms)
+    top = int(am.max())
+    phase = 2.0 * np.pi * np.outer(arc, np.arange(top + 1)) / length
+    w = np.hstack([np.cos(phase), np.sin(phase[:, 1:])])
+    sw = k_bb @ w - k_ib.T @ lu.solve(k_ib @ w)
+    sv = sw[:, am] + 1j * np.sign(ms) * sw[:, top + am]
     b = v.conj().T @ sv / length
     b = 0.5 * (b + b.conj().T)
     grid = np.arange(n) * (length / n)

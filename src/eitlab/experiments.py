@@ -185,7 +185,13 @@ def _lemma1_ratio(lam, lam_p, proj_p, t: float, seed: int, cert: float,
 
 
 def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
-    """Execute the sweep; returns (records, summary, clouds)."""
+    """Execute the sweep; returns (records, summary, clouds).
+
+    A numerical failure at a perturbed parameter marks that record invalid.
+    A failure of the s = 0 reference operator raises instead, since no
+    record can be measured against it: a fem_metric mesh too coarse for
+    n_modes (resolution 16 with n_modes 64) raises NoSpectralGap.
+    """
     cfg.validate()
     n = cfg.n_modes
     # the family at s = 0 on the same discretization, so that t measures

@@ -9,7 +9,7 @@ import pytest
 from eitlab import dn as dnm
 from eitlab import experiments as ex
 from eitlab import metrics as mt
-from eitlab.errors import ConfigInvalid
+from eitlab.errors import ConfigInvalid, NoSpectralGap
 
 
 def small_config(tmp, **kw):
@@ -221,3 +221,15 @@ class TestFemFamily:
         assert summary["n_valid"] == 4
         assert all(r.lemma1_ratio > 0 for r in records)
         assert 0.8 <= summary["slope_dh_interior_vs_t"] <= 1.2
+
+    def test_reference_without_gap_raises(self, tmp_path):
+        # at resolution 16 the s = 0 operator cannot carry 64 modes with a
+        # spectral gap; with no reference, the sweep yields no records
+        cfg = small_config(
+            tmp_path,
+            perturbation_family={"kind": "fem_metric",
+                                 "parameter_list": [0.08, 0.04],
+                                 "resolution": 16},
+        )
+        with pytest.raises(NoSpectralGap):
+            ex.run_sweep(cfg)
