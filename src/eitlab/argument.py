@@ -11,6 +11,7 @@ immersed image.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,25 +84,36 @@ def _z_arclength(eta_j: BoundaryFunction) -> float:
     return float(np.mean(np.abs(d)) * eta_j.length)
 
 
-def _cauchy_raw(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
-                zs: np.ndarray, squared: bool, n_nodes: int) -> np.ndarray:
+def _cauchy_raw(numerators: Sequence[BoundaryFunction | None],
+                eta_j: BoundaryFunction, zs: np.ndarray, squared: bool,
+                n_nodes: int) -> np.ndarray:
     ej = eta_j.values(n_nodes)
     dj = bc.derivative_gamma(eta_j).values(n_nodes)
-    ek = 1.0 if eta_k is None else eta_k.values(n_nodes)
     h = eta_j.length / n_nodes
     den = ej[None, :] - zs[:, None]
     if squared:
         den = den ** 2
-    vals = (ek * dj)[None, :] / den
-    return vals.sum(axis=1) * h / (2j * np.pi)
+    out = np.empty((len(numerators), zs.size), dtype=complex)
+    for row, eta_k in enumerate(numerators):
+        ek = 1.0 if eta_k is None else eta_k.values(n_nodes)
+        out[row] = ((ek * dj)[None, :] / den).sum(axis=1) * h / (2j * np.pi)
+    return out
 
 
-def _cauchy_many(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
-                 zs: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Cauchy integrals at many targets, nodes chosen per contour distance."""
+def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | None],
+                 eta_j: BoundaryFunction, zs: np.ndarray,
+                 squared: bool = False) -> np.ndarray:
+    """Cauchy integrals at many targets, nodes chosen per contour distance.
+
+    eta_k is one numerator (None for the constant 1), giving one value per
+    target, or a sequence of numerators, giving one row each; all rows share
+    the contour samples, the distances and the node plan.
+    """
+    single = eta_k is None or isinstance(eta_k, BoundaryFunction)
+    numerators = [eta_k] if single else list(eta_k)
     zs = np.asarray(zs, dtype=complex)
     dists = contour_distance(eta_j, zs)
-    out = np.empty(zs.size, dtype=complex)
+    out = np.empty((len(numerators), zs.size), dtype=complex)
     counts, eps_min = _node_plan(eta_j, dists, squared)
     if np.any(dists < eps_min):
         bad = int(np.argmax(dists < eps_min))
@@ -109,8 +121,8 @@ def _cauchy_many(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
             f"target {zs[bad]} at distance {dists[bad]:.3e} < {eps_min[bad]:.3e}")
     for n in np.unique(counts):
         sel = counts == n
-        out[sel] = _cauchy_raw(eta_k, eta_j, zs[sel], squared, int(n))
-    return out
+        out[:, sel] = _cauchy_raw(numerators, eta_j, zs[sel], squared, int(n))
+    return out[0] if single else out
 
 
 def cauchy_integral(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
@@ -252,7 +264,9 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
 
     Every lattice point enclosed exactly once by some chart contour yields a
     candidate point (J_{1,j}, ..., J_{n,j}); candidates failing the
-    self-consistency check J_{j,j}(z) = z are dropped and counted.  A shared
+    self-consistency check J_{j,j}(z) = z are dropped and counted.  The
+    preimage of such a point is simple without a further check: J_{j,j} is
+    the identity there, so its derivative is 1.  A shared
     list of winding fields lets two clouds be reconstructed on identical
     targets.
     """
@@ -269,16 +283,10 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
         zs = fields[j].points_with_winding(1)
         if zs.size == 0:
             continue
-        cols = [_cauchy_many(e[k], e[j], zs) for k in range(n)]
-        cand = np.stack(cols, axis=1)
+        cand = _cauchy_many(e.traces, e[j], zs).T
         ok = np.abs(cand[:, j] - zs) <= consistency_rel * diam
-        # simplicity of the preimage: the chart derivative must not vanish
-        dvals = _cauchy_many(e[j], e[j], zs[ok], squared=True)
-        ok_idx = np.nonzero(ok)[0]
-        simple = np.abs(dvals) > 1e-8
-        n_dropped += int(np.sum(~ok)) + int(np.sum(~simple))
-        keep = ok_idx[simple]
-        for i in keep:
+        n_dropped += int(np.sum(~ok))
+        for i in np.nonzero(ok)[0]:
             pts.append(cand[i])
             tags.append("interior")
             charts.append(j)
@@ -346,8 +354,7 @@ def immersion_check(e: TraceTuple, fields: list[WindingField], m: int,
         if zs.size > max_samples_per_chart:
             step = zs.size // max_samples_per_chart
             zs = zs[::step][:max_samples_per_chart]
-        dmat = np.stack([_cauchy_many(e[k], e[j], zs, squared=True)
-                         for k in range(m)], axis=1)
+        dmat = _cauchy_many(e.traces[:m], e[j], zs, squared=True).T
         for row in dmat:
             jac = np.zeros((2 * m, 2))
             for k in range(m):

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _REALITY_TOL = 1e-13
+_EVAL_BLOCK = 1 << 17      # phase-kernel entries per eval_at block (2 MiB)
 
 
 def mode_numbers(n: int) -> np.ndarray:
@@ -74,12 +75,19 @@ class BoundaryFunction:
     def n_modes(self) -> int:
         return self.coeffs.size
 
-    def values(self, n_points: int | None = None) -> np.ndarray:
-        """Sample values on n_points equispaced nodes (default: native grid)."""
+    def values(self, n_points: int | None = None, offset: float = 0.0) -> np.ndarray:
+        """Sample values at offset + k L / n_points (default: native grid).
+
+        A shifted grid is one inverse FFT of the padded spectrum times the
+        phase of each mode at the offset, so the samples equal eval_at there.
+        """
         m = self.n_modes if n_points is None else n_points
         if m < self.n_modes:
             raise ValueError("downsampling not supported")
-        v = np.fft.ifft(_resize_spectrum(self.coeffs, m)) * m
+        c = _resize_spectrum(self.coeffs, m)
+        if offset:
+            c *= _phase_kernel(m, self.length, offset)[0]
+        v = np.fft.ifft(c) * m
         if self.is_real:
             return v.real
         return v
@@ -89,9 +97,17 @@ class BoundaryFunction:
         return np.arange(m) * (self.length / m)
 
     def eval_at(self, l: np.ndarray) -> np.ndarray:
-        """Evaluate the trigonometric interpolant at arbitrary arclength points."""
-        l = np.atleast_1d(np.asarray(l, dtype=float))
-        out = _phase_kernel(self.n_modes, self.length, l) @ self.coeffs
+        """Evaluate the trigonometric interpolant at arbitrary arclength points.
+
+        The phase kernel is built for blocks of points, at most _EVAL_BLOCK
+        entries each, so its memory stays bounded for any number of points.
+        """
+        l = np.asarray(l, dtype=float).ravel()
+        step = max(1, _EVAL_BLOCK // self.n_modes)
+        out = np.empty(l.size, dtype=complex)
+        for i in range(0, l.size, step):
+            kern = _phase_kernel(self.n_modes, self.length, l[i:i + step])
+            out[i:i + step] = kern @ self.coeffs
         return out.real if self.is_real else out
 
     def conj(self) -> "BoundaryFunction":

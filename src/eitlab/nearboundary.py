@@ -2,8 +2,10 @@
 
 Near a boundary anchor a the map zeta(z) = (z - eta_j(a)) / d_gamma(eta_j)(a)
 straightens the trace curve: in the coordinates s = psi1_inverse(zeta_1),
-r = zeta_2 - psi2(s) the curve becomes the line r = 0.  Points of a perturbed
-image are paired with reference points by matching their (s, r) coordinates.
+r = zeta_2 - psi2(s) the curve becomes the line r = 0.  A chart samples the
+trace and its tangent on equispaced grids shifted to the anchor, each one
+inverse FFT of the padded spectrum.  Points of a perturbed image are paired
+with reference points by matching their (s, r) coordinates.
 Cauchy integrals with targets inside the plain-quadrature exclusion band are
 evaluated by subtracting the value at the boundary foot, which regularizes
 the integrand, and integrating on panels graded toward the foot.
@@ -84,17 +86,17 @@ def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0,
     radius is set so the curve enters the disk only through the window.
     """
     length = eta_j.length
-    deta = bc.derivative_gamma(eta_j)
-    scale = complex(deta.eval_at(a)[0])
-    if abs(scale) <= _DERIV_TOL:
-        raise DerivativeVanishes(f"|d_gamma eta_j({a})| = {abs(scale):.2e}")
     n = eta_j.n_modes
     n_fine = 8 * n
     h = length / n_fine
+    # d_gamma eta_j at a + k h, k = 0 .. n_fine - 1 (negative k wrap around)
+    deta = bc.derivative_gamma(eta_j).values(n_fine, offset=a)
+    scale = complex(deta[0])
+    if abs(scale) <= _DERIV_TOL:
+        raise DerivativeVanishes(f"|d_gamma eta_j({a})| = {abs(scale):.2e}")
     # grow symmetrically on the oversampled grid
-    steps = np.arange(1, n_fine // 2)
-    ratio_p = (deta.eval_at(a + steps * h) / scale).real
-    ratio_m = (deta.eval_at(a - steps * h) / scale).real
+    ratio_p = (deta[1:n_fine // 2] / scale).real
+    ratio_m = (deta[:n_fine // 2:-1] / scale).real
     ok_p = (ratio_p >= c0) & (ratio_p <= 1.0 / c0)
     ok_m = (ratio_m >= c0) & (ratio_m <= 1.0 / c0)
     kp = int(np.argmin(ok_p)) if not ok_p.all() else ok_p.size
@@ -103,11 +105,13 @@ def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0,
     if k * h < 4.0 * length / n:
         raise WindowCollapse(f"window {k * h:.3e} below 4 grid steps")
     lo, hi = a - k * h, a + k * h
-    z_a = complex(eta_j.eval_at(a)[0])
 
-    # psi1 on the window, monotone interpolant for its inverse
-    ls = np.linspace(lo, hi, 8 * max(k, 8) + 1)
-    psi1 = ((eta_j.eval_at(ls) - z_a) / scale).real
+    # psi1 on the window (steps h/4, k >= 32 here), monotone interpolant for
+    # its inverse
+    ls = np.linspace(lo, hi, 8 * k + 1)
+    eta_w = np.roll(eta_j.values(4 * n_fine, offset=a), 4 * k)[:8 * k + 1]
+    z_a = complex(eta_w[4 * k])
+    psi1 = ((eta_w - z_a) / scale).real
     if np.any(np.diff(psi1) <= 0):
         raise WindowCollapse("psi1 not strictly increasing on the window")
     inv = PchipInterpolator(psi1, ls, extrapolate=False)
@@ -126,7 +130,10 @@ def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0,
 
 def _refine_s(chart: BoundaryChart, zeta1: float, s0: float,
               tol: float = 1e-12, max_iter: int = 50) -> float:
-    """Newton refinement of psi1(s) = zeta1 from the interpolant's estimate."""
+    """Newton refinement of psi1(s) = zeta1 from the interpolant's estimate.
+
+    Raises OutOfChart when max_iter steps end without a step below tol.
+    """
     deta = bc.derivative_gamma(chart.eta_j)
     s = s0
     for _ in range(max_iter):
@@ -135,8 +142,9 @@ def _refine_s(chart: BoundaryChart, zeta1: float, s0: float,
         step = f / df
         s -= step
         if abs(step) < tol * max(1.0, abs(s)):
-            break
-    return float(s)
+            return float(s)
+    raise OutOfChart(f"Newton for psi1(s) = {zeta1:.6g} did not converge in "
+                     f"{max_iter} iterations, last step {abs(step):.3e}")
 
 
 def rectify(chart: BoundaryChart, z: complex) -> tuple[float, float]:
@@ -229,14 +237,10 @@ def _near_band(eta_j: BoundaryFunction, z: complex) -> bool:
 def _coordinate_at(e: TraceTuple, j: int, z: complex, s_foot: float,
                    delta: float | None = None) -> np.ndarray:
     """All n coordinates of the image point above z in chart j."""
-    out = np.empty(len(e), dtype=complex)
-    near = _near_band(e[j], z)
-    for k in range(len(e)):
-        if near:
-            out[k] = split_cauchy(e[k], e[j], z, s_foot, delta)
-        else:
-            out[k] = ap.cauchy_integral(e[k], e[j], z)
-    return out
+    if _near_band(e[j], z):
+        return np.array([split_cauchy(e[k], e[j], z, s_foot, delta)
+                         for k in range(len(e))])
+    return ap._cauchy_many(e.traces, e[j], np.array([z]))[:, 0]
 
 
 def pair_points(chart: BoundaryChart, chart_p: BoundaryChart,
@@ -299,11 +303,11 @@ def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
         for j in np.argsort(derivs)[::-1]:
             try:
                 chart = build_chart(e[int(j)], a, int(j))
-                chart_p = build_chart(e_prime[int(j)], a, int(j))
                 # the pairing needs a single preimage: probe the interior side
                 z_probe = unrectify(chart, a, depth)
                 if ap.winding_number(e[int(j)], z_probe) != 1:
                     raise OutOfChart("projection not single-sheeted here")
+                chart_p = build_chart(e_prime[int(j)], a, int(j))
                 entry["chart_j"] = int(j)
                 break
             except (DerivativeVanishes, WindowCollapse, OutOfChart,
@@ -329,7 +333,7 @@ def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
                     p_prime = _coordinate_at(e_prime, j, z_p, float(s0), delta)
                     p = pair_points(chart, chart_p, p_prime, e, delta)
                     sup = max(sup, float(np.abs(p - p_prime).max()))
-                except (OutOfChart, DeltaTooSmall) as exc:
+                except (OutOfChart, DeltaTooSmall):
                     n_failed += 1
         entry["sup_discrepancy"] = sup
         entry["n_failed"] = n_failed

@@ -83,6 +83,22 @@ class TestCauchyOracles:
             ap.winding_number(e_z[0], 0.0 + 0.0j)
 
 
+class TestStackedNumerators:
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_rows_equal_single_numerator_calls(self, e_pair, squared):
+        # targets at several contour distances, hence several node counts
+        zs = np.array([0.0, 0.3 + 0.2j, 0.9, 0.97j, -0.99, 2.0 + 0.5j])
+        nums = (None, e_pair[0], e_pair[1])
+        rows = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
+        assert rows.shape == (len(nums), zs.size)
+        assert len(set(ap._node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs),
+                                     squared)[0])) > 2
+        for row, eta_k in zip(rows, nums):
+            single = ap._cauchy_many(eta_k, e_pair[0], zs, squared=squared)
+            assert single.shape == (zs.size,)
+            assert np.array_equal(row, single)
+
+
 class TestClassify:
     def test_disk_winding_region(self, e_z):
         wf = ap.classify(e_z[0], 48, 0.1)
@@ -161,6 +177,24 @@ class TestReconstruct:
         assert interior.shape[0] > 0
         src = cloud.source_z[np.array(cloud.tags) == "interior"]
         assert np.abs(interior[:, 0] - src).max() < 1e-10
+
+
+class TestSimplePreimage:
+    @pytest.mark.parametrize("a2", [0.0, 0.08])
+    def test_chart_derivative_is_one_on_winding_one_targets(self, a2):
+        # J_jj(z) = z on winding-1 targets, so d/dz J_jj = 1 and the preimage
+        # is simple: reconstruct needs no separate simple-preimage filter
+        w = lambda z: z + a2 * z ** 2
+        e = TraceTuple((trace(w), trace(lambda z: w(z) ** 2)))
+        n_targets = 0
+        for j in range(len(e)):
+            zs = ap.classify(e[j], 32, 0.2).points_with_winding(1)
+            if zs.size == 0:
+                continue
+            d = ap._cauchy_many(e[j], e[j], zs, squared=True)
+            assert np.abs(d - 1.0).max() <= 1e-10
+            n_targets += zs.size
+        assert n_targets > 0
 
 
 class TestImmersionCheck:

@@ -6,6 +6,7 @@ correction, and conjugation by scipy's DFT matrix.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import dft
 
@@ -109,6 +110,39 @@ class TestInterpolant:
         t = targets_with_nodes(n, length, rng)
         assert np.allclose(f.eval_at(t), phase_sum(c, length, t),
                            rtol=0.0, atol=1e-12 * n)
+
+
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_eval_at_in_blocks_matches_phase_sum(self, n):
+        # more points than one block of the phase kernel holds, with a
+        # partial last block
+        rng = np.random.default_rng(n)
+        c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
+        t = rng.uniform(-5.0, 10.0, 3 * (1 << 17) // n + 7)
+        got = bc.BoundaryFunction(c, 5.0).eval_at(t)
+        assert got.shape == t.shape
+        assert np.abs(got - phase_sum(c, 5.0, t)).max() <= 1e-12
+
+
+class TestShiftedSampling:
+    @pytest.mark.parametrize("factor", [1, 2, 8, 32])
+    @pytest.mark.parametrize("real", [True, False])
+    @property_test
+    @given(n=sizes, length=lengths, frac=st.floats(0.0, 1.0), seed=seeds)
+    def test_matches_eval_at(self, factor, real, n, length, frac, seed):
+        rng = np.random.default_rng(seed)
+        if real:
+            f = bc.from_samples(rng.standard_normal(n), length)
+        else:
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            f = bc.BoundaryFunction(c / np.sqrt(n), length)
+        assert f.is_real == real and abs(f.coeffs[n // 2]) > 0.0
+        m = factor * n
+        for periods in (-3.0, -1.0, 0.0, 1.0, 2.0):
+            offset = (periods + frac) * length
+            got = f.values(m, offset=offset)
+            want = f.eval_at(offset + np.arange(m) * (length / m))
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestResampler:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
@@ -15,6 +16,27 @@ TWO_PI = 2.0 * np.pi
 def trace(fn, n=256):
     th = np.arange(n) * (TWO_PI / n)
     return bc.from_samples(fn(np.exp(1j * th)), TWO_PI)
+
+
+def dense_chart(eta_j, a, c0=0.5):
+    """Window, anchor values and psi1 inverse of a chart by dense eval_at."""
+    length, n = eta_j.length, eta_j.n_modes
+    deta = bc.derivative_gamma(eta_j)
+    scale = complex(deta.eval_at(a)[0])
+    h = length / (8 * n)
+    steps = np.arange(1, 4 * n)
+
+    def reach(ratio):
+        ok = (ratio >= c0) & (ratio <= 1.0 / c0)
+        return ok.size if ok.all() else int(np.argmin(ok))
+
+    k = min(reach((deta.eval_at(a + steps * h) / scale).real),
+            reach((deta.eval_at(a - steps * h) / scale).real))
+    lo, hi = a - k * h, a + k * h
+    ls = np.linspace(lo, hi, 8 * max(k, 8) + 1)
+    z_a = complex(eta_j.eval_at(a)[0])
+    psi1 = ((eta_j.eval_at(ls) - z_a) / scale).real
+    return (lo, hi), z_a, scale, PchipInterpolator(psi1, ls, extrapolate=False)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +76,22 @@ class TestBuildChart:
             assert abs(s - l) < 1e-10
             assert abs(r) < 1e-10
 
+    @pytest.mark.parametrize("curve", ["circle", "square", "perturbed"])
+    @pytest.mark.parametrize("a", [0.0, 1.2345, -0.7, 4.0, 7.5])
+    def test_matches_dense_chart(self, curve, a):
+        w = {"circle": lambda z: z, "square": lambda z: z ** 2,
+             "perturbed": lambda z: z + 0.08 * z ** 2 + 0.04 * z ** 3}[curve]
+        eta = trace(w)
+        ch = nb.build_chart(eta, a)
+        window, z_a, scale, inv = dense_chart(eta, a)
+        assert ch.gamma_window == window
+        assert abs(ch.zeta_shift - z_a) <= 1e-12
+        assert abs(ch.zeta_scale - scale) <= 1e-12
+        knots = inv.x
+        assert ch.psi1_inverse.x.shape == knots.shape
+        assert np.abs(ch.psi1_inverse.x - knots).max() <= 1e-12
+        assert np.abs(ch.psi1_inverse(knots[1:-1]) - inv(knots[1:-1])).max() <= 1e-10
+
 
 class TestRectify:
     def test_interior_point_coordinates(self, circ):
@@ -72,6 +110,15 @@ class TestRectify:
             s, r = nb.rectify(ch, z)
             assert abs(s - s0) < 1e-8
             assert abs(r - r0) < 1e-8
+
+    def test_newton_nonconvergence_raises(self, circ, monkeypatch):
+        ch = nb.build_chart(circ, 0.2)
+        z = nb.unrectify(ch, 0.3, 0.02)
+        # a sign-flipped tangent turns every root into a repeller
+        derivative = bc.derivative_gamma
+        monkeypatch.setattr(bc, "derivative_gamma", lambda f: -1.0 * derivative(f))
+        with pytest.raises(OutOfChart, match="50 iterations"):
+            nb.rectify(ch, z)
 
     def test_out_of_chart(self, circ):
         ch = nb.build_chart(circ, 0.0)
@@ -183,6 +230,29 @@ class TestDiagnostic:
         rep = nb.near_boundary_diagnostic(e, e, n_anchors=16)
         assert all(a["chart_j"] == 0 for a in rep.anchors)
         assert rep.global_sup < 1e-7
+
+    def test_unconverged_points_are_counted(self, e_pair, monkeypatch):
+        # an unattainable step tolerance: every rectification fails
+        monkeypatch.setattr(nb._refine_s, "__defaults__", (0.0, 50))
+        rep = nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=2)
+        built = [a for a in rep.anchors if a["chart_j"] is not None]
+        assert len(built) == 2
+        assert all(a["n_failed"] == 3 * 4 for a in built)
+
+    def test_probe_precedes_perturbed_chart(self, e_pair, monkeypatch):
+        built = []
+        build_chart = nb.build_chart
+
+        def counting(eta_j, a, chart_index=0, c0=nb._C0):
+            built.append(chart_index)
+            return build_chart(eta_j, a, chart_index, c0)
+
+        monkeypatch.setattr(nb, "build_chart", counting)
+        nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=4)
+        # the z^2 chart, tried first, fails the winding probe on its
+        # reference chart, so its perturbed chart is never built
+        assert built.count(1) == 4
+        assert built.count(0) == 8
 
     def test_all_charts_failed(self):
         # constant trace: derivative vanishes everywhere
