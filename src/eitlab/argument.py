@@ -5,7 +5,8 @@ traces alone: for a target z enclosed exactly once by the curve eta_j(Gamma),
 the contour integral (1/2 pi i) * integral of eta_k d_gamma(eta_j) / (eta_j - z)
 returns the value of the k-th coordinate at the unique preimage.  A grid of
 such targets, classified by winding number, yields a point cloud sampling the
-immersed image.
+immersed image.  Winding numbers use the plain trapezoidal rule; image
+coordinates use its compensated form, which is accurate up to the contour.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundary as bc
-from .boundary import BoundaryFunction
+from .boundary import _EVAL_BLOCK, BoundaryFunction
 from .errors import (
     DerivativeVanishes,
     EmptyCloud,
@@ -41,6 +42,7 @@ __all__ = [
 
 _MAX_NODES = 16384
 _OVERSAMPLE = 4
+_MERGE_REL = 1e-6  # duplicate image points: relative to the largest diameter
 
 
 def _contour_samples(eta_j: BoundaryFunction, n_points: int | None = None) -> np.ndarray:
@@ -56,10 +58,17 @@ def _z_diameter(samples: np.ndarray) -> float:
 
 
 def contour_distance(eta_j: BoundaryFunction, z: np.ndarray | complex) -> np.ndarray:
-    """Discrete distance from z to the curve eta_j(Gamma) (4N samples)."""
+    """Discrete distance from z to the curve eta_j(Gamma) (4N samples).
+
+    The minimum is taken over target blocks of at most _EVAL_BLOCK differences,
+    so memory stays bounded for any number of targets.
+    """
     samples = _contour_samples(eta_j)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    d = np.abs(zs[:, None] - samples[None, :]).min(axis=1)
+    step = max(1, _EVAL_BLOCK // samples.size)
+    d = np.empty(zs.size)
+    for i in range(0, zs.size, step):
+        d[i:i + step] = np.abs(zs[i:i + step, None] - samples[None, :]).min(axis=1)
     return d if np.ndim(z) else d[0]
 
 
@@ -68,8 +77,8 @@ def _node_plan(eta_j: BoundaryFunction, dists: np.ndarray,
     """Quadrature node count per target distance, and the exclusion band.
 
     The count resolves the kernel's scale diam / dist (doubled for the
-    squared kernel) up to _MAX_NODES; a target closer to the contour than
-    its band 4 * arclength / count is refused as TooCloseToContour.
+    squared kernel) up to _MAX_NODES; the plain rule refuses a target closer
+    to the contour than its band 4 * arclength / count.
     """
     c_q = 40.0 * _z_diameter(_contour_samples(eta_j))
     counts = np.maximum(eta_j.n_modes, np.ceil(c_q / np.maximum(dists, 1e-300)))
@@ -87,41 +96,57 @@ def _z_arclength(eta_j: BoundaryFunction) -> float:
 def _cauchy_raw(numerators: Sequence[BoundaryFunction | None],
                 eta_j: BoundaryFunction, zs: np.ndarray, squared: bool,
                 n_nodes: int) -> np.ndarray:
+    """Trapezoidal sums (h / 2 pi i) sum eta_k d_gamma(eta_j) / (eta_j - z)^p.
+
+    The kernel d_gamma(eta_j) / (eta_j - z)^p is built once and weighted per
+    numerator; None (the constant 1) costs one row-sum.
+    """
     ej = eta_j.values(n_nodes)
     dj = bc.derivative_gamma(eta_j).values(n_nodes)
-    h = eta_j.length / n_nodes
-    den = ej[None, :] - zs[:, None]
+    kern = ej[None, :] - zs[:, None]
     if squared:
-        den = den ** 2
+        kern **= 2
+    np.divide(dj[None, :], kern, out=kern)
     out = np.empty((len(numerators), zs.size), dtype=complex)
     for row, eta_k in enumerate(numerators):
-        ek = 1.0 if eta_k is None else eta_k.values(n_nodes)
-        out[row] = ((ek * dj)[None, :] / den).sum(axis=1) * h / (2j * np.pi)
-    return out
+        out[row] = kern.sum(axis=1) if eta_k is None else kern @ eta_k.values(n_nodes)
+    return out * (eta_j.length / n_nodes / (2j * np.pi))
 
 
 def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | None],
                  eta_j: BoundaryFunction, zs: np.ndarray,
-                 squared: bool = False) -> np.ndarray:
+                 squared: bool = False, compensated: bool = False) -> np.ndarray:
     """Cauchy integrals at many targets, nodes chosen per contour distance.
 
     eta_k is one numerator (None for the constant 1), giving one value per
     target, or a sequence of numerators, giving one row each; all rows share
-    the contour samples, the distances and the node plan.
+    the contour samples, the distances and the node plan.  The plain rule
+    refuses targets inside the exclusion band (TooCloseToContour).
+
+    compensated=True is the rule for image coordinates of targets enclosed
+    once: each row is divided by the winding row of the same node plan
+    (Helsing & Ojala 2008).  A pole near the contour spoils both sums by the
+    same factor, which cancels, so band targets take the capped node count
+    instead of being refused.  A winding number has no such divisor, so
+    winding numbers keep the plain rule.
     """
     single = eta_k is None or isinstance(eta_k, BoundaryFunction)
     numerators = [eta_k] if single else list(eta_k)
+    if compensated:
+        numerators.append(None)
     zs = np.asarray(zs, dtype=complex)
     dists = contour_distance(eta_j, zs)
     out = np.empty((len(numerators), zs.size), dtype=complex)
     counts, eps_min = _node_plan(eta_j, dists, squared)
-    if np.any(dists < eps_min):
+    if not compensated and np.any(dists < eps_min):
         bad = int(np.argmax(dists < eps_min))
         raise TooCloseToContour(
             f"target {zs[bad]} at distance {dists[bad]:.3e} < {eps_min[bad]:.3e}")
     for n in np.unique(counts):
         sel = counts == n
         out[:, sel] = _cauchy_raw(numerators, eta_j, zs[sel], squared, int(n))
+    if compensated:
+        out = out[:-1] / out[-1]
     return out[0] if single else out
 
 
@@ -203,6 +228,8 @@ class ReconstructedCloud:
     chart_j: np.ndarray       # chart index, -1 for boundary points
     source_z: np.ndarray      # grid target per interior point, nan+0j for boundary
     epsilon: float
+    # no candidate is ever dropped (see reconstruct); kept for the CLI report
+    # and the benchmark, which read it
     n_dropped: int = 0
     merge_tol: float = 0.0
     extra: dict = field(default_factory=dict)
@@ -258,53 +285,43 @@ class ReconstructedCloud:
 
 
 def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
-                fields: list[WindingField] | None = None,
-                consistency_rel: float = 1e-6) -> ReconstructedCloud:
+                fields: list[WindingField] | None = None) -> ReconstructedCloud:
     """Sample the immersed image from boundary traces alone.
 
-    Every lattice point enclosed exactly once by some chart contour yields a
-    candidate point (J_{1,j}, ..., J_{n,j}); candidates failing the
-    self-consistency check J_{j,j}(z) = z are dropped and counted.  The
-    preimage of such a point is simple without a further check: J_{j,j} is
-    the identity there, so its derivative is 1.  A shared
-    list of winding fields lets two clouds be reconstructed on identical
-    targets.
+    Every lattice point enclosed exactly once by some chart contour yields
+    the point (J_{1,j}, ..., J_{n,j}) by the compensated Cauchy rule.  No
+    candidate needs a filter: J_{j,j}(z) - z is sum(d_gamma eta_j) over the
+    winding sum, and sum(d_gamma eta_j) is N times a zero mean, so J_{j,j}
+    is the identity to rounding and its derivative, 1, makes the preimage
+    simple.  A shared list of winding fields lets two clouds be
+    reconstructed on identical targets.
     """
     n = len(e)
     if fields is None:
         fields = [classify(e[j], grid_resolution, eps) for j in range(n)]
     pts, tags, charts, srcs = [], [], [], []
-    n_dropped = 0
     diam_all = 0.0
     for j in range(n):
-        samples = _contour_samples(e[j])
-        diam = _z_diameter(samples)
-        diam_all = max(diam_all, diam)
+        diam_all = max(diam_all, _z_diameter(_contour_samples(e[j])))
         zs = fields[j].points_with_winding(1)
         if zs.size == 0:
             continue
-        cand = _cauchy_many(e.traces, e[j], zs).T
-        ok = np.abs(cand[:, j] - zs) <= consistency_rel * diam
-        n_dropped += int(np.sum(~ok))
-        for i in np.nonzero(ok)[0]:
-            pts.append(cand[i])
-            tags.append("interior")
-            charts.append(j)
-            srcs.append(zs[i])
+        pts.extend(_cauchy_many(e.traces, e[j], zs, compensated=True).T)
+        tags.extend(["interior"] * zs.size)
+        charts.extend([j] * zs.size)
+        srcs.extend(zs)
     # boundary samples at 4N nodes
     nb = _OVERSAMPLE * e.n_modes
-    bvals = np.stack([e[k].values(nb) for k in range(n)], axis=1)
-    for i in range(nb):
-        pts.append(bvals[i])
-        tags.append("boundary")
-        charts.append(-1)
-        srcs.append(complex(np.nan, 0.0))
+    pts.extend(np.stack([e[k].values(nb) for k in range(n)], axis=1))
+    tags.extend(["boundary"] * nb)
+    charts.extend([-1] * nb)
+    srcs.extend([complex(np.nan, 0.0)] * nb)
     points = np.array(pts)
     charts = np.array(charts)
     srcs = np.array(srcs)
     # merge duplicates (same image point found by different charts, or
     # degenerate boundary samples); keep the earliest occurrence
-    merge_tol = consistency_rel * max(diam_all, 1e-6)
+    merge_tol = _MERGE_REL * max(diam_all, 1e-6)
     from scipy.spatial import cKDTree
 
     flat = np.column_stack([points.real, points.imag])
@@ -318,7 +335,7 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
         srcs = srcs[mask]
         tags = [t for t, m in zip(tags, mask) if m]
     return ReconstructedCloud(points, list(tags), charts, srcs, eps,
-                              n_dropped, merge_tol)
+                              merge_tol=merge_tol)
 
 
 @dataclass(frozen=True)

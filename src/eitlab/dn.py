@@ -535,27 +535,34 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
 
 
 def load_off(path: str) -> TriMesh:
-    """Read an OFF file and build a TriMesh (boundary loop discovered)."""
+    """Read an OFF file and build a TriMesh (boundary loop discovered).
+
+    A malformed file raises NonManifoldMesh naming the fault.
+    """
     with open(path) as fh:
         tokens = []
         for line in fh:
             line = line.split("#")[0].strip()
             if line:
                 tokens.extend(line.split())
+    if not tokens:
+        raise NonManifoldMesh(f"empty OFF file {path}")
     if tokens[0] != "OFF":
         raise NonManifoldMesh("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise NonManifoldMesh("only triangle faces supported")
-        faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-        pos += 4
-    faces = np.asarray(faces, dtype=int)
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        if min(nv, nf) < 0:
+            raise ValueError(f"negative counts {nv} {nf}")
+        body = tokens[4:]
+        verts = np.array(body[:3 * nv], dtype=float).reshape(nv, 3)
+        faces = np.array(body[3 * nv:3 * nv + 4 * nf], dtype=int).reshape(nf, 4)
+    except (IndexError, ValueError) as exc:
+        raise NonManifoldMesh(f"truncated or malformed OFF file {path}: {exc}") from exc
+    if np.any(faces[:, 0] != 3):
+        raise NonManifoldMesh("only triangle faces supported")
+    faces = faces[:, 1:]
+    if np.any((faces < 0) | (faces >= nv)):
+        raise NonManifoldMesh(f"face index outside 0..{nv - 1}")
     loop = _boundary_loop(faces)
     p = verts[loop]
     seg = np.linalg.norm(np.diff(np.vstack([p, p[:1]]), axis=0), axis=1)

@@ -61,10 +61,6 @@ class OutOfChart(EitlabError):
     """Point falls outside the domain of a boundary chart."""
 
 
-class DeltaTooSmall(EitlabError):
-    """Split radius for the near-contour integral is below the grid scale."""
-
-
 class EmptyCloud(EitlabError):
     """Point-cloud metric requested on an empty cloud."""
 

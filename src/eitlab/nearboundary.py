@@ -1,14 +1,13 @@
-"""Rectified boundary charts, near-contour Cauchy evaluation and pairing.
+"""Rectified boundary charts and near-boundary point pairing.
 
 Near a boundary anchor a the map zeta(z) = (z - eta_j(a)) / d_gamma(eta_j)(a)
 straightens the trace curve: in the coordinates s = psi1_inverse(zeta_1),
 r = zeta_2 - psi2(s) the curve becomes the line r = 0.  A chart samples the
 trace and its tangent on equispaced grids shifted to the anchor, each one
 inverse FFT of the padded spectrum.  Points of a perturbed image are paired
-with reference points by matching their (s, r) coordinates.
-Cauchy integrals with targets inside the plain-quadrature exclusion band are
-evaluated by subtracting the value at the boundary foot, which regularizes
-the integrand, and integrating on panels graded toward the foot.
+with reference points by matching their (s, r) coordinates.  Image points
+come from the compensated Cauchy rule of `argument`, which stays accurate up
+to the contour, so a target needs no separate near-contour quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from . import errors
 from .boundary import BoundaryFunction
 from .errors import (
     AllChartsFailed,
-    DeltaTooSmall,
     DerivativeVanishes,
     OutOfChart,
     WindowCollapse,
@@ -38,7 +36,6 @@ __all__ = [
     "rectify",
     "unrectify",
     "pair_points",
-    "split_cauchy",
     "near_boundary_diagnostic",
     "DiagnosticReport",
 ]
@@ -169,83 +166,13 @@ def unrectify(chart: BoundaryChart, s: float, r: float) -> complex:
     return complex(chart.zeta_shift + chart.zeta_scale * (psi + 1j * r))
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_quad(fun, a: float, b: float) -> complex:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GAUSS_X
-    return complex(np.sum(fun(x) * _GAUSS_W) * half)
-
-
-def _graded_edges(a: float, b: float, toward_a: bool, finest: float) -> np.ndarray:
-    """Dyadic panel edges of [a, b] refined toward one end."""
-    span = b - a
-    q = max(1, int(np.ceil(np.log2(span / max(finest, 1e-300)))))
-    fracs = np.concatenate([[0.0], 2.0 ** np.arange(-q, 1)])
-    if toward_a:
-        return a + span * fracs
-    return b - span * fracs[::-1]
-
-
-def split_cauchy(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
-                 z: complex, s: float, delta: float | None = None) -> complex:
-    """Cauchy integral for a target inside the exclusion band.
-
-    Uses the subtracted form
-    (1/2 pi i) int (eta_k - eta_k(s)) d_gamma(eta_j) / (eta_j - z) dl + eta_k(s),
-    valid when eta_j winds once around z.  The integrand is bounded near the
-    boundary foot s; panels graded toward s resolve its oscillation scale.
-    """
-    length = eta_j.length
-    n = eta_j.n_modes
-    if delta is None:
-        delta = 8.0 * length / n
-    if delta < 4.0 * length / n:
-        raise DeltaTooSmall(f"delta {delta:.3e} below 4 grid steps")
-    delta = min(delta, 0.25 * length)
-    if eta_k is None:
-        return complex(1.0)  # winding-1 premise: the constant reconstructs itself
-    deta = bc.derivative_gamma(eta_j)
-    ek_s = complex(eta_k.eval_at(s)[0])
-
-    def integrand(ls):
-        return (eta_k.eval_at(ls) - ek_s) * deta.eval_at(ls) / (eta_j.eval_at(ls) - z)
-
-    dist = float(ap.contour_distance(eta_j, z))
-    finest = max(dist / 4.0, length / (64.0 * n))
-    total = 0.0 + 0.0j
-    # near piece: [s - delta, s] and [s, s + delta], graded toward s
-    for edges in (_graded_edges(s - delta, s, toward_a=False, finest=finest),
-                  _graded_edges(s, s + delta, toward_a=True, finest=finest)):
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            total += _panel_quad(integrand, a_, b_)
-    # far piece: smooth, uniform panels around the rest of the circle
-    n_far = max(16, n // 4)
-    far_edges = np.linspace(s + delta, s + length - delta, n_far + 1)
-    for a_, b_ in zip(far_edges[:-1], far_edges[1:]):
-        total += _panel_quad(integrand, a_, b_)
-    return complex(total / (2j * np.pi) + ek_s)
-
-
-def _near_band(eta_j: BoundaryFunction, z: complex) -> bool:
-    """True when plain adaptive quadrature would refuse the target."""
-    dist = ap.contour_distance(eta_j, np.array([z]))
-    return bool(dist[0] < ap._node_plan(eta_j, dist)[1][0])
-
-
-def _coordinate_at(e: TraceTuple, j: int, z: complex, s_foot: float,
-                   delta: float | None = None) -> np.ndarray:
+def _coordinate_at(e: TraceTuple, j: int, z: complex) -> np.ndarray:
     """All n coordinates of the image point above z in chart j."""
-    if _near_band(e[j], z):
-        return np.array([split_cauchy(e[k], e[j], z, s_foot, delta)
-                         for k in range(len(e))])
-    return ap._cauchy_many(e.traces, e[j], np.array([z]))[:, 0]
+    return ap._cauchy_many(e.traces, e[j], np.array([z]), compensated=True)[:, 0]
 
 
 def pair_points(chart: BoundaryChart, chart_p: BoundaryChart,
-                p_prime: np.ndarray, e: TraceTuple,
-                delta: float | None = None) -> np.ndarray:
+                p_prime: np.ndarray, e: TraceTuple) -> np.ndarray:
     """Reference-image point paired with a perturbed-image point.
 
     Matches the rectified coordinates: read (s, r) of the perturbed point in
@@ -261,7 +188,7 @@ def pair_points(chart: BoundaryChart, chart_p: BoundaryChart,
     if r == 0.0:
         return np.array([complex(e[k].eval_at(s)[0]) for k in range(len(e))])
     z = unrectify(chart, s, r)
-    return _coordinate_at(e, j, z, s, delta)
+    return _coordinate_at(e, j, z)
 
 
 @dataclass
@@ -281,8 +208,7 @@ class DiagnosticReport:
 
 def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
                              n_anchors: int = 8, depth: float = 0.05,
-                             n_depths: int = 4, n_feet: int = 3,
-                             delta: float | None = None) -> DiagnosticReport:
+                             n_depths: int = 4, n_feet: int = 3) -> DiagnosticReport:
     """Sup of |pair(p') - p'| over sampled near-boundary perturbed points.
 
     For each equispaced anchor, the chart index with the largest tangential
@@ -330,10 +256,10 @@ def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
                 try:
                     z_p = unrectify(chart_p, float(s0), float(r0))
                     j = chart.chart_index
-                    p_prime = _coordinate_at(e_prime, j, z_p, float(s0), delta)
-                    p = pair_points(chart, chart_p, p_prime, e, delta)
+                    p_prime = _coordinate_at(e_prime, j, z_p)
+                    p = pair_points(chart, chart_p, p_prime, e)
                     sup = max(sup, float(np.abs(p - p_prime).max()))
-                except (OutOfChart, DeltaTooSmall):
+                except OutOfChart:
                     n_failed += 1
         entry["sup_discrepancy"] = sup
         entry["n_failed"] = n_failed

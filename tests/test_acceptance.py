@@ -184,15 +184,14 @@ def test_criterion_09_near_boundary_pairing(sweep):
     # unperturbed limit
     e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
     rep0 = nb.near_boundary_diagnostic(e, e, n_anchors=cfg.n_anchors)
-    # split quadrature against plain quadrature on the overlap strip
-    circ = trace(lambda z: z)
-    sq = trace(lambda z: z ** 2)
+    # compensated rule against plain quadrature on the overlap strip
+    pair = hm.TraceTuple((trace(lambda z: z), trace(lambda z: z ** 2)))
     overlap_worst = 0.0
     for d in (2e-3, 8e-3):
         z = complex((1.0 - d) * np.exp(0.4j))
         overlap_worst = max(overlap_worst,
-                            abs(ap.cauchy_integral(sq, circ, z)
-                                - nb.split_cauchy(sq, circ, z, 0.4)))
+                            abs(ap.cauchy_integral(pair[1], pair[0], z)
+                                - nb._coordinate_at(pair, 0, z)[1]))
     ok = mono and rep0.global_sup < 1e-7 and overlap_worst < 1e-8
     report(9, "near-boundary pairing", ok,
            f"sup {['%.3e' % s for s in sups]} monotone: {mono}, "

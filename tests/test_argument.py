@@ -99,6 +99,40 @@ class TestStackedNumerators:
             assert np.array_equal(row, single)
 
 
+class TestCompensatedCauchy:
+    def test_perturbed_curve_up_to_the_contour(self):
+        # chart w + a w^K with K near the Nyquist mode, second trace w^2:
+        # at w0 = (1 - d) e^{i theta} the coordinates are f(w0) and w0^2
+        a, k = 0.004, 120
+        f = lambda w: w + a * w ** k
+        e = TraceTuple((trace(f), trace(lambda w: w ** 2)))
+        refused = 0
+        for d in (1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9):
+            w0 = (1.0 - d) * np.exp(1j * np.array([0.0, 0.4, 1.3, 2.9, -2.0]))
+            z = f(w0)
+            got = ap._cauchy_many(e.traces, e[0], z, compensated=True)
+            assert np.abs(got[0] - z).max() <= 1e-12
+            assert np.abs(got[1] - w0 ** 2).max() <= 1e-12
+            try:
+                ap._cauchy_many(e.traces, e[0], z)
+            except TooCloseToContour:
+                refused += 1
+        assert refused >= 3  # the plain rule refuses the closest targets
+
+    @pytest.mark.parametrize("a2", [0.0, 0.08])
+    def test_chart_coordinate_is_the_identity(self, a2):
+        # J_jj(z) - z = sum(d_gamma eta_j) / winding sum, and the numerator
+        # is N times a zero mean: reconstruct needs no consistency filter
+        w = lambda z: z + a2 * z ** 2
+        e = TraceTuple((trace(w), trace(lambda z: w(z) ** 2)))
+        cloud = ap.reconstruct(e, eps=0.2, grid_resolution=32)
+        interior = np.nonzero(np.array(cloud.tags) == "interior")[0]
+        assert interior.size > 0 and cloud.n_dropped == 0
+        diam = ap._z_diameter(ap._contour_samples(e[0]))
+        chart = cloud.points[interior, cloud.chart_j[interior]]
+        assert np.abs(chart - cloud.source_z[interior]).max() <= 1e-12 * diam
+
+
 class TestClassify:
     def test_disk_winding_region(self, e_z):
         wf = ap.classify(e_z[0], 48, 0.1)

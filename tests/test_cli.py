@@ -6,7 +6,12 @@ import numpy as np
 
 from eitlab import boundary as bc
 from eitlab import cli
+from eitlab import dn as dnm
 from eitlab.holomorphic import TraceTuple
+
+
+def kappa_printed(capsys) -> int:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["kappa"]
 
 
 def write_config(tmp_path, out_dir):
@@ -58,6 +63,41 @@ class TestDn:
         assert cli.main(["dn", "--surface", "conformal:0.05", "--n-modes",
                          "32", "--out", out]) == cli.EXIT_OK
 
+    def test_fem_disk(self, tmp_path, capsys):
+        out = str(tmp_path / "dn.json")
+        assert cli.main(["dn", "--surface", "fem-disk", "--resolution", "24",
+                         "--n-modes", "64", "--out", out]) == cli.EXIT_OK
+        assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
+        assert kappa_printed(capsys) == 0
+
+    def test_torus(self, tmp_path):
+        out = str(tmp_path / "dn.json")
+        assert cli.main(["dn", "--surface", "torus", "--resolution", "24",
+                         "--n-modes", "64", "--out", out]) == cli.EXIT_OK
+        with open(out) as fh:
+            assert json.load(fh)["n"] == 64
+
+    def test_off_file(self, tmp_path):
+        mesh = dnm.unit_disk_mesh(8)
+        path = tmp_path / "disk.off"
+        lines = ["OFF", f"{mesh.n_vertices} {len(mesh.triangles)} 0"]
+        lines += [f"{x} {y} 0.0" for x, y in mesh.vertices.tolist()]
+        lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+        path.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "dn.json")
+        assert cli.main(["dn", "--surface", str(path), "--n-modes", "32",
+                         "--out", out]) == cli.EXIT_OK
+        with open(out) as fh:
+            assert json.load(fh)["n"] == 32
+
+    def test_malformed_off_exits_3(self, tmp_path, capsys):
+        # one case: tests/test_dn.py covers each malformed-file fault
+        path = tmp_path / "bad.off"
+        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2")
+        assert cli.main(["dn", "--surface", str(path), "--out",
+                         str(tmp_path / "x.json")]) == cli.EXIT_NUMERICAL
+        assert "NonManifoldMesh" in capsys.readouterr().err
+
     def test_unknown_surface_exits_2(self, tmp_path):
         assert cli.main(["dn", "--surface", "pretzel", "--out",
                          str(tmp_path / "x.json")]) == cli.EXIT_CONFIG
@@ -95,5 +135,11 @@ class TestKappa:
         out = str(tmp_path / "dn.json")
         cli.main(["dn", "--surface", "disk", "--n-modes", "32", "--out", out])
         assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
-        d = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert d["kappa"] == 0
+        assert kappa_printed(capsys) == 0
+
+    def test_torus_kappa_two(self, tmp_path, capsys):
+        out = str(tmp_path / "dn.json")
+        cli.main(["dn", "--surface", "torus", "--resolution", "24",
+                  "--n-modes", "64", "--out", out])
+        assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
+        assert kappa_printed(capsys) == 2

@@ -349,6 +349,18 @@ class TestOffIO:
         rho = np.full(loaded.n_vertices, 1.0)
         assert loaded.with_conformal_factor(rho).perimeter == loaded.perimeter
 
+    @pytest.mark.parametrize("text, fault", [
+        ("", "empty"),
+        ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2", "truncated"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n", "outside 0..2"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "outside 0..2"),
+    ], ids=["empty", "truncated_faces", "negative_index", "index_past_end"])
+    def test_malformed_rejected(self, tmp_path, text, fault):
+        path = tmp_path / "bad.off"
+        path.write_text(text)
+        with pytest.raises(NonManifoldMesh, match=fault):
+            dnm.load_off(str(path))
+
     def test_nonmanifold_rejected(self):
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])
         # edge (0,1) shared by three triangles

@@ -1,4 +1,4 @@
-"""Rectified boundary charts, split Cauchy quadrature and point pairing."""
+"""Rectified boundary charts, near-contour image coordinates and point pairing."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from scipy.interpolate import PchipInterpolator
 from eitlab import argument as ap
 from eitlab import boundary as bc
 from eitlab import nearboundary as nb
-from eitlab.errors import AllChartsFailed, DeltaTooSmall, OutOfChart, TooCloseToContour
+from eitlab.errors import AllChartsFailed, OutOfChart, TooCloseToContour
 from eitlab.holomorphic import TraceTuple
 
 TWO_PI = 2.0 * np.pi
@@ -129,58 +129,46 @@ class TestRectify:
 
 
 class TestSplitCauchy:
-    def test_identity_chart_near_boundary(self, circ):
-        z = 0.97 + 0.0j
-        got = nb.split_cauchy(circ, circ, z, 0.0)
-        assert abs(got - z) < 1e-8
+    """Image coordinates near the contour, by the compensated rule.
 
-    def test_square_coordinate_near_boundary(self, circ):
-        sq = trace(lambda z: z ** 2)
-        z = 0.97 + 0.0j
-        got = nb.split_cauchy(sq, circ, z, 0.0)
-        assert abs(got - z ** 2) < 1e-8
+    The class keeps the name of the split-Cauchy quadrature that these
+    cases first covered; the compensated rule replaced it.
+    """
 
-    def test_foot_value_at_zero_distance_limit(self, circ):
-        # as the target approaches the foot, the value tends to eta_k(s)
-        sq = trace(lambda z: z ** 2)
+    def test_identity_chart_near_boundary(self, e_pair):
+        z = 0.97 + 0.0j
+        got = nb._coordinate_at(e_pair, 0, z)
+        assert abs(got[0] - z) < 1e-12
+
+    def test_square_coordinate_near_boundary(self, e_pair):
+        z = 0.97 + 0.0j
+        got = nb._coordinate_at(e_pair, 0, z)
+        assert abs(got[1] - z ** 2) < 1e-12
+
+    def test_foot_value_at_zero_distance_limit(self, e_pair):
+        # as the target approaches the foot, the value tends to eta_k(s):
+        # at distance 1e-6, which the plain rule refuses, it is z^2 to rounding
         s = 0.3
-        z = (1.0 - 1e-6) * np.exp(1j * s)
-        got = nb.split_cauchy(sq, circ, complex(z), s)
-        assert abs(got - np.exp(2j * s)) < 1e-4
+        z = complex((1.0 - 1e-6) * np.exp(1j * s))
+        with pytest.raises(TooCloseToContour):
+            ap.cauchy_integral(e_pair[1], e_pair[0], z)
+        got = nb._coordinate_at(e_pair, 0, z)
+        assert abs(got[1] - z ** 2) < 1e-12
 
-    def test_agrees_with_plain_quadrature_in_overlap(self, circ):
-        sq = trace(lambda z: z ** 2)
-        arclen = ap._z_arclength(circ)
+    def test_agrees_with_plain_quadrature_in_overlap(self, e_pair):
+        arclen = ap._z_arclength(e_pair[0])
         # smallest distance plain quadrature accepts at the node cap
         eps_min = 4.0 * arclen / 16384
         for d in (2e-3, 8e-3):
             assert d > eps_min
             z = complex((1.0 - d) * np.exp(0.4j))
-            plain = ap.cauchy_integral(sq, circ, z)
-            split = nb.split_cauchy(sq, circ, z, 0.4)
-            assert abs(plain - split) < 1e-8
-
-    def test_near_band_is_the_plain_quadrature_refusal(self, circ):
-        # the split path takes exactly the targets plain quadrature refuses
-        seen = set()
-        for d in (2e-4, 5e-4, 8e-4, 2e-3, 1e-2):
-            z = complex((1.0 - d) * np.exp(0.4j))
-            try:
-                ap.cauchy_integral(circ, circ, z)
-                refused = False
-            except TooCloseToContour:
-                refused = True
-            assert nb._near_band(circ, z) == refused
-            seen.add(refused)
-        assert seen == {True, False}
+            plain = ap.cauchy_integral(e_pair[1], e_pair[0], z)
+            assert abs(plain - nb._coordinate_at(e_pair, 0, z)[1]) < 1e-12
 
     def test_constant_coordinate(self, circ):
-        assert nb.split_cauchy(None, circ, 0.99 + 0j, 0.0) == 1.0
-
-    def test_delta_too_small(self, circ):
-        with pytest.raises(DeltaTooSmall):
-            nb.split_cauchy(circ, circ, 0.97 + 0j, 0.0,
-                            delta=0.5 * TWO_PI / circ.n_modes)
+        # the constant 1 is its own winding row: the ratio is exactly 1
+        got = ap._cauchy_many(None, circ, np.array([0.99 + 0j]), compensated=True)
+        assert got[0] == 1.0
 
 
 class TestPairPoints:
