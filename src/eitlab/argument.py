@@ -128,7 +128,9 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
     (Helsing & Ojala 2008).  A pole near the contour spoils both sums by the
     same factor, which cancels, so band targets take the capped node count
     instead of being refused.  A winding number has no such divisor, so
-    winding numbers keep the plain rule.
+    winding numbers keep the plain rule.  The compensated rule returns the
+    winding row too: a target not enclosed once gives a ratio of two
+    vanishing sums, which only that row reveals.
     """
     single = eta_k is None or isinstance(eta_k, BoundaryFunction)
     numerators = [eta_k] if single else list(eta_k)
@@ -146,7 +148,9 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
         sel = counts == n
         out[:, sel] = _cauchy_raw(numerators, eta_j, zs[sel], squared, int(n))
     if compensated:
-        out = out[:-1] / out[-1]
+        winding = out[-1]
+        out = out[:-1] / winding
+        return (out[0] if single else out), winding
     return out[0] if single else out
 
 
@@ -228,9 +232,7 @@ class ReconstructedCloud:
     chart_j: np.ndarray       # chart index, -1 for boundary points
     source_z: np.ndarray      # grid target per interior point, nan+0j for boundary
     epsilon: float
-    # no candidate is ever dropped (see reconstruct); kept for the CLI report
-    # and the benchmark, which read it
-    n_dropped: int = 0
+    n_dropped: int = 0        # targets their chart does not enclose once
     merge_tol: float = 0.0
     extra: dict = field(default_factory=dict)
 
@@ -289,24 +291,30 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
     """Sample the immersed image from boundary traces alone.
 
     Every lattice point enclosed exactly once by some chart contour yields
-    the point (J_{1,j}, ..., J_{n,j}) by the compensated Cauchy rule.  No
-    candidate needs a filter: J_{j,j}(z) - z is sum(d_gamma eta_j) over the
-    winding sum, and sum(d_gamma eta_j) is N times a zero mean, so J_{j,j}
-    is the identity to rounding and its derivative, 1, makes the preimage
-    simple.  A shared list of winding fields lets two clouds be
-    reconstructed on identical targets.
+    the point (J_{1,j}, ..., J_{n,j}) by the compensated Cauchy rule.
+    J_{j,j}(z) - z is sum(d_gamma eta_j) over the winding sum, and
+    sum(d_gamma eta_j) is N times a zero mean, so J_{j,j} is the identity to
+    rounding and its derivative, 1, makes the preimage simple.  A shared list
+    of winding fields lets two clouds be reconstructed on identical targets;
+    fields classified on another tuple may hold targets that e[j] does not
+    enclose once, and those are dropped and counted in n_dropped.
     """
     n = len(e)
     if fields is None:
         fields = [classify(e[j], grid_resolution, eps) for j in range(n)]
     pts, tags, charts, srcs = [], [], [], []
     diam_all = 0.0
+    n_dropped = 0
     for j in range(n):
         diam_all = max(diam_all, _z_diameter(_contour_samples(e[j])))
         zs = fields[j].points_with_winding(1)
         if zs.size == 0:
             continue
-        pts.extend(_cauchy_many(e.traces, e[j], zs, compensated=True).T)
+        vals, winding = _cauchy_many(e.traces, e[j], zs, compensated=True)
+        once = np.abs(winding - 1.0) < 0.1
+        n_dropped += int(zs.size - once.sum())
+        zs = zs[once]
+        pts.extend(vals[:, once].T)
         tags.extend(["interior"] * zs.size)
         charts.extend([j] * zs.size)
         srcs.extend(zs)
@@ -335,7 +343,7 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
         srcs = srcs[mask]
         tags = [t for t, m in zip(tags, mask) if m]
     return ReconstructedCloud(points, list(tags), charts, srcs, eps,
-                              merge_tol=merge_tol)
+                              n_dropped=n_dropped, merge_tol=merge_tol)
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def unrectify(chart: BoundaryChart, s: float, r: float) -> complex:
 
 def _coordinate_at(e: TraceTuple, j: int, z: complex) -> np.ndarray:
     """All n coordinates of the image point above z in chart j."""
-    return ap._cauchy_many(e.traces, e[j], np.array([z]), compensated=True)[:, 0]
+    return ap._cauchy_many(e.traces, e[j], np.array([z]), compensated=True)[0][:, 0]
 
 
 def pair_points(chart: BoundaryChart, chart_p: BoundaryChart,

@@ -110,7 +110,7 @@ class TestCompensatedCauchy:
         for d in (1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9):
             w0 = (1.0 - d) * np.exp(1j * np.array([0.0, 0.4, 1.3, 2.9, -2.0]))
             z = f(w0)
-            got = ap._cauchy_many(e.traces, e[0], z, compensated=True)
+            got, _ = ap._cauchy_many(e.traces, e[0], z, compensated=True)
             assert np.abs(got[0] - z).max() <= 1e-12
             assert np.abs(got[1] - w0 ** 2).max() <= 1e-12
             try:
@@ -122,7 +122,7 @@ class TestCompensatedCauchy:
     @pytest.mark.parametrize("a2", [0.0, 0.08])
     def test_chart_coordinate_is_the_identity(self, a2):
         # J_jj(z) - z = sum(d_gamma eta_j) / winding sum, and the numerator
-        # is N times a zero mean: reconstruct needs no consistency filter
+        # is N times a zero mean: J_jj is the identity to rounding
         w = lambda z: z + a2 * z ** 2
         e = TraceTuple((trace(w), trace(lambda z: w(z) ** 2)))
         cloud = ap.reconstruct(e, eps=0.2, grid_resolution=32)
@@ -189,6 +189,22 @@ class TestReconstruct:
         assert nb > 0
         bpts = cloud.points[np.array(cloud.tags) == "boundary"]
         assert np.abs(np.abs(bpts[:, 0]) - 1.0).max() < 1e-10
+
+    def test_targets_a_shrunk_contour_leaves_are_dropped(self, e_pair):
+        # fields classified on (z, z^2); the tuple (0.8z, 0.64z^2) encloses
+        # only the targets with |z| < 0.8, some of them inside its band
+        e_p = TraceTuple((trace(lambda z: 0.8 * z), trace(lambda z: 0.64 * z ** 2)))
+        fields = [ap.classify(e_pair[j], 32, 0.1) for j in range(2)]
+        zs = fields[0].points_with_winding(1)
+        outside = int(np.sum(np.abs(zs) > 0.8))
+        assert outside > 0
+        cloud = ap.reconstruct(e_p, eps=0.1, fields=fields)
+        sel = np.array(cloud.tags) == "interior"
+        assert cloud.n_dropped == outside
+        assert sel.sum() == zs.size - outside
+        interior = cloud.points[sel]
+        assert np.abs(interior[:, 0] - cloud.source_z[sel]).max() < 1e-12
+        assert np.abs(interior[:, 1] - interior[:, 0] ** 2).max() < 1e-12
 
     def test_constant_trace_merges_to_single_boundary_point(self):
         n = 128

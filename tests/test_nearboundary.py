@@ -129,11 +129,7 @@ class TestRectify:
 
 
 class TestSplitCauchy:
-    """Image coordinates near the contour, by the compensated rule.
-
-    The class keeps the name of the split-Cauchy quadrature that these
-    cases first covered; the compensated rule replaced it.
-    """
+    """Image coordinates near the contour against closed forms on (z, z^2)."""
 
     def test_identity_chart_near_boundary(self, e_pair):
         z = 0.97 + 0.0j
@@ -167,8 +163,9 @@ class TestSplitCauchy:
 
     def test_constant_coordinate(self, circ):
         # the constant 1 is its own winding row: the ratio is exactly 1
-        got = ap._cauchy_many(None, circ, np.array([0.99 + 0j]), compensated=True)
-        assert got[0] == 1.0
+        got, winding = ap._cauchy_many(None, circ, np.array([0.99 + 0j]),
+                                       compensated=True)
+        assert got[0] == 1.0 and abs(winding[0] - 1.0) < 1e-12
 
 
 class TestPairPoints:
