@@ -9,11 +9,10 @@ keeps composition and application to complex traces trivial.
 
 Fourier convention: coefficients are held in FFT ordering (modes
 0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
-cosine cos(pi N l / L), so real samples have a real interpolant.  Padding a
-spectrum to more modes splits the Nyquist coefficient evenly between +N/2
-and -N/2; truncating it to M < N modes folds the pair +-M/2 into the coarse
-Nyquist coefficient.  Only this module codes that convention; every other
-module reaches the Fourier basis through the helpers here, all of them FFTs.
+cosine cos(pi N l / L), so real samples have a real interpolant, and
+padding a spectrum to more modes splits it evenly between +N/2 and -N/2.
+Only this module codes that convention; every other module reaches the
+Fourier basis through the helpers here, all of them FFTs.
 
 Orientation convention: the positive tangent direction is the one for which
 the disk identity ``J Lambda cos(n theta) = sin(n theta)`` holds.
@@ -40,7 +39,7 @@ __all__ = [
     "identity_operator",
     "zero_operator",
     "operator_from_symbol",
-    "trig_interp_matrix",
+    "operator_from_coefficients",
 ]
 
 _REALITY_TOL = 1e-13
@@ -84,7 +83,7 @@ class BoundaryFunction:
         m = self.n_modes if n_points is None else n_points
         if m < self.n_modes:
             raise ValueError("downsampling not supported")
-        c = _resize_spectrum(self.coeffs, m)
+        c = _pad_spectrum(self.coeffs, m)
         if offset:
             c *= _phase_kernel(m, self.length, offset)[0]
         v = np.fft.ifft(c) * m
@@ -165,30 +164,19 @@ def _phase_kernel(n: int, length: float, l: np.ndarray) -> np.ndarray:
     return kern
 
 
-def _resize_spectrum(c: np.ndarray, m: int, axis: int = -1) -> np.ndarray:
-    """Band-limit an FFT-ordered spectrum to m modes along `axis`.
+def _pad_spectrum(c: np.ndarray, m: int) -> np.ndarray:
+    """Zero-pad an FFT-ordered spectrum of N <= m modes to m modes.
 
-    Padding splits the Nyquist coefficient; truncation folds the pair +-m/2.
+    The Nyquist coefficient is split evenly between +N/2 and -N/2.
     """
-    c = np.moveaxis(np.asarray(c, dtype=complex), axis, -1)
-    n = c.shape[-1]
-    half = min(n, m) // 2
-    out = np.zeros(c.shape[:-1] + (m,), dtype=complex)
-    out[..., :half] = c[..., :half]
-    out[..., m - half + 1:] = c[..., n - half + 1:]
-    if m < n:
-        out[..., half] = c[..., half] + c[..., n - half]
-    else:
-        out[..., half] = 0.5 * c[..., half]
-        out[..., m - half] += 0.5 * c[..., half]
-    return np.moveaxis(out, -1, axis)
-
-
-def _resample(v: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
-    """Band-limited resampling of equispaced samples to m nodes along `axis`."""
-    n = np.shape(v)[axis]
-    c = np.fft.fft(v, axis=axis) / n
-    return np.fft.ifft(_resize_spectrum(c, m, axis), axis=axis) * m
+    n = c.size
+    half = n // 2
+    out = np.zeros(m, dtype=complex)
+    out[:half] = c[:half]
+    out[m - half + 1:] = c[half + 1:]
+    out[half] = 0.5 * c[half]
+    out[m - half] += 0.5 * c[half]
+    return out
 
 
 def _fourier_matrix(a: np.ndarray) -> np.ndarray:
@@ -385,6 +373,16 @@ def operator_from_symbol(symbol: np.ndarray, length: float, kind_tag: str = "sym
     return BoundaryOperator(mat.real, length, kind_tag)
 
 
+def operator_from_coefficients(b: np.ndarray, length: float,
+                               kind_tag: str = "coefficients") -> BoundaryOperator:
+    """Operator whose Fourier-basis matrix is b (FFT ordering, both axes).
+
+    The inverse of _fourier_matrix: the nodal matrix F^H b F / N.
+    """
+    mat = np.fft.ifft(np.fft.fft(b, axis=1), axis=0)
+    return BoundaryOperator(mat.real, length, kind_tag)
+
+
 def mean_removal(n: int, length: float) -> BoundaryOperator:
     """Orthogonal projection onto the zero-mean subspace."""
     return BoundaryOperator(np.eye(n) - np.ones((n, n)) / n, length, "zero-mean-projection")
@@ -420,11 +418,3 @@ def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:
     b = (w_to[:, None] * _fourier_matrix(a.matrix)) / w_from[None, :]
     return float(np.linalg.norm(b, ord=2))
 
-
-def trig_interp_matrix(n: int, length: float, targets: np.ndarray) -> np.ndarray:
-    """Real matrix mapping N equispaced samples to values at arbitrary points.
-
-    Row t is the phase kernel at t composed with the forward DFT / N, i.e. the
-    cardinal functions of the interpolant with the Nyquist mode as a cosine.
-    """
-    return np.fft.fft(_phase_kernel(n, length, targets), axis=1).real / n

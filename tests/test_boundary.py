@@ -189,27 +189,3 @@ class TestOperators:
         op2 = bc.BoundaryOperator.from_json(op.to_json())
         assert np.allclose(op.matrix, op2.matrix)
 
-
-class TestTrigInterpMatrix:
-    def test_exact_on_nodes(self):
-        n = 16
-        e = bc.trig_interp_matrix(n, TWO_PI, grid(n))
-        assert np.allclose(e, np.eye(n), atol=1e-12)
-
-    def test_exact_for_band_limited(self):
-        n = 64
-        rng = np.random.default_rng(3)
-        targets = rng.uniform(0, TWO_PI, 40)
-        e = bc.trig_interp_matrix(n, TWO_PI, targets)
-        g = np.cos(7 * grid(n)) + 0.5 * np.sin(2 * grid(n))
-        expect = np.cos(7 * targets) + 0.5 * np.sin(2 * targets)
-        assert np.allclose(e @ g, expect, atol=1e-12)
-
-    def test_large_n_near_node_targets(self):
-        # regression for the rtol-snapping bug
-        n = 2048
-        rng = np.random.default_rng(4)
-        targets = np.sort(rng.uniform(0, TWO_PI, n))
-        e = bc.trig_interp_matrix(n, TWO_PI, targets)
-        g = np.cos(5 * grid(n))
-        assert np.abs(e @ g - np.cos(5 * targets)).max() < 1e-11

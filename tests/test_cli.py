@@ -31,6 +31,13 @@ def write_config(tmp_path, out_dir):
     return str(path)
 
 
+def write_off(path, vertices, triangles):
+    lines = ["OFF", f"{len(vertices)} {len(triangles)} 0"]
+    lines += [f"{x} {y} 0.0" for x, y in vertices.tolist()]
+    lines += [f"3 {a} {b} {c}" for a, b, c in triangles]
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestSweep:
     def test_runs_and_emits(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "out")
@@ -80,10 +87,7 @@ class TestDn:
     def test_off_file(self, tmp_path):
         mesh = dnm.unit_disk_mesh(8)
         path = tmp_path / "disk.off"
-        lines = ["OFF", f"{mesh.n_vertices} {len(mesh.triangles)} 0"]
-        lines += [f"{x} {y} 0.0" for x, y in mesh.vertices.tolist()]
-        lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
-        path.write_text("\n".join(lines) + "\n")
+        write_off(path, mesh.vertices, mesh.triangles)
         out = str(tmp_path / "dn.json")
         assert cli.main(["dn", "--surface", str(path), "--n-modes", "32",
                          "--out", out]) == cli.EXIT_OK
@@ -97,6 +101,17 @@ class TestDn:
         assert cli.main(["dn", "--surface", str(path), "--out",
                          str(tmp_path / "x.json")]) == cli.EXIT_NUMERICAL
         assert "NonManifoldMesh" in capsys.readouterr().err
+
+    def test_flipped_boundary_face_exits_3(self, tmp_path, capsys):
+        mesh = dnm.unit_disk_mesh(4)
+        tris = mesh.triangles.copy()
+        f = np.flatnonzero(np.isin(tris, mesh.boundary_loop).sum(axis=1) == 2)[0]
+        tris[f] = tris[f, ::-1]
+        path = tmp_path / "flipped.off"
+        write_off(path, mesh.vertices, tris)
+        assert cli.main(["dn", "--surface", str(path), "--out",
+                         str(tmp_path / "x.json")]) == cli.EXIT_NUMERICAL
+        assert "inconsistently oriented" in capsys.readouterr().err
 
     def test_unknown_surface_exits_2(self, tmp_path):
         assert cli.main(["dn", "--surface", "pretzel", "--out",

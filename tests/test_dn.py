@@ -71,15 +71,26 @@ class TestConformalDN:
             got = cdn.operator.apply(f).values().real
             assert np.abs(got - m * np.cos(m * th) / speed).max() < 1e-9
 
-    def test_newton_nonconvergence_raises(self, monkeypatch):
-        # noise far above the stopping tolerance keeps every residual large
-        rng = np.random.default_rng(0)
-        eval_at = bc.BoundaryFunction.eval_at
-        monkeypatch.setattr(
-            bc.BoundaryFunction, "eval_at",
-            lambda self, l: eval_at(self, l) + 1e-9 * rng.standard_normal(np.size(l)))
-        with pytest.raises(InterpolationUnderresolved, match="Newton residual"):
-            dnm.dn_conformal(dnm.ConformalDomain((0.04,)), 32)
+    @pytest.mark.parametrize("coeffs", [(0.08,), (0.05, 0.03, 0.02)])
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_correspondence_closed_form(self, coeffs, n, rescale):
+        # alpha * int_0^theta(s_i) |Phi'| = s_i, by 200-node Gauss-Legendre
+        dom = dnm.ConformalDomain(coeffs)
+        cdn = dnm.dn_conformal(dom, n, rescale=rescale)
+        x, w = np.polynomial.legendre.leggauss(200)
+        th = cdn.theta_of_s
+        nodes = 0.5 * th[:, None] * (x + 1.0)
+        s = cdn.scale * 0.5 * th * (np.abs(dom.map_derivative(nodes)) @ w)
+        assert np.abs(s - np.arange(n) * (cdn.length / n)).max() < 1e-11
+
+    def test_underresolved_correspondence_raises(self):
+        # |Phi'| = |1 + 0.98 z| nearly vanishes at z = -1: 16 modes leave
+        # 1.02e-8 of E's energy past 2N, 64 modes 3.9e-12
+        dom = dnm.ConformalDomain((0.49,))
+        with pytest.raises(InterpolationUnderresolved, match="spectrum tail"):
+            dnm.dn_conformal(dom, 16)
+        dnm.dn_conformal(dom, 64)
 
     def test_symmetry(self):
         n = 128
@@ -117,6 +128,12 @@ class TestDiskMesh:
     def test_mesh_quality(self):
         for res in (8, 16, 24):
             assert dnm.unit_disk_mesh(res).min_angle_deg() >= 15.0
+
+    def test_triangles_in_ring_order(self):
+        # the P2 numbering follows the triangles; ring order keeps it local
+        mesh = dnm.unit_disk_mesh(8)
+        c = mesh.vertices[mesh.triangles].mean(axis=1)
+        assert np.all(np.diff(np.hypot(c[:, 0], c[:, 1])) >= -1e-15)
 
 
 class TestFemDN:
@@ -360,6 +377,18 @@ class TestOffIO:
         path.write_text(text)
         with pytest.raises(NonManifoldMesh, match=fault):
             dnm.load_off(str(path))
+
+    @pytest.mark.parametrize("where", ["boundary", "interior"])
+    def test_flipped_face_rejected(self, tmp_path, where):
+        mesh = dnm.unit_disk_mesh(4)
+        tris = mesh.triangles.copy()
+        on_loop = np.isin(tris, mesh.boundary_loop).sum(axis=1)
+        f = np.flatnonzero(on_loop == (2 if where == "boundary" else 0))[0]
+        tris[f] = tris[f, ::-1]
+        path = os.path.join(tmp_path, "flipped.off")
+        _write_off(path, mesh.vertices, tris)
+        with pytest.raises(NonManifoldMesh, match="inconsistently oriented"):
+            dnm.load_off(path)
 
     def test_nonmanifold_rejected(self):
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])

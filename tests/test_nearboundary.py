@@ -128,7 +128,7 @@ class TestRectify:
             nb.unrectify(ch, 2.0, 0.01)  # s outside the window
 
 
-class TestSplitCauchy:
+class TestNearContourCoordinates:
     """Image coordinates near the contour against closed forms on (z, z^2)."""
 
     def test_identity_chart_near_boundary(self, e_pair):
