@@ -139,7 +139,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
     # Mode k + jN equals mode k at the nodes; the weight 1 + 2 cos(N u)
     # folds the modes |k| < 3N/2 onto the band in the same product.
     fold = 1.0 + 2.0 * np.cos(n * u_f)
-    q_hat = -(e.conj().T @ (per_f * speed_f * fold)) / (mean_speed ** 2 * fine)
+    q_hat = -np.conj((per_f * speed_f * fold) @ e) / (mean_speed ** 2 * fine)
     u = np.arange(n) * (2.0 * np.pi / n)
     theta_nodes = u + (np.fft.ifft(q_hat) * n).real
     s_eq = alpha * (mean_speed * u + per_f[::8])
