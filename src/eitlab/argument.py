@@ -170,7 +170,7 @@ def derivative_integral(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
     return complex(_cauchy_many(eta_k, eta_j, np.array([z]), squared=True)[0])
 
 
-def winding_number(eta_j: BoundaryFunction, z: complex, eps: float | None = None) -> int:
+def winding_number(eta_j: BoundaryFunction, z: complex) -> int:
     """Winding of eta_j(Gamma) around z, certified to round cleanly."""
     val = cauchy_integral(None, eta_j, z).real
     w = int(np.round(val))

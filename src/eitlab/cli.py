@@ -90,8 +90,7 @@ def _cmd_kappa(args) -> int:
     with open(args.dn) as fh:
         op = hm.BoundaryOperator.from_json(json.load(fh))
     kappa = hm.estimate_kappa(op, tau_rank=args.tau_rank)
-    gap = hm.spectral_gap(op, kappa) if kappa >= 0 else float("nan")
-    print(json.dumps({"kappa": kappa, "spectral_gap": gap}))
+    print(json.dumps({"kappa": kappa, "spectral_gap": hm.spectral_gap(op, kappa)}))
     return EXIT_OK
 
 

@@ -182,20 +182,18 @@ class TriMesh:
         self._validate()
 
     def _validate(self):
-        edges = {}
-        for tri in self.triangles:
-            for i in range(3):
-                e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                edges[e] = edges.get(e, 0) + 1
-        if any(c > 2 for c in edges.values()):
+        # undirected edges keyed by their sorted vertex pair, lo * nv + hi
+        nv = self.n_vertices
+        a, b = self.triangles.ravel(), self.triangles[:, [1, 2, 0]].ravel()
+        keys, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                 return_counts=True)
+        if np.any(counts > 2):
             raise NonManifoldMesh("an edge is shared by more than two triangles")
-        boundary_edges = {e for e, c in edges.items() if c == 1}
-        loop_edges = {tuple(sorted((self.boundary_loop[i],
-                                    self.boundary_loop[(i + 1) % len(self.boundary_loop)])))
-                      for i in range(len(self.boundary_loop))}
-        if boundary_edges != loop_edges:
+        loop, succ = self.boundary_loop, np.roll(self.boundary_loop, -1)
+        loop_keys = np.unique(np.minimum(loop, succ) * nv + np.maximum(loop, succ))
+        if not np.array_equal(keys[counts == 1], loop_keys):
             raise NonManifoldMesh("boundary edges do not form the declared single loop")
-        self._n_edges = len(edges)
+        self._n_edges = keys.size
 
     @property
     def n_vertices(self) -> int:
@@ -286,25 +284,20 @@ def make_one_holed_torus_mesh(resolution: int, hole_radius: float = 0.25) -> Tri
         rings.append((1.0 - tau) * circ + tau * square)
     coords = np.concatenate(rings, axis=0)
 
-    def vid(layer, k):
-        return layer * nb + (k % nb)
-
-    tris = []
-    for layer in range(n_layers):
-        for k in range(nb):
-            a, b = vid(layer, k), vid(layer, k + 1)
-            c, e = vid(layer + 1, k), vid(layer + 1, k + 1)
-            tris.append([a, b, e])
-            tris.append([a, e, c])
-    tris = np.asarray(tris, dtype=int)
+    # two triangles (a, b, e) and (a, e, c) per band cell, layer by layer
+    k = np.arange(nb)
+    a = np.arange(n_layers)[:, None] * nb + k
+    b = a - k + (k + 1) % nb
+    c, e = a + nb, b + nb
+    tris = np.stack([np.stack([a, b, e], axis=-1), np.stack([a, e, c], axis=-1)],
+                    axis=2).reshape(-1, 3)
 
     # Laplacian smoothing of the free rings (in the cut square, where the
     # geometry is Euclidean); the hole circle and the square stay fixed.
     n_verts = coords.shape[0]
-    pairs = set()
-    for a, b, c in tris:
-        pairs.update({(a, b), (b, a), (b, c), (c, b), (a, c), (c, a)})
-    rows, cols = np.array(sorted(pairs)).T
+    u, v = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    rows, cols = np.divmod(np.unique(np.concatenate([u * n_verts + v, v * n_verts + u])),
+                           n_verts)
     adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n_verts, n_verts))
     deg = np.asarray(adj.sum(axis=1)).ravel()
     free = np.zeros(n_verts, dtype=bool)

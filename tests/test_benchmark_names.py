@@ -1,0 +1,46 @@
+"""Every per-layer benchmark metric names a function that exists.
+
+BENCHMARK.json names per-layer metrics ``<layer>.<function>.<metric>``; the
+traced benchmark mode looks each function up among the public functions of
+``eitlab.<layer>`` (and the method ``BoundaryFunction.eval_at``). Deleting or
+renaming one of them must fail here, not only in the slow traced run.
+"""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+from eitlab.boundary import BoundaryFunction
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def _traced_functions() -> list[str]:
+    with open(BENCHMARK) as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    # "<layer>.<function>.<metric>"; two-part names are per-layer or harness totals
+    return sorted({n.rsplit(".", 1)[0] for n in names if n.count(".") == 2})
+
+
+FUNCTIONS = _traced_functions()
+
+
+def test_names_are_read():
+    assert "nearboundary.pair_points" in FUNCTIONS
+    assert "boundary.eval_at" in FUNCTIONS
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_per_layer_function_resolves(name):
+    if name == "boundary.eval_at":
+        assert inspect.isfunction(BoundaryFunction.__dict__.get("eval_at"))
+        return
+    layer, function = name.split(".")
+    module = importlib.import_module(f"eitlab.{layer}")
+    obj = getattr(module, function, None)
+    assert not function.startswith("_"), f"{name} is private"
+    assert inspect.isfunction(obj), f"eitlab.{layer} has no function {function}"
+    assert obj.__module__ == module.__name__, f"{name} is imported, not defined there"

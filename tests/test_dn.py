@@ -394,8 +394,20 @@ class TestOffIO:
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])
         # edge (0,1) shared by three triangles
         tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        with pytest.raises(NonManifoldMesh):
+        with pytest.raises(NonManifoldMesh, match="more than two triangles"):
             dnm.TriMesh(verts, tris, np.array([0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("fault", ["dropped_vertex", "swapped_pair"])
+    def test_declared_loop_mismatch_rejected(self, fault):
+        mesh = dnm.unit_disk_mesh(4)
+        loop = mesh.boundary_loop.copy()
+        if fault == "dropped_vertex":
+            loop = loop[:-1]
+        else:
+            loop[[3, 4]] = loop[[4, 3]]
+        with pytest.raises(NonManifoldMesh, match="declared single loop"):
+            dnm.TriMesh(mesh.vertices, mesh.triangles, loop,
+                        mesh.boundary_arclength[:loop.size])
 
 
 def _write_off(path, vertices, triangles):

@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
 from eitlab import nearboundary as nb
-from eitlab.errors import AllChartsFailed, OutOfChart, TooCloseToContour
+from eitlab.errors import AllChartsFailed, OutOfChart, TooCloseToContour, WindowCollapse
 from eitlab.holomorphic import TraceTuple
 
 TWO_PI = 2.0 * np.pi
@@ -19,7 +18,7 @@ def trace(fn, n=256):
 
 
 def dense_chart(eta_j, a, c0=0.5):
-    """Window, anchor values and psi1 inverse of a chart by dense eval_at."""
+    """Window, anchor value and tangent of a chart by dense eval_at."""
     length, n = eta_j.length, eta_j.n_modes
     deta = bc.derivative_gamma(eta_j)
     scale = complex(deta.eval_at(a)[0])
@@ -32,11 +31,7 @@ def dense_chart(eta_j, a, c0=0.5):
 
     k = min(reach((deta.eval_at(a + steps * h) / scale).real),
             reach((deta.eval_at(a - steps * h) / scale).real))
-    lo, hi = a - k * h, a + k * h
-    ls = np.linspace(lo, hi, 8 * max(k, 8) + 1)
-    z_a = complex(eta_j.eval_at(a)[0])
-    psi1 = ((eta_j.eval_at(ls) - z_a) / scale).real
-    return (lo, hi), z_a, scale, PchipInterpolator(psi1, ls, extrapolate=False)
+    return (a - k * h, a + k * h), complex(eta_j.eval_at(a)[0]), scale
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +54,6 @@ class TestBuildChart:
         lo, hi = ch.gamma_window
         assert abs(hi - np.pi / 3) < 0.05
         assert abs(lo + np.pi / 3) < 0.05
-        assert ch.c0 == 0.5
-        assert ch.disk_radius > 0.5
 
     def test_translation_equivariance(self, circ):
         a = 1.2345
@@ -71,10 +64,8 @@ class TestBuildChart:
 
     def test_r_zero_on_curve(self, circ):
         ch = nb.build_chart(circ, 0.5)
-        for l in (0.45, 0.5, 0.62):
-            s, r = nb.rectify(ch, complex(np.exp(1j * l)))
-            assert abs(s - l) < 1e-10
-            assert abs(r) < 1e-10
+        l = np.array([0.45, 0.5, 0.62])
+        assert np.abs(nb.unrectify(ch, l, 0.0) - np.exp(1j * l)).max() < 1e-12
 
     @pytest.mark.parametrize("curve", ["circle", "square", "perturbed"])
     @pytest.mark.parametrize("a", [0.0, 1.2345, -0.7, 4.0, 7.5])
@@ -83,49 +74,50 @@ class TestBuildChart:
              "perturbed": lambda z: z + 0.08 * z ** 2 + 0.04 * z ** 3}[curve]
         eta = trace(w)
         ch = nb.build_chart(eta, a)
-        window, z_a, scale, inv = dense_chart(eta, a)
+        window, z_a, scale = dense_chart(eta, a)
         assert ch.gamma_window == window
         assert abs(ch.zeta_shift - z_a) <= 1e-12
         assert abs(ch.zeta_scale - scale) <= 1e-12
-        knots = inv.x
-        assert ch.psi1_inverse.x.shape == knots.shape
-        assert np.abs(ch.psi1_inverse.x - knots).max() <= 1e-12
-        assert np.abs(ch.psi1_inverse(knots[1:-1]) - inv(knots[1:-1])).max() <= 1e-10
+
+    def test_psi1_not_increasing_collapses(self, circ, monkeypatch):
+        # a curve traversed backwards inside the cone: psi1 decreases
+        values = bc.BoundaryFunction.values
+
+        def reversed_window(self, n=None, offset=0.0):
+            v = values(self, n, offset)
+            return v if n is None or n <= 8 * self.n_modes else v[::-1]
+
+        monkeypatch.setattr(bc.BoundaryFunction, "values", reversed_window)
+        with pytest.raises(WindowCollapse, match="strictly increasing"):
+            nb.build_chart(circ, 0.0)
 
 
 class TestRectify:
+    """Points placed at chart coordinates (s, r) by unrectify's closed form."""
+
     def test_interior_point_coordinates(self, circ):
         # for the unit circle at anchor a: zeta = (z - e^{ia}) / (i e^{ia}),
-        # a point at radius 1 - d on the anchor ray has s = a, r = d
+        # so (s, r) = (a, d) is the point at radius 1 - d on the anchor ray
         ch = nb.build_chart(circ, 0.7)
-        z = (1.0 - 0.03) * np.exp(0.7j)
-        s, r = nb.rectify(ch, complex(z))
-        assert abs(s - 0.7) < 1e-10
-        assert abs(r - 0.03) < 2e-4  # curvature correction is O(d^2)
+        z = nb.unrectify(ch, 0.7, 0.03)
+        assert abs(z - (1.0 - 0.03) * np.exp(0.7j)) < 1e-12
 
     def test_inverse_consistency(self, circ):
         ch = nb.build_chart(circ, 0.2)
-        for s0, r0 in ((0.2, 0.01), (0.35, 0.04), (0.05, 0.002)):
-            z = nb.unrectify(ch, s0, r0)
-            s, r = nb.rectify(ch, z)
-            assert abs(s - s0) < 1e-8
-            assert abs(r - r0) < 1e-8
-
-    def test_newton_nonconvergence_raises(self, circ, monkeypatch):
-        ch = nb.build_chart(circ, 0.2)
-        z = nb.unrectify(ch, 0.3, 0.02)
-        # a sign-flipped tangent turns every root into a repeller
-        derivative = bc.derivative_gamma
-        monkeypatch.setattr(bc, "derivative_gamma", lambda f: -1.0 * derivative(f))
-        with pytest.raises(OutOfChart, match="50 iterations"):
-            nb.rectify(ch, z)
+        s = np.array([0.2, 0.35, 0.05])
+        r = np.array([0.01, 0.04, 0.002])
+        z = nb.unrectify(ch, s, r)
+        assert z.shape == s.shape
+        assert np.abs(ch.zeta(z) - ch.psi(s) - 1j * r).max() < 1e-12
+        for k in range(s.size):
+            assert abs(nb.unrectify(ch, s[k], r[k]) - z[k]) < 1e-15
 
     def test_out_of_chart(self, circ):
         ch = nb.build_chart(circ, 0.0)
         with pytest.raises(OutOfChart):
-            nb.rectify(ch, complex(1.0, 5.0))  # zeta_1 = 5, far past the window
-        with pytest.raises(OutOfChart):
             nb.unrectify(ch, 2.0, 0.01)  # s outside the window
+        with pytest.raises(OutOfChart):
+            nb.unrectify(ch, np.array([0.0, 2.0]), 0.01)  # one s outside
 
 
 class TestNearContourCoordinates:
@@ -133,12 +125,12 @@ class TestNearContourCoordinates:
 
     def test_identity_chart_near_boundary(self, e_pair):
         z = 0.97 + 0.0j
-        got = nb._coordinate_at(e_pair, 0, z)
+        got = nb._coordinate_at(e_pair, 0, np.array([z]))[0]
         assert abs(got[0] - z) < 1e-12
 
     def test_square_coordinate_near_boundary(self, e_pair):
         z = 0.97 + 0.0j
-        got = nb._coordinate_at(e_pair, 0, z)
+        got = nb._coordinate_at(e_pair, 0, np.array([z]))[0]
         assert abs(got[1] - z ** 2) < 1e-12
 
     def test_foot_value_at_zero_distance_limit(self, e_pair):
@@ -148,18 +140,21 @@ class TestNearContourCoordinates:
         z = complex((1.0 - 1e-6) * np.exp(1j * s))
         with pytest.raises(TooCloseToContour):
             ap.cauchy_integral(e_pair[1], e_pair[0], z)
-        got = nb._coordinate_at(e_pair, 0, z)
+        got = nb._coordinate_at(e_pair, 0, np.array([z]))[0]
         assert abs(got[1] - z ** 2) < 1e-12
 
     def test_agrees_with_plain_quadrature_in_overlap(self, e_pair):
         arclen = ap._z_arclength(e_pair[0])
         # smallest distance plain quadrature accepts at the node cap
         eps_min = 4.0 * arclen / 16384
-        for d in (2e-3, 8e-3):
-            assert d > eps_min
-            z = complex((1.0 - d) * np.exp(0.4j))
+        d = np.array([2e-3, 8e-3])
+        assert np.all(d > eps_min)
+        zs = (1.0 - d) * np.exp(0.4j)
+        got = nb._coordinate_at(e_pair, 0, zs)
+        assert got.shape == (2, 2)
+        for z, row in zip(zs, got):
             plain = ap.cauchy_integral(e_pair[1], e_pair[0], z)
-            assert abs(plain - nb._coordinate_at(e_pair, 0, z)[1]) < 1e-12
+            assert abs(plain - row[1]) < 1e-12
 
     def test_constant_coordinate(self, circ):
         # the constant 1 is its own winding row: the ratio is exactly 1
@@ -171,24 +166,33 @@ class TestNearContourCoordinates:
 class TestPairPoints:
     def test_identity_when_unperturbed(self, e_pair):
         ch = nb.build_chart(e_pair[0], 0.0, 0)
-        z = nb.unrectify(ch, 0.05, 0.02)
-        p_prime = np.array([ap.cauchy_integral(e_pair[k], e_pair[0], z)
-                            for k in range(2)])
-        p = nb.pair_points(ch, ch, p_prime, e_pair)
-        assert np.abs(p - p_prime).max() < 1e-8
+        s = np.array([-0.05, 0.0, 0.05])
+        r = np.array([0.02, 0.01, 0.04])
+        p, p_prime = nb.pair_points(ch, ch, e_pair, e_pair, s, r)
+        assert p.shape == (3, 2)
+        assert np.array_equal(p, p_prime)
+        z = nb.unrectify(ch, s, r)
+        assert np.abs(p[:, 0] - z).max() < 1e-12
+        assert np.abs(p[:, 1] - z ** 2).max() < 1e-12
 
     def test_fixes_boundary_points(self, e_pair):
+        # as r -> 0 both points of a pair tend to their traces at s
+        a2 = 0.04
+        e_p = TraceTuple((trace(lambda z: z + a2 * z ** 2),
+                          trace(lambda z: (z + a2 * z ** 2) ** 2)))
         ch = nb.build_chart(e_pair[0], 0.0, 0)
-        s = 0.1
-        p_prime = np.array([complex(e_pair[k].eval_at(s)[0]) for k in range(2)])
-        p = nb.pair_points(ch, ch, p_prime, e_pair)
-        assert np.abs(p - p_prime).max() < 1e-12
+        ch_p = nb.build_chart(e_p[0], 0.0, 0)
+        s = np.array([-0.1, 0.1])
+        p, p_prime = nb.pair_points(ch, ch_p, e_pair, e_p, s, np.full(2, 1e-7))
+        for k in range(2):
+            assert np.abs(p[:, k] - e_pair[k].eval_at(s)).max() < 1e-6
+            assert np.abs(p_prime[:, k] - e_p[k].eval_at(s)).max() < 1e-6
 
     def test_chart_index_mismatch(self, e_pair):
         ch0 = nb.build_chart(e_pair[0], 0.0, 0)
         ch1 = nb.build_chart(e_pair[1], 0.0, 1)
         with pytest.raises(OutOfChart):
-            nb.pair_points(ch0, ch1, np.array([1.0 + 0j, 1.0 + 0j]), e_pair)
+            nb.pair_points(ch0, ch1, e_pair, e_pair, np.zeros(1), np.full(1, 0.01))
 
 
 class TestDiagnostic:
@@ -216,21 +220,26 @@ class TestDiagnostic:
         assert all(a["chart_j"] == 0 for a in rep.anchors)
         assert rep.global_sup < 1e-7
 
-    def test_unconverged_points_are_counted(self, e_pair, monkeypatch):
-        # an unattainable step tolerance: every rectification fails
-        monkeypatch.setattr(nb._refine_s, "__defaults__", (0.0, 50))
-        rep = nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=2)
-        built = [a for a in rep.anchors if a["chart_j"] is not None]
-        assert len(built) == 2
-        assert all(a["n_failed"] == 3 * 4 for a in built)
+    def test_feet_outside_reference_window_are_counted(self, circ):
+        # the reference z + 0.1 z^5 turns its tangent out of the cone within
+        # about 0.38 of each anchor; the perturbed circle keeps it for pi/3,
+        # so the outer feet, at a -/+ pi/6, have no reference coordinates
+        ref = TraceTuple((trace(lambda z: z + 0.1 * z ** 5),))
+        pert = TraceTuple((circ,))
+        for a in (0.0, np.pi):
+            assert nb.build_chart(ref[0], a).gamma_window[1] - a < np.pi / 6
+        rep = nb.near_boundary_diagnostic(ref, pert, n_anchors=2)
+        assert [a["chart_j"] for a in rep.anchors] == [0, 0]
+        assert [a["n_failed"] for a in rep.anchors] == [2 * 4, 2 * 4]
+        assert rep.global_sup > 0
 
     def test_probe_precedes_perturbed_chart(self, e_pair, monkeypatch):
         built = []
         build_chart = nb.build_chart
 
-        def counting(eta_j, a, chart_index=0, c0=nb._C0):
+        def counting(eta_j, a, chart_index=0):
             built.append(chart_index)
-            return build_chart(eta_j, a, chart_index, c0)
+            return build_chart(eta_j, a, chart_index)
 
         monkeypatch.setattr(nb, "build_chart", counting)
         nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=4)
