@@ -7,6 +7,10 @@ returns the value of the k-th coordinate at the unique preimage.  A grid of
 such targets, classified by winding number, yields a point cloud sampling the
 immersed image.  Winding numbers use the plain trapezoidal rule; image
 coordinates use its compensated form, which is accurate up to the contour.
+Each target gets its own node count from its distance to the contour,
+rounded up to three significant bits (m * 2^k, m in 4..7): the sizes are
+7-smooth, so every FFT that samples the contour is fast, and the few sizes a
+call uses are each sampled once for all of its targets.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import boundary as bc
-from .boundary import _EVAL_BLOCK, BoundaryFunction
+from .boundary import BoundaryFunction
 from .errors import (
     DerivativeVanishes,
     EmptyCloud,
@@ -40,7 +45,7 @@ __all__ = [
     "contour_distance",
 ]
 
-_MAX_NODES = 16384
+_MAX_NODES = 16384  # 4 * 2^12, on the node ladder
 _OVERSAMPLE = 4
 _MERGE_REL = 1e-6  # duplicate image points: relative to the largest diameter
 
@@ -58,18 +63,24 @@ def _z_diameter(samples: np.ndarray) -> float:
 
 
 def contour_distance(eta_j: BoundaryFunction, z: np.ndarray | complex) -> np.ndarray:
-    """Discrete distance from z to the curve eta_j(Gamma) (4N samples).
-
-    The minimum is taken over target blocks of at most _EVAL_BLOCK differences,
-    so memory stays bounded for any number of targets.
-    """
+    """Discrete distance from z to the curve eta_j(Gamma) (4N samples)."""
     samples = _contour_samples(eta_j)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    step = max(1, _EVAL_BLOCK // samples.size)
-    d = np.empty(zs.size)
-    for i in range(0, zs.size, step):
-        d[i:i + step] = np.abs(zs[i:i + step, None] - samples[None, :]).min(axis=1)
+    tree = cKDTree(np.column_stack([samples.real, samples.imag]))
+    d, _ = tree.query(np.column_stack([zs.real, zs.imag]))
     return d if np.ndim(z) else d[0]
+
+
+def _round_up_nodes(counts: np.ndarray) -> np.ndarray:
+    """Cap node counts at _MAX_NODES, then round up to three significant bits.
+
+    A count n >= 4 becomes the smallest m * 2^k >= n with m in {4, 5, 6, 7}:
+    a 7-smooth FFT size at most 1.25 n.  More nodes only make a periodic
+    trapezoidal sum more accurate.
+    """
+    counts = np.minimum(counts, _MAX_NODES).astype(np.int64)
+    shift = np.maximum(np.frexp(counts)[1] - 3, 0)
+    return ((counts + (1 << shift) - 1) >> shift) << shift
 
 
 def _node_plan(eta_j: BoundaryFunction, dists: np.ndarray,
@@ -77,14 +88,16 @@ def _node_plan(eta_j: BoundaryFunction, dists: np.ndarray,
     """Quadrature node count per target distance, and the exclusion band.
 
     The count resolves the kernel's scale diam / dist (doubled for the
-    squared kernel) up to _MAX_NODES; the plain rule refuses a target closer
-    to the contour than its band 4 * arclength / count.
+    squared kernel), rounded up onto the ladder m * 2^k (m in 4..7) and
+    capped at _MAX_NODES, so a call's targets share a handful of counts.
+    The plain rule refuses a target closer to the contour than the band
+    4 * arclength / count of its rounded count.
     """
     c_q = 40.0 * _z_diameter(_contour_samples(eta_j))
     counts = np.maximum(eta_j.n_modes, np.ceil(c_q / np.maximum(dists, 1e-300)))
     if squared:
         counts *= 2
-    counts = np.minimum(counts, _MAX_NODES).astype(int)
+    counts = _round_up_nodes(counts)
     return counts, 4.0 * _z_arclength(eta_j) / counts
 
 
@@ -94,15 +107,15 @@ def _z_arclength(eta_j: BoundaryFunction) -> float:
 
 
 def _cauchy_raw(numerators: Sequence[BoundaryFunction | None],
-                eta_j: BoundaryFunction, zs: np.ndarray, squared: bool,
-                n_nodes: int) -> np.ndarray:
+                eta_j: BoundaryFunction, d_eta_j: BoundaryFunction,
+                zs: np.ndarray, squared: bool, n_nodes: int) -> np.ndarray:
     """Trapezoidal sums (h / 2 pi i) sum eta_k d_gamma(eta_j) / (eta_j - z)^p.
 
-    The kernel d_gamma(eta_j) / (eta_j - z)^p is built once and weighted per
-    numerator; None (the constant 1) costs one row-sum.
+    d_eta_j is d_gamma(eta_j).  The kernel d_eta_j / (eta_j - z)^p is built
+    once and weighted per numerator; None (the constant 1) costs one row-sum.
     """
     ej = eta_j.values(n_nodes)
-    dj = bc.derivative_gamma(eta_j).values(n_nodes)
+    dj = d_eta_j.values(n_nodes)
     kern = ej[None, :] - zs[:, None]
     if squared:
         kern **= 2
@@ -120,8 +133,11 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
 
     eta_k is one numerator (None for the constant 1), giving one value per
     target, or a sequence of numerators, giving one row each; all rows share
-    the contour samples, the distances and the node plan.  The plain rule
-    refuses targets inside the exclusion band (TooCloseToContour).
+    the contour samples, the distances and the node plan.  The targets are
+    summed in one pass per distinct rounded node count (_node_plan), so the
+    contour, its derivative and the numerators are sampled a few times per
+    call, not once per target.  The plain rule refuses targets inside the
+    exclusion band (TooCloseToContour).
 
     compensated=True is the rule for image coordinates of targets enclosed
     once: each row is divided by the winding row of the same node plan
@@ -144,9 +160,10 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
         bad = int(np.argmax(dists < eps_min))
         raise TooCloseToContour(
             f"target {zs[bad]} at distance {dists[bad]:.3e} < {eps_min[bad]:.3e}")
+    d_eta_j = bc.derivative_gamma(eta_j)
     for n in np.unique(counts):
         sel = counts == n
-        out[:, sel] = _cauchy_raw(numerators, eta_j, zs[sel], squared, int(n))
+        out[:, sel] = _cauchy_raw(numerators, eta_j, d_eta_j, zs[sel], squared, int(n))
     if compensated:
         winding = out[-1]
         out = out[:-1] / winding
@@ -206,12 +223,7 @@ def classify(eta_j: BoundaryFunction, grid_resolution: int, eps: float) -> Windi
     ys = np.linspace(y0 - pad, y1 + pad, grid_resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     grid = (gx + 1j * gy).ravel()
-
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(np.column_stack([samples.real, samples.imag]))
-    dist, _ = tree.query(np.column_stack([grid.real, grid.imag]))
-    near = dist <= eps
+    near = contour_distance(eta_j, grid) <= eps
     winding = np.zeros(grid.size, dtype=int)
     far = ~near
     if np.any(far):
@@ -330,8 +342,6 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
     # merge duplicates (same image point found by different charts, or
     # degenerate boundary samples); keep the earliest occurrence
     merge_tol = _MERGE_REL * max(diam_all, 1e-6)
-    from scipy.spatial import cKDTree
-
     flat = np.column_stack([points.real, points.imag])
     pairs = cKDTree(flat).query_pairs(merge_tol)
     drop = {max(a, b) for a, b in pairs}

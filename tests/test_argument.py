@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
@@ -97,6 +98,78 @@ class TestStackedNumerators:
             single = ap._cauchy_many(eta_k, e_pair[0], zs, squared=squared)
             assert single.shape == (zs.size,)
             assert np.array_equal(row, single)
+
+
+def on_ladder(n):
+    """n = m * 2^k with m in {4, 5, 6, 7}."""
+    while n > 7 and n % 2 == 0:
+        n //= 2
+    return n in (4, 5, 6, 7)
+
+
+def largest_prime_factor(n):
+    p, f, best = n, 2, 1
+    while f * f <= p:
+        while p % f == 0:
+            p //= f
+            best = f
+        f += 1
+    return max(best, p)
+
+
+raw_counts = st.integers(1, 2 * ap._MAX_NODES)
+ladder_property = settings(deadline=None, derandomize=True, database=None,
+                           max_examples=400)
+
+
+class TestNodeLadder:
+    @ladder_property
+    @given(raw_counts, raw_counts)
+    def test_rounded_count(self, a, b):
+        raw = np.array(sorted((a, b)))
+        n = ap._round_up_nodes(raw)
+        assert np.all(np.minimum(raw, ap._MAX_NODES) <= n)
+        assert np.all(n <= np.minimum(1.25 * raw, ap._MAX_NODES))
+        assert all(largest_prime_factor(int(m)) <= 7 for m in n)
+        assert all(r < 4 or on_ladder(int(m)) for r, m in zip(raw, n))
+        assert n[0] <= n[1]  # never decreases as the raw count grows
+
+    def test_one_pass_per_rounded_count(self, e_pair, monkeypatch):
+        # targets from the centre up to 1e-3 of the contour: 183 distinct
+        # raw counts collapse onto the ladder sizes, one pass each
+        rng = np.random.default_rng(7)
+        zs = (1.0 - np.geomspace(1.0, 1e-3, 300)) * np.exp(2j * np.pi * rng.random(300))
+        dists = ap.contour_distance(e_pair[0], zs)
+        with monkeypatch.context() as m:
+            m.setattr(ap, "_round_up_nodes",
+                      lambda c: np.minimum(c, ap._MAX_NODES).astype(int))
+            raw = ap._node_plan(e_pair[0], dists)[0]
+        counts = ap._node_plan(e_pair[0], dists)[0]
+        passes = []
+        real_raw = ap._cauchy_raw
+
+        def counting_raw(*args):
+            passes.append(args[-1])
+            return real_raw(*args)
+
+        monkeypatch.setattr(ap, "_cauchy_raw", counting_raw)
+        got, _ = ap._cauchy_many(e_pair.traces, e_pair[0], zs, compensated=True)
+        assert np.abs(got[0] - zs).max() <= 1e-12
+        assert sorted(passes) == sorted(set(counts.tolist()))
+        assert all(on_ladder(n) and n <= ap._MAX_NODES for n in passes)
+        assert np.all(counts >= raw) and np.all(counts <= 1.25 * raw)
+        # at most four sizes per octave from 256 to 16384 nodes
+        assert len(passes) <= 25 < len(set(raw.tolist())) // 5
+
+
+class TestContourDistance:
+    def test_equals_dense_minimum(self, e_pair):
+        rng = np.random.default_rng(3)
+        zs = 1.6 * (rng.random(500) - 0.5) + 1.6j * (rng.random(500) - 0.5)
+        samples = ap._contour_samples(e_pair[1])
+        dense = np.abs(zs[:, None] - samples[None, :]).min(axis=1)
+        assert np.abs(ap.contour_distance(e_pair[1], zs) - dense).max() <= 1e-15
+        assert ap.contour_distance(e_pair[1], zs[0]) == ap.contour_distance(e_pair[1], zs)[0]
 
 
 class TestCompensatedCauchy:
