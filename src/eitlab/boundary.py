@@ -5,7 +5,12 @@ arclength parametrization, ``c_n = (1/N) sum_k f(l_k) exp(-2 pi i n k / N)``
 on ``N`` equispaced nodes ``l_k = k L / N``.  Operators are dense real
 ``N x N`` matrices acting on nodal sample values; this is equivalent to the
 stacked (Re, Im)-coefficient representation for real-linear operators and
-keeps composition and application to complex traces trivial.
+keeps application to complex traces trivial.
+
+The tangential derivative d_gamma and its inverse J act only as Fourier
+multipliers on coefficients (i omega and 1 / (i omega), both zero on the
+Nyquist mode).  Operator products with J are taken in the operator's
+Fourier basis (_fourier_matrix), where J is diagonal.
 
 Fourier convention: coefficients are held in FFT ordering (modes
 0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
@@ -91,10 +96,6 @@ class BoundaryFunction:
             return v.real
         return v
 
-    def nodes(self, n_points: int | None = None) -> np.ndarray:
-        m = n_points or self.n_modes
-        return np.arange(m) * (self.length / m)
-
     def eval_at(self, l: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary arclength points.
 
@@ -108,9 +109,6 @@ class BoundaryFunction:
             kern = _phase_kernel(self.n_modes, self.length, l[i:i + step])
             out[i:i + step] = kern @ self.coeffs
         return out.real if self.is_real else out
-
-    def conj(self) -> "BoundaryFunction":
-        return from_samples(np.conj(self.values()), self.length)
 
     @property
     def real(self) -> "BoundaryFunction":
@@ -225,32 +223,43 @@ def _omega(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * mode_numbers(n) / length
 
 
-def derivative_gamma(f: BoundaryFunction) -> BoundaryFunction:
-    """Tangential derivative; the (sign-ambiguous) Nyquist mode is dropped."""
-    n = f.n_modes
-    sym = 1j * _omega(n, f.length)
+def _derivative_symbol(n: int, length: float) -> np.ndarray:
+    """i omega, with the (sign-ambiguous) Nyquist mode dropped."""
+    sym = 1j * _omega(n, length)
     sym[n // 2] = 0.0
-    c = f.coeffs * sym
-    out = BoundaryFunction(c, f.length)
+    return sym
+
+
+def _integration_symbol(n: int, length: float) -> np.ndarray:
+    """1 / (i omega), zero on the mean and the Nyquist mode: d_gamma's pseudo-inverse."""
+    d = _derivative_symbol(n, length)
+    sym = np.zeros(n, dtype=complex)
+    nz = d != 0.0
+    sym[nz] = 1.0 / d[nz]
+    return sym
+
+
+def _multiply(f: BoundaryFunction, sym: np.ndarray) -> BoundaryFunction:
+    out = BoundaryFunction(f.coeffs * sym, f.length)
     if f.is_real:
         out = _tag_reality(out)
     return out
+
+
+def derivative_gamma(f: BoundaryFunction) -> BoundaryFunction:
+    """Tangential derivative; the (sign-ambiguous) Nyquist mode is dropped."""
+    return _multiply(f, _derivative_symbol(f.n_modes, f.length))
 
 
 def integrate_J(f: BoundaryFunction, rel_tol: float = 1e-10) -> BoundaryFunction:
-    """Antiderivative on the zero-mean subspace, normalized to zero mean."""
+    """Antiderivative on the zero-mean subspace, normalized to zero mean.
+
+    Like derivative_gamma it drops the Nyquist mode, so J keeps f real.
+    """
     norm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * f.length) or 1.0
     if abs(f.coeffs[0]) * f.length > rel_tol * norm:
         raise NonZeroMean(f"mean {f.coeffs[0] * f.length:.3e} exceeds {rel_tol:.1e} * ||f||")
-    n = f.n_modes
-    omega = _omega(n, f.length)
-    omega[n // 2] = 2.0 * np.pi * (n // 2) / f.length
-    c = np.zeros_like(f.coeffs)
-    c[1:] = f.coeffs[1:] / (1j * omega[1:])
-    out = BoundaryFunction(c, f.length)
-    if f.is_real:
-        out = _tag_reality(out)
-    return out
+    return _multiply(f, _integration_symbol(f.n_modes, f.length))
 
 
 def mean(f: BoundaryFunction) -> complex:
@@ -304,13 +313,6 @@ class BoundaryOperator:
 
     __call__ = apply
 
-    def compose(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        _check_compatible_oo(self, other)
-        return BoundaryOperator(self.matrix @ other.matrix, self.length,
-                                f"{self.kind_tag}*{other.kind_tag}")
-
-    __matmul__ = compose
-
     def __add__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_compatible_oo(self, other)
         return BoundaryOperator(self.matrix + other.matrix, self.length, "sum")
@@ -318,12 +320,6 @@ class BoundaryOperator:
     def __sub__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_compatible_oo(self, other)
         return BoundaryOperator(self.matrix - other.matrix, self.length, "diff")
-
-    def scale(self, a: float) -> "BoundaryOperator":
-        return BoundaryOperator(a * self.matrix, self.length, self.kind_tag)
-
-    __mul__ = scale
-    __rmul__ = scale
 
     def to_json(self) -> dict:
         return {
@@ -364,13 +360,10 @@ def operator_from_symbol(symbol: np.ndarray, length: float, kind_tag: str = "sym
     is real (the operator maps real functions to real functions).
     """
     sigma = np.asarray(symbol, dtype=complex)
-    n = sigma.size
-    col = np.fft.ifft(sigma)  # first column of the circulant
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    mat = col[idx]
-    if np.max(np.abs(mat.imag)) > 1e-12 * max(np.max(np.abs(mat.real)), 1.0):
+    mirrored = np.conj(sigma[-np.arange(sigma.size)])
+    if np.max(np.abs(sigma - mirrored)) > 1e-12 * max(np.max(np.abs(sigma)), 1.0):
         raise ValueError("symbol does not define a real operator")
-    return BoundaryOperator(mat.real, length, kind_tag)
+    return operator_from_coefficients(np.diag(sigma), length, kind_tag)
 
 
 def operator_from_coefficients(b: np.ndarray, length: float,
@@ -381,28 +374,6 @@ def operator_from_coefficients(b: np.ndarray, length: float,
     """
     mat = np.fft.ifft(np.fft.fft(b, axis=1), axis=0)
     return BoundaryOperator(mat.real, length, kind_tag)
-
-
-def mean_removal(n: int, length: float) -> BoundaryOperator:
-    """Orthogonal projection onto the zero-mean subspace."""
-    return BoundaryOperator(np.eye(n) - np.ones((n, n)) / n, length, "zero-mean-projection")
-
-
-def derivative_operator(n: int, length: float) -> BoundaryOperator:
-    sym = 1j * _omega(n, length)
-    sym[n // 2] = 0.0
-    return operator_from_symbol(sym, length, "derivative")
-
-
-def integration_operator(n: int, length: float) -> BoundaryOperator:
-    omega = _omega(n, length)
-    sym = np.zeros(n, dtype=complex)
-    nz = omega != 0.0
-    sym[nz] = 1.0 / (1j * omega[nz])
-    # Nyquist annihilated, matching the derivative operator, so the
-    # circulant stays real.
-    sym[n // 2] = 0.0
-    return operator_from_symbol(sym, length, "integration")
 
 
 def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:

@@ -7,6 +7,10 @@ on that subspace and its range dimension equals ``1 - chi(M)``, so its
 singular values detect the topology.  The transport map sends traces of the
 reference surface to traces of a perturbed surface by projecting the real
 part and completing with the perturbed Hilbert transform.
+
+J is the multiplier of boundary.integrate_J: products with it scale the
+columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
+the defect is formed on the 2 * max_mode band modes only.
 """
 
 from __future__ import annotations
@@ -104,45 +108,41 @@ class ProjectionPair:
         }
 
 
+_BAND_FLOOR = 0.5      # |Lambda J| on a resolved mode
+_GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
+
+
+def _lj_hat(lam: BoundaryOperator) -> np.ndarray:
+    """Lambda J in the Fourier basis: Lambda's columns scaled by J's multiplier."""
+    return bc._fourier_matrix(lam.matrix) * bc._integration_symbol(lam.n_modes, lam.length)
+
+
 def lambda_j(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite Lambda J, zero on constants."""
-    j = bc.integration_operator(lam.n_modes, lam.length)
-    op = lam.compose(j)
-    return BoundaryOperator(op.matrix, lam.length, "LambdaJ")
+    return bc.operator_from_coefficients(_lj_hat(lam), lam.length, "LambdaJ")
 
 
 def j_lambda(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite J Lambda (the Hilbert transform on the disk)."""
-    j = bc.integration_operator(lam.n_modes, lam.length)
-    op = j.compose(lam)
-    return BoundaryOperator(op.matrix, lam.length, "JLambda")
+    j = bc._integration_symbol(lam.n_modes, lam.length)
+    return bc.operator_from_coefficients(j[:, None] * bc._fourier_matrix(lam.matrix),
+                                         lam.length, "JLambda")
 
 
-def _band_projection(n: int, length: float, max_mode: int) -> BoundaryOperator:
-    """Projection onto the zero-mean modes with 1 <= |m| <= max_mode."""
-    ms = np.abs(bc.mode_numbers(n))
-    sym = ((ms >= 1) & (ms <= max_mode)).astype(float)
-    return bc.operator_from_symbol(sym, length, "band-projection")
-
-
-def resolved_band(lam: BoundaryOperator, floor: float = 0.5) -> int:
-    """Largest contiguous mode band on which Lambda J acts with magnitude >= floor.
+def resolved_band(lam: BoundaryOperator) -> int:
+    """Largest contiguous mode band on which Lambda J acts with magnitude >= 0.5.
 
     A band-limited discrete DN map annihilates modes beyond its cap; on the
     resolved band the eigenvalues of Lambda J have magnitude close to 1.
     """
-    return _resolved_band(lambda_j(lam).matrix, floor)
+    return _resolved_band(np.diag(_lj_hat(lam)))
 
 
-def _resolved_band(lj: np.ndarray, floor: float = 0.5) -> int:
-    n = lj.shape[0]
-    diag = np.abs(np.diag(bc._fourier_matrix(lj)))
-    ms = bc.mode_numbers(n)
+def _resolved_band(lj_diag: np.ndarray) -> int:
+    mag = np.abs(lj_diag)
     m_max = 0
-    for m in range(1, n // 2):
-        lo = diag[ms == m][0]
-        hi = diag[ms == -m][0]
-        if min(lo, hi) < floor:
+    for m in range(1, mag.size // 2):
+        if min(mag[m], mag[-m]) < _BAND_FLOOR:
             break
         m_max = m
     if m_max == 0:
@@ -157,30 +157,39 @@ def defect_operator(lam: BoundaryOperator, max_mode: int | None = None) -> Bound
     only represents a finite band, and past it the identity is trivially
     violated.  By default the band is inferred from the operator itself.
     """
-    return BoundaryOperator(_defect(lam, max_mode)[1], lam.length, "defect")
+    lj, band, block = _defect(lam, max_mode)
+    b = np.zeros_like(lj)
+    b[np.ix_(band, band)] = block
+    return bc.operator_from_coefficients(b, lam.length, "defect")
 
 
-def _defect(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(Lambda J, defect matrix), building Lambda J once."""
-    n = lam.n_modes
-    lj = lambda_j(lam).matrix
+def _defect(lam: BoundaryOperator,
+            max_mode: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Lambda J, band indices, defect block), all in the Fourier basis.
+
+    The block is I + (Lambda J)[band, :] (Lambda J)[:, band] on the modes
+    1 <= |m| <= max_mode, the only nonzero block of the projected defect.
+    """
+    lj = _lj_hat(lam)
     if max_mode is None:
         # default to the well-resolved core: discretization error grows with
         # mode number, and rank detection only needs a modest band
-        max_mode = min(_resolved_band(lj), 8)
-    pi0 = _band_projection(n, lam.length, max_mode).matrix
-    return lj, pi0 @ (np.eye(n) + lj @ lj) @ pi0
+        max_mode = min(_resolved_band(np.diag(lj)), 8)
+    ms = np.abs(bc.mode_numbers(lam.n_modes))
+    band = np.flatnonzero((ms >= 1) & (ms <= max_mode))
+    block = np.eye(band.size) + lj[band, :] @ lj[:, band]
+    return lj, band, block
 
 
 def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.ndarray, float]:
     """Defect singular values and the rank scale max(||Lambda J||_2, 1)."""
-    lj, d = _defect(lam, max_mode)
-    sv = np.linalg.svd(d, compute_uv=False)
+    lj, _, block = _defect(lam, max_mode)
+    sv = np.linalg.svd(block, compute_uv=False)
     return sv, max(np.linalg.norm(lj, 2), 1.0)
 
 
 def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
-                   gap_factor: float = 10.0, max_mode: int | None = None) -> int:
+                   max_mode: int | None = None) -> int:
     """Rank of the defect operator = 1 - chi(M)."""
     if tau_rank <= 0:
         raise ValueError("tau_rank must be positive")
@@ -190,18 +199,22 @@ def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
     above = sv[kappa - 1] if kappa > 0 else None
     below = sv[kappa] if kappa < sv.size else 0.0
     ref = above if above is not None else thresh
-    if below > 0 and ref / below < gap_factor:
+    if below > 0 and ref / below < _GAP_FACTOR:
         raise NoSpectralGap(
-            f"singular values {ref:.3e} / {below:.3e} show no gap >= {gap_factor}")
+            f"singular values {ref:.3e} / {below:.3e} show no gap >= {_GAP_FACTOR}")
     return kappa
 
 
 def spectral_gap(lam: BoundaryOperator, kappa: int,
                  max_mode: int | None = None) -> float:
-    """Ratio between the kappa-th and (kappa+1)-th defect singular values."""
+    """Ratio between the kappa-th and (kappa+1)-th defect singular values.
+
+    It is inf when the band holds no (kappa+1)-th value or it is exactly 0.
+    """
     sv, scale = _defect_spectrum(lam, max_mode)
     num = sv[kappa - 1] if kappa > 0 else scale
-    return float(num / sv[kappa])
+    below = sv[kappa] if kappa < sv.size else 0.0
+    return float(num / below) if below > 0 else np.inf
 
 
 def _random_probes(n: int, length: float, count: int, seed: int) -> list[BoundaryFunction]:
@@ -222,21 +235,18 @@ def build_projections(lam: BoundaryOperator, kappa: int,
     """Projections P, Q from probe images h = J [I + (Lambda J)^2] d_gamma f."""
     n = lam.n_modes
     length = lam.length
-    ident = bc.identity_operator(n, length)
     if kappa == 0:
-        return ProjectionPair(ident, bc.zero_operator(n, length), 0, (), seed)
+        return ProjectionPair(bc.identity_operator(n, length),
+                              bc.zero_operator(n, length), 0, (), seed)
     if probe_f is None:
         probe_f = _random_probes(n, length, 3 * kappa, seed)
     if len(probe_f) < 3 * kappa:
         raise RankDeficientProbes(f"need at least {3 * kappa} probes")
-    lj = lambda_j(lam)
-    core = np.eye(n) + lj.matrix @ lj.matrix
-    cols = []
-    for f in probe_f:
-        df = bc.derivative_gamma(f)
-        h = bc.integrate_J(bc.from_samples(core @ df.values(), length))
-        cols.append(h.values().real)
-    h_mat = np.stack(cols, axis=1)
+    lj = lambda_j(lam).matrix
+    v = np.stack([bc.derivative_gamma(f).values() for f in probe_f], axis=1)
+    core_v = v + lj @ (lj @ v)
+    h_mat = np.stack([bc.integrate_J(bc.from_samples(c, length)).values().real
+                      for c in core_v.T], axis=1)
     u, sv, _ = np.linalg.svd(h_mat, full_matrices=False)
     if sv[kappa - 1] < 1e-10 * sv[0] or (kappa < sv.size and sv[kappa] > 0.3 * sv[kappa - 1]):
         raise RankDeficientProbes(
@@ -272,7 +282,8 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
                    cert_tol_rel: float = 1e-8) -> BoundaryFunction:
     """eta = P re + i [J Lambda P re + <Im eta>/L]; certified against Lambda."""
     pre = proj.p.apply(re_part)
-    hil = j_lambda(lam).apply(pre)
+    j = bc._integration_symbol(lam.n_modes, lam.length)
+    hil = BoundaryFunction(lam.apply(pre).coeffs * j, lam.length)
     eta_v = pre.values().real + 1j * (hil.values().real + im_mean / lam.length)
     eta = bc.from_samples(eta_v, lam.length)
     res = certificate_residual(eta, lam, direct=False)

@@ -157,15 +157,24 @@ class TestFourierConjugation:
         assert abs(got - ref) <= 1e-12 * ref
 
     @property_test
-    @given(n=sizes, length=lengths, data=st.data())
-    def test_band_projection_matches_dense(self, n, length, data):
+    @given(n=sizes, length=lengths, seed=seeds, data=st.data())
+    def test_band_projection_matches_dense(self, n, length, seed, data):
+        """defect_operator against Pi (I + (Lambda J)^2) Pi from dense DFTs."""
         max_mode = data.draw(st.integers(1, n // 2 - 1))
-        ms = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        sym = ((ms >= 1) & (ms <= max_mode)).astype(float)
+        rng = np.random.default_rng(seed)
+        lam = dnm.dn_disk(n, length).matrix + rng.standard_normal((n, n)) / n
+        ms = np.fft.fftfreq(n, d=1.0 / n)
+        j_sym = np.zeros(n, dtype=complex)
+        j_sym[1:] = length / (2j * np.pi * ms[1:])
+        j_sym[n // 2] = 0.0
+        band = ((np.abs(ms) >= 1) & (np.abs(ms) <= max_mode)).astype(float)
         f = dft(n)
-        ref = (f.conj().T @ (sym[:, None] * f)).real / n
-        got = hm._band_projection(n, length, max_mode).matrix
-        assert np.abs(got - ref).max() <= 1e-12
+        j = (f.conj().T @ (j_sym[:, None] * f)).real / n
+        pi0 = (f.conj().T @ (band[:, None] * f)).real / n
+        lj = lam @ j
+        ref = pi0 @ (np.eye(n) + lj @ lj) @ pi0
+        got = hm.defect_operator(bc.BoundaryOperator(lam, length), max_mode).matrix
+        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
 class TestResolvedBand:

@@ -6,7 +6,8 @@ import pytest
 from eitlab import boundary as bc
 from eitlab import dn as dnm
 from eitlab import holomorphic as hm
-from eitlab.errors import CertificateFailed, DimensionMismatch, RankDeficientProbes
+from eitlab.errors import (CertificateFailed, DimensionMismatch, NoSpectralGap,
+                           RankDeficientProbes)
 
 TWO_PI = 2.0 * np.pi
 
@@ -82,6 +83,31 @@ class TestEstimateKappa:
     def test_tau_rank_must_be_positive(self, disk64):
         with pytest.raises(ValueError):
             hm.estimate_kappa(disk64, tau_rank=0.0)
+
+    def test_zero_operator_resolves_no_modes(self):
+        with pytest.raises(NoSpectralGap, match="resolves no boundary modes"):
+            hm.estimate_kappa(bc.zero_operator(64, TWO_PI))
+
+    def test_singular_values_straddling_the_threshold(self):
+        # scaling the disk symbol by 1 + eps on modes +-m gives the defect
+        # singular value 2 eps + eps^2 twice: 3.0e-3 on m = 2 and 6.0e-4 on
+        # m = 5 sit on both sides of the threshold 1e-3 * ||Lambda J||, only
+        # a factor 5 apart
+        sym = np.abs(bc.mode_numbers(64)).astype(float)
+        for m, eps in ((2, 1.5e-3), (5, 3e-4)):
+            sym[[m, -m]] *= 1.0 + eps
+        lam = bc.operator_from_symbol(sym, TWO_PI)
+        sv = np.linalg.svd(hm.defect_operator(lam).matrix, compute_uv=False)
+        assert np.allclose(sv[:4], [3.00225e-3, 3.00225e-3, 6.0009e-4, 6.0009e-4],
+                           rtol=1e-8)
+        with pytest.raises(NoSpectralGap, match="show no gap"):
+            hm.estimate_kappa(lam)
+
+    def test_gap_without_a_next_singular_value_is_infinite(self):
+        # the defect on |m| <= 1 holds two singular values, so kappa = 2
+        # leaves none to divide by
+        zero = bc.zero_operator(64, TWO_PI)
+        assert hm.spectral_gap(zero, 2, max_mode=1) == np.inf
 
 
 class TestProjections:
