@@ -10,7 +10,10 @@ keeps application to complex traces trivial.
 The tangential derivative d_gamma and its inverse J act only as Fourier
 multipliers on coefficients (i omega and 1 / (i omega), both zero on the
 Nyquist mode).  Operator products with J are taken in the operator's
-Fourier basis (_fourier_matrix), where J is diagonal.
+Fourier basis (_fourier_matrix), where J is diagonal.  Operator 2-norms are
+real SVDs in the Hartley basis cas(2 pi k l / N), cas = cos + sin: the
+Sobolev weights and |J|'s multiplier are even in the mode number, and such
+a diagonal weight is diagonal there too (_cas_norm).
 
 Fourier convention: coefficients are held in FFT ordering (modes
 0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
@@ -180,6 +183,24 @@ def _pad_spectrum(c: np.ndarray, m: int) -> np.ndarray:
 def _fourier_matrix(a: np.ndarray) -> np.ndarray:
     """F A F^H / N: a nodal matrix in the Fourier basis (F the unnormalized DFT)."""
     return np.fft.fft(np.fft.ifft(a, axis=1), axis=0)
+
+
+def _hartley(a: np.ndarray, axis: int) -> np.ndarray:
+    """H a along an axis for real a, H = Re F - Im F the unnormalized Hartley matrix."""
+    f = np.fft.fft(a, axis=axis)
+    return f.real - f.imag
+
+
+def _cas_norm(a: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
+    """||diag(w_rows) F A F^H diag(w_cols)||_2 / N for a real nodal matrix A.
+
+    The weights must be even in the mode number (w[k] = w[-k]).  H = V F
+    with V = ((1 + i) I + (1 - i) P) / 2 unitary, P the mode reversal
+    k -> -k, and even weights commute with P, so the norm is that of the
+    real matrix diag(w_rows) H A H diag(w_cols) / N: one real SVD.
+    """
+    h = _hartley(_hartley(a, 0), 1) / a.shape[0]
+    return float(np.linalg.norm(w_rows[:, None] * h * w_cols[None, :], ord=2))
 
 
 def _tag_reality(f: BoundaryFunction) -> BoundaryFunction:
@@ -379,13 +400,12 @@ def operator_from_coefficients(b: np.ndarray, length: float,
 def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:
     """H^{s_from} -> H^{s_to} operator norm over real-valued functions.
 
-    Computed as the largest singular value of the Sobolev-weighted matrix in
-    the Fourier basis; for a real operator the complexified norm coincides
-    with the real-restricted one.
+    The largest singular value of the Sobolev-weighted matrix in the Fourier
+    basis; for a real operator the complexified norm coincides with the
+    real-restricted one.  The weights are even in the mode number, so it is
+    taken as one real SVD in the Hartley (cas) basis (_cas_norm).
     """
     n = a.n_modes
-    w_from = sobolev_weights(n, a.length, s_from)
-    w_to = sobolev_weights(n, a.length, s_to)
-    b = (w_to[:, None] * _fourier_matrix(a.matrix)) / w_from[None, :]
-    return float(np.linalg.norm(b, ord=2))
+    return _cas_norm(a.matrix, sobolev_weights(n, a.length, s_to),
+                     1.0 / sobolev_weights(n, a.length, s_from))
 

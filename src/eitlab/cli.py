@@ -90,7 +90,11 @@ def _cmd_kappa(args) -> int:
     with open(args.dn) as fh:
         op = hm.BoundaryOperator.from_json(json.load(fh))
     kappa = hm.estimate_kappa(op, tau_rank=args.tau_rank)
-    print(json.dumps({"kappa": kappa, "spectral_gap": hm.spectral_gap(op, kappa)}))
+    gap = hm.spectral_gap(op, kappa)
+    # strict JSON has no Infinity: an infinite gap is printed as null
+    print(json.dumps({"kappa": kappa,
+                      "spectral_gap": gap if np.isfinite(gap) else None},
+                     allow_nan=False))
     return EXIT_OK
 
 

@@ -157,15 +157,15 @@ def defect_operator(lam: BoundaryOperator, max_mode: int | None = None) -> Bound
     only represents a finite band, and past it the identity is trivially
     violated.  By default the band is inferred from the operator itself.
     """
-    lj, band, block = _defect(lam, max_mode)
-    b = np.zeros_like(lj)
+    band, block = _defect(lam, max_mode)
+    b = np.zeros((lam.n_modes, lam.n_modes), dtype=complex)
     b[np.ix_(band, band)] = block
     return bc.operator_from_coefficients(b, lam.length, "defect")
 
 
 def _defect(lam: BoundaryOperator,
-            max_mode: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Lambda J, band indices, defect block), all in the Fourier basis.
+            max_mode: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(band indices, defect block), both in the Fourier basis.
 
     The block is I + (Lambda J)[band, :] (Lambda J)[:, band] on the modes
     1 <= |m| <= max_mode, the only nonzero block of the projected defect.
@@ -178,14 +178,19 @@ def _defect(lam: BoundaryOperator,
     ms = np.abs(bc.mode_numbers(lam.n_modes))
     band = np.flatnonzero((ms >= 1) & (ms <= max_mode))
     block = np.eye(band.size) + lj[band, :] @ lj[:, band]
-    return lj, band, block
+    return band, block
 
 
 def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.ndarray, float]:
-    """Defect singular values and the rank scale max(||Lambda J||_2, 1)."""
-    lj, _, block = _defect(lam, max_mode)
+    """Defect singular values and the rank scale max(||Lambda J||_2, 1).
+
+    J's multiplier is a unitary diagonal times |J|'s, which is even in the
+    mode number, so ||Lambda J||_2 = ||Lambda |J| ||_2, a real SVD.
+    """
+    _, block = _defect(lam, max_mode)
     sv = np.linalg.svd(block, compute_uv=False)
-    return sv, max(np.linalg.norm(lj, 2), 1.0)
+    j_abs = np.abs(bc._integration_symbol(lam.n_modes, lam.length))
+    return sv, max(bc._cas_norm(lam.matrix, np.ones(lam.n_modes), j_abs), 1.0)
 
 
 def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,

@@ -10,12 +10,14 @@ the padded spectrum on grids shifted to the anchor.  A perturbed and a
 reference image point are paired when they have the same (s, r) in their
 own charts.  Image points come from the compensated Cauchy rule of
 `argument`, which stays accurate up to the contour, so a target needs no
-separate near-contour quadrature.
+separate near-contour quadrature.  The rule is exact per target, so the
+anchors of one chart index share one compensated call per trace tuple.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,21 +126,29 @@ def _coordinate_at(e: TraceTuple, j: int, zs: np.ndarray) -> np.ndarray:
     return ap._cauchy_many(e.traces, e[j], zs, compensated=True)[0].T
 
 
-def pair_points(chart: BoundaryChart, chart_p: BoundaryChart, e: TraceTuple,
-                e_prime: TraceTuple, s: np.ndarray,
-                r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pair_points(charts: Sequence[BoundaryChart], charts_p: Sequence[BoundaryChart],
+                e: TraceTuple, e_prime: TraceTuple, s: Sequence[np.ndarray],
+                r: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Reference and perturbed image points paired by their chart coordinates.
 
-    Each (s, r) is placed in the reference chart and in the perturbed chart,
-    and each immersion is evaluated there: row i of p and of p_prime is the
-    pair for (s[i], r[i]).  Since (s, r) -> zeta is one-to-one on a chart,
-    the pair needs no inverse chart map.
+    charts[i] and charts_p[i] are the reference and perturbed charts of one
+    anchor, and (s[i], r[i]) its chart coordinates.  Each (s, r) is placed in
+    both charts, and each immersion is evaluated there; since (s, r) -> zeta
+    is one-to-one on a chart, the pair needs no inverse chart map.  All
+    charts share one chart index, so every anchor's targets go into one
+    compensated Cauchy call per trace tuple.  The rows of p and of p_prime
+    are the pairs of (s[0], r[0]), then of (s[1], r[1]), and so on.
     """
-    j = chart.chart_index
-    if chart_p.chart_index != j:
+    j = charts[0].chart_index
+    if any(ch.chart_index != j for ch in (*charts, *charts_p)):
         raise OutOfChart("charts use different coordinate projections")
-    return (_coordinate_at(e, j, unrectify(chart, s, r)),
-            _coordinate_at(e_prime, j, unrectify(chart_p, s, r)))
+
+    def targets(chs):
+        return np.concatenate([np.ravel(unrectify(ch, si, ri))
+                               for ch, si, ri in zip(chs, s, r, strict=True)])
+
+    return (_coordinate_at(e, j, targets(charts)),
+            _coordinate_at(e_prime, j, targets(charts_p)))
 
 
 @dataclass
@@ -164,20 +174,21 @@ def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
     derivative is tried first; anchors where every index fails are recorded
     and skipped.  Points are paired at rectified depths r in (0, depth] above
     _N_FEET feet spread over half the perturbed window; feet outside the
-    reference window cannot be paired and are counted in n_failed.
+    reference window cannot be paired and are counted in n_failed.  The
+    anchors that chose one chart index are paired in one pair_points call.
     """
     length = e.length
     report = DiagnosticReport()
-    n_built = 0
     depths = depth * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
-    for i in range(n_anchors):
-        a = i * length / n_anchors
-        derivs = [abs(complex(bc.derivative_gamma(e[j]).eval_at(a)[0]))
-                  for j in range(len(e))]
+    anchors = np.arange(n_anchors) * length / n_anchors
+    derivs = np.abs([bc.derivative_gamma(eta).eval_at(anchors) for eta in e.traces])
+    groups = {}  # chart index -> (entry, chart, chart_p, s, r) per built anchor
+    for i, a in enumerate(anchors.tolist()):
         entry = {"a": a, "chart_j": None, "window": None,
                  "sup_discrepancy": None, "n_failed": 0}
+        report.anchors.append(entry)
         chart = chart_p = None
-        for j in np.argsort(derivs)[::-1]:
+        for j in np.argsort(derivs[:, i])[::-1]:
             try:
                 chart = build_chart(e[int(j)], a, int(j))
                 # the pairing needs a single preimage: probe the interior side
@@ -192,19 +203,22 @@ def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
                 chart = chart_p = None
         if chart is None:
             entry["n_failed"] = len(e)
-            report.anchors.append(entry)
             continue
-        n_built += 1
         entry["window"] = list(chart.gamma_window)
         feet = a + np.linspace(-0.25, 0.25, _N_FEET) * chart_p.window_length
         inside = chart.contains_l(feet)  # the middle foot, a, always is
         s, r = np.meshgrid(feet[inside], depths, indexing="ij")
-        p, p_prime = pair_points(chart, chart_p, e, e_prime, s.ravel(), r.ravel())
-        sup = float(np.abs(p - p_prime).max())
-        entry["sup_discrepancy"] = sup
         entry["n_failed"] = int(np.count_nonzero(~inside)) * _N_DEPTHS
-        report.anchors.append(entry)
-        report.global_sup = max(report.global_sup, sup)
-    if n_built == 0:
+        groups.setdefault(entry["chart_j"], []).append(
+            (entry, chart, chart_p, s.ravel(), r.ravel()))
+    if not groups:
         raise AllChartsFailed("no anchor admitted a valid chart")
+    for group in groups.values():
+        entries, charts, charts_p, s, r = zip(*group)
+        p, p_prime = pair_points(charts, charts_p, e, e_prime, s, r)
+        gap = np.abs(p - p_prime).max(axis=1)
+        ends = np.cumsum([si.size for si in s])[:-1]
+        for entry, rows in zip(entries, np.split(gap, ends)):
+            entry["sup_discrepancy"] = float(rows.max())
+            report.global_sup = max(report.global_sup, entry["sup_discrepancy"])
     return report

@@ -10,8 +10,18 @@ from eitlab import dn as dnm
 from eitlab.holomorphic import TraceTuple
 
 
+def reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def json_printed(capsys) -> dict:
+    """The last printed line, parsed as strict JSON (no NaN or Infinity)."""
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    return json.loads(line, parse_constant=reject_constant)
+
+
 def kappa_printed(capsys) -> int:
-    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])["kappa"]
+    return json_printed(capsys)["kappa"]
 
 
 def write_config(tmp_path, out_dir):
@@ -158,3 +168,10 @@ class TestKappa:
                   "--n-modes", "64", "--out", out])
         assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
         assert kappa_printed(capsys) == 2
+
+    def test_infinite_gap_prints_null(self, tmp_path, capsys):
+        # the 8-mode disk defect is exactly 0, so the spectral gap is infinite
+        out = str(tmp_path / "dn.json")
+        cli.main(["dn", "--surface", "disk", "--n-modes", "8", "--out", out])
+        assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
+        assert json_printed(capsys) == {"kappa": 0, "spectral_gap": None}

@@ -50,6 +50,16 @@ def dense_fourier(a):
     return f @ a @ f.conj().T / a.shape[0]
 
 
+def dense_j(n, length):
+    """J as a nodal matrix: 1 / (i omega) conjugated by scipy's DFT matrix."""
+    ms = np.fft.fftfreq(n, d=1.0 / n)
+    j_sym = np.zeros(n, dtype=complex)
+    j_sym[1:] = length / (2j * np.pi * ms[1:])
+    j_sym[n // 2] = 0.0
+    f = dft(n)
+    return (f.conj().T @ (j_sym[:, None] * f)).real / n
+
+
 def dense_resolved_band(lam, floor=0.5):
     diag = np.abs(np.diag(dense_fourier(hm.lambda_j(lam).matrix)))
     ms = np.fft.fftfreq(lam.n_modes, d=1.0 / lam.n_modes)
@@ -164,17 +174,24 @@ class TestFourierConjugation:
         rng = np.random.default_rng(seed)
         lam = dnm.dn_disk(n, length).matrix + rng.standard_normal((n, n)) / n
         ms = np.fft.fftfreq(n, d=1.0 / n)
-        j_sym = np.zeros(n, dtype=complex)
-        j_sym[1:] = length / (2j * np.pi * ms[1:])
-        j_sym[n // 2] = 0.0
         band = ((np.abs(ms) >= 1) & (np.abs(ms) <= max_mode)).astype(float)
         f = dft(n)
-        j = (f.conj().T @ (j_sym[:, None] * f)).real / n
         pi0 = (f.conj().T @ (band[:, None] * f)).real / n
-        lj = lam @ j
+        lj = lam @ dense_j(n, length)
         ref = pi0 @ (np.eye(n) + lj @ lj) @ pi0
         got = hm.defect_operator(bc.BoundaryOperator(lam, length), max_mode).matrix
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+    @property_test
+    @given(n=sizes, length=lengths, seed=seeds)
+    def test_rank_scale_matches_dense(self, n, length, seed):
+        """The rank scale max(||Lambda J||_2, 1) against J from dense DFTs."""
+        rng = np.random.default_rng(seed)
+        lam = rng.standard_normal((n, n)) * (4.0 * np.pi / length)
+        ref = np.linalg.norm(lam @ dense_j(n, length), 2)
+        assert ref > 1.0  # so the scale is the norm, not the floor 1
+        _, scale = hm._defect_spectrum(bc.BoundaryOperator(lam, length), 1)
+        assert abs(scale - ref) <= 1e-12 * ref
 
 
 class TestResolvedBand:

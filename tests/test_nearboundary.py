@@ -44,6 +44,21 @@ def e_pair():
     return TraceTuple((trace(lambda z: z), trace(lambda z: z ** 2)))
 
 
+def with_image(second, a2=0.02):
+    """(z, second(z)) and its image under w = z + a2 z^2: (w, second(w))."""
+    def w(z):
+        return z + a2 * z ** 2
+
+    return (TraceTuple((trace(lambda z: z), trace(second))),
+            TraceTuple((trace(w), trace(lambda z: second(w(z))))))
+
+
+# (z, z + 0.2 z^2): |1 + 0.4 z| > 1 where Re z > -0.2, so the second chart
+# has the larger derivative there and the anchors choose both chart indices
+MIXED = with_image(lambda z: z + 0.2 * z ** 2)
+MIXED_CHARTS = [1, 1, 1, 0, 0, 0, 1, 1]
+
+
 class TestBuildChart:
     def test_unit_circle_anchor_zero(self, circ):
         # at a = 0: eta(0) = 1, d_gamma eta(0) = i, and the cone condition
@@ -168,7 +183,7 @@ class TestPairPoints:
         ch = nb.build_chart(e_pair[0], 0.0, 0)
         s = np.array([-0.05, 0.0, 0.05])
         r = np.array([0.02, 0.01, 0.04])
-        p, p_prime = nb.pair_points(ch, ch, e_pair, e_pair, s, r)
+        p, p_prime = nb.pair_points([ch], [ch], e_pair, e_pair, [s], [r])
         assert p.shape == (3, 2)
         assert np.array_equal(p, p_prime)
         z = nb.unrectify(ch, s, r)
@@ -183,7 +198,8 @@ class TestPairPoints:
         ch = nb.build_chart(e_pair[0], 0.0, 0)
         ch_p = nb.build_chart(e_p[0], 0.0, 0)
         s = np.array([-0.1, 0.1])
-        p, p_prime = nb.pair_points(ch, ch_p, e_pair, e_p, s, np.full(2, 1e-7))
+        p, p_prime = nb.pair_points([ch], [ch_p], e_pair, e_p, [s],
+                                    [np.full(2, 1e-7)])
         for k in range(2):
             assert np.abs(p[:, k] - e_pair[k].eval_at(s)).max() < 1e-6
             assert np.abs(p_prime[:, k] - e_p[k].eval_at(s)).max() < 1e-6
@@ -192,7 +208,8 @@ class TestPairPoints:
         ch0 = nb.build_chart(e_pair[0], 0.0, 0)
         ch1 = nb.build_chart(e_pair[1], 0.0, 1)
         with pytest.raises(OutOfChart):
-            nb.pair_points(ch0, ch1, e_pair, e_pair, np.zeros(1), np.full(1, 0.01))
+            nb.pair_points([ch0], [ch1], e_pair, e_pair, [np.zeros(1)],
+                           [np.full(1, 0.01)])
 
 
 class TestDiagnostic:
@@ -265,3 +282,59 @@ class TestDiagnostic:
             d = json.load(fh)
         assert d["global_sup"] == rep.global_sup
         assert len(d["anchors"]) == 2
+
+
+class TestMixedChartIndices:
+    """Anchors of both chart indices, each index paired in one call."""
+
+    def test_anchors_choose_both_indices(self):
+        rep = nb.near_boundary_diagnostic(*MIXED)
+        assert [a["chart_j"] for a in rep.anchors] == MIXED_CHARTS
+
+    def test_each_anchor_matches_its_own_pairing(self):
+        e, e_p = MIXED
+        rep = nb.near_boundary_diagnostic(e, e_p)
+        depths = 0.05 * np.arange(1, nb._N_DEPTHS + 1) / nb._N_DEPTHS
+        sups = []
+        for entry in rep.anchors:
+            a, j = entry["a"], entry["chart_j"]
+            ch = nb.build_chart(e[j], a, j)
+            ch_p = nb.build_chart(e_p[j], a, j)
+            feet = a + np.linspace(-0.25, 0.25, nb._N_FEET) * ch_p.window_length
+            s, r = np.meshgrid(feet[ch.contains_l(feet)], depths, indexing="ij")
+            p, p_prime = nb.pair_points([ch], [ch_p], e, e_p, [s.ravel()],
+                                        [r.ravel()])
+            sups.append(float(np.abs(p - p_prime).max()))
+            assert abs(entry["sup_discrepancy"] - sups[-1]) <= 1e-12 * sups[-1]
+        assert rep.global_sup == max(a["sup_discrepancy"] for a in rep.anchors)
+        # the anchors are not all alike, so rows given to the wrong anchor show
+        assert max(sups) - min(sups) > 1e-3 * max(sups)
+
+    @pytest.mark.parametrize("second, n_used, n_probes", [
+        (lambda z: z ** 2, 1, 16),           # the z^2 chart fails every probe
+        (lambda z: z + 0.2 * z ** 2, 2, 8),  # MIXED: every first chart holds
+    ], ids=["square", "mixed"])
+    def test_one_compensated_call_per_tuple_and_index(self, monkeypatch, second,
+                                                      n_used, n_probes):
+        e, e_p = with_image(second)
+        calls = {True: 0, False: 0}
+        probed = []
+        cauchy_many, build_chart = ap._cauchy_many, nb.build_chart
+
+        def counting_cauchy(*args, compensated=False, **kwargs):
+            calls[compensated] += 1
+            return cauchy_many(*args, compensated=compensated, **kwargs)
+
+        def counting_chart(eta_j, a, chart_index=0):
+            chart = build_chart(eta_j, a, chart_index)
+            if eta_j is e[chart_index]:  # a reference chart: it gets probed
+                probed.append(chart_index)
+            return chart
+
+        monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
+        monkeypatch.setattr(nb, "build_chart", counting_chart)
+        rep = nb.near_boundary_diagnostic(e, e_p)
+        used = {a["chart_j"] for a in rep.anchors}
+        assert len(used) == n_used
+        assert calls[True] == 2 * n_used        # one per trace tuple and index
+        assert calls[False] == len(probed) == n_probes
