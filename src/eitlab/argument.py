@@ -5,8 +5,11 @@ traces alone: for a target z enclosed exactly once by the curve eta_j(Gamma),
 the contour integral (1/2 pi i) * integral of eta_k d_gamma(eta_j) / (eta_j - z)
 returns the value of the k-th coordinate at the unique preimage.  A grid of
 such targets, classified by winding number, yields a point cloud sampling the
-immersed image.  Winding numbers use the plain trapezoidal rule; image
-coordinates use its compensated form, which is accurate up to the contour.
+immersed image.  Winding numbers are signed crossing counts of the 4N-sample
+polygon (Hormann & Agathos 2001), certified to equal the curve's winding at
+targets farther from the samples than half the longest chord plus the
+chord-to-arc deviation.  Image coordinates use the compensated trapezoidal
+Cauchy rule (Helsing & Ojala 2008), which is accurate up to the contour.
 Each target gets its own node count from its distance to the contour,
 rounded up to three significant bits (m * 2^k, m in 4..7): the sizes are
 7-smooth, so every FFT that samples the contour is fast, and the few sizes a
@@ -27,7 +30,6 @@ from .boundary import BoundaryFunction
 from .errors import (
     DerivativeVanishes,
     EmptyCloud,
-    NonIntegerWinding,
     TooCloseToContour,
 )
 from .holomorphic import TraceTuple
@@ -62,13 +64,55 @@ def _z_diameter(samples: np.ndarray) -> float:
     return float(np.hypot(w, h))
 
 
+def _sample_distances(samples: np.ndarray, zs: np.ndarray,
+                      upper: float = np.inf) -> np.ndarray:
+    """Distance from each of zs to the nearest sample; inf from `upper` on."""
+    tree = cKDTree(np.column_stack([samples.real, samples.imag]))
+    d, _ = tree.query(np.column_stack([zs.real, zs.imag]), distance_upper_bound=upper)
+    return d
+
+
 def contour_distance(eta_j: BoundaryFunction, z: np.ndarray | complex) -> np.ndarray:
     """Discrete distance from z to the curve eta_j(Gamma) (4N samples)."""
-    samples = _contour_samples(eta_j)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    tree = cKDTree(np.column_stack([samples.real, samples.imag]))
-    d, _ = tree.query(np.column_stack([zs.real, zs.imag]))
+    d = _sample_distances(_contour_samples(eta_j), np.atleast_1d(np.asarray(z, dtype=complex)))
     return d if np.ndim(z) else d[0]
+
+
+def _crossing_winding(samples: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Winding of the closed polygon through samples at every (xs[i], ys[j]).
+
+    Each edge crosses the lattice rows y = ys[j] in its y-range taken
+    half-open, [min, max), so a vertex on a row counts once.  A crossing
+    counts +1 upward and -1 downward for every lattice point left of it:
+    the crossings are binned by the lattice column they lie after and summed
+    from the right.  xs and ys are increasing; the cost is O(samples +
+    lattice).
+    """
+    a, b = samples, np.roll(samples, -1)
+    lo = np.searchsorted(ys, np.minimum(a.imag, b.imag))
+    hi = np.searchsorted(ys, np.maximum(a.imag, b.imag))
+    n_rows = hi - lo
+    edge = np.repeat(np.arange(a.size), n_rows)
+    row = lo[edge] + np.arange(edge.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+    a, b = a[edge], b[edge]
+    x = a.real + (ys[row] - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+    counts = np.zeros((xs.size + 1, ys.size), dtype=int)
+    np.add.at(counts, (np.searchsorted(xs, x), row), np.where(b.imag > a.imag, 1, -1))
+    return np.cumsum(counts[::-1], axis=0)[::-1][1:]
+
+
+def _winding_bound(eta_j: BoundaryFunction, samples: np.ndarray) -> float:
+    """Distance from the samples beyond which the polygon's winding is the curve's.
+
+    On a step h = L / len(samples) an arc leaves its chord by at most
+    h^2 / 8 max|eta_j''| <= h^2 / 8 sum omega^2 |c| (c the coefficients), so
+    the straight-line homotopy from the curve to the polygon stays within
+    half the longest chord plus that deviation of a sample.
+    """
+    h = eta_j.length / samples.size
+    curvature = np.sum(bc._omega(eta_j.n_modes, eta_j.length) ** 2 * np.abs(eta_j.coeffs))
+    chord = np.abs(np.roll(samples, -1) - samples).max()
+    return float(chord / 2 + h * h / 8 * curvature)
 
 
 def _round_up_nodes(counts: np.ndarray) -> np.ndarray:
@@ -143,8 +187,7 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
     once: each row is divided by the winding row of the same node plan
     (Helsing & Ojala 2008).  A pole near the contour spoils both sums by the
     same factor, which cancels, so band targets take the capped node count
-    instead of being refused.  A winding number has no such divisor, so
-    winding numbers keep the plain rule.  The compensated rule returns the
+    instead of being refused.  The compensated rule returns the
     winding row too: a target not enclosed once gives a ratio of two
     vanishing sums, which only that row reveals.
     """
@@ -188,12 +231,18 @@ def derivative_integral(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
 
 
 def winding_number(eta_j: BoundaryFunction, z: complex) -> int:
-    """Winding of eta_j(Gamma) around z, certified to round cleanly."""
-    val = cauchy_integral(None, eta_j, z).real
-    w = int(np.round(val))
-    if abs(val - w) >= 0.1:
-        raise NonIntegerWinding(f"contour integral {val:.4f} at z={z}")
-    return w
+    """Winding of eta_j(Gamma) around z: the crossing count of the 4N-sample polygon.
+
+    The count is certified (_winding_bound); a target no farther from the
+    samples than the bound raises TooCloseToContour.
+    """
+    z = complex(z)
+    samples = _contour_samples(eta_j)
+    bound = _winding_bound(eta_j, samples)
+    dist = np.abs(samples - z).min()
+    if not dist > bound:
+        raise TooCloseToContour(f"target {z} at distance {dist:.3e} <= {bound:.3e}")
+    return int(_crossing_winding(samples, np.array([z.real]), np.array([z.imag]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -201,7 +250,7 @@ class WindingField:
     """Integer winding numbers of a trace contour on a rectangular lattice."""
 
     grid: np.ndarray          # complex lattice points, flattened
-    winding: np.ndarray       # int per point; valid where not near-contour
+    winding: np.ndarray       # int per point; 0 where near-contour
     near_contour: np.ndarray  # bool marker per point
     epsilon: float
     shape: tuple
@@ -211,10 +260,19 @@ class WindingField:
 
 
 def classify(eta_j: BoundaryFunction, grid_resolution: int, eps: float) -> WindingField:
-    """Winding field on a padded bounding-box lattice of the contour."""
+    """Winding field on a padded bounding-box lattice of the contour.
+
+    Lattice points within eps of the 4N samples are marked near-contour; the
+    others take the crossing count of the sample polygon, which equals the
+    curve's winding because eps must exceed _winding_bound (half the longest
+    chord plus the chord-to-arc deviation; TooCloseToContour otherwise).
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     samples = _contour_samples(eta_j)
+    bound = _winding_bound(eta_j, samples)
+    if not eps > bound:
+        raise TooCloseToContour(f"eps {eps:.3e} <= winding certificate {bound:.3e}")
     x0, x1 = samples.real.min(), samples.real.max()
     y0, y1 = samples.imag.min(), samples.imag.max()
     px, py = 0.2 * (x1 - x0), 0.2 * (y1 - y0)
@@ -223,15 +281,10 @@ def classify(eta_j: BoundaryFunction, grid_resolution: int, eps: float) -> Windi
     ys = np.linspace(y0 - pad, y1 + pad, grid_resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     grid = (gx + 1j * gy).ravel()
-    near = contour_distance(eta_j, grid) <= eps
-    winding = np.zeros(grid.size, dtype=int)
-    far = ~near
-    if np.any(far):
-        vals = _cauchy_many(None, eta_j, grid[far]).real
-        w = np.round(vals).astype(int)
-        if np.any(np.abs(vals - w) >= 0.1):
-            raise NonIntegerWinding("winding integral failed to round on the grid")
-        winding[far] = w
+    # distance <= eps: the tree reports only distances below its upper bound
+    near = np.isfinite(_sample_distances(samples, grid, np.nextafter(eps, np.inf)))
+    winding = _crossing_winding(samples, xs, ys).ravel()
+    winding[near] = 0
     return WindingField(grid, winding, near, eps, (grid_resolution, grid_resolution))
 
 
@@ -266,18 +319,15 @@ class ReconstructedCloud:
         for k in range(1, n + 1):
             header += [f"re_{k}", f"im_{k}"]
         header += ["tag", "chart_j", "source_z_re", "source_z_im"]
+        # columns re_1, im_1, re_2, ...; csv writes each float as its repr
+        coords = np.stack([self.points.real, self.points.imag], axis=-1)
+        columns = coords.reshape(self.n_points, 2 * n).T.tolist()
+        rows = zip(*columns, self.tags, self.chart_j.astype(int).tolist(),
+                   self.source_z.real.tolist(), self.source_z.imag.tolist())
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for i in range(self.n_points):
-                row = []
-                for k in range(n):
-                    row += [repr(float(self.points[i, k].real)),
-                            repr(float(self.points[i, k].imag))]
-                row += [self.tags[i], int(self.chart_j[i]),
-                        repr(float(self.source_z[i].real)),
-                        repr(float(self.source_z[i].imag))]
-                w.writerow(row)
+            w.writerows(rows)
 
     @staticmethod
     def from_csv(path: str) -> "ReconstructedCloud":

@@ -26,11 +26,7 @@ class CertificateFailed(EitlabError):
 
 
 class TooCloseToContour(EitlabError):
-    """Target point is inside the plain-quadrature exclusion band."""
-
-
-class NonIntegerWinding(EitlabError):
-    """Contour integral for a winding number did not round cleanly."""
+    """Target lies inside a quadrature exclusion band or the winding certificate."""
 
 
 class UnivalenceViolated(EitlabError):

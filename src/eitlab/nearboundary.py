@@ -24,12 +24,12 @@ import numpy as np
 
 from . import boundary as bc
 from . import argument as ap
-from . import errors
 from .boundary import BoundaryFunction
 from .errors import (
     AllChartsFailed,
     DerivativeVanishes,
     OutOfChart,
+    TooCloseToContour,
     WindowCollapse,
 )
 from .holomorphic import TraceTuple
@@ -198,8 +198,7 @@ def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
                 chart_p = build_chart(e_prime[int(j)], a, int(j))
                 entry["chart_j"] = int(j)
                 break
-            except (DerivativeVanishes, WindowCollapse, OutOfChart,
-                    errors.NonIntegerWinding, errors.TooCloseToContour):
+            except (DerivativeVanishes, WindowCollapse, OutOfChart, TooCloseToContour):
                 chart = chart_p = None
         if chart is None:
             entry["n_failed"] = len(e)

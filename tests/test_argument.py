@@ -1,12 +1,14 @@
 """Contour-integral reconstruction of immersed surface images."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
-from eitlab.errors import NonIntegerWinding, TooCloseToContour
+from eitlab.errors import TooCloseToContour
 from eitlab.holomorphic import TraceTuple
 
 TWO_PI = 2.0 * np.pi
@@ -75,13 +77,17 @@ class TestCauchyOracles:
         with pytest.raises(TooCloseToContour):
             ap.cauchy_integral(None, e_z[0], complex(1.0 - 1e-9, 0.0))
 
-    def test_noninteger_winding_raises(self, e_z, monkeypatch):
-        # the rounding guard fires when the contour integral is far from an
-        # integer (an under-resolved quadrature would produce this)
-        monkeypatch.setattr(ap, "_cauchy_many",
-                            lambda *a, **k: np.array([0.5 + 0.0j]))
-        with pytest.raises(NonIntegerWinding):
-            ap.winding_number(e_z[0], 0.0 + 0.0j)
+    def test_target_between_chord_and_arc_raises(self):
+        # the 8-mode circle's polygon has 32 chords; at radius 0.997 the
+        # target lies outside the chord but inside the arc, so the polygon
+        # does not enclose it and the curve does: the certificate refuses it
+        e8 = trace(lambda z: z, n=8)
+        z = 0.997 * np.exp(1j * np.pi / 32)
+        samples = ap._contour_samples(e8)
+        assert ap._crossing_winding(samples, np.array([z.real]), np.array([z.imag]))[0, 0] == 0
+        with pytest.raises(TooCloseToContour):
+            ap.winding_number(e8, z)
+        assert ap.winding_number(e8, 0.5j) == 1
 
 
 class TestStackedNumerators:
@@ -240,6 +246,74 @@ class TestClassify:
         assert wf.points_with_winding(2).size > 0
 
 
+CURVES = {
+    "z": lambda z: z,
+    "z2": lambda z: z ** 2,
+    "z2_perturbed": lambda z: z ** 2 + 0.01 * z + 0.008 * z ** 3,
+    "z3": lambda z: z ** 3,
+}
+
+
+def cauchy_windings(eta, zs):
+    """Rounded plain Cauchy sums at zs, checked to round cleanly."""
+    vals = ap._cauchy_many(None, eta, zs).real
+    assert np.abs(vals - np.round(vals)).max() < 0.1
+    return np.round(vals).astype(int)
+
+
+def vertex_row_windings(eta, n):
+    """Crossing windings on about n x n targets whose rows pass through samples."""
+    samples = ap._contour_samples(eta)
+    xs = np.linspace(samples.real.min() - 0.1, samples.real.max() + 0.1, n)
+    ys = np.unique(samples.imag)[::max(1, samples.size // n)]
+    zs = (xs[:, None] + 1j * ys[None, :]).ravel()
+    return zs, ap._crossing_winding(samples, xs, ys).ravel()
+
+
+def assert_far_windings_match(eta, grid, eps):
+    wf = ap.classify(eta, grid, eps)
+    assert np.array_equal(wf.near_contour, ap.contour_distance(eta, wf.grid) <= eps)
+    far = ~wf.near_contour
+    assert np.array_equal(wf.winding[far], cauchy_windings(eta, wf.grid[far]))
+    assert np.all(wf.winding[wf.near_contour] == 0)
+    # a vertex on a lattice row must count once
+    zs, winding = vertex_row_windings(eta, grid)
+    far = ap.contour_distance(eta, zs) > eps
+    assert np.array_equal(winding[far], cauchy_windings(eta, zs[far]))
+
+
+polynomials = st.lists(st.complex_numbers(max_magnitude=0.01), min_size=3, max_size=3)
+
+
+class TestCrossingWinding:
+    @pytest.mark.parametrize("grid", [48, 160])
+    @pytest.mark.parametrize("name", list(CURVES))
+    def test_equals_rounded_cauchy_sum_on_far_targets(self, name, grid):
+        assert_far_windings_match(trace(CURVES[name], n=512), grid, 0.05)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @given(st.integers(1, 3), polynomials)
+    def test_perturbed_polynomials(self, k, a):
+        eta = trace(lambda z: z ** k + a[0] * z + a[1] * z ** 2 + a[2] * z ** 3, n=128)
+        assert_far_windings_match(eta, 24, 0.1)
+
+    def test_vertices_on_a_lattice_row_count_once(self):
+        # the diamond's vertices (1, 0) and (-1, 0) lie on the row y = 0
+        diamond = np.array([1.0, 1j, -1.0, -1j])
+        w = ap._crossing_winding(diamond, np.array([-2.0, 0.0, 2.0]), np.array([0.0]))
+        assert w[:, 0].tolist() == [0, 1, 0]
+
+    def test_classify_refuses_eps_inside_the_certificate(self):
+        # 8-mode circle: half its longest chord is 0.098 and the chord-to-arc
+        # deviation adds (2 pi / 32)^2 / 8, so the bound is 0.1028
+        e8 = trace(lambda z: z, n=8)
+        bound = ap._winding_bound(e8, ap._contour_samples(e8))
+        assert abs(bound - (np.sin(np.pi / 32) + (np.pi / 16) ** 2 / 8)) < 1e-12
+        with pytest.raises(TooCloseToContour):
+            ap.classify(e8, 24, 0.1)
+        assert ap.classify(e8, 24, 0.11).points_with_winding(1).size > 0
+
+
 class TestReconstruct:
     def test_identity_chart_cloud(self, e_z):
         cloud = ap.reconstruct(e_z, eps=0.2, grid_resolution=24)
@@ -343,7 +417,39 @@ class TestImmersionCheck:
         assert not rep.applicable
 
 
+def rowwise_csv(cloud, path):
+    """The row-by-row writer the vectorized to_csv replaced."""
+    n = cloud.n_coords
+    header = []
+    for k in range(1, n + 1):
+        header += [f"re_{k}", f"im_{k}"]
+    header += ["tag", "chart_j", "source_z_re", "source_z_im"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(cloud.n_points):
+            row = []
+            for k in range(n):
+                row += [repr(float(cloud.points[i, k].real)),
+                        repr(float(cloud.points[i, k].imag))]
+            row += [cloud.tags[i], int(cloud.chart_j[i]),
+                    repr(float(cloud.source_z[i].real)),
+                    repr(float(cloud.source_z[i].imag))]
+            w.writerow(row)
+
+
 class TestCsvRoundtrip:
+    def test_bytes_equal_rowwise_writer(self, e_pair, tmp_path):
+        cloud = ap.reconstruct(e_pair, eps=0.2, grid_resolution=16)
+        cloud.points[0, 1] = complex(-0.0, 1e-300)
+        assert np.isnan(cloud.source_z.real).any()
+        assert cloud.n_coords == 2 and "interior" in cloud.tags
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        cloud.to_csv(str(fast))
+        rowwise_csv(cloud, str(slow))
+        assert b"-0.0," in fast.read_bytes() and b",nan," in fast.read_bytes()
+        assert fast.read_bytes() == slow.read_bytes()
+
     def test_roundtrip(self, e_pair, tmp_path):
         cloud = ap.reconstruct(e_pair, eps=0.2, grid_resolution=16)
         path = str(tmp_path / "cloud.csv")

@@ -318,8 +318,9 @@ class TestMixedChartIndices:
                                                       n_used, n_probes):
         e, e_p = with_image(second)
         calls = {True: 0, False: 0}
-        probed = []
+        probed, probes = [], []
         cauchy_many, build_chart = ap._cauchy_many, nb.build_chart
+        winding_number = ap.winding_number
 
         def counting_cauchy(*args, compensated=False, **kwargs):
             calls[compensated] += 1
@@ -331,10 +332,16 @@ class TestMixedChartIndices:
                 probed.append(chart_index)
             return chart
 
+        def counting_winding(eta_j, z):
+            probes.append(z)
+            return winding_number(eta_j, z)
+
         monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
+        monkeypatch.setattr(ap, "winding_number", counting_winding)
         monkeypatch.setattr(nb, "build_chart", counting_chart)
         rep = nb.near_boundary_diagnostic(e, e_p)
         used = {a["chart_j"] for a in rep.anchors}
         assert len(used) == n_used
         assert calls[True] == 2 * n_used        # one per trace tuple and index
-        assert calls[False] == len(probed) == n_probes
+        assert calls[False] == 0                # probes count crossings
+        assert len(probes) == len(probed) == n_probes
