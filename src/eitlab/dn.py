@@ -7,8 +7,9 @@ Schur complement).  The last two assemble the same object, the Dirichlet
 form on the arclength Fourier modes, b_jk = <Lambda e_k, e_j> / L: the
 conformal backend pulls the modes back to the disk, where the Dirichlet
 integral is the same, and the FEM backend contracts the Schur complement
-with them.  boundary.operator_from_coefficients turns b into the nodal
-matrix for both.
+with them; it reads that complement off the trailing block of one sparse
+factorization of the stiffness matrix, boundary ordered last.
+boundary.operator_from_coefficients turns b into the nodal matrix for both.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
 points of different surfaces are identified by arclength from the image of
@@ -448,15 +449,17 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     """DN operator of a triangulated surface on N arclength nodes.
 
     The co-normal functional is the nodal Schur complement
-    S = K_BB - K_BI K_II^{-1} K_IB.  K_II is factored once under a symmetric
-    minimum-degree ordering, and S is applied in one block solve to the real
-    Fourier columns [cos(m l), m >= 0 | sin(m l), m > 0] of the capped modes:
-    2*cap + 1 of them, n_modes + 1 in the full band.  The coefficient block
-    b = V^H S V / L is symmetrized to its Hermitian part, which keeps the
-    returned matrix exactly symmetric in L2(Gamma, dl).
+    S = K_BB - K_BI K_II^{-1} K_IB.  K is factored once, with the interior
+    under a minimum-degree ordering and the boundary nodes last, and with
+    the identity added on the boundary block; the trailing block of the
+    factors is then S + I, so S is read off without any solve.  The
+    coefficient block b = V^H S V / L over the capped modes' columns
+    V = exp(2 pi i m l / L) is symmetrized to its Hermitian part, which
+    keeps the returned matrix exactly symmetric in L2(Gamma, dl).
     order=2 assembles quadratic elements, which sharpens the high-mode
     response considerably.  Raises SingularInterior when interior nodes
-    cannot reach the boundary or the factorization fails.
+    cannot reach the boundary, when the factorization fails, or when it
+    moves a boundary node out of the trailing block.
     """
     work = mesh if rho is None else mesh.with_conformal_factor(np.asarray(rho))
     if order == 1:
@@ -475,14 +478,31 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
         raise SingularInterior(
             f"{stranded} interior nodes are not connected to the boundary")
     iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
+    n_i, n_b = iidx.size, bidx.size
 
-    k_ii = k[iidx][:, iidx].tocsc()
-    k_ib = k[iidx][:, bidx]
-    k_bb = k[bidx][:, bidx]
     try:
-        lu = spla.splu(k_ii, permc_spec="MMD_AT_PLUS_A")
+        # an incomplete factorization that keeps no entry yields SuperLU's
+        # minimum-degree ordering of K_II without the numeric factor
+        perm = spla.spilu(k[iidx][:, iidx].tocsc(), drop_tol=np.inf,
+                          fill_factor=1, permc_spec="MMD_AT_PLUS_A").perm_c
+        elim = np.concatenate([iidx[np.argsort(perm)], bidx])
+        # boundary last, and I added on its block: S annihilates constants,
+        # the shift makes the matrix SPD, so the diagonal pivots need no
+        # search, and the trailing block of its factors is S + I
+        bordered = k[elim][:, elim].tocsc() + sp.diags(
+            np.r_[np.zeros(n_i), np.ones(n_b)], format="csc")
+        lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SingularInterior(str(exc)) from exc
+    # SuperLU composes the given order with a postorder of its elimination
+    # tree, so S is read through the permutations it reports; a boundary
+    # node moved out of the trailing block leaves no Schur complement there
+    rows, cols = lu.perm_r[n_i:] - n_i, lu.perm_c[n_i:] - n_i
+    if np.any(rows < 0) or np.any(cols < 0):
+        raise SingularInterior(
+            "the factorization moved a boundary node out of the trailing block")
+    tail = lu.L[n_i:, n_i:].toarray() @ lu.U[n_i:, n_i:].toarray()
+    schur = tail[np.ix_(rows, cols)] - np.eye(n_b)
 
     # boundary arclength, possibly rescaled
     arc = np.asarray(b_arc, dtype=float)
@@ -500,17 +520,9 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
         ms = np.arange(-(n // 2) + 1, n // 2 + 1)
     else:
         ms = np.arange(-cap, cap + 1)
-    # the real columns cos(m l), m >= 0, and sin(m l), m > 0, give V and
-    # S V by the sign of m; sign(0) = 0 drops the sine part of m = 0
-    am = np.abs(ms)
-    top = int(am.max())
-    phase = 2.0 * np.pi * np.outer(arc, np.arange(top + 1)) / length
-    w = np.hstack([np.cos(phase), np.sin(phase[:, 1:])])
-    sw = k_bb @ w - k_ib.T @ lu.solve(k_ib @ w)
-    v = w[:, am] + 1j * np.sign(ms) * w[:, top + am]
-    sv = sw[:, am] + 1j * np.sign(ms) * sw[:, top + am]
+    v = np.exp(2j * np.pi * np.outer(arc, ms) / length)
     b = np.zeros((n, n), dtype=complex)
-    b[np.ix_(ms % n, ms % n)] = v.conj().T @ sv / length
+    b[np.ix_(ms % n, ms % n)] = v.conj().T @ (schur @ v) / length
     b = 0.5 * (b + b.conj().T)
     return bc.operator_from_coefficients(b, length, "DN-fem")
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.spatial import Delaunay
 
 from eitlab import boundary as bc
 from eitlab import dn as dnm
@@ -260,6 +261,75 @@ class TestFemDN:
         with pytest.raises(SingularInterior, match=f"^{stranded} interior nodes"):
             dnm.dn_fem(mesh, n_modes=16, order=order)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("build", [
+        lambda: _fan_polygon_mesh(12),
+        lambda: _split_rectangle_mesh(),
+        lambda: _square_row_mesh(1),
+        lambda: _square_row_mesh(2),
+        lambda: _square_row_mesh(5),
+    ], ids=["fan_12gon", "split_rectangle", "squares_1", "squares_2",
+            "squares_5"])
+    def test_ordering_stress_meshes_match_reference(self, build, order):
+        # no interior vertex; an interior cut in two by a chord; boundary
+        # edges whose cotangent weights are 0
+        mesh = build()
+        got = dnm.dn_fem(mesh, n_modes=16, order=order).matrix
+        want = _nodal_schur_dn(mesh, None, 16, None, None, order)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        assert np.abs(got - got.T).max() < 1e-12 * np.abs(got).max()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("res", [4, 8])
+    def test_boundary_outside_trailing_block_raises(self, monkeypatch, res,
+                                                    order):
+        # a minimum-degree ordering of the whole matrix eliminates boundary
+        # nodes early, so the trailing block is no Schur complement
+        splu = spla.splu
+
+        def reordering(a, **kw):
+            return splu(a, **{**kw, "permc_spec": "MMD_AT_PLUS_A"})
+
+        monkeypatch.setattr(dnm.spla, "splu", reordering)
+        with pytest.raises(SingularInterior, match="trailing block"):
+            dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=16, order=order)
+
+    def test_one_factorization_and_no_solve(self, monkeypatch):
+        splu, shapes = spla.splu, []
+
+        class NoSolve:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+            def solve(self, *args, **kwargs):
+                raise AssertionError("dn_fem solved with the factor")
+
+        def counting(a, **kw):
+            shapes.append(a.shape)
+            return NoSolve(splu(a, **kw))
+
+        monkeypatch.setattr(dnm.spla, "splu", counting)
+        mesh = dnm.unit_disk_mesh(8)
+        dnm.dn_fem(mesh, n_modes=32, order=2)
+        k, _, _ = dnm._p2_stiffness(mesh)
+        assert shapes == [k.shape]
+
+    def test_p2_symbol_converges_at_third_order(self):
+        # max relative symbol error over modes 1-8: 1.71e-4 at res 16,
+        # 1.44e-5 at res 32 (11.9x); h^3 alone gives 8x
+        n, m = 128, np.arange(1, 9)
+        want = np.diag(bc._fourier_matrix(dnm.dn_disk(n).matrix)).real[m]
+        errs = []
+        for res in (16, 32):
+            op = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=n,
+                            rescale_to=TWO_PI, order=2)
+            got = np.diag(bc._fourier_matrix(op.matrix)).real[m]
+            errs.append(np.max(np.abs(got - want) / want))
+        assert errs[0] / errs[1] >= 8.0
+
 
 def _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order):
     """DN matrix from the dense nodal Schur complement, one boundary column
@@ -272,11 +342,13 @@ def _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order):
         k, bidx, arc = dnm._p2_stiffness(work)
     k = k.tocsr()
     iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
-    k_ii = k[iidx][:, iidx].tocsc()
-    k_ib = k[iidx][:, bidx].toarray()
-    x = np.column_stack([spla.spsolve(k_ii, k_ib[:, j])
-                         for j in range(bidx.size)])
-    schur = k[bidx][:, bidx].toarray() - k[bidx][:, iidx] @ x
+    schur = k[bidx][:, bidx].toarray()
+    if iidx.size:
+        k_ii = k[iidx][:, iidx].tocsc()
+        k_ib = k[iidx][:, bidx].toarray()
+        x = np.column_stack([spla.spsolve(k_ii, k_ib[:, j])
+                             for j in range(bidx.size)])
+        schur = schur - k[bidx][:, iidx] @ x
     scale = rescale_to / mesh.perimeter if rescale_to else 1.0
     arc, length = arc * scale, mesh.perimeter * scale
     cap = mode_cap if mode_cap is not None else min(n // 2, arc.size // 4)
@@ -286,6 +358,65 @@ def _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order):
     b = v.conj().T @ schur @ v / length
     u = np.exp(2j * np.pi * np.outer(np.arange(n) * (length / n), ms) / length)
     return (u @ b @ u.conj().T).real / n
+
+
+def _mesh_from_faces(verts, tris):
+    """TriMesh of consistently oriented planar faces, arclength on the loop."""
+    loop = dnm._boundary_loop(tris, len(verts))
+    p = verts[loop]
+    seg = np.linalg.norm(p - np.roll(p, -1, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg[:-1])])
+    return dnm.TriMesh(verts, tris, loop, arc, perimeter=seg.sum())
+
+
+def _fan_polygon_mesh(k):
+    """Regular k-gon fanned from one corner: no interior vertex."""
+    ang = TWO_PI * np.arange(k) / k
+    verts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    tris = np.array([[0, i, i + 1] for i in range(1, k - 1)])
+    return _mesh_from_faces(verts, tris)
+
+
+def _square_row_mesh(n_squares):
+    """A row of unit squares, each split at its centre into four right
+    triangles: every boundary edge faces a right angle, so its cotangent
+    weight is 0 (to rounding)."""
+    s = n_squares
+    x = np.arange(s + 1, dtype=float)
+    verts = np.vstack([np.stack([x, np.zeros(s + 1)], axis=1),
+                       np.stack([x, np.ones(s + 1)], axis=1),
+                       np.stack([x[:-1] + 0.5, np.full(s, 0.5)], axis=1)])
+    i = np.arange(s)
+    bl, br, tl, tr, c = i, i + 1, s + 1 + i, s + 2 + i, 2 * s + 2 + i
+    tris = np.concatenate([np.stack(f, axis=1) for f in
+                           ((bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c))])
+    return _mesh_from_faces(verts, tris)
+
+
+def _split_rectangle_mesh():
+    """[0, 2] x [0, 1] with the chord (1, 0)-(1, 1) as one edge, so the
+    interior vertices form two components, one in each unit square."""
+    t = np.array([0.25, 0.5, 0.75])
+    side = np.vstack([np.stack([t, np.zeros(3)], axis=1),
+                      np.stack([t, np.ones(3)], axis=1),
+                      np.stack([np.zeros(3), t], axis=1)])
+    inner = np.array([[0.3, 0.3], [0.7, 0.35], [0.35, 0.7], [0.65, 0.65],
+                      [0.5, 0.52]])
+    left = np.vstack([[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]],
+                      side, inner])
+    tl = Delaunay(left).simplices
+    right = left.copy()
+    right[:, 0] = 2.0 - right[:, 0]
+    # the right square shares the chord's two end vertices, 0 and 1
+    nl = left.shape[0]
+    ids = np.r_[0, 1, nl + np.arange(nl - 2)]
+    verts = np.vstack([left, right[2:]])
+    tris = np.vstack([tl, ids[tl]])
+    d1 = verts[tris[:, 1]] - verts[tris[:, 0]]
+    d2 = verts[tris[:, 2]] - verts[tris[:, 0]]
+    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    tris[flip] = tris[flip][:, ::-1]
+    return _mesh_from_faces(verts, tris)
 
 
 class TestTorusMesh:
