@@ -11,9 +11,10 @@ The tangential derivative d_gamma and its inverse J act only as Fourier
 multipliers on coefficients (i omega and 1 / (i omega), both zero on the
 Nyquist mode).  Operator products with J are taken in the operator's
 Fourier basis (_fourier_matrix), where J is diagonal.  Operator 2-norms are
-real SVDs in the Hartley basis cas(2 pi k l / N), cas = cos + sin: the
-Sobolev weights and |J|'s multiplier are even in the mode number, and such
-a diagonal weight is diagonal there too (_cas_norm).
+taken in the Hartley basis cas(2 pi k l / N), cas = cos + sin, as the top
+eigenvalue of a real Gram: the Sobolev weights and |J|'s multiplier are
+even in the mode number, and such a diagonal weight is diagonal there too
+(_cas_norm).
 
 Fourier convention: coefficients are held in FFT ordering (modes
 0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .errors import DimensionMismatch, NonZeroMean
 
@@ -197,10 +199,16 @@ def _cas_norm(a: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
     The weights must be even in the mode number (w[k] = w[-k]).  H = V F
     with V = ((1 + i) I + (1 - i) P) / 2 unitary, P the mode reversal
     k -> -k, and even weights commute with P, so the norm is that of the
-    real matrix diag(w_rows) H A H diag(w_cols) / N: one real SVD.
+    real matrix M = diag(w_rows) H A H diag(w_cols) / N: the square root of
+    the top eigenvalue of the real Gram M^T M, the only one computed.
     """
     h = _hartley(_hartley(a, 0), 1) / a.shape[0]
-    return float(np.linalg.norm(w_rows[:, None] * h * w_cols[None, :], ord=2))
+    m = w_rows[:, None] * h * w_cols[None, :]
+    n = m.shape[1]
+    top = eigvalsh(m.T @ m, subset_by_index=[n - 1, n - 1])[0]
+    # the Gram is positive semi-definite; the clamp keeps the root real
+    # should rounding take its top eigenvalue below 0
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def _tag_reality(f: BoundaryFunction) -> BoundaryFunction:
@@ -403,7 +411,8 @@ def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:
     The largest singular value of the Sobolev-weighted matrix in the Fourier
     basis; for a real operator the complexified norm coincides with the
     real-restricted one.  The weights are even in the mode number, so it is
-    taken as one real SVD in the Hartley (cas) basis (_cas_norm).
+    taken in the Hartley (cas) basis, from the top eigenvalue of one real
+    Gram (_cas_norm).
     """
     n = a.n_modes
     return _cas_norm(a.matrix, sobolev_weights(n, a.length, s_to),

@@ -6,7 +6,8 @@ and triangulated surfaces with one boundary circle (P1 or P2 stiffness +
 Schur complement).  The last two assemble the same object, the Dirichlet
 form on the arclength Fourier modes, b_jk = <Lambda e_k, e_j> / L: the
 conformal backend pulls the modes back to the disk, where the Dirichlet
-integral is the same, and the FEM backend contracts the Schur complement
+integral is the same, and forms it as one real Gram of their cosine and
+sine parts there; the FEM backend contracts the Schur complement
 with them; it reads that complement off the trailing block of one sparse
 factorization of the stiffness matrix, boundary ordered last.
 boundary.operator_from_coefficients turns b into the nodal matrix for both.
@@ -101,11 +102,14 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
 
     The Dirichlet integral is conformally invariant, so the Galerkin block
     of the arclength Fourier modes e_k is b = <Lambda_D E_k, E_j> / L with
-    E_k = e_k(s(theta)) on the disk.  E_k is sampled on 8N theta nodes and
-    taken to its disk spectrum by one FFT, and theta(s) is read off the same
-    samples.  Raises InterpolationUnderresolved when that spectrum holds more
-    than `tail_tol` of its energy at |p| >= 2N, half the band the nodes
-    resolve.
+    E_k = e_k(s(theta)) on the disk.  E_k = C_|k| + i sgn(k) S_|k| with the
+    real C_k = cos(k u), S_k = sin(k u), u = 2 pi s / L, so only the N/2 + 1
+    non-negative modes are sampled, on 8N theta nodes, and taken to their
+    disk spectra by one real FFT; the real Dirichlet form d on the C's and
+    S's is one Gram, and b is gathered from it.  theta(s) is read off the
+    same samples.  Raises InterpolationUnderresolved when the E_k spectra
+    hold more than `tail_tol` of their energy at |p| >= 2N, half the band
+    the nodes resolve.
     """
     n = n_modes
     fine = 8 * n
@@ -120,31 +124,55 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
     per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)).values()
     per_f = per_f - per_f[0]
 
-    # E_k(theta) = exp(i k u(theta)), u = 2 pi s / L, and its disk spectrum
+    # E_k(theta) = exp(i k u(theta)) for k = 0 .. N/2, and the real spectra
+    # of the columns [C_0 .. C_N/2, S_0 .. S_N/2] at p = 0 .. 4N
     u_f = theta_f + per_f / mean_speed
-    e = np.exp(1j * np.outer(u_f, bc.mode_numbers(n)))
-    e_hat = np.fft.fft(e, axis=0) / fine
-    ps = np.abs(bc.mode_numbers(fine))
-    tail = np.sum(np.abs(e_hat[ps >= fine // 4]) ** 2)
+    half = n // 2 + 1
+    e = np.exp(1j * np.outer(u_f, np.arange(half)))
+    cs_hat = np.fft.rfft(np.concatenate([e.real, e.imag], axis=1), axis=0) / fine
+    # a real function's spectrum at +-p is counted once from p >= 0: twice,
+    # except at p = 0 and the Nyquist p = 4N; likewise E_k and E_-k have the
+    # same tail for 0 < k < N/2, and only E_0 and E_-N/2 stand alone
+    twice_p, twice_k = _twice_inner(fine // 2 + 1), _twice_inner(half)
+    tail = twice_p[fine // 4:] @ (np.abs(cs_hat[fine // 4:]) ** 2) @ np.tile(twice_k, 2)
     if tail > tail_tol * n:
         raise InterpolationUnderresolved(
             f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
             f"{tail_tol:.1e}; increase N")
-    w = np.sqrt(ps)[:, None] * e_hat
-    b = (2.0 * np.pi / length) * (w.conj().T @ w)
-    b = 0.5 * (b + b.conj().T)
-    op = bc.operator_from_coefficients(b, length, "DN-conformal")
+    # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
+    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian
+    w = np.sqrt(twice_p * np.arange(fine // 2 + 1))[:, None] * cs_hat
+    w = np.concatenate([w.real, w.imag], axis=0)
+    d = (2.0 * np.pi / length) * (w.T @ w)
+    # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
+    #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
+    ms = bc.mode_numbers(n)
+    ak, sg = np.abs(ms).astype(int), np.sign(ms)
+    cs = sg * d[np.ix_(ak, half + ak)]
+    b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
+         + 1j * (cs - cs.T))
+    m = bc.operator_from_coefficients(b, length).matrix
+    # the FFT round trip leaves the nodal matrix symmetric only to rounding
+    op = BoundaryOperator(0.5 * (m + m.T), length, "DN-conformal")
 
     # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
     # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
     # Mode k + jN equals mode k at the nodes; the weight 1 + 2 cos(N u)
-    # folds the modes |k| < 3N/2 onto the band in the same product.
+    # folds the modes |k| < 3N/2 onto the band in the same product.  q is
+    # real, so the modes k >= 0 determine it.
     fold = 1.0 + 2.0 * np.cos(n * u_f)
     q_hat = -np.conj((per_f * speed_f * fold) @ e) / (mean_speed ** 2 * fine)
     u = np.arange(n) * (2.0 * np.pi / n)
-    theta_nodes = u + (np.fft.ifft(q_hat) * n).real
+    theta_nodes = u + np.fft.irfft(q_hat, n) * n
     s_eq = alpha * (mean_speed * u + per_f[::8])
     return ConformalDN(op, length, theta_nodes, s_eq, alpha)
+
+
+def _twice_inner(m: int) -> np.ndarray:
+    """Weights 1, 2, ..., 2, 1 of length m."""
+    c = np.full(m, 2.0)
+    c[0] = c[-1] = 1.0
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,12 @@ __all__ = [
     "immersion_from_recipe",
 ]
 
+# Measured over every even n_modes in 16..256: the s = 0 fem_metric operator
+# (P2 disk mesh) raises NoSpectralGap at some of them for each resolution up
+# to 22, and at none for resolutions 23 to 30 (smallest gap 1.1e4, at 23),
+# so the floor does not depend on n_modes.
+_FEM_MIN_RESOLUTION = 23
+
 _RECIPES = {
     "z": lambda w: w,
     "z2": lambda w: w ** 2,
@@ -68,6 +74,13 @@ class ExperimentConfig:
             raise ConfigInvalid("empty parameter_list")
         if any(p < 0 for p in ps):
             raise ConfigInvalid("parameters must be nonnegative")
+        res = fam.get("resolution", 24)
+        if fam["kind"] == "fem_metric" and (
+                not isinstance(res, (int, float)) or res < _FEM_MIN_RESOLUTION):
+            raise ConfigInvalid(
+                f"fem_metric resolution must be a number >= {_FEM_MIN_RESOLUTION}: "
+                "coarser disk meshes leave the s = 0 operator without a "
+                "spectral gap")
         if list(ps) != sorted(ps, reverse=True):
             raise ConfigInvalid("parameter_list must decrease toward 0")
         for name in self.immersion.split(","):
@@ -194,8 +207,9 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     A numerical failure at a perturbed parameter marks that record invalid.
     A failure at the s = 0 reference (its operator, or the completion of the
     lemma-1 test traces) raises instead, since no record can be measured
-    against it: a fem_metric mesh too coarse for n_modes (resolution 16 with
-    n_modes 64) raises NoSpectralGap.
+    against it.  A fem_metric mesh below resolution 23 leaves that
+    operator without a spectral gap, whatever n_modes, so validation
+    rejects it as ConfigInvalid.
     """
     cfg.validate()
     n = cfg.n_modes

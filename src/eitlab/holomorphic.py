@@ -185,7 +185,8 @@ def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.nd
     """Defect singular values and the rank scale max(||Lambda J||_2, 1).
 
     J's multiplier is a unitary diagonal times |J|'s, which is even in the
-    mode number, so ||Lambda J||_2 = ||Lambda |J| ||_2, a real SVD.
+    mode number, so ||Lambda J||_2 = ||Lambda |J| ||_2, taken from the top
+    eigenvalue of a real Gram (boundary._cas_norm).
     """
     _, block = _defect(lam, max_mode)
     sv = np.linalg.svd(block, compute_uv=False)

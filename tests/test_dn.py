@@ -87,9 +87,11 @@ class TestConformalDN:
 
     def test_underresolved_correspondence_raises(self):
         # |Phi'| = |1 + 0.98 z| nearly vanishes at z = -1: 16 modes leave
-        # 1.02e-8 of E's energy past 2N, 64 modes 3.9e-12
+        # 1.02e-8 of E's energy past 2N, 64 modes 3.9e-12; the printed value
+        # pins the thin margin against the 1e-8 tolerance
         dom = dnm.ConformalDomain((0.49,))
-        with pytest.raises(InterpolationUnderresolved, match="spectrum tail"):
+        with pytest.raises(InterpolationUnderresolved,
+                           match="spectrum tail 1.02e-08 exceeds"):
             dnm.dn_conformal(dom, 16)
         dnm.dn_conformal(dom, 64)
 
@@ -97,7 +99,19 @@ class TestConformalDN:
         n = 128
         cdn = dnm.dn_conformal(dnm.ConformalDomain((0.05,)), n)
         m = cdn.operator.matrix
-        assert np.abs(m - m.T).max() < 1e-7
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("coeffs", [(0.08,), (0.05, 0.03, 0.02)])
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_matches_complex_gram_reference(self, coeffs, n, rescale):
+        dom = dnm.ConformalDomain(coeffs)
+        cdn = dnm.dn_conformal(dom, n, rescale=rescale)
+        matrix, theta_of_s, s_of_theta = _complex_gram_dn(dom, n, rescale)
+        m = cdn.operator.matrix
+        assert np.abs(m - matrix).max() <= 1e-14 * np.abs(matrix).max()
+        assert np.abs(cdn.theta_of_s - theta_of_s).max() <= 1e-14 * TWO_PI
+        assert np.abs(cdn.s_of_theta - s_of_theta).max() <= 1e-14 * cdn.length
 
     def test_gauge(self):
         n = 64
@@ -114,6 +128,35 @@ class TestConformalDN:
             op = dnm.dn_conformal(dnm.ConformalDomain((a2,)), n).operator
             ts.append(bc.operator_norm(op - lam, 1, 0))
         assert ts[0] > ts[1] > ts[2] > 0
+
+
+def _complex_gram_dn(domain, n, rescale):
+    """dn_conformal's matrix, theta(s) and s(theta) from the full complex Gram.
+
+    All N exponentials E_k = exp(i k u) are sampled on 8N theta nodes, taken
+    to their disk spectra by a complex FFT, and b = W^H W / L with W the
+    spectra weighted by sqrt|p|; theta(s) is the complex inverse FFT of q's
+    N coefficients.
+    """
+    fine = 8 * n
+    theta_f = np.arange(fine) * (TWO_PI / fine)
+    speed_f = np.abs(domain.map_derivative(theta_f))
+    mean_speed = np.mean(speed_f)
+    total = TWO_PI * mean_speed
+    alpha = TWO_PI / total if rescale else 1.0
+    length = alpha * total
+    per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, TWO_PI)).values()
+    per_f = per_f - per_f[0]
+    u_f = theta_f + per_f / mean_speed
+    e = np.exp(1j * np.outer(u_f, bc.mode_numbers(n)))
+    w = np.sqrt(np.abs(bc.mode_numbers(fine)))[:, None] * np.fft.fft(e, axis=0) / fine
+    b = (TWO_PI / length) * (w.conj().T @ w)
+    matrix = bc.operator_from_coefficients(0.5 * (b + b.conj().T), length).matrix
+    fold = 1.0 + 2.0 * np.cos(n * u_f)
+    q_hat = -np.conj((per_f * speed_f * fold) @ e) / (mean_speed ** 2 * fine)
+    u = np.arange(n) * (TWO_PI / n)
+    theta_of_s = u + (np.fft.ifft(q_hat) * n).real
+    return matrix, theta_of_s, alpha * (mean_speed * u + per_f[::8])
 
 
 class TestDiskMesh:

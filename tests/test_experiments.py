@@ -8,6 +8,7 @@ import pytest
 
 from eitlab import dn as dnm
 from eitlab import experiments as ex
+from eitlab import holomorphic as hm
 from eitlab import metrics as mt
 from eitlab.errors import ConfigInvalid, NoSpectralGap
 
@@ -223,13 +224,34 @@ class TestFemFamily:
         assert 0.8 <= summary["slope_dh_interior_vs_t"] <= 1.2
 
     def test_reference_without_gap_raises(self, tmp_path):
-        # at resolution 16 the s = 0 operator cannot carry 64 modes with a
-        # spectral gap; with no reference, the sweep yields no records
+        # at resolution 16 the s = 0 operator has no spectral gap at any
+        # n_modes; with no reference the sweep could yield no records, so
+        # the config is rejected before any operator is built
         cfg = small_config(
             tmp_path,
             perturbation_family={"kind": "fem_metric",
                                  "parameter_list": [0.08, 0.04],
                                  "resolution": 16},
         )
-        with pytest.raises(NoSpectralGap):
+        with pytest.raises(ConfigInvalid, match="resolution must be"):
             ex.run_sweep(cfg)
+
+    @pytest.mark.parametrize("res", [16, 22])
+    def test_below_floor_operator_has_no_gap(self, res):
+        # what the resolution floor guards against: estimate_kappa on the
+        # s = 0 operator below it raises (resolution 22 at n_modes 64)
+        lam = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=64,
+                         rescale_to=2.0 * np.pi, order=2)
+        with pytest.raises(NoSpectralGap):
+            hm.estimate_kappa(lam)
+
+    def test_resolution_floor(self, tmp_path):
+        fam = {"kind": "fem_metric", "parameter_list": [0.08]}
+        for res in (22, "24"):
+            with pytest.raises(ConfigInvalid, match="resolution must be"):
+                small_config(tmp_path, perturbation_family={
+                    **fam, "resolution": res}).validate()
+        small_config(tmp_path, perturbation_family={**fam, "resolution": 23}).validate()
+        lam = dnm.dn_fem(dnm.unit_disk_mesh(23), n_modes=64,
+                         rescale_to=2.0 * np.pi, order=2)
+        assert hm.estimate_kappa(lam) == 0

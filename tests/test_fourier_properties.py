@@ -167,6 +167,23 @@ class TestFourierConjugation:
         assert abs(got - ref) <= 1e-12 * ref
 
     @property_test
+    @given(n=sizes, seed=seeds, spread=st.floats(0.0, 8.0))
+    def test_cas_norm_matches_fourier_svd(self, n, seed, spread):
+        """The top-eigenvalue norm against the SVD of diag(w) F A F^H diag(w') / N,
+        for weights even in the mode number spanning exp(+-spread)."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        half = np.abs(bc.mode_numbers(n)).astype(int)
+        w_rows, w_cols = np.exp(rng.uniform(-spread, spread, (2, n // 2 + 1)))[:, half]
+        ref = np.linalg.norm(w_rows[:, None] * bc._fourier_matrix(a) * w_cols[None, :], 2)
+        assert abs(bc._cas_norm(a, w_rows, w_cols) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_cas_norm_of_zero_is_zero(self, n):
+        w = np.abs(bc.mode_numbers(n)) + 1.0
+        assert bc._cas_norm(np.zeros((n, n)), w, 1.0 / w) == 0.0
+
+    @property_test
     @given(n=sizes, length=lengths, seed=seeds, data=st.data())
     def test_band_projection_matches_dense(self, n, length, seed, data):
         """defect_operator against Pi (I + (Lambda J)^2) Pi from dense DFTs."""
