@@ -482,8 +482,10 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     the identity added on the boundary block; the trailing block of the
     factors is then S + I, so S is read off without any solve.  The
     coefficient block b = V^H S V / L over the capped modes' columns
-    V = exp(2 pi i m l / L) is symmetrized to its Hermitian part, which
-    keeps the returned matrix exactly symmetric in L2(Gamma, dl).
+    V = exp(2 pi i m l / L) is taken to the nodal matrix, and that matrix
+    to its symmetric part, the nodal image of b's Hermitian part; the FFT
+    round trip would leave even a Hermitian b symmetric only to rounding,
+    so this keeps the returned matrix exactly symmetric in L2(Gamma, dl).
     order=2 assembles quadratic elements, which sharpens the high-mode
     response considerably.  Raises SingularInterior when interior nodes
     cannot reach the boundary, when the factorization fails, or when it
@@ -551,8 +553,8 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     v = np.exp(2j * np.pi * np.outer(arc, ms) / length)
     b = np.zeros((n, n), dtype=complex)
     b[np.ix_(ms % n, ms % n)] = v.conj().T @ (schur @ v) / length
-    b = 0.5 * (b + b.conj().T)
-    return bc.operator_from_coefficients(b, length, "DN-fem")
+    m = bc.operator_from_coefficients(b, length).matrix
+    return BoundaryOperator(0.5 * (m + m.T), length, "DN-fem")
 
 
 def load_off(path: str) -> TriMesh:

@@ -17,10 +17,6 @@ class NoSpectralGap(EitlabError):
     """Singular values show no clean rank cutoff; discretization under-resolved."""
 
 
-class RankDeficientProbes(EitlabError):
-    """Probe functions failed to span the target finite-rank range."""
-
-
 class CertificateFailed(EitlabError):
     """Completed trace violates the conjugate Cauchy-Riemann identity."""
 

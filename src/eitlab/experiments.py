@@ -221,7 +221,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     kappa_ref = hm.estimate_kappa(lam)
     cert = 1e-8 if cfg.perturbation_family["kind"] == "conformal_polynomial" else 1e-2
     lemma1_refs = _lemma1_references(
-        lam, hm.build_projections(lam, kappa_ref, seed=cfg.seed), cfg.seed, cert)
+        lam, hm.build_projections(lam, kappa_ref), cfg.seed, cert)
     # one shared winding classification: both clouds sample identical targets
     fields = [ap.classify(e[j], cfg.grid_resolution, cfg.epsilon)
               for j in range(len(e))]
@@ -245,7 +245,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
                 rec.wall_time = time.perf_counter() - t0
                 records.append(rec)
                 continue
-            proj_p = hm.build_projections(lam_p, rec.kappa_prime, seed=cfg.seed)
+            proj_p = hm.build_projections(lam_p, rec.kappa_prime)
             e_p = hm.transport_immersion(e, lam_p, proj_p, cert_tol_rel=cert)
             rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lam_p, proj_p, rec.t,
                                              cert)

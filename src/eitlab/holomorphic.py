@@ -10,7 +10,13 @@ part and completing with the perturbed Hilbert transform.
 
 J is the multiplier of boundary.integrate_J: products with it scale the
 columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
-the defect is formed on the 2 * max_mode band modes only.
+the defect D is formed on the 2 * max_mode band modes only.  One helper
+takes that block's SVD, and kappa, the spectral gap and the projections
+all read it.  The completion of a zero-mean u has the certificate residual D d_gamma u, so
+the completable real traces are the kernel of D d_gamma, and Q projects
+onto its complement: d_gamma^H applied to D's top kappa right singular
+vectors, whose real and imaginary samples span a real space of dimension
+kappa.
 """
 
 from __future__ import annotations
@@ -21,12 +27,7 @@ import numpy as np
 
 from . import boundary as bc
 from .boundary import BoundaryFunction, BoundaryOperator
-from .errors import (
-    CertificateFailed,
-    DimensionMismatch,
-    NoSpectralGap,
-    RankDeficientProbes,
-)
+from .errors import CertificateFailed, DimensionMismatch, NoSpectralGap
 
 __all__ = [
     "TraceTuple",
@@ -90,26 +91,16 @@ class TraceTuple:
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Complementary projections P (holomorphic real traces) and Q (defect)."""
+    """Complementary projections P (completable real traces) and Q = I - P."""
 
     p: BoundaryOperator
     q: BoundaryOperator
     kappa: int
-    basis_h: tuple
-    seed: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p.to_json(),
-            "q": self.q.to_json(),
-            "kappa": int(self.kappa),
-            "seed": self.seed,
-            "basis_h": [h.to_json() for h in self.basis_h],
-        }
 
 
 _BAND_FLOOR = 0.5      # |Lambda J| on a resolved mode
 _GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
+_RANK_TOL = 1e-8       # relative singular value below which Q's basis ends
 
 
 def _lj_hat(lam: BoundaryOperator) -> np.ndarray:
@@ -181,17 +172,23 @@ def _defect(lam: BoundaryOperator,
     return band, block
 
 
-def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None) -> tuple[np.ndarray, float]:
-    """Defect singular values and the rank scale max(||Lambda J||_2, 1).
+def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(band indices, singular values, right singular vectors as rows) of the defect."""
+    band, block = _defect(lam, max_mode)
+    _, sv, vh = np.linalg.svd(block)
+    return band, sv, vh
+
+
+def _rank_scale(lam: BoundaryOperator) -> float:
+    """max(||Lambda J||_2, 1), the scale of the rank threshold.
 
     J's multiplier is a unitary diagonal times |J|'s, which is even in the
     mode number, so ||Lambda J||_2 = ||Lambda |J| ||_2, taken from the top
     eigenvalue of a real Gram (boundary._cas_norm).
     """
-    _, block = _defect(lam, max_mode)
-    sv = np.linalg.svd(block, compute_uv=False)
     j_abs = np.abs(bc._integration_symbol(lam.n_modes, lam.length))
-    return sv, max(bc._cas_norm(lam.matrix, np.ones(lam.n_modes), j_abs), 1.0)
+    return max(bc._cas_norm(lam.matrix, np.ones(lam.n_modes), j_abs), 1.0)
 
 
 def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
@@ -199,8 +196,8 @@ def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
     """Rank of the defect operator = 1 - chi(M)."""
     if tau_rank <= 0:
         raise ValueError("tau_rank must be positive")
-    sv, scale = _defect_spectrum(lam, max_mode)
-    thresh = tau_rank * scale
+    _, sv, _ = _defect_spectrum(lam, max_mode)
+    thresh = tau_rank * _rank_scale(lam)
     kappa = int(np.sum(sv > thresh))
     above = sv[kappa - 1] if kappa > 0 else None
     below = sv[kappa] if kappa < sv.size else 0.0
@@ -215,54 +212,46 @@ def spectral_gap(lam: BoundaryOperator, kappa: int,
                  max_mode: int | None = None) -> float:
     """Ratio between the kappa-th and (kappa+1)-th defect singular values.
 
+    For kappa = 0 the numerator is the rank scale max(||Lambda J||_2, 1).
     It is inf when the band holds no (kappa+1)-th value or it is exactly 0.
     """
-    sv, scale = _defect_spectrum(lam, max_mode)
-    num = sv[kappa - 1] if kappa > 0 else scale
+    _, sv, _ = _defect_spectrum(lam, max_mode)
+    num = sv[kappa - 1] if kappa > 0 else _rank_scale(lam)
     below = sv[kappa] if kappa < sv.size else 0.0
     return float(num / below) if below > 0 else np.inf
 
 
-def _random_probes(n: int, length: float, count: int, seed: int) -> list[BoundaryFunction]:
-    rng = np.random.default_rng(seed)
-    cap = max(2, n // 8)
-    probes = []
-    for _ in range(count):
-        amp = rng.standard_normal(cap) + 1j * rng.standard_normal(cap)
-        modes = {m: amp[m - 1] for m in range(1, cap + 1)}
-        modes.update({-m: np.conj(a) for m, a in modes.items()})
-        probes.append(bc.from_modes(n, length, modes))
-    return probes
+def build_projections(lam: BoundaryOperator, kappa: int, *,
+                      seed: int | None = None) -> ProjectionPair:
+    """Q onto the real span of d_gamma^H V_kappa, P = I - Q.
 
-
-def build_projections(lam: BoundaryOperator, kappa: int,
-                      probe_f: list[BoundaryFunction] | None = None,
-                      seed: int = 7) -> ProjectionPair:
-    """Projections P, Q from probe images h = J [I + (Lambda J)^2] d_gamma f."""
-    n = lam.n_modes
-    length = lam.length
+    V_kappa holds the defect's top kappa right singular vectors on the band.
+    Their images under d_gamma^H = -i omega, sampled on the nodes, have real
+    and imaginary parts whose orthonormal basis B spans the complement of
+    the completable real traces, ker(D d_gamma); Q = B B^T.  Raises
+    NoSpectralGap when those 2 kappa real columns do not have rank exactly
+    kappa, as when kappa splits a degenerate singular pair.  seed is
+    accepted and ignored: nothing here is random.
+    """
+    n, length = lam.n_modes, lam.length
     if kappa == 0:
         return ProjectionPair(bc.identity_operator(n, length),
-                              bc.zero_operator(n, length), 0, (), seed)
-    if probe_f is None:
-        probe_f = _random_probes(n, length, 3 * kappa, seed)
-    if len(probe_f) < 3 * kappa:
-        raise RankDeficientProbes(f"need at least {3 * kappa} probes")
-    lj = lambda_j(lam).matrix
-    v = np.stack([bc.derivative_gamma(f).values() for f in probe_f], axis=1)
-    core_v = v + lj @ (lj @ v)
-    h_mat = np.stack([bc.integrate_J(bc.from_samples(c, length)).values().real
-                      for c in core_v.T], axis=1)
-    u, sv, _ = np.linalg.svd(h_mat, full_matrices=False)
-    if sv[kappa - 1] < 1e-10 * sv[0] or (kappa < sv.size and sv[kappa] > 0.3 * sv[kappa - 1]):
-        raise RankDeficientProbes(
-            f"probe singular values {sv[:kappa + 1]} do not reveal rank {kappa}")
+                              bc.zero_operator(n, length), 0)
+    band, _, vh = _defect_spectrum(lam, None)
+    v = vh[:kappa].conj().T
+    c = np.zeros((n, v.shape[1]), dtype=complex)
+    c[band] = np.conj(bc._derivative_symbol(n, length))[band, None] * v
+    # nodal samples of the coefficient columns; the band holds no Nyquist mode
+    w = np.fft.ifft(c, axis=0) * n
+    u, sv, _ = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)
+    if np.count_nonzero(sv > _RANK_TOL * sv[0]) != kappa:
+        raise NoSpectralGap(
+            f"real and imaginary samples of the top {kappa} defect vectors have "
+            f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
     basis = u[:, :kappa]
-    q_mat = basis @ basis.T
-    q = BoundaryOperator(q_mat, length, "Q")
-    p = BoundaryOperator(np.eye(n) - q_mat, length, "P")
-    basis_h = tuple(bc.from_samples(basis[:, i], length) for i in range(kappa))
-    return ProjectionPair(p, q, kappa, basis_h, seed)
+    q = basis @ basis.T
+    return ProjectionPair(BoundaryOperator(np.eye(n) - q, length, "P"),
+                          BoundaryOperator(q, length, "Q"), kappa)
 
 
 def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator,

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from eitlab import holomorphic as hm
 from eitlab.boundary import BoundaryFunction
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -44,3 +45,9 @@ def test_per_layer_function_resolves(name):
     assert not function.startswith("_"), f"{name} is private"
     assert inspect.isfunction(obj), f"eitlab.{layer} has no function {function}"
     assert obj.__module__ == module.__name__, f"{name} is imported, not defined there"
+
+
+def test_benchmark_projection_call_binds():
+    # the torus workload passes seed=, which build_projections keeps as an
+    # ignored keyword; dropping it must fail here, not only in the benchmark
+    inspect.signature(hm.build_projections).bind(None, 2, seed=1)

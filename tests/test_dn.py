@@ -206,7 +206,7 @@ class TestFemDN:
         mesh = dnm.unit_disk_mesh(12)
         for order in (1, 2):
             op = dnm.dn_fem(mesh, n_modes=64, order=order)
-            assert np.abs(op.matrix - op.matrix.T).max() < 1e-10
+            assert np.array_equal(op.matrix, op.matrix.T)
 
     def test_rescaling_law(self):
         # DN eigenvalues scale as 1/alpha under similarity rescaling

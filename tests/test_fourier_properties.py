@@ -207,7 +207,7 @@ class TestFourierConjugation:
         lam = rng.standard_normal((n, n)) * (4.0 * np.pi / length)
         ref = np.linalg.norm(lam @ dense_j(n, length), 2)
         assert ref > 1.0  # so the scale is the norm, not the floor 1
-        _, scale = hm._defect_spectrum(bc.BoundaryOperator(lam, length), 1)
+        scale = hm._rank_scale(bc.BoundaryOperator(lam, length))
         assert abs(scale - ref) <= 1e-12 * ref
 
 
