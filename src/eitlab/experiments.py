@@ -226,6 +226,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     fields = [ap.classify(e[j], cfg.grid_resolution, cfg.epsilon)
               for j in range(len(e))]
     cloud_ref = ap.reconstruct(e, cfg.epsilon, cfg.grid_resolution, fields=fields)
+    ref_charts = nb.reference_charts(e, cfg.n_anchors, cfg.depth)
     fill_ref = mt.fill_distance(cloud_ref.interior_points())
 
     records = []
@@ -254,7 +255,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
             rec.d_h_interior = mt.hausdorff(cloud_ref.interior_points(),
                                             cloud_p.interior_points()).d_h
             rec.d_h_full = mt.hausdorff(cloud_ref.points, cloud_p.points).d_h
-            diag = nb.near_boundary_diagnostic(e, e_p, cfg.n_anchors, cfg.depth)
+            diag = nb.near_boundary_diagnostic(ref_charts, e_p)
             rec.near_boundary_sup = diag.global_sup
             imm = ap.immersion_check(e_p, fields, m=len(e))
             rec.immersion_margin = imm.min_margin if imm.applicable else np.nan
@@ -323,55 +324,66 @@ def _svg_scatter(path: str, cloud_a, cloud_b, size: int = 480):
     y0, y1 = allp.imag.min(), allp.imag.max()
     span = max(x1 - x0, y1 - y0, 1e-12)
     pad = 0.05 * span
-
-    def sx(x):
-        return (x - x0 + pad) / (span + 2 * pad) * size
-
-    def sy(y):
-        return size - (y - y0 + pad) / (span + 2 * pad) * size
-
+    # pixel coordinates of every point, both clouds at once; SVG's y axis
+    # points down, so y is flipped below
+    px = (np.stack([allp.real - x0, allp.imag - y0]) + pad) / (span + 2 * pad) * size
+    fills = ["#1f77b4"] * pa.size + ["#d62728"] * pb.size
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
-    for pts, color in ((pa, "#1f77b4"), (pb, "#d62728")):
-        for z in pts:
-            parts.append(f'<circle cx="{sx(z.real):.2f}" cy="{sy(z.imag):.2f}" '
-                         f'r="1.5" fill="{color}" fill-opacity="0.6"/>')
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{fill}" '
+              f'fill-opacity="0.6"/>'
+              for x, y, fill in zip(px[0].tolist(), (size - px[1]).tolist(), fills)]
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
+
+
+def _fresh(path: str) -> str:
+    """Unlink path, if it exists, and return it.
+
+    Truncating a file written moments earlier can flush its pending blocks
+    first (ext4's auto_da_alloc); a new file does not.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
 
 
 def emit_outputs(records, summary, clouds, output_dir: str):
     """Write sweep.csv, summary.json, clouds/*.csv, plotdata/*.tsv and SVGs.
 
     Wall times are kept out of sweep.csv so reruns with the same seed produce
-    byte-identical tables; timings go to timings.csv instead.
+    byte-identical tables; timings go to timings.csv instead.  The records
+    of one sweep share one reference cloud, written once as clouds/ref.csv.
     """
     os.makedirs(output_dir, exist_ok=True)
     os.makedirs(os.path.join(output_dir, "clouds"), exist_ok=True)
     os.makedirs(os.path.join(output_dir, "plotdata"), exist_ok=True)
     os.makedirs(os.path.join(output_dir, "plots"), exist_ok=True)
 
-    with open(os.path.join(output_dir, "sweep.csv"), "w") as fh:
+    with open(_fresh(os.path.join(output_dir, "sweep.csv")), "w") as fh:
         fh.write(",".join(SweepRecord.CSV_FIELDS) + "\n")
         for r in records:
             fh.write(",".join(_fmt(getattr(r, f)) for f in SweepRecord.CSV_FIELDS)
                      + "\n")
-    with open(os.path.join(output_dir, "timings.csv"), "w") as fh:
+    with open(_fresh(os.path.join(output_dir, "timings.csv")), "w") as fh:
         fh.write("s,wall_time\n")
         for r in records:
             fh.write(f"{_fmt(r.s)},{r.wall_time:.3f}\n")
-    with open(os.path.join(output_dir, "summary.json"), "w") as fh:
+    with open(_fresh(os.path.join(output_dir, "summary.json")), "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
-    with open(os.path.join(output_dir, "plotdata", "dh_vs_t.tsv"), "w") as fh:
+    with open(_fresh(os.path.join(output_dir, "plotdata", "dh_vs_t.tsv")), "w") as fh:
         fh.write("t\td_h_interior\n")
         for r in records:
             if r.valid:
                 fh.write(f"{_fmt(r.t)}\t{_fmt(r.d_h_interior)}\n")
+    if clouds:
+        clouds[0][1].to_csv(_fresh(os.path.join(output_dir, "clouds", "ref.csv")))
     for s, ca, cb in clouds:
         tag = _fmt(float(s)).replace(".", "p").replace("-", "m")
-        ca.to_csv(os.path.join(output_dir, "clouds", f"ref_s{tag}.csv"))
-        cb.to_csv(os.path.join(output_dir, "clouds", f"pert_s{tag}.csv"))
-        _svg_scatter(os.path.join(output_dir, "plots", f"clouds_s{tag}.svg"),
+        cb.to_csv(_fresh(os.path.join(output_dir, "clouds", f"pert_s{tag}.csv")))
+        _svg_scatter(_fresh(os.path.join(output_dir, "plots", f"clouds_s{tag}.svg")),
                      ca, cb)

@@ -230,14 +230,16 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     and imaginary parts whose orthonormal basis B spans the complement of
     the completable real traces, ker(D d_gamma); Q = B B^T.  Raises
     NoSpectralGap when those 2 kappa real columns do not have rank exactly
-    kappa, as when kappa splits a degenerate singular pair.  seed is
-    accepted and ignored: nothing here is random.
+    kappa, as when kappa splits a degenerate singular pair, and when the
+    defect's kappa-th and (kappa+1)-th singular values are closer than
+    estimate_kappa's gap factor.  seed is accepted and ignored: nothing
+    here is random.
     """
     n, length = lam.n_modes, lam.length
     if kappa == 0:
         return ProjectionPair(bc.identity_operator(n, length),
                               bc.zero_operator(n, length), 0)
-    band, _, vh = _defect_spectrum(lam, None)
+    band, sv_defect, vh = _defect_spectrum(lam, None)
     v = vh[:kappa].conj().T
     c = np.zeros((n, v.shape[1]), dtype=complex)
     c[band] = np.conj(bc._derivative_symbol(n, length))[band, None] * v
@@ -248,6 +250,12 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
         raise NoSpectralGap(
             f"real and imaginary samples of the top {kappa} defect vectors have "
             f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
+    above = sv_defect[kappa - 1]
+    below = sv_defect[kappa] if kappa < sv_defect.size else 0.0
+    if below > 0 and above / below < _GAP_FACTOR:
+        raise NoSpectralGap(
+            f"defect singular values {above:.6e} / {below:.6e} show no gap "
+            f">= {_GAP_FACTOR} at kappa = {kappa}")
     basis = u[:, :kappa]
     q = basis @ basis.T
     return ProjectionPair(BoundaryOperator(np.eye(n) - q, length, "P"),

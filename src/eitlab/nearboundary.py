@@ -8,9 +8,11 @@ certifies that psi_1 = Re psi strictly increases on it, which makes
 (s, r) -> zeta one-to-one.  The curve's samples come from inverse FFTs of
 the padded spectrum on grids shifted to the anchor.  A perturbed and a
 reference image point are paired when they have the same (s, r) in their
-own charts.  Image points come from the compensated Cauchy rule of
-`argument`, which stays accurate up to the contour, so a target needs no
-separate near-contour quadrature.  The rule is exact per target, so the
+own charts.  The reference charts depend on the reference tuple only, so
+`reference_charts` builds and probes them once for all perturbed tuples.
+Image points come from the compensated Cauchy rule of `argument`, which
+stays accurate up to the contour, so a target needs no separate
+near-contour quadrature.  The rule is exact per target, so the
 anchors of one chart index share one compensated call per trace tuple.
 """
 
@@ -39,6 +41,8 @@ __all__ = [
     "build_chart",
     "unrectify",
     "pair_points",
+    "ReferenceCharts",
+    "reference_charts",
     "near_boundary_diagnostic",
     "DiagnosticReport",
 ]
@@ -166,55 +170,81 @@ class DiagnosticReport:
             json.dump(self.to_json(), fh, indent=2)
 
 
-def near_boundary_diagnostic(e: TraceTuple, e_prime: TraceTuple,
-                             n_anchors: int = 8, depth: float = 0.05) -> DiagnosticReport:
+@dataclass(frozen=True)
+class ReferenceCharts:
+    """The reference immersion's admitted charts at equispaced anchors.
+
+    charts[i] holds the (j, chart) pairs of anchors[i] whose reference chart
+    built and passed its single-sheet winding probe, largest tangential
+    derivative |d_gamma eta_j(a)| first.
+    """
+
+    e: TraceTuple
+    depth: float                 # largest rectified depth of a paired point
+    anchors: tuple               # equispaced arclength parameters
+    charts: tuple                # per anchor, a tuple of (j, BoundaryChart)
+
+
+def reference_charts(e: TraceTuple, n_anchors: int = 8,
+                     depth: float = 0.05) -> ReferenceCharts:
+    """Build and probe the reference charts of every index at each anchor."""
+    anchors = np.arange(n_anchors) * e.length / n_anchors
+    derivs = np.abs([bc.derivative_gamma(eta).eval_at(anchors) for eta in e.traces])
+    charts = []
+    for i, a in enumerate(anchors.tolist()):
+        admitted = []
+        for j in np.argsort(derivs[:, i])[::-1].tolist():
+            try:
+                chart = build_chart(e[j], a, j)
+                # the pairing needs a single preimage: probe the interior side
+                if ap.winding_number(e[j], unrectify(chart, a, depth)) == 1:
+                    admitted.append((j, chart))
+            except (DerivativeVanishes, WindowCollapse, TooCloseToContour):
+                pass
+        charts.append(tuple(admitted))
+    return ReferenceCharts(e, depth, tuple(anchors.tolist()), tuple(charts))
+
+
+def near_boundary_diagnostic(ref: ReferenceCharts,
+                             e_prime: TraceTuple) -> DiagnosticReport:
     """Sup of |p - p'| over paired near-boundary points.
 
-    For each equispaced anchor, the chart index with the largest tangential
-    derivative is tried first; anchors where every index fails are recorded
-    and skipped.  Points are paired at rectified depths r in (0, depth] above
-    _N_FEET feet spread over half the perturbed window; feet outside the
-    reference window cannot be paired and are counted in n_failed.  The
+    Each anchor takes the first of its admitted reference charts whose
+    perturbed chart builds; anchors where none does are recorded and
+    skipped.  Points are paired at rectified depths r in (0, ref.depth]
+    above _N_FEET feet spread over half the perturbed window; feet outside
+    the reference window cannot be paired and are counted in n_failed.  The
     anchors that chose one chart index are paired in one pair_points call.
     """
-    length = e.length
     report = DiagnosticReport()
-    depths = depth * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
-    anchors = np.arange(n_anchors) * length / n_anchors
-    derivs = np.abs([bc.derivative_gamma(eta).eval_at(anchors) for eta in e.traces])
+    depths = ref.depth * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
     groups = {}  # chart index -> (entry, chart, chart_p, s, r) per built anchor
-    for i, a in enumerate(anchors.tolist()):
+    for a, admitted in zip(ref.anchors, ref.charts):
         entry = {"a": a, "chart_j": None, "window": None,
                  "sup_discrepancy": None, "n_failed": 0}
         report.anchors.append(entry)
-        chart = chart_p = None
-        for j in np.argsort(derivs[:, i])[::-1]:
+        for j, chart in admitted:
             try:
-                chart = build_chart(e[int(j)], a, int(j))
-                # the pairing needs a single preimage: probe the interior side
-                z_probe = unrectify(chart, a, depth)
-                if ap.winding_number(e[int(j)], z_probe) != 1:
-                    raise OutOfChart("projection not single-sheeted here")
-                chart_p = build_chart(e_prime[int(j)], a, int(j))
-                entry["chart_j"] = int(j)
+                chart_p = build_chart(e_prime[j], a, j)
                 break
-            except (DerivativeVanishes, WindowCollapse, OutOfChart, TooCloseToContour):
-                chart = chart_p = None
-        if chart is None:
-            entry["n_failed"] = len(e)
+            except (DerivativeVanishes, WindowCollapse):
+                pass
+        else:
+            entry["n_failed"] = len(ref.e)
             continue
+        entry["chart_j"] = j
         entry["window"] = list(chart.gamma_window)
         feet = a + np.linspace(-0.25, 0.25, _N_FEET) * chart_p.window_length
         inside = chart.contains_l(feet)  # the middle foot, a, always is
         s, r = np.meshgrid(feet[inside], depths, indexing="ij")
         entry["n_failed"] = int(np.count_nonzero(~inside)) * _N_DEPTHS
-        groups.setdefault(entry["chart_j"], []).append(
+        groups.setdefault(j, []).append(
             (entry, chart, chart_p, s.ravel(), r.ravel()))
     if not groups:
         raise AllChartsFailed("no anchor admitted a valid chart")
     for group in groups.values():
         entries, charts, charts_p, s, r = zip(*group)
-        p, p_prime = pair_points(charts, charts_p, e, e_prime, s, r)
+        p, p_prime = pair_points(charts, charts_p, ref.e, e_prime, s, r)
         gap = np.abs(p - p_prime).max(axis=1)
         ends = np.cumsum([si.size for si in s])[:-1]
         for entry, rows in zip(entries, np.split(gap, ends)):

@@ -183,7 +183,8 @@ def test_criterion_09_near_boundary_pairing(sweep):
     mono = all(sups[i + 1] <= 1.1 * sups[i] for i in range(len(sups) - 1))
     # unperturbed limit
     e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
-    rep0 = nb.near_boundary_diagnostic(e, e, n_anchors=cfg.n_anchors)
+    rep0 = nb.near_boundary_diagnostic(
+        nb.reference_charts(e, cfg.n_anchors, cfg.depth), e)
     # compensated rule against the closed form z^2 and the plain quadrature
     # on the overlap strip
     pair = hm.TraceTuple((trace(lambda z: z), trace(lambda z: z ** 2)))

@@ -2,14 +2,18 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from eitlab import argument as ap
+from eitlab import cli
 from eitlab import dn as dnm
 from eitlab import experiments as ex
 from eitlab import holomorphic as hm
 from eitlab import metrics as mt
+from eitlab import nearboundary as nb
 from eitlab.errors import ConfigInvalid, NoSpectralGap
 
 
@@ -134,6 +138,45 @@ class TestRunSweep:
         for r in records:
             assert r.immersion_margin > 1e-3
 
+    def test_reference_charts_built_once(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        built, probes, refs, diags = [], [], [], []
+        build_chart, winding_number = nb.build_chart, ap.winding_number
+        reference_charts, diagnostic = nb.reference_charts, nb.near_boundary_diagnostic
+
+        def counting_chart(eta_j, a, chart_index=0):
+            built.append(eta_j)
+            return build_chart(eta_j, a, chart_index)
+
+        def counting_winding(eta_j, z):
+            probes.append(z)
+            return winding_number(eta_j, z)
+
+        def kept_reference(*args):
+            refs.append(reference_charts(*args))
+            return refs[-1]
+
+        def kept_diagnostic(ref, e_prime):
+            diags.append((ref, e_prime, diagnostic(ref, e_prime)))
+            return diags[-1][2]
+
+        monkeypatch.setattr(nb, "build_chart", counting_chart)
+        monkeypatch.setattr(ap, "winding_number", counting_winding)
+        monkeypatch.setattr(nb, "reference_charts", kept_reference)
+        monkeypatch.setattr(nb, "near_boundary_diagnostic", kept_diagnostic)
+        records, _, _ = ex.run_sweep(cfg)
+        assert len(records) == len(diags) == 2 and all(r.valid for r in records)
+        (ref,) = refs
+        # every index once per anchor for the sweep, one chart per record
+        n_ref = sum(any(eta is r for r in ref.e.traces) for eta in built)
+        assert n_ref == len(probes) == len(ref.e) * cfg.n_anchors
+        assert len(built) - n_ref == len(records) * cfg.n_anchors
+        e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
+        for (used, e_p, rep), rec in zip(diags, records):
+            assert used is ref and rec.near_boundary_sup == rep.global_sup
+            fresh = reference_charts(e, cfg.n_anchors, cfg.depth)
+            assert diagnostic(fresh, e_p).to_json() == rep.to_json()
+
     def test_kappa_mismatch_invalidates(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path,
                            perturbation_family={"kind": "conformal_polynomial",
@@ -159,7 +202,8 @@ class TestOutputs:
         assert os.path.exists(os.path.join(out, "timings.csv"))
         assert os.path.exists(os.path.join(out, "summary.json"))
         assert os.path.exists(os.path.join(out, "plotdata", "dh_vs_t.tsv"))
-        assert len(os.listdir(os.path.join(out, "clouds"))) == 4
+        assert sorted(os.listdir(os.path.join(out, "clouds"))) == [
+            "pert_s0p03.csv", "pert_s0p06.csv", "ref.csv"]
         assert len(os.listdir(os.path.join(out, "plots"))) == 2
         with open(os.path.join(out, "sweep.csv")) as fh:
             header = fh.readline().strip()
@@ -180,6 +224,77 @@ class TestOutputs:
             with open(os.path.join(out, "sweep.csv"), "rb") as fh:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
+
+    def test_reference_cloud_written_once(self, sweep, tmp_path, capsys):
+        _, records, summary, clouds = sweep
+        out = tmp_path / "emit"
+        ex.emit_outputs(records, summary, clouds, str(out))
+        ref = ap.ReconstructedCloud.from_csv(str(out / "clouds" / "ref.csv"))
+        assert np.array_equal(ref.points, clouds[0][1].points)
+        pert = str(out / "clouds" / "pert_s0p06.csv")
+        capsys.readouterr()
+        assert cli.main(["hausdorff", str(out / "clouds" / "ref.csv"),
+                         pert]) == cli.EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["d_h"] == mt.hausdorff(clouds[0][1].points,
+                                              clouds[0][2].points).d_h > 0
+
+    def test_rerun_into_same_directory_is_byte_identical(self, sweep, tmp_path):
+        _, records, summary, clouds = sweep
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        ex.emit_outputs(records, summary, clouds, str(fresh))
+        ex.emit_outputs(records, summary, clouds, str(rerun))
+        for path in tree(rerun):  # stale, longer contents to be replaced
+            with open(rerun / path, "ab") as fh:
+                fh.write(b"stale" * 1000)
+        ex.emit_outputs(records, summary, clouds, str(rerun))
+        assert tree(rerun) == tree(fresh)
+
+    def test_svg_matches_scalar_formula(self, tmp_path):
+        # the first cloud spans [0, 1] on both axes: the pixel scale is
+        # 480 / 1.1 with a pad of 0.05, and the other points map to pixel
+        # values m + 0.005 (cx) and m' + 0.995 (cy), the edges of ".2f"
+        size = 480
+        edges = 22.005 + 11.0 * np.arange(40)
+        x = edges / (size / 1.1) - 0.05
+        pa = np.concatenate([[0.0, 1.0 + 1.0j], x + 1j * x[::-1]])
+        pb = x[::2] + 1j * x[1::2]
+        path = str(tmp_path / "s.svg")
+        ex._svg_scatter(path, SimpleNamespace(points=pa[:, None]),
+                        SimpleNamespace(points=pb[:, None]))
+
+        # the per-point formula, on numpy scalars
+        allp = np.concatenate([pa, pb])
+        x0, y0 = allp.real.min(), allp.imag.min()
+        span = max(allp.real.max() - x0, allp.imag.max() - y0, 1e-12)
+        pad = 0.05 * span
+
+        def sx(v):
+            return (v - x0 + pad) / (span + 2 * pad) * size
+
+        def sy(v):
+            return size - (v - y0 + pad) / (span + 2 * pad) * size
+
+        lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+                 f'height="{size}" viewBox="0 0 {size} {size}">',
+                 f'<rect width="{size}" height="{size}" fill="white"/>']
+        for pts, color in ((pa, "#1f77b4"), (pb, "#d62728")):
+            for z in pts:
+                lines.append(f'<circle cx="{sx(z.real):.2f}" cy="{sy(z.imag):.2f}" '
+                             f'r="1.5" fill="{color}" fill-opacity="0.6"/>')
+        lines.append("</svg>")
+        with open(path) as fh:
+            assert fh.read() == "\n".join(lines)
+        # one ulp either way changes the printed value of most coordinates
+        v = np.array([sx(z.real) for z in pa[2:]] + [sy(z.imag) for z in pa[2:]])
+        moved = [f"{lo:.2f}" != f"{hi:.2f}" for lo, hi in
+                 zip(np.nextafter(v, -np.inf).tolist(), np.nextafter(v, np.inf).tolist())]
+        assert sum(moved) > 0.5 * len(moved)
 
     def test_empty_records_header_only(self, tmp_path):
         out = str(tmp_path / "empty")

@@ -153,6 +153,27 @@ class TestProjections:
         with pytest.raises(NoSpectralGap, match=r"\[5\.66 5\.66\], not rank 1"):
             hm.build_projections(torus24, 1)
 
+    @pytest.mark.parametrize("surface", ["paired_symbol", "fem_disk"])
+    def test_kappa_without_a_gap_raises(self, surface):
+        # kappa = 2 takes one whole, exactly degenerate pair of defect
+        # values, a real subspace that passes the rank check, but the next
+        # pair is within the gap factor.  paired_symbol scales the disk
+        # symbol by 1 + eps on modes +-2 and +-5 (defect values 3.0e-3 and
+        # 6.0e-4); the P2 disk's defect holds only discretization error
+        # (7.98e-5, 5.36e-5, ...)
+        if surface == "paired_symbol":
+            sym = np.abs(bc.mode_numbers(64)).astype(float)
+            for m, eps in ((2, 1.5e-3), (5, 3e-4)):
+                sym[[m, -m]] *= 1.0 + eps
+            lam = bc.operator_from_symbol(sym, TWO_PI)
+            match = r"3\.002\d+e-03 / 6\.000\d+e-04 show no gap"
+        else:
+            lam = dnm.dn_fem(dnm.unit_disk_mesh(24), n_modes=64, order=2,
+                             rescale_to=TWO_PI)
+            match = r"7\.978\d+e-05 / 5\.356\d+e-05 show no gap"
+        with pytest.raises(NoSpectralGap, match=match):
+            hm.build_projections(lam, 2)
+
 
 class TestCompleteTrace:
     def test_disk_cos2_gives_z_squared(self, disk64):

@@ -1,5 +1,7 @@
 """Rectified boundary charts, near-contour image coordinates and point pairing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,9 +214,41 @@ class TestPairPoints:
                            [np.full(1, 0.01)])
 
 
+class TestReferenceCharts:
+    """The reference half of the diagnostic, built once per reference tuple."""
+
+    def test_square_chart_fails_its_probe(self, e_pair):
+        # z^2 has the larger derivative everywhere but winds twice
+        ref = nb.reference_charts(e_pair, n_anchors=4)
+        assert ref.anchors == tuple(np.arange(4) * TWO_PI / 4)
+        assert [[j for j, _ in admitted] for admitted in ref.charts] == [[0]] * 4
+        for a, ((_, chart),) in zip(ref.anchors, ref.charts):
+            assert chart.eta_j is e_pair[0] and chart.anchor == a
+
+    def test_admitted_in_derivative_order(self):
+        ref = nb.reference_charts(MIXED[0])
+        assert [[j for j, _ in admitted] for admitted in ref.charts] == [
+            [j, 1 - j] for j in MIXED_CHARTS]
+
+    def test_frozen(self, e_pair):
+        ref = nb.reference_charts(e_pair, n_anchors=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref.depth = 0.1
+
+    def test_falls_back_when_perturbed_chart_fails(self):
+        # a constant second perturbed trace has no chart, so the anchors
+        # that admitted index 1 first pair in their index-0 charts
+        e, e_p = MIXED
+        flat = TraceTuple((e_p[0], bc.from_samples(np.full(256, 1.0 + 0j), TWO_PI)))
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e), flat)
+        assert [a["chart_j"] for a in rep.anchors] == [0] * 8
+        assert all(a["n_failed"] == 0 for a in rep.anchors)
+
+
 class TestDiagnostic:
     def test_unperturbed_sup_vanishes(self, e_pair):
-        rep = nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=4)
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e_pair, n_anchors=4),
+                                          e_pair)
         assert rep.global_sup < 1e-7
         built = [a for a in rep.anchors if a["chart_j"] is not None]
         assert len(built) == 4
@@ -223,17 +257,18 @@ class TestDiagnostic:
 
     def test_sup_tracks_perturbation(self, e_pair):
         sups = []
+        ref = nb.reference_charts(e_pair, n_anchors=4)
         for a2 in (0.04, 0.02):
             e_p = TraceTuple((trace(lambda z: z + a2 * z ** 2),
                               trace(lambda z: (z + a2 * z ** 2) ** 2)))
-            rep = nb.near_boundary_diagnostic(e_pair, e_p, n_anchors=4)
+            rep = nb.near_boundary_diagnostic(ref, e_p)
             sups.append(rep.global_sup)
         assert sups[0] > sups[1] > 0
         assert 1.5 < sups[0] / sups[1] < 2.8
 
     def test_sixteen_anchors_all_valid_on_disk(self, circ):
         e = TraceTuple((circ,))
-        rep = nb.near_boundary_diagnostic(e, e, n_anchors=16)
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e, n_anchors=16), e)
         assert all(a["chart_j"] == 0 for a in rep.anchors)
         assert rep.global_sup < 1e-7
 
@@ -245,7 +280,7 @@ class TestDiagnostic:
         pert = TraceTuple((circ,))
         for a in (0.0, np.pi):
             assert nb.build_chart(ref[0], a).gamma_window[1] - a < np.pi / 6
-        rep = nb.near_boundary_diagnostic(ref, pert, n_anchors=2)
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(ref, n_anchors=2), pert)
         assert [a["chart_j"] for a in rep.anchors] == [0, 0]
         assert [a["n_failed"] for a in rep.anchors] == [2 * 4, 2 * 4]
         assert rep.global_sup > 0
@@ -259,7 +294,7 @@ class TestDiagnostic:
             return build_chart(eta_j, a, chart_index)
 
         monkeypatch.setattr(nb, "build_chart", counting)
-        nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=4)
+        nb.near_boundary_diagnostic(nb.reference_charts(e_pair, n_anchors=4), e_pair)
         # the z^2 chart, tried first, fails the winding probe on its
         # reference chart, so its perturbed chart is never built
         assert built.count(1) == 4
@@ -269,13 +304,16 @@ class TestDiagnostic:
         # constant trace: derivative vanishes everywhere
         n = 128
         e = TraceTuple((bc.from_samples(np.full(n, 1.0 + 0j), TWO_PI),))
+        ref = nb.reference_charts(e, n_anchors=2)
+        assert ref.charts == ((), ())
         with pytest.raises(AllChartsFailed):
-            nb.near_boundary_diagnostic(e, e, n_anchors=2)
+            nb.near_boundary_diagnostic(ref, e)
 
     def test_report_save(self, e_pair, tmp_path):
         import json
 
-        rep = nb.near_boundary_diagnostic(e_pair, e_pair, n_anchors=2)
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e_pair, n_anchors=2),
+                                          e_pair)
         path = str(tmp_path / "rep.json")
         rep.save(path)
         with open(path) as fh:
@@ -288,12 +326,13 @@ class TestMixedChartIndices:
     """Anchors of both chart indices, each index paired in one call."""
 
     def test_anchors_choose_both_indices(self):
-        rep = nb.near_boundary_diagnostic(*MIXED)
+        e, e_p = MIXED
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e), e_p)
         assert [a["chart_j"] for a in rep.anchors] == MIXED_CHARTS
 
     def test_each_anchor_matches_its_own_pairing(self):
         e, e_p = MIXED
-        rep = nb.near_boundary_diagnostic(e, e_p)
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e), e_p)
         depths = 0.05 * np.arange(1, nb._N_DEPTHS + 1) / nb._N_DEPTHS
         sups = []
         for entry in rep.anchors:
@@ -311,8 +350,9 @@ class TestMixedChartIndices:
         assert max(sups) - min(sups) > 1e-3 * max(sups)
 
     @pytest.mark.parametrize("second, n_used, n_probes", [
-        (lambda z: z ** 2, 1, 16),           # the z^2 chart fails every probe
-        (lambda z: z + 0.2 * z ** 2, 2, 8),  # MIXED: every first chart holds
+        # every index is probed once, at every anchor, by reference_charts
+        (lambda z: z ** 2, 1, 16),            # the z^2 chart fails every probe
+        (lambda z: z + 0.2 * z ** 2, 2, 16),  # MIXED: every first chart holds
     ], ids=["square", "mixed"])
     def test_one_compensated_call_per_tuple_and_index(self, monkeypatch, second,
                                                       n_used, n_probes):
@@ -339,7 +379,7 @@ class TestMixedChartIndices:
         monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
         monkeypatch.setattr(ap, "winding_number", counting_winding)
         monkeypatch.setattr(nb, "build_chart", counting_chart)
-        rep = nb.near_boundary_diagnostic(e, e_p)
+        rep = nb.near_boundary_diagnostic(nb.reference_charts(e), e_p)
         used = {a["chart_j"] for a in rep.anchors}
         assert len(used) == n_used
         assert calls[True] == 2 * n_used        # one per trace tuple and index
