@@ -239,14 +239,6 @@ def from_samples(values: np.ndarray, length: float) -> BoundaryFunction:
     return _tag_reality(f)
 
 
-def from_modes(n_modes: int, length: float, mode_dict: dict[int, complex]) -> BoundaryFunction:
-    """Convenience constructor from {mode: coefficient}."""
-    c = np.zeros(n_modes, dtype=complex)
-    for m, a in mode_dict.items():
-        c[m % n_modes] = a
-    return _tag_reality(BoundaryFunction(c, length))
-
-
 def _omega(n: int, length: float) -> np.ndarray:
     """Angular wavenumbers 2 pi n / L in FFT ordering."""
     return 2.0 * np.pi * mode_numbers(n) / length
@@ -324,7 +316,6 @@ class BoundaryOperator:
 
     matrix: np.ndarray
     length: float
-    kind_tag: str = "generic"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -344,11 +335,11 @@ class BoundaryOperator:
 
     def __add__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_compatible_oo(self, other)
-        return BoundaryOperator(self.matrix + other.matrix, self.length, "sum")
+        return BoundaryOperator(self.matrix + other.matrix, self.length)
 
     def __sub__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_compatible_oo(self, other)
-        return BoundaryOperator(self.matrix - other.matrix, self.length, "diff")
+        return BoundaryOperator(self.matrix - other.matrix, self.length)
 
     def to_json(self) -> dict:
         return {
@@ -375,14 +366,14 @@ def _check_compatible_oo(a: BoundaryOperator, b: BoundaryOperator):
 
 
 def identity_operator(n: int, length: float) -> BoundaryOperator:
-    return BoundaryOperator(np.eye(n), length, "identity")
+    return BoundaryOperator(np.eye(n), length)
 
 
 def zero_operator(n: int, length: float) -> BoundaryOperator:
-    return BoundaryOperator(np.zeros((n, n)), length, "zero")
+    return BoundaryOperator(np.zeros((n, n)), length)
 
 
-def operator_from_symbol(symbol: np.ndarray, length: float, kind_tag: str = "symbol") -> BoundaryOperator:
+def operator_from_symbol(symbol: np.ndarray, length: float) -> BoundaryOperator:
     """Circulant operator with the given Fourier multiplier (FFT ordering).
 
     The symbol must satisfy sigma(-n) = conj(sigma(n)) so the nodal matrix
@@ -392,17 +383,16 @@ def operator_from_symbol(symbol: np.ndarray, length: float, kind_tag: str = "sym
     mirrored = np.conj(sigma[-np.arange(sigma.size)])
     if np.max(np.abs(sigma - mirrored)) > 1e-12 * max(np.max(np.abs(sigma)), 1.0):
         raise ValueError("symbol does not define a real operator")
-    return operator_from_coefficients(np.diag(sigma), length, kind_tag)
+    return operator_from_coefficients(np.diag(sigma), length)
 
 
-def operator_from_coefficients(b: np.ndarray, length: float,
-                               kind_tag: str = "coefficients") -> BoundaryOperator:
+def operator_from_coefficients(b: np.ndarray, length: float) -> BoundaryOperator:
     """Operator whose Fourier-basis matrix is b (FFT ordering, both axes).
 
     The inverse of _fourier_matrix: the nodal matrix F^H b F / N.
     """
     mat = np.fft.ifft(np.fft.fft(b, axis=1), axis=0)
-    return BoundaryOperator(mat.real, length, kind_tag)
+    return BoundaryOperator(mat.real, length)
 
 
 def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:

@@ -41,14 +41,13 @@ def _build_dn(args):
         return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes).operator
     if args.surface == "fem-disk":
         mesh = dnm.unit_disk_mesh(args.resolution)
-        return dnm.dn_fem(mesh, n_modes=args.n_modes, rescale_to=2.0 * np.pi,
-                          order=2)
+        return dnm.dn_fem(mesh, n_modes=args.n_modes, rescale_to=2.0 * np.pi)
     if args.surface == "torus":
         mesh = dnm.make_one_holed_torus_mesh(args.resolution)
-        return dnm.dn_fem(mesh, n_modes=args.n_modes, order=2)
+        return dnm.dn_fem(mesh, n_modes=args.n_modes)
     if args.surface.endswith(".off"):
         mesh = dnm.load_off(args.surface)
-        return dnm.dn_fem(mesh, n_modes=args.n_modes, order=2)
+        return dnm.dn_fem(mesh, n_modes=args.n_modes)
     raise ConfigInvalid(f"unknown surface {args.surface!r}")
 
 

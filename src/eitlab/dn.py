@@ -2,14 +2,15 @@
 
 Three backends: the analytic unit disk (diagonal Fourier symbol), simply
 connected planar domains given by a polynomial conformal map of the disk,
-and triangulated surfaces with one boundary circle (P1 or P2 stiffness +
-Schur complement).  The last two assemble the same object, the Dirichlet
-form on the arclength Fourier modes, b_jk = <Lambda e_k, e_j> / L: the
-conformal backend pulls the modes back to the disk, where the Dirichlet
-integral is the same, and forms it as one real Gram of their cosine and
-sine parts there; the FEM backend contracts the Schur complement
-with them; it reads that complement off the trailing block of one sparse
-factorization of the stiffness matrix, boundary ordered last.
+and triangulated surfaces with one boundary circle (quadratic Lagrange
+stiffness + Schur complement).  The last two assemble the same object,
+the Dirichlet form on the arclength Fourier modes,
+b_jk = <Lambda e_k, e_j> / L: the conformal backend pulls the modes back
+to the disk, where the Dirichlet integral is the same, and forms it as one
+real Gram of their cosine and sine parts there; the FEM backend contracts
+the Schur complement with them; it reads that complement off the trailing
+block of one sparse factorization of the stiffness matrix, boundary
+ordered last.
 boundary.operator_from_coefficients turns b into the nodal matrix for both.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
@@ -52,7 +53,7 @@ __all__ = [
 def dn_disk(n_modes: int, length: float = 2.0 * np.pi) -> BoundaryOperator:
     """DN map of the disk of perimeter `length`: symbol |n| * (2 pi / length)."""
     sym = np.abs(bc.mode_numbers(n_modes)) * (2.0 * np.pi / length)
-    return bc.operator_from_symbol(sym, length, "DN-disk")
+    return bc.operator_from_symbol(sym, length)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
          + 1j * (cs - cs.T))
     m = bc.operator_from_coefficients(b, length).matrix
     # the FFT round trip leaves the nodal matrix symmetric only to rounding
-    op = BoundaryOperator(0.5 * (m + m.T), length, "DN-conformal")
+    op = BoundaryOperator(0.5 * (m + m.T), length)
 
     # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
     # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
@@ -366,33 +367,6 @@ def make_one_holed_torus_mesh(resolution: int, hole_radius: float = 0.25) -> Tri
     return TriMesh(verts_new, tris_new, boundary, arc, tri_lengths)
 
 
-def _cotan_stiffness(mesh: TriMesh) -> sp.csr_matrix:
-    """Cotangent stiffness matrix assembled from per-triangle edge lengths."""
-    l = mesh.tri_lengths
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    # area via Heron
-    s = 0.5 * l.sum(axis=1)
-    area_sq = s * (s - l[:, 0]) * (s - l[:, 1]) * (s - l[:, 2])
-    if np.any(area_sq <= 0):
-        raise NonManifoldMesh("degenerate triangle (zero area)")
-    area = np.sqrt(area_sq)
-    for i in range(3):
-        a = l[:, i]
-        b = l[:, (i + 1) % 3]
-        c = l[:, (i + 2) % 3]
-        cot = (b ** 2 + c ** 2 - a ** 2) / (8.0 * area)  # cot(angle at corner i)/2
-        u, v = t[:, (i + 1) % 3], t[:, (i + 2) % 3]
-        rows += [u, v, u, v]
-        cols += [v, u, u, v]
-        vals += [-cot, -cot, cot, cot]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    n = mesh.n_vertices
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Quadratic Lagrange stiffness from intrinsic edge lengths.
 
@@ -471,35 +445,30 @@ def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]
     return k_mat, b_nodes, b_arc
 
 
-def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
-           rescale_to: float | None = None, mode_cap: int | None = None,
-           order: int = 1) -> BoundaryOperator:
+def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
+           order: int = 2) -> BoundaryOperator:
     """DN operator of a triangulated surface on N arclength nodes.
 
-    The co-normal functional is the nodal Schur complement
+    The stiffness matrix is assembled from quadratic Lagrange elements; a
+    metric rho * g is passed as mesh.with_conformal_factor(rho).  The
+    co-normal functional is the nodal Schur complement
     S = K_BB - K_BI K_II^{-1} K_IB.  K is factored once, with the interior
     under a minimum-degree ordering and the boundary nodes last, and with
     the identity added on the boundary block; the trailing block of the
     factors is then S + I, so S is read off without any solve.  The
-    coefficient block b = V^H S V / L over the capped modes' columns
-    V = exp(2 pi i m l / L) is taken to the nodal matrix, and that matrix
-    to its symmetric part, the nodal image of b's Hermitian part; the FFT
-    round trip would leave even a Hermitian b symmetric only to rounding,
-    so this keeps the returned matrix exactly symmetric in L2(Gamma, dl).
-    order=2 assembles quadratic elements, which sharpens the high-mode
-    response considerably.  Raises SingularInterior when interior nodes
+    coefficient block b = V^H S V / L over the columns V = exp(2 pi i m l / L)
+    of the modes |m| <= min(N/2, boundary nodes / 4) is taken to the nodal
+    matrix, and that matrix to its symmetric part, the nodal image of b's
+    Hermitian part; the FFT round trip would leave even a Hermitian b
+    symmetric only to rounding, so this keeps the returned matrix exactly
+    symmetric in L2(Gamma, dl).
+    `order` must be 2.  Raises SingularInterior when interior nodes
     cannot reach the boundary, when the factorization fails, or when it
     moves a boundary node out of the trailing block.
     """
-    work = mesh if rho is None else mesh.with_conformal_factor(np.asarray(rho))
-    if order == 1:
-        k = _cotan_stiffness(work)
-        bidx = mesh.boundary_loop
-        b_arc = mesh.boundary_arclength
-    elif order == 2:
-        k, bidx, b_arc = _p2_stiffness(work)
-    else:
-        raise ValueError("order must be 1 or 2")
+    if order != 2:
+        raise ValueError("dn_fem assembles P2 elements only")
+    k, bidx, b_arc = _p2_stiffness(mesh)
     # a component without boundary nodes makes K_II singular; SuperLU only
     # reports tiny pivots for it, so find such components on the pattern
     _, comp = csgraph.connected_components(k, directed=False)
@@ -535,16 +504,13 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     schur = tail[np.ix_(rows, cols)] - np.eye(n_b)
 
     # boundary arclength, possibly rescaled
-    arc = np.asarray(b_arc, dtype=float)
-    perim = mesh.perimeter
-    scale = (rescale_to / perim) if rescale_to else 1.0
-    arc = arc * scale
-    length = perim * scale
+    scale = (rescale_to / mesh.perimeter) if rescale_to else 1.0
+    arc, length = b_arc * scale, mesh.perimeter * scale
     # the Schur pairing <DN g, h> is similarity invariant; the 1/length in
     # the coefficient formula below produces the 1/scale decay of the DN map
 
     n = n_modes
-    cap = mode_cap if mode_cap is not None else min(n // 2, arc.size // 4)
+    cap = min(n // 2, arc.size // 4)
     if cap >= n // 2:
         # full band: include the Nyquist mode once (as +N/2)
         ms = np.arange(-(n // 2) + 1, n // 2 + 1)
@@ -554,7 +520,7 @@ def dn_fem(mesh: TriMesh, rho: np.ndarray | None = None, n_modes: int = 128,
     b = np.zeros((n, n), dtype=complex)
     b[np.ix_(ms % n, ms % n)] = v.conj().T @ (schur @ v) / length
     m = bc.operator_from_coefficients(b, length).matrix
-    return BoundaryOperator(0.5 * (m + m.T), length, "DN-fem")
+    return BoundaryOperator(0.5 * (m + m.T), length)
 
 
 def load_off(path: str) -> TriMesh:

@@ -166,7 +166,7 @@ def _perturbed_dn(cfg: ExperimentConfig, s: float):
         tl[:, i] *= 1.0 + s * bump * np.sin(2.0 * ang)
     pert = dnm.TriMesh(verts, tris, mesh.boundary_loop,
                        mesh.boundary_arclength, tl)
-    return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi, order=2)
+    return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
 
 
 def _lemma1_references(lam, proj, seed: int, cert: float,
@@ -217,7 +217,6 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     # the perturbation and not the discretization error
     lam = _perturbed_dn(cfg, 0.0)
     e = immersion_from_recipe(cfg.immersion, n)
-    e = TraceTuple(e.traces, source_dn=lam)
     kappa_ref = hm.estimate_kappa(lam)
     cert = 1e-8 if cfg.perturbation_family["kind"] == "conformal_polynomial" else 1e-2
     lemma1_refs = _lemma1_references(

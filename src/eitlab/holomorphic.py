@@ -50,7 +50,6 @@ class TraceTuple:
     """Boundary traces (eta_1, ..., eta_n) of a holomorphic immersion."""
 
     traces: tuple
-    source_dn: BoundaryOperator | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
@@ -69,24 +68,12 @@ class TraceTuple:
     def n_modes(self) -> int:
         return self.traces[0].n_modes
 
-    def verify(self, cert_tol_rel: float = 1e-8):
-        """Check the holomorphy certificate d_gamma Im eta = Lambda Re eta."""
-        if self.source_dn is None:
-            raise ValueError("no DN operator attached")
-        for k, eta in enumerate(self.traces):
-            r = certificate_residual(eta, self.source_dn, direct=True)
-            tol = cert_tol_rel * bc.sobolev_norm(eta, 1)
-            if r > tol:
-                raise CertificateFailed(
-                    f"trace {k}: residual {r:.3e} > {tol:.3e}")
-
     def to_json(self) -> dict:
         return {"traces": [t.to_json() for t in self.traces]}
 
     @staticmethod
-    def from_json(d: dict, source_dn: BoundaryOperator | None = None) -> "TraceTuple":
-        return TraceTuple(tuple(BoundaryFunction.from_json(t) for t in d["traces"]),
-                          source_dn)
+    def from_json(d: dict) -> "TraceTuple":
+        return TraceTuple(tuple(BoundaryFunction.from_json(t) for t in d["traces"]))
 
 
 @dataclass(frozen=True)
@@ -110,14 +97,14 @@ def _lj_hat(lam: BoundaryOperator) -> np.ndarray:
 
 def lambda_j(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite Lambda J, zero on constants."""
-    return bc.operator_from_coefficients(_lj_hat(lam), lam.length, "LambdaJ")
+    return bc.operator_from_coefficients(_lj_hat(lam), lam.length)
 
 
 def j_lambda(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite J Lambda (the Hilbert transform on the disk)."""
     j = bc._integration_symbol(lam.n_modes, lam.length)
     return bc.operator_from_coefficients(j[:, None] * bc._fourier_matrix(lam.matrix),
-                                         lam.length, "JLambda")
+                                         lam.length)
 
 
 def resolved_band(lam: BoundaryOperator) -> int:
@@ -151,7 +138,7 @@ def defect_operator(lam: BoundaryOperator, max_mode: int | None = None) -> Bound
     band, block = _defect(lam, max_mode)
     b = np.zeros((lam.n_modes, lam.n_modes), dtype=complex)
     b[np.ix_(band, band)] = block
-    return bc.operator_from_coefficients(b, lam.length, "defect")
+    return bc.operator_from_coefficients(b, lam.length)
 
 
 def _defect(lam: BoundaryOperator,
@@ -258,25 +245,19 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
             f">= {_GAP_FACTOR} at kappa = {kappa}")
     basis = u[:, :kappa]
     q = basis @ basis.T
-    return ProjectionPair(BoundaryOperator(np.eye(n) - q, length, "P"),
-                          BoundaryOperator(q, length, "Q"), kappa)
+    return ProjectionPair(BoundaryOperator(np.eye(n) - q, length),
+                          BoundaryOperator(q, length), kappa)
 
 
-def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator,
-                         direct: bool = False) -> float:
-    """L2 residual of a Cauchy-Riemann identity on the boundary.
+def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator) -> float:
+    """L2 residual of the conjugate Cauchy-Riemann identity on the boundary.
 
-    direct=True checks d_gamma Im eta = Lambda Re eta (holds by construction
-    for completed traces); direct=False checks the conjugate identity
-    Lambda Im eta = -d_gamma Re eta, which additionally tests that Re eta
-    lies in the holomorphic subspace.
+    Checks Lambda Im eta = -d_gamma Re eta.  The direct identity
+    d_gamma Im eta = Lambda Re eta holds by construction for completed
+    traces; the conjugate one also tests that Re eta lies in the
+    holomorphic subspace.
     """
-    re = eta.real
-    im = eta.imag
-    if direct:
-        r = bc.derivative_gamma(im) - lam.apply(re)
-    else:
-        r = lam.apply(im) + bc.derivative_gamma(re)
+    r = lam.apply(eta.imag) + bc.derivative_gamma(eta.real)
     return bc.sobolev_norm(r, 0)
 
 
@@ -289,7 +270,7 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
     hil = BoundaryFunction(lam.apply(pre).coeffs * j, lam.length)
     eta_v = pre.values().real + 1j * (hil.values().real + im_mean / lam.length)
     eta = bc.from_samples(eta_v, lam.length)
-    res = certificate_residual(eta, lam, direct=False)
+    res = certificate_residual(eta, lam)
     tol = cert_tol_rel * max(bc.sobolev_norm(eta, 1), 1e-300)
     if res > tol:
         raise CertificateFailed(
@@ -310,8 +291,7 @@ def transport_immersion(e: TraceTuple, lam_prime: BoundaryOperator,
                         cert_tol_rel: float = 1e-8) -> TraceTuple:
     """Componentwise transport of an immersion's boundary traces."""
     return TraceTuple(
-        tuple(beta_gamma(eta, lam_prime, proj_prime, cert_tol_rel) for eta in e.traces),
-        source_dn=lam_prime)
+        tuple(beta_gamma(eta, lam_prime, proj_prime, cert_tol_rel) for eta in e.traces))
 
 
 def dn_distance(lam: BoundaryOperator, lam_prime: BoundaryOperator) -> float:

@@ -88,9 +88,9 @@ def test_criterion_03_topology_detection():
     k_disk = hm.estimate_kappa(dnm.dn_disk(64))
     mesh_d = dnm.unit_disk_mesh(24)
     k_fem = hm.estimate_kappa(
-        dnm.dn_fem(mesh_d, n_modes=64, order=2, rescale_to=TWO_PI))
+        dnm.dn_fem(mesh_d, n_modes=64, rescale_to=TWO_PI))
     mesh_t = dnm.make_one_holed_torus_mesh(24)
-    lam_t = dnm.dn_fem(mesh_t, n_modes=64, order=2, rescale_to=TWO_PI)
+    lam_t = dnm.dn_fem(mesh_t, n_modes=64, rescale_to=TWO_PI)
     k_tor = hm.estimate_kappa(lam_t)
     gap = hm.spectral_gap(lam_t, k_tor) if k_tor > 0 else 0.0
     elapsed = time.perf_counter() - t0
@@ -110,7 +110,8 @@ def test_criterion_04_conformal_invariance():
     base = dnm.dn_fem(mesh, n_modes=n, rescale_to=TWO_PI)
     r = np.linalg.norm(mesh.vertices, axis=1)
     rho = 1.0 + 0.8 * np.clip(1.0 - r, 0.0, 1.0) ** 2
-    pert = dnm.dn_fem(mesh, rho=rho, n_modes=n, rescale_to=TWO_PI)
+    pert = dnm.dn_fem(mesh.with_conformal_factor(rho), n_modes=n,
+                      rescale_to=TWO_PI)
     disc = bc.operator_norm(base - lam, 1, 0)
     moved = bc.operator_norm(pert - base, 1, 0)
     ok = moved < 2.0 * disc

@@ -8,11 +8,13 @@ renaming one of them must fail here, not only in the slow traced run.
 
 import importlib
 import inspect
+import math
 import json
 from pathlib import Path
 
 import pytest
 
+from eitlab import dn as dnm
 from eitlab import holomorphic as hm
 from eitlab.boundary import BoundaryFunction
 
@@ -51,3 +53,11 @@ def test_benchmark_projection_call_binds():
     # the torus workload passes seed=, which build_projections keeps as an
     # ignored keyword; dropping it must fail here, not only in the benchmark
     inspect.signature(hm.build_projections).bind(None, 2, seed=1)
+
+
+def test_benchmark_fem_call_binds():
+    # the torus workload passes order=2, and the traced run reads the bound
+    # "order" for dn.dn_fem.boundary_dofs; dropping it must fail here
+    sig = inspect.signature(dnm.dn_fem)
+    sig.bind(None, n_modes=128, order=2, rescale_to=2.0 * math.pi)
+    assert "order" in sig.parameters

@@ -9,6 +9,7 @@ from scipy.spatial import Delaunay
 
 from eitlab import boundary as bc
 from eitlab import dn as dnm
+from eitlab import experiments as ex
 from eitlab.errors import (
     InterpolationUnderresolved,
     NonManifoldMesh,
@@ -192,28 +193,20 @@ class TestFemDN:
         assert errs[0] / errs[1] > 1.7
         assert errs[1] / errs[2] > 1.7
 
-    def test_p2_beats_p1(self):
-        n = 64
-        lam = dnm.dn_disk(n)
-        mesh = dnm.unit_disk_mesh(16)
-        e1 = bc.operator_norm(
-            dnm.dn_fem(mesh, n_modes=n, rescale_to=TWO_PI) - lam, 1, 0)
-        e2 = bc.operator_norm(
-            dnm.dn_fem(mesh, n_modes=n, rescale_to=TWO_PI, order=2) - lam, 1, 0)
-        assert e2 < 0.2 * e1
-
     def test_symmetry_exact(self):
-        mesh = dnm.unit_disk_mesh(12)
-        for order in (1, 2):
-            op = dnm.dn_fem(mesh, n_modes=64, order=order)
-            assert np.array_equal(op.matrix, op.matrix.T)
+        op = dnm.dn_fem(dnm.unit_disk_mesh(12), n_modes=64)
+        assert np.array_equal(op.matrix, op.matrix.T)
+
+    def test_only_p2_elements(self):
+        with pytest.raises(ValueError, match="P2 elements only"):
+            dnm.dn_fem(dnm.unit_disk_mesh(4), n_modes=16, order=1)
 
     def test_rescaling_law(self):
         # DN eigenvalues scale as 1/alpha under similarity rescaling
         n = 64
         mesh = dnm.unit_disk_mesh(16)
-        op1 = dnm.dn_fem(mesh, n_modes=n, rescale_to=TWO_PI, order=2)
-        op2 = dnm.dn_fem(mesh, n_modes=n, rescale_to=2 * TWO_PI, order=2)
+        op1 = dnm.dn_fem(mesh, n_modes=n, rescale_to=TWO_PI)
+        op2 = dnm.dn_fem(mesh, n_modes=n, rescale_to=2 * TWO_PI)
         th1 = np.arange(n) * (op1.length / n)
         th2 = np.arange(n) * (op2.length / n)
         f1 = bc.from_samples(np.cos(2 * np.pi * 3 * th1 / op1.length), op1.length)
@@ -222,43 +215,52 @@ class TestFemDN:
         v2 = op2.apply(f2).values().real.max()
         assert abs(v1 / v2 - 2.0) < 0.01
 
+    @staticmethod
+    def _moved_and_disc(pert):
+        """How far `pert` lies from the DN map of unit_disk_mesh(16), and
+        that map's discretization error, both H^1 -> L2 at N = 32."""
+        base = dnm.dn_fem(dnm.unit_disk_mesh(16), n_modes=32, rescale_to=TWO_PI)
+        return (bc.operator_norm(pert - base, 1, 0),
+                bc.operator_norm(base - dnm.dn_disk(32), 1, 0))
+
     def test_conformal_factor_invariance(self):
         # rho = 1 on the boundary: the DN map must not move beyond
         # discretization error; n_modes stays inside the resolved band
-        n = 32
         mesh = dnm.unit_disk_mesh(16)
-        lam = dnm.dn_disk(n)
-        base = dnm.dn_fem(mesh, n_modes=n, rescale_to=TWO_PI)
         r = np.linalg.norm(mesh.vertices, axis=1)
         rho = 1.0 + 0.8 * np.clip(1.0 - r, 0.0, 1.0) ** 2
-        pert = dnm.dn_fem(mesh, rho=rho, n_modes=n, rescale_to=TWO_PI)
-        disc_err = bc.operator_norm(base - lam, 1, 0)
-        moved = bc.operator_norm(pert - base, 1, 0)
-        assert moved < 2.0 * disc_err
+        pert = dnm.dn_fem(mesh.with_conformal_factor(rho), n_modes=32,
+                          rescale_to=TWO_PI)
+        moved, disc = self._moved_and_disc(pert)
+        assert moved < 2.0 * disc
 
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("mode_cap", [None, 9])
+    def test_anisotropic_metric_fails_invariance_check(self):
+        # the fem_metric family's edge scaling is identity on the boundary
+        # but moves the conformal class, so the check above must fail on it
+        # (moved 2.4e-2 against 2 x 2.4e-3)
+        cfg = ex.ExperimentConfig(
+            {"kind": "disk"},
+            {"kind": "fem_metric", "resolution": 16, "parameter_list": [0.05]},
+            "z", n_modes=32)
+        moved, disc = self._moved_and_disc(ex._perturbed_dn(cfg, 0.05))
+        assert moved > 2.0 * disc
+
+    @pytest.mark.parametrize("n_modes", [32, 128])
     @pytest.mark.parametrize("rescale_to", [None, TWO_PI])
     @pytest.mark.parametrize("with_rho", [False, True])
-    def test_matches_nodal_schur_reference(self, order, mode_cap, rescale_to,
-                                           with_rho):
+    def test_matches_nodal_schur_reference(self, n_modes, rescale_to, with_rho):
+        # 96 P2 boundary nodes: N = 32 takes the full band, N = 128 the
+        # modes |m| <= 24 only
         mesh = dnm.unit_disk_mesh(8)
-        r = np.linalg.norm(mesh.vertices, axis=1)
-        rho = 1.0 + 0.8 * np.clip(1.0 - r, 0.0, 1.0) ** 2 if with_rho else None
-        n = 32
-        got = dnm.dn_fem(mesh, rho=rho, n_modes=n, rescale_to=rescale_to,
-                         mode_cap=mode_cap, order=order).matrix
-        want = _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order)
+        if with_rho:
+            r = np.linalg.norm(mesh.vertices, axis=1)
+            mesh = mesh.with_conformal_factor(
+                1.0 + 0.8 * np.clip(1.0 - r, 0.0, 1.0) ** 2)
+        got = dnm.dn_fem(mesh, n_modes=n_modes, rescale_to=rescale_to).matrix
+        want = _nodal_schur_dn(mesh, n_modes, rescale_to)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() < 1e-12 * scale
         assert np.abs(got - got.T).max() < 1e-12 * np.abs(got).max()
-
-    def test_cap_above_boundary_count_matches_reference(self):
-        # 2 * cap + 1 Fourier columns exceed the 96 P2 boundary nodes
-        mesh = dnm.unit_disk_mesh(8)
-        got = dnm.dn_fem(mesh, n_modes=256, mode_cap=60, order=2).matrix
-        want = _nodal_schur_dn(mesh, None, 256, None, 60, 2)
-        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_p2_numbering_matches_edge_loop(self):
         mesh = dnm.make_one_holed_torus_mesh(8)
@@ -287,8 +289,7 @@ class TestFemDN:
         assert np.array_equal(b_arc[0::2], arc)
         assert np.array_equal(b_arc[1::2], 0.5 * (arc + nxt_arc))
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_disconnected_interior_raises(self, order):
+    def test_disconnected_interior_raises(self):
         # a closed tetrahedron beside the disk has no boundary edge, so the
         # mesh validates (chi = 1 + 2), but its nodes never see the boundary
         disk = dnm.unit_disk_mesh(4)
@@ -300,11 +301,10 @@ class TestFemDN:
         mesh = dnm.TriMesh(verts, tris, disk.boundary_loop,
                            disk.boundary_arclength)
         assert mesh.euler_characteristic == 3
-        stranded = 4 if order == 1 else 10
-        with pytest.raises(SingularInterior, match=f"^{stranded} interior nodes"):
-            dnm.dn_fem(mesh, n_modes=16, order=order)
+        # the tetrahedron's 4 vertices and 6 edge midpoints
+        with pytest.raises(SingularInterior, match="^10 interior nodes"):
+            dnm.dn_fem(mesh, n_modes=16)
 
-    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("build", [
         lambda: _fan_polygon_mesh(12),
         lambda: _split_rectangle_mesh(),
@@ -313,19 +313,17 @@ class TestFemDN:
         lambda: _square_row_mesh(5),
     ], ids=["fan_12gon", "split_rectangle", "squares_1", "squares_2",
             "squares_5"])
-    def test_ordering_stress_meshes_match_reference(self, build, order):
-        # no interior vertex; an interior cut in two by a chord; boundary
-        # edges whose cotangent weights are 0
+    def test_ordering_stress_meshes_match_reference(self, build):
+        # no interior vertex; an interior cut in two by a chord; right
+        # angles opposite boundary edges
         mesh = build()
-        got = dnm.dn_fem(mesh, n_modes=16, order=order).matrix
-        want = _nodal_schur_dn(mesh, None, 16, None, None, order)
+        got = dnm.dn_fem(mesh, n_modes=16).matrix
+        want = _nodal_schur_dn(mesh, 16, None)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
         assert np.abs(got - got.T).max() < 1e-12 * np.abs(got).max()
 
-    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("res", [4, 8])
-    def test_boundary_outside_trailing_block_raises(self, monkeypatch, res,
-                                                    order):
+    def test_boundary_outside_trailing_block_raises(self, monkeypatch, res):
         # a minimum-degree ordering of the whole matrix eliminates boundary
         # nodes early, so the trailing block is no Schur complement
         splu = spla.splu
@@ -335,7 +333,7 @@ class TestFemDN:
 
         monkeypatch.setattr(dnm.spla, "splu", reordering)
         with pytest.raises(SingularInterior, match="trailing block"):
-            dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=16, order=order)
+            dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=16)
 
     def test_one_factorization_and_no_solve(self, monkeypatch):
         splu, shapes = spla.splu, []
@@ -356,7 +354,7 @@ class TestFemDN:
 
         monkeypatch.setattr(dnm.spla, "splu", counting)
         mesh = dnm.unit_disk_mesh(8)
-        dnm.dn_fem(mesh, n_modes=32, order=2)
+        dnm.dn_fem(mesh, n_modes=32)
         k, _, _ = dnm._p2_stiffness(mesh)
         assert shapes == [k.shape]
 
@@ -368,21 +366,16 @@ class TestFemDN:
         errs = []
         for res in (16, 32):
             op = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=n,
-                            rescale_to=TWO_PI, order=2)
+                            rescale_to=TWO_PI)
             got = np.diag(bc._fourier_matrix(op.matrix)).real[m]
             errs.append(np.max(np.abs(got - want) / want))
         assert errs[0] / errs[1] >= 8.0
 
 
-def _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order):
+def _nodal_schur_dn(mesh, n, rescale_to):
     """DN matrix from the dense nodal Schur complement, one boundary column
     per sparse solve, contracted with the capped Fourier modes."""
-    work = mesh if rho is None else mesh.with_conformal_factor(rho)
-    if order == 1:
-        k = dnm._cotan_stiffness(work)
-        bidx, arc = mesh.boundary_loop, mesh.boundary_arclength
-    else:
-        k, bidx, arc = dnm._p2_stiffness(work)
+    k, bidx, arc = dnm._p2_stiffness(mesh)
     k = k.tocsr()
     iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
     schur = k[bidx][:, bidx].toarray()
@@ -394,7 +387,7 @@ def _nodal_schur_dn(mesh, rho, n, rescale_to, mode_cap, order):
         schur = schur - k[bidx][:, iidx] @ x
     scale = rescale_to / mesh.perimeter if rescale_to else 1.0
     arc, length = arc * scale, mesh.perimeter * scale
-    cap = mode_cap if mode_cap is not None else min(n // 2, arc.size // 4)
+    cap = min(n // 2, arc.size // 4)
     ms = (np.arange(-(n // 2) + 1, n // 2 + 1) if cap >= n // 2
           else np.arange(-cap, cap + 1))
     v = np.exp(2j * np.pi * np.outer(arc, ms) / length)

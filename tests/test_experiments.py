@@ -182,8 +182,7 @@ class TestRunSweep:
                            perturbation_family={"kind": "conformal_polynomial",
                                                 "parameter_list": [0.05]})
         mesh = dnm.make_one_holed_torus_mesh(24)
-        torus = dnm.dn_fem(mesh, n_modes=cfg.n_modes, order=2,
-                           rescale_to=2 * np.pi)
+        torus = dnm.dn_fem(mesh, n_modes=cfg.n_modes, rescale_to=2 * np.pi)
         # the s = 0 reference stays the disk; every perturbed operator is the torus
         monkeypatch.setattr(ex, "_perturbed_dn",
                             lambda c, s: torus if s else dnm.dn_disk(c.n_modes))
@@ -356,7 +355,7 @@ class TestFemFamily:
         # what the resolution floor guards against: estimate_kappa on the
         # s = 0 operator below it raises (resolution 22 at n_modes 64)
         lam = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=64,
-                         rescale_to=2.0 * np.pi, order=2)
+                         rescale_to=2.0 * np.pi)
         with pytest.raises(NoSpectralGap):
             hm.estimate_kappa(lam)
 
@@ -368,5 +367,5 @@ class TestFemFamily:
                     **fam, "resolution": res}).validate()
         small_config(tmp_path, perturbation_family={**fam, "resolution": 23}).validate()
         lam = dnm.dn_fem(dnm.unit_disk_mesh(23), n_modes=64,
-                         rescale_to=2.0 * np.pi, order=2)
+                         rescale_to=2.0 * np.pi)
         assert hm.estimate_kappa(lam) == 0

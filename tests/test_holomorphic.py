@@ -19,7 +19,7 @@ def disk64():
 
 def _torus(resolution):
     mesh = dnm.make_one_holed_torus_mesh(resolution)
-    return dnm.dn_fem(mesh, n_modes=64, order=2, rescale_to=TWO_PI)
+    return dnm.dn_fem(mesh, n_modes=64, rescale_to=TWO_PI)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ class TestEstimateKappa:
 
     def test_fem_disk(self):
         mesh = dnm.unit_disk_mesh(24)
-        lam = dnm.dn_fem(mesh, n_modes=64, order=2, rescale_to=TWO_PI)
+        lam = dnm.dn_fem(mesh, n_modes=64, rescale_to=TWO_PI)
         assert hm.estimate_kappa(lam) == 0
 
     def test_torus(self, torus24):
@@ -168,7 +168,7 @@ class TestProjections:
             lam = bc.operator_from_symbol(sym, TWO_PI)
             match = r"3\.002\d+e-03 / 6\.000\d+e-04 show no gap"
         else:
-            lam = dnm.dn_fem(dnm.unit_disk_mesh(24), n_modes=64, order=2,
+            lam = dnm.dn_fem(dnm.unit_disk_mesh(24), n_modes=64,
                              rescale_to=TWO_PI)
             match = r"7\.978\d+e-05 / 5\.356\d+e-05 show no gap"
         with pytest.raises(NoSpectralGap, match=match):
@@ -288,12 +288,6 @@ class TestTransport:
             assert c2 < 10.0 * t
             assert c2 < prev
             prev = c2
-
-    def test_verify_certified_tuple(self, disk64):
-        th = grid(64)
-        e = hm.TraceTuple((bc.from_samples(np.exp(1j * th), TWO_PI),),
-                          source_dn=disk64)
-        e.verify()
 
 
 class TestDnDistance:
