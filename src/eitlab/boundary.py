@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _REALITY_TOL = 1e-13
+_MEAN_TOL = 1e-10          # integrate_J: largest mean relative to ||f||_L2
 _EVAL_BLOCK = 1 << 17      # phase-kernel entries per eval_at block (2 MiB)
 
 
@@ -272,14 +273,15 @@ def derivative_gamma(f: BoundaryFunction) -> BoundaryFunction:
     return _multiply(f, _derivative_symbol(f.n_modes, f.length))
 
 
-def integrate_J(f: BoundaryFunction, rel_tol: float = 1e-10) -> BoundaryFunction:
+def integrate_J(f: BoundaryFunction) -> BoundaryFunction:
     """Antiderivative on the zero-mean subspace, normalized to zero mean.
 
-    Like derivative_gamma it drops the Nyquist mode, so J keeps f real.
+    Raises NonZeroMean when |mean| exceeds _MEAN_TOL * ||f||_L2.  Like
+    derivative_gamma it drops the Nyquist mode, so J keeps f real.
     """
     norm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * f.length) or 1.0
-    if abs(f.coeffs[0]) * f.length > rel_tol * norm:
-        raise NonZeroMean(f"mean {f.coeffs[0] * f.length:.3e} exceeds {rel_tol:.1e} * ||f||")
+    if abs(f.coeffs[0]) * f.length > _MEAN_TOL * norm:
+        raise NonZeroMean(f"mean {f.coeffs[0] * f.length:.3e} exceeds {_MEAN_TOL:.1e} * ||f||")
     return _multiply(f, _integration_symbol(f.n_modes, f.length))
 
 

@@ -40,6 +40,7 @@ def _build_dn(args):
         coeffs = tuple(float(c) for c in args.surface.split(":")[1].split("+"))
         return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes).operator
     if args.surface == "fem-disk":
+        ex._require_fem_resolution(args.resolution)
         mesh = dnm.unit_disk_mesh(args.resolution)
         return dnm.dn_fem(mesh, n_modes=args.n_modes, rescale_to=2.0 * np.pi)
     if args.surface == "torus":

@@ -49,6 +49,9 @@ __all__ = [
     "load_off",
 ]
 
+_TAIL_TOL = 1e-8        # dn_conformal: spectrum energy allowed past half the band
+_HOLE_RADIUS = 0.25     # make_one_holed_torus_mesh: radius of the hole circle
+
 
 def dn_disk(n_modes: int, length: float = 2.0 * np.pi) -> BoundaryOperator:
     """DN map of the disk of perimeter `length`: symbol |n| * (2 pi / length)."""
@@ -70,13 +73,6 @@ class ConformalDomain:
             raise UnivalenceViolated(
                 f"sum k|a_k| = {np.sum(k * np.abs(np.asarray(a))):.3f} >= 1")
 
-    def boundary_point(self, theta: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * np.asarray(theta))
-        w = z.astype(complex).copy()
-        for i, a in enumerate(self.coeffs):
-            w = w + a * z ** (i + 2)
-        return w
-
     def map_derivative(self, theta: np.ndarray) -> np.ndarray:
         """Phi'(e^{i theta})."""
         z = np.exp(1j * np.asarray(theta))
@@ -97,20 +93,20 @@ class ConformalDN:
     scale: float               # similarity factor applied to the domain
 
 
-def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
-                 tail_tol: float = 1e-8) -> ConformalDN:
-    """DN map of the conformal image of the disk on N arclength nodes.
+def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
+    """DN map of the conformal image of the disk, scaled to perimeter 2 pi.
 
-    The Dirichlet integral is conformally invariant, so the Galerkin block
-    of the arclength Fourier modes e_k is b = <Lambda_D E_k, E_j> / L with
-    E_k = e_k(s(theta)) on the disk.  E_k = C_|k| + i sgn(k) S_|k| with the
-    real C_k = cos(k u), S_k = sin(k u), u = 2 pi s / L, so only the N/2 + 1
-    non-negative modes are sampled, on 8N theta nodes, and taken to their
-    disk spectra by one real FFT; the real Dirichlet form d on the C's and
-    S's is one Gram, and b is gathered from it.  theta(s) is read off the
+    The operator acts on N arclength nodes.  The Dirichlet integral is
+    conformally invariant, so the Galerkin block of the arclength Fourier
+    modes e_k is b = <Lambda_D E_k, E_j> / L with E_k = e_k(s(theta)) on
+    the disk.  E_k = C_|k| + i sgn(k) S_|k| with the real C_k = cos(k u),
+    S_k = sin(k u), u = 2 pi s / L, so only the N/2 + 1 non-negative modes
+    are sampled, on 8N theta nodes, and taken to their disk spectra by one
+    real FFT; the real Dirichlet form d on the C's and S's is one Gram, and
+    b is gathered from it.  theta(s) is read off the
     same samples.  Raises InterpolationUnderresolved when the E_k spectra
-    hold more than `tail_tol` of their energy at |p| >= 2N, half the band
-    the nodes resolve.
+    hold more than _TAIL_TOL = 1e-8 of their energy at |p| >= 2N, half the
+    band the nodes resolve.
     """
     n = n_modes
     fine = 8 * n
@@ -118,7 +114,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
     speed_f = np.abs(domain.map_derivative(theta_f))
     mean_speed = float(np.mean(speed_f))
     total = 2.0 * np.pi * mean_speed
-    alpha = (2.0 * np.pi / total) if rescale else 1.0
+    alpha = 2.0 * np.pi / total
     length = alpha * total
 
     # periodic part of s(theta) / alpha, vanishing at theta = 0
@@ -136,10 +132,10 @@ def dn_conformal(domain: ConformalDomain, n_modes: int, rescale: bool = True,
     # same tail for 0 < k < N/2, and only E_0 and E_-N/2 stand alone
     twice_p, twice_k = _twice_inner(fine // 2 + 1), _twice_inner(half)
     tail = twice_p[fine // 4:] @ (np.abs(cs_hat[fine // 4:]) ** 2) @ np.tile(twice_k, 2)
-    if tail > tail_tol * n:
+    if tail > _TAIL_TOL * n:
         raise InterpolationUnderresolved(
             f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
-            f"{tail_tol:.1e}; increase N")
+            f"{_TAIL_TOL:.1e}; increase N")
     # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
     # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian
     w = np.sqrt(twice_p * np.arange(fine // 2 + 1))[:, None] * cs_hat
@@ -285,8 +281,8 @@ def unit_disk_mesh(resolution: int) -> TriMesh:
     return TriMesh(p, tri, boundary, arc)
 
 
-def make_one_holed_torus_mesh(resolution: int, hole_radius: float = 0.25) -> TriMesh:
-    """Flat torus [0,1]^2 with a round hole at (1/2, 1/2); chi = -1.
+def make_one_holed_torus_mesh(resolution: int) -> TriMesh:
+    """Flat torus [0,1]^2 with a hole of radius 1/4 at (1/2, 1/2); chi = -1.
 
     Built as radial bands between the hole circle and the square boundary,
     whose opposite edges are then identified.  Geometry (edge lengths) is
@@ -299,7 +295,7 @@ def make_one_holed_torus_mesh(resolution: int, hole_radius: float = 0.25) -> Tri
     n_layers = resolution
     ang = 2.0 * np.pi * np.arange(nb) / nb
     center = np.array([0.5, 0.5])
-    circ = center + hole_radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    circ = center + _HOLE_RADIUS * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     # ray exit points on the unit square boundary
     d = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     with np.errstate(divide="ignore"):
@@ -341,21 +337,17 @@ def make_one_holed_torus_mesh(resolution: int, hole_radius: float = 0.25) -> Tri
         [np.linalg.norm(p[:, (i + 1) % 3] - p[:, (i + 2) % 3], axis=1) for i in range(3)],
         axis=1)
 
-    # identify square-boundary vertices: (x,0)~(x,1), (0,y)~(1,y), corners -> one
-    outer = coords[n_layers * nb:(n_layers + 1) * nb]
-    canon = {}
+    # identify square-boundary vertices: (x,0)~(x,1), (0,y)~(1,y), corners -> one.
+    # Ray k leaves at angle 2 pi k / nb; with q = nb / 8, r = (k + q) mod 4q
+    # is in (0, 2q) on the sides x = 0, 1 (angle theta ~ pi - theta), in
+    # (2q, 4q) on y = 0, 1 (theta ~ -theta), and 0 or 2q at the corners;
+    # each class keeps its smallest ray index
+    q = nb // 8
+    r = (k + q) % (4 * q)
+    partner = np.where(r < 2 * q, (4 * q - k) % nb, (nb - k) % nb)
+    partner[r % (2 * q) == 0] = q
     remap = np.arange(coords.shape[0])
-    for k in range(nb):
-        x, y = outer[k]
-        xr, yr = round(x, 12) % 1.0, round(y, 12) % 1.0
-        on_x = np.isclose(outer[k, 0] % 1.0, 0.0, atol=1e-9)
-        on_y = np.isclose(outer[k, 1] % 1.0, 0.0, atol=1e-9)
-        key = (0.0 if on_x else xr, 0.0 if on_y else yr)
-        idx = n_layers * nb + k
-        if key in canon:
-            remap[idx] = canon[key]
-        else:
-            canon[key] = idx
+    remap[n_layers * nb:] = n_layers * nb + np.minimum(k, partner)
     # compress indices
     used = np.unique(remap[tris])
     newid = -np.ones(coords.shape[0], dtype=int)
@@ -363,7 +355,7 @@ def make_one_holed_torus_mesh(resolution: int, hole_radius: float = 0.25) -> Tri
     tris_new = newid[remap[tris]]
     verts_new = coords[used]
     boundary = newid[np.arange(nb)]  # the hole circle, ring 0
-    arc = hole_radius * ang
+    arc = _HOLE_RADIUS * ang
     return TriMesh(verts_new, tris_new, boundary, arc, tri_lengths)
 
 

@@ -48,6 +48,15 @@ _RECIPES = {
 }
 
 
+def _require_fem_resolution(res):
+    """Raise ConfigInvalid unless res is a number >= _FEM_MIN_RESOLUTION."""
+    if not isinstance(res, (int, float)) or res < _FEM_MIN_RESOLUTION:
+        raise ConfigInvalid(
+            f"disk mesh resolution must be a number >= {_FEM_MIN_RESOLUTION}: "
+            "coarser P2 disk meshes leave the DN map (the fem_metric family "
+            "at s = 0) without a spectral gap")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one perturbation sweep."""
@@ -61,7 +70,6 @@ class ExperimentConfig:
     seed: int = 7
     output_dir: str = "sweep_out"
     n_anchors: int = 8
-    depth: float = 0.05
 
     def validate(self):
         if self.base_surface.get("kind") != "disk":
@@ -74,13 +82,8 @@ class ExperimentConfig:
             raise ConfigInvalid("empty parameter_list")
         if any(p < 0 for p in ps):
             raise ConfigInvalid("parameters must be nonnegative")
-        res = fam.get("resolution", 24)
-        if fam["kind"] == "fem_metric" and (
-                not isinstance(res, (int, float)) or res < _FEM_MIN_RESOLUTION):
-            raise ConfigInvalid(
-                f"fem_metric resolution must be a number >= {_FEM_MIN_RESOLUTION}: "
-                "coarser disk meshes leave the s = 0 operator without a "
-                "spectral gap")
+        if fam["kind"] == "fem_metric":
+            _require_fem_resolution(fam.get("resolution", 24))
         if list(ps) != sorted(ps, reverse=True):
             raise ConfigInvalid("parameter_list must decrease toward 0")
         for name in self.immersion.split(","):
@@ -169,9 +172,8 @@ def _perturbed_dn(cfg: ExperimentConfig, s: float):
     return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
 
 
-def _lemma1_references(lam, proj, seed: int, cert: float,
-                       n_traces: int = 5) -> list:
-    """Seeded test traces completed under `lam`, with their H^3 norms.
+def _lemma1_references(lam, proj, seed: int, cert: float) -> list:
+    """Five seeded test traces completed under `lam`, with their H^3 norms.
 
     Each completion is certified at the relative tolerance `cert`.
     """
@@ -179,7 +181,7 @@ def _lemma1_references(lam, proj, seed: int, cert: float,
     rng = np.random.default_rng(seed)
     th = np.arange(n) * (lam.length / n)
     refs = []
-    for _ in range(n_traces):
+    for _ in range(5):
         vals = np.zeros(n)
         for m in range(1, 9):
             vals += rng.standard_normal() * np.cos(2 * np.pi * m * th / lam.length)
@@ -225,7 +227,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     fields = [ap.classify(e[j], cfg.grid_resolution, cfg.epsilon)
               for j in range(len(e))]
     cloud_ref = ap.reconstruct(e, cfg.epsilon, cfg.grid_resolution, fields=fields)
-    ref_charts = nb.reference_charts(e, cfg.n_anchors, cfg.depth)
+    ref_charts = nb.reference_charts(e, cfg.n_anchors)
     fill_ref = mt.fill_distance(cloud_ref.interior_points())
 
     records = []
@@ -314,8 +316,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _svg_scatter(path: str, cloud_a, cloud_b, size: int = 480):
-    """Deterministic scatter of the first complex coordinate of two clouds."""
+def _svg_scatter(path: str, cloud_a, cloud_b):
+    """Deterministic 480 px scatter of the first complex coordinate of two clouds."""
+    size = 480
     pa = cloud_a.points[:, 0]
     pb = cloud_b.points[:, 0]
     allp = np.concatenate([pa, pb])

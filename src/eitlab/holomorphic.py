@@ -10,13 +10,14 @@ part and completing with the perturbed Hilbert transform.
 
 J is the multiplier of boundary.integrate_J: products with it scale the
 columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
-the defect D is formed on the 2 * max_mode band modes only.  One helper
-takes that block's SVD, and kappa, the spectral gap and the projections
-all read it.  The completion of a zero-mean u has the certificate residual D d_gamma u, so
-the completable real traces are the kernel of D d_gamma, and Q projects
-onto its complement: d_gamma^H applied to D's top kappa right singular
-vectors, whose real and imaginary samples span a real space of dimension
-kappa.
+the defect D is formed on the resolved band only, at most 8 modes each
+side.  One helper takes that block's SVD, and kappa, the spectral gap and
+the projections all read it; one more decides whether a rank clears the
+gap factor.  The completion of a zero-mean u has the certificate residual
+D d_gamma u, so the completable real traces are the kernel of D d_gamma,
+and Q projects onto its complement: d_gamma^H applied to D's top kappa
+right singular vectors, whose real and imaginary samples span a real
+space of dimension kappa.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class ProjectionPair:
 
 _BAND_FLOOR = 0.5      # |Lambda J| on a resolved mode
 _GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
+_MAX_BAND = 8          # widest defect band: discretization error grows with
+                       # the mode number, and rank detection needs few modes
 _RANK_TOL = 1e-8       # relative singular value below which Q's basis ends
 
 
@@ -150,19 +153,17 @@ def _defect(lam: BoundaryOperator,
     """
     lj = _lj_hat(lam)
     if max_mode is None:
-        # default to the well-resolved core: discretization error grows with
-        # mode number, and rank detection only needs a modest band
-        max_mode = min(_resolved_band(np.diag(lj)), 8)
+        max_mode = min(_resolved_band(np.diag(lj)), _MAX_BAND)
     ms = np.abs(bc.mode_numbers(lam.n_modes))
     band = np.flatnonzero((ms >= 1) & (ms <= max_mode))
     block = np.eye(band.size) + lj[band, :] @ lj[:, band]
     return band, block
 
 
-def _defect_spectrum(lam: BoundaryOperator, max_mode: int | None
+def _defect_spectrum(lam: BoundaryOperator
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(band indices, singular values, right singular vectors as rows) of the defect."""
-    band, block = _defect(lam, max_mode)
+    band, block = _defect(lam, None)
     _, sv, vh = np.linalg.svd(block)
     return band, sv, vh
 
@@ -178,34 +179,39 @@ def _rank_scale(lam: BoundaryOperator) -> float:
     return max(bc._cas_norm(lam.matrix, np.ones(lam.n_modes), j_abs), 1.0)
 
 
-def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3,
-                   max_mode: int | None = None) -> int:
+def _gap(sv: np.ndarray, kappa: int, above: float) -> float:
+    """above / sv[kappa]; inf when the band holds no (kappa+1)-th value or it is 0."""
+    below = sv[kappa] if kappa < sv.size else 0.0
+    return float(above / below) if below > 0 else np.inf
+
+
+def _require_gap(sv: np.ndarray, kappa: int, above: float):
+    """Raise NoSpectralGap unless above clears the (kappa+1)-th value by _GAP_FACTOR."""
+    if _gap(sv, kappa, above) < _GAP_FACTOR:
+        raise NoSpectralGap(
+            f"defect singular values {above:.6e} / {sv[kappa]:.6e} show no gap "
+            f">= {_GAP_FACTOR} at kappa = {kappa}")
+
+
+def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3) -> int:
     """Rank of the defect operator = 1 - chi(M)."""
     if tau_rank <= 0:
         raise ValueError("tau_rank must be positive")
-    _, sv, _ = _defect_spectrum(lam, max_mode)
+    _, sv, _ = _defect_spectrum(lam)
     thresh = tau_rank * _rank_scale(lam)
     kappa = int(np.sum(sv > thresh))
-    above = sv[kappa - 1] if kappa > 0 else None
-    below = sv[kappa] if kappa < sv.size else 0.0
-    ref = above if above is not None else thresh
-    if below > 0 and ref / below < _GAP_FACTOR:
-        raise NoSpectralGap(
-            f"singular values {ref:.3e} / {below:.3e} show no gap >= {_GAP_FACTOR}")
+    _require_gap(sv, kappa, sv[kappa - 1] if kappa > 0 else thresh)
     return kappa
 
 
-def spectral_gap(lam: BoundaryOperator, kappa: int,
-                 max_mode: int | None = None) -> float:
+def spectral_gap(lam: BoundaryOperator, kappa: int) -> float:
     """Ratio between the kappa-th and (kappa+1)-th defect singular values.
 
     For kappa = 0 the numerator is the rank scale max(||Lambda J||_2, 1).
     It is inf when the band holds no (kappa+1)-th value or it is exactly 0.
     """
-    _, sv, _ = _defect_spectrum(lam, max_mode)
-    num = sv[kappa - 1] if kappa > 0 else _rank_scale(lam)
-    below = sv[kappa] if kappa < sv.size else 0.0
-    return float(num / below) if below > 0 else np.inf
+    _, sv, _ = _defect_spectrum(lam)
+    return _gap(sv, kappa, sv[kappa - 1] if kappa > 0 else _rank_scale(lam))
 
 
 def build_projections(lam: BoundaryOperator, kappa: int, *,
@@ -226,7 +232,7 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     if kappa == 0:
         return ProjectionPair(bc.identity_operator(n, length),
                               bc.zero_operator(n, length), 0)
-    band, sv_defect, vh = _defect_spectrum(lam, None)
+    band, sv_defect, vh = _defect_spectrum(lam)
     v = vh[:kappa].conj().T
     c = np.zeros((n, v.shape[1]), dtype=complex)
     c[band] = np.conj(bc._derivative_symbol(n, length))[band, None] * v
@@ -237,12 +243,7 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
         raise NoSpectralGap(
             f"real and imaginary samples of the top {kappa} defect vectors have "
             f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
-    above = sv_defect[kappa - 1]
-    below = sv_defect[kappa] if kappa < sv_defect.size else 0.0
-    if below > 0 and above / below < _GAP_FACTOR:
-        raise NoSpectralGap(
-            f"defect singular values {above:.6e} / {below:.6e} show no gap "
-            f">= {_GAP_FACTOR} at kappa = {kappa}")
+    _require_gap(sv_defect, kappa, sv_defect[kappa - 1])
     basis = u[:, :kappa]
     q = basis @ basis.T
     return ProjectionPair(BoundaryOperator(np.eye(n) - q, length),

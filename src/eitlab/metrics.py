@@ -12,7 +12,6 @@ from .errors import EmptyCloud
 
 __all__ = [
     "HausdorffResult",
-    "directed_deviation",
     "hausdorff",
     "fill_distance",
     "cloud_from_complex",
@@ -41,21 +40,9 @@ def _as_real(cloud: np.ndarray) -> np.ndarray:
 
 def _check(a: np.ndarray, b: np.ndarray):
     if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptyCloud("directed deviation of an empty cloud")
+        raise EmptyCloud("Hausdorff distance of an empty cloud")
     if a.shape[1] != b.shape[1]:
         raise ValueError("clouds live in different dimensions")
-
-
-def directed_deviation(a: np.ndarray, b: np.ndarray,
-                       brute_force: bool = False) -> float:
-    """r_AB: the radius needed for A's neighborhood to cover B."""
-    a, b = _as_real(a), _as_real(b)
-    _check(a, b)
-    if brute_force:
-        d = np.sqrt(((b[:, None, :] - a[None, :, :]) ** 2).sum(axis=2))
-        return float(d.min(axis=1).max())
-    dist, _ = cKDTree(a).query(b)
-    return float(dist.max())
 
 
 @dataclass(frozen=True)

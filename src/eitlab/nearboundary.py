@@ -50,7 +50,8 @@ __all__ = [
 _C0 = 0.5
 _DERIV_TOL = 1e-8
 _N_FEET = 3     # diagnostic feet per anchor, spread over half the window
-_N_DEPTHS = 4   # diagnostic depths per foot, up to the requested depth
+_N_DEPTHS = 4   # diagnostic depths per foot, up to _DEPTH
+_DEPTH = 0.05   # largest rectified depth of a paired point
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,11 @@ class ReferenceCharts:
     """
 
     e: TraceTuple
-    depth: float                 # largest rectified depth of a paired point
     anchors: tuple               # equispaced arclength parameters
     charts: tuple                # per anchor, a tuple of (j, BoundaryChart)
 
 
-def reference_charts(e: TraceTuple, n_anchors: int = 8,
-                     depth: float = 0.05) -> ReferenceCharts:
+def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
     """Build and probe the reference charts of every index at each anchor."""
     anchors = np.arange(n_anchors) * e.length / n_anchors
     derivs = np.abs([bc.derivative_gamma(eta).eval_at(anchors) for eta in e.traces])
@@ -197,12 +196,12 @@ def reference_charts(e: TraceTuple, n_anchors: int = 8,
             try:
                 chart = build_chart(e[j], a, j)
                 # the pairing needs a single preimage: probe the interior side
-                if ap.winding_number(e[j], unrectify(chart, a, depth)) == 1:
+                if ap.winding_number(e[j], unrectify(chart, a, _DEPTH)) == 1:
                     admitted.append((j, chart))
             except (DerivativeVanishes, WindowCollapse, TooCloseToContour):
                 pass
         charts.append(tuple(admitted))
-    return ReferenceCharts(e, depth, tuple(anchors.tolist()), tuple(charts))
+    return ReferenceCharts(e, tuple(anchors.tolist()), tuple(charts))
 
 
 def near_boundary_diagnostic(ref: ReferenceCharts,
@@ -211,13 +210,13 @@ def near_boundary_diagnostic(ref: ReferenceCharts,
 
     Each anchor takes the first of its admitted reference charts whose
     perturbed chart builds; anchors where none does are recorded and
-    skipped.  Points are paired at rectified depths r in (0, ref.depth]
+    skipped.  Points are paired at rectified depths r in (0, _DEPTH]
     above _N_FEET feet spread over half the perturbed window; feet outside
     the reference window cannot be paired and are counted in n_failed.  The
     anchors that chose one chart index are paired in one pair_points call.
     """
     report = DiagnosticReport()
-    depths = ref.depth * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
+    depths = _DEPTH * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
     groups = {}  # chart index -> (entry, chart, chart_p, s, r) per built anchor
     for a, admitted in zip(ref.anchors, ref.charts):
         entry = {"a": a, "chart_j": None, "window": None,

@@ -185,7 +185,7 @@ def test_criterion_09_near_boundary_pairing(sweep):
     # unperturbed limit
     e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
     rep0 = nb.near_boundary_diagnostic(
-        nb.reference_charts(e, cfg.n_anchors, cfg.depth), e)
+        nb.reference_charts(e, cfg.n_anchors), e)
     # compensated rule against the closed form z^2 and the plain quadrature
     # on the overlap strip
     pair = hm.TraceTuple((trace(lambda z: z), trace(lambda z: z ** 2)))

@@ -7,6 +7,7 @@ import numpy as np
 from eitlab import boundary as bc
 from eitlab import cli
 from eitlab import dn as dnm
+from eitlab import experiments as ex
 from eitlab.holomorphic import TraceTuple
 
 
@@ -86,6 +87,17 @@ class TestDn:
                          "--n-modes", "64", "--out", out]) == cli.EXIT_OK
         assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
         assert kappa_printed(capsys) == 0
+
+    def test_fem_disk_below_floor_exits_2(self, tmp_path, capsys):
+        # below the fem_metric sweep's floor the P2 disk's DN map has no
+        # spectral gap, so no later command could use the file
+        out = tmp_path / "dn.json"
+        res = str(ex._FEM_MIN_RESOLUTION - 1)
+        assert cli.main(["dn", "--surface", "fem-disk", "--resolution", res,
+                         "--n-modes", "64", "--out", str(out)]) == cli.EXIT_CONFIG
+        floor = f"resolution must be a number >= {ex._FEM_MIN_RESOLUTION}"
+        assert floor in capsys.readouterr().err
+        assert not out.exists()
 
     def test_torus(self, tmp_path):
         out = str(tmp_path / "dn.json")

@@ -75,11 +75,10 @@ class TestConformalDN:
 
     @pytest.mark.parametrize("coeffs", [(0.08,), (0.05, 0.03, 0.02)])
     @pytest.mark.parametrize("n", [32, 256])
-    @pytest.mark.parametrize("rescale", [True, False])
-    def test_correspondence_closed_form(self, coeffs, n, rescale):
+    def test_correspondence_closed_form(self, coeffs, n):
         # alpha * int_0^theta(s_i) |Phi'| = s_i, by 200-node Gauss-Legendre
         dom = dnm.ConformalDomain(coeffs)
-        cdn = dnm.dn_conformal(dom, n, rescale=rescale)
+        cdn = dnm.dn_conformal(dom, n)
         x, w = np.polynomial.legendre.leggauss(200)
         th = cdn.theta_of_s
         nodes = 0.5 * th[:, None] * (x + 1.0)
@@ -104,11 +103,10 @@ class TestConformalDN:
 
     @pytest.mark.parametrize("coeffs", [(0.08,), (0.05, 0.03, 0.02)])
     @pytest.mark.parametrize("n", [32, 256])
-    @pytest.mark.parametrize("rescale", [True, False])
-    def test_matches_complex_gram_reference(self, coeffs, n, rescale):
+    def test_matches_complex_gram_reference(self, coeffs, n):
         dom = dnm.ConformalDomain(coeffs)
-        cdn = dnm.dn_conformal(dom, n, rescale=rescale)
-        matrix, theta_of_s, s_of_theta = _complex_gram_dn(dom, n, rescale)
+        cdn = dnm.dn_conformal(dom, n)
+        matrix, theta_of_s, s_of_theta = _complex_gram_dn(dom, n)
         m = cdn.operator.matrix
         assert np.abs(m - matrix).max() <= 1e-14 * np.abs(matrix).max()
         assert np.abs(cdn.theta_of_s - theta_of_s).max() <= 1e-14 * TWO_PI
@@ -131,7 +129,7 @@ class TestConformalDN:
         assert ts[0] > ts[1] > ts[2] > 0
 
 
-def _complex_gram_dn(domain, n, rescale):
+def _complex_gram_dn(domain, n):
     """dn_conformal's matrix, theta(s) and s(theta) from the full complex Gram.
 
     All N exponentials E_k = exp(i k u) are sampled on 8N theta nodes, taken
@@ -144,7 +142,7 @@ def _complex_gram_dn(domain, n, rescale):
     speed_f = np.abs(domain.map_derivative(theta_f))
     mean_speed = np.mean(speed_f)
     total = TWO_PI * mean_speed
-    alpha = TWO_PI / total if rescale else 1.0
+    alpha = TWO_PI / total
     length = alpha * total
     per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, TWO_PI)).values()
     per_f = per_f - per_f[0]

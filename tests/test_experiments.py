@@ -66,9 +66,10 @@ class TestConfigValidation:
 
     def test_from_json_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"immersion": "z", "bogus": 1}))
-        with pytest.raises(ConfigInvalid):
-            ex.ExperimentConfig.from_json(str(path))
+        for key in ("bogus", "depth"):
+            path.write_text(json.dumps({"immersion": "z", key: 1}))
+            with pytest.raises(ConfigInvalid, match=f"unknown config keys: .*{key}"):
+                ex.ExperimentConfig.from_json(str(path))
 
     def test_from_json_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -174,7 +175,7 @@ class TestRunSweep:
         e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
         for (used, e_p, rep), rec in zip(diags, records):
             assert used is ref and rec.near_boundary_sup == rep.global_sup
-            fresh = reference_charts(e, cfg.n_anchors, cfg.depth)
+            fresh = reference_charts(e, cfg.n_anchors)
             assert diagnostic(fresh, e_p).to_json() == rep.to_json()
 
     def test_kappa_mismatch_invalidates(self, tmp_path, monkeypatch):

@@ -117,10 +117,14 @@ class TestEstimateKappa:
             hm.estimate_kappa(lam)
 
     def test_gap_without_a_next_singular_value_is_infinite(self):
-        # the defect on |m| <= 1 holds two singular values, so kappa = 2
-        # leaves none to divide by
-        zero = bc.zero_operator(64, TWO_PI)
-        assert hm.spectral_gap(zero, 2, max_mode=1) == np.inf
+        # the disk symbol cut to |m| <= 1 resolves one mode each side, so the
+        # defect holds two singular values and kappa = 2 leaves none to
+        # divide by
+        ms = np.abs(bc.mode_numbers(64)).astype(float)
+        lam = bc.operator_from_symbol(np.where(ms <= 1, ms, 0.0), TWO_PI)
+        assert hm.resolved_band(lam) == 1
+        assert hm._defect_spectrum(lam)[1].size == 2
+        assert hm.spectral_gap(lam, 2) == np.inf
 
 
 class TestProjections:

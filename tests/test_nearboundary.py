@@ -233,7 +233,7 @@ class TestReferenceCharts:
     def test_frozen(self, e_pair):
         ref = nb.reference_charts(e_pair, n_anchors=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ref.depth = 0.1
+            ref.anchors = (0.0,)
 
     def test_falls_back_when_perturbed_chart_fails(self):
         # a constant second perturbed trace has no chart, so the anchors
