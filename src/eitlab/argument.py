@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 from . import boundary as bc
 from .boundary import BoundaryFunction
 from .errors import (
+    ConfigInvalid,
     DerivativeVanishes,
     EmptyCloud,
     TooCloseToContour,
@@ -290,16 +291,12 @@ def classify(eta_j: BoundaryFunction, grid_resolution: int, eps: float) -> Windi
 
 @dataclass
 class ReconstructedCloud:
-    """Point cloud in C^n sampling an immersed surface image."""
+    """Point cloud in C^n sampling an immersed image; chart_j >= 0 marks interior points."""
 
     points: np.ndarray        # (n_pts, n) complex
-    tags: list                # "interior" or "boundary"
     chart_j: np.ndarray       # chart index, -1 for boundary points
     source_z: np.ndarray      # grid target per interior point, nan+0j for boundary
-    epsilon: float
     n_dropped: int = 0        # targets their chart does not enclose once
-    merge_tol: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @property
     def n_points(self) -> int:
@@ -309,9 +306,13 @@ class ReconstructedCloud:
     def n_coords(self) -> int:
         return self.points.shape[1]
 
+    @property
+    def tags(self) -> list:
+        """Per point "interior" or "boundary", read off chart_j."""
+        return np.where(self.chart_j >= 0, "interior", "boundary").tolist()
+
     def interior_points(self) -> np.ndarray:
-        sel = np.array([t == "interior" for t in self.tags])
-        return self.points[sel]
+        return self.points[self.chart_j >= 0]
 
     def to_csv(self, path: str):
         n = self.n_coords
@@ -331,21 +332,29 @@ class ReconstructedCloud:
 
     @staticmethod
     def from_csv(path: str) -> "ReconstructedCloud":
+        """Read a to_csv file; a malformed one raises ConfigInvalid naming it."""
         with open(path, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            n = (len(header) - 4) // 2
-            pts, tags, charts, src = [], [], [], []
-            for row in rd:
-                pts.append([complex(float(row[2 * k]), float(row[2 * k + 1]))
-                            for k in range(n)])
-                tags.append(row[2 * n])
-                charts.append(int(row[2 * n + 1]))
-                src.append(complex(float(row[2 * n + 2]), float(row[2 * n + 3])))
-        if not pts:
+            rows = list(csv.reader(fh))
+        n = (len(rows[0]) - 4) // 2 if rows else 0
+        if n < 1:
+            raise ConfigInvalid(f"{path}: no cloud header")
+        bad = next((i for i, row in enumerate(rows, 1) if len(row) != 2 * n + 4), None)
+        if bad is not None:
+            raise ConfigInvalid(f"{path}, line {bad}: expected {2 * n + 4} fields")
+        if len(rows) == 1:
             raise EmptyCloud(f"no points in {path}")
-        return ReconstructedCloud(np.array(pts), tags, np.array(charts),
-                                  np.array(src), epsilon=0.0)
+        body = np.array(rows[1:], dtype=object)  # str fields, parsed by float and int
+        try:
+            chart_j = body[:, 2 * n + 1].astype(int)
+            floats = np.delete(body, [2 * n, 2 * n + 1], axis=1).astype(float, order="C")
+        except ValueError as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from exc
+        # re_1, im_1, ..., re_n, im_n, source_z_re, source_z_im as complex pairs
+        z = floats.view(complex)
+        cloud = ReconstructedCloud(z[:, :n], chart_j, z[:, n])
+        if np.any(body[:, 2 * n] != cloud.tags):
+            raise ConfigInvalid(f"{path}: a tag disagrees with its chart_j")
+        return cloud
 
 
 def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
@@ -364,7 +373,7 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
     n = len(e)
     if fields is None:
         fields = [classify(e[j], grid_resolution, eps) for j in range(n)]
-    pts, tags, charts, srcs = [], [], [], []
+    pts, charts, srcs = [], [], []
     diam_all = 0.0
     n_dropped = 0
     for j in range(n):
@@ -375,35 +384,23 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
         vals, winding = _cauchy_many(e.traces, e[j], zs, compensated=True)
         once = np.abs(winding - 1.0) < 0.1
         n_dropped += int(zs.size - once.sum())
-        zs = zs[once]
-        pts.extend(vals[:, once].T)
-        tags.extend(["interior"] * zs.size)
-        charts.extend([j] * zs.size)
-        srcs.extend(zs)
+        pts.append(vals[:, once].T)
+        charts.append(np.full(once.sum(), j))
+        srcs.append(zs[once])
     # boundary samples at 4N nodes
     nb = _OVERSAMPLE * e.n_modes
-    pts.extend(np.stack([e[k].values(nb) for k in range(n)], axis=1))
-    tags.extend(["boundary"] * nb)
-    charts.extend([-1] * nb)
-    srcs.extend([complex(np.nan, 0.0)] * nb)
-    points = np.array(pts)
-    charts = np.array(charts)
-    srcs = np.array(srcs)
+    pts.append(np.stack([e[k].values(nb) for k in range(n)], axis=1))
+    charts.append(np.full(nb, -1))
+    srcs.append(np.full(nb, complex(np.nan, 0.0)))
+    points, chart_j, source_z = (np.concatenate(a) for a in (pts, charts, srcs))
     # merge duplicates (same image point found by different charts, or
     # degenerate boundary samples); keep the earliest occurrence
     merge_tol = _MERGE_REL * max(diam_all, 1e-6)
     flat = np.column_stack([points.real, points.imag])
-    pairs = cKDTree(flat).query_pairs(merge_tol)
-    drop = {max(a, b) for a, b in pairs}
-    if drop:
-        mask = np.ones(points.shape[0], dtype=bool)
-        mask[sorted(drop)] = False
-        points = points[mask]
-        charts = charts[mask]
-        srcs = srcs[mask]
-        tags = [t for t, m in zip(tags, mask) if m]
-    return ReconstructedCloud(points, list(tags), charts, srcs, eps,
-                              n_dropped=n_dropped, merge_tol=merge_tol)
+    pairs = cKDTree(flat).query_pairs(merge_tol, output_type="ndarray")
+    keep = np.ones(points.shape[0], dtype=bool)
+    keep[pairs[:, 1]] = False  # each pair is (i, j) with i < j
+    return ReconstructedCloud(points[keep], chart_j[keep], source_z[keep], n_dropped)
 
 
 @dataclass(frozen=True)

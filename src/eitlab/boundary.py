@@ -46,8 +46,6 @@ __all__ = [
     "sobolev_norm",
     "ck_norm",
     "operator_norm",
-    "identity_operator",
-    "zero_operator",
     "operator_from_symbol",
     "operator_from_coefficients",
 ]
@@ -365,14 +363,6 @@ def _check_compatible_of(a: BoundaryOperator, f: BoundaryFunction):
 def _check_compatible_oo(a: BoundaryOperator, b: BoundaryOperator):
     if a.n_modes != b.n_modes or not np.isclose(a.length, b.length):
         raise DimensionMismatch("operator/operator grid mismatch")
-
-
-def identity_operator(n: int, length: float) -> BoundaryOperator:
-    return BoundaryOperator(np.eye(n), length)
-
-
-def zero_operator(n: int, length: float) -> BoundaryOperator:
-    return BoundaryOperator(np.zeros((n, n)), length)
 
 
 def operator_from_symbol(symbol: np.ndarray, length: float) -> BoundaryOperator:

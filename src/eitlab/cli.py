@@ -33,11 +33,23 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if n_bad == 0 else EXIT_NUMERICAL
 
 
+def _read_json(path: str, from_json):
+    """from_json applied to a JSON file; a malformed file raises ConfigInvalid."""
+    with open(path) as fh:
+        try:
+            return from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _build_dn(args):
     if args.surface == "disk":
         return dnm.dn_disk(args.n_modes)
     if args.surface.startswith("conformal:"):
-        coeffs = tuple(float(c) for c in args.surface.split(":")[1].split("+"))
+        try:
+            coeffs = tuple(map(float, args.surface.removeprefix("conformal:").split("+")))
+        except ValueError as exc:
+            raise ConfigInvalid(f"surface {args.surface!r}: {exc}") from exc
         return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes).operator
     if args.surface == "fem-disk":
         ex._require_fem_resolution(args.resolution)
@@ -62,8 +74,7 @@ def _cmd_dn(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    with open(args.traces) as fh:
-        e = hm.TraceTuple.from_json(json.load(fh))
+    e = _read_json(args.traces, hm.TraceTuple.from_json)
     cloud = ap.reconstruct(e, args.epsilon, args.grid_resolution)
     cloud.to_csv(args.out)
     print(f"reconstruct: {cloud.n_points} points "
@@ -87,9 +98,8 @@ def _cmd_hausdorff(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    with open(args.dn) as fh:
-        op = hm.BoundaryOperator.from_json(json.load(fh))
-    kappa = hm.estimate_kappa(op, tau_rank=args.tau_rank)
+    op = _read_json(args.dn, hm.BoundaryOperator.from_json)
+    kappa = hm.estimate_kappa(op)
     gap = hm.spectral_gap(op, kappa)
     # strict JSON has no Infinity: an infinite gap is printed as null
     print(json.dumps({"kappa": kappa,
@@ -134,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kappa", help="DN operator JSON -> topology rank")
     pk.add_argument("--dn", required=True)
-    pk.add_argument("--tau-rank", type=float, default=1e-3)
     pk.set_defaults(fn=_cmd_kappa)
     return p
 
@@ -144,10 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigInvalid, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EitlabError as exc:

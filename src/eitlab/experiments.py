@@ -40,6 +40,9 @@ __all__ = [
 # so the floor does not depend on n_modes.
 _FEM_MIN_RESOLUTION = 23
 
+# the values each ExperimentConfig annotation (a string here) accepts
+_FIELD_TYPES = {"dict": dict, "str": str, "int": int, "float": (int, float)}
+
 _RECIPES = {
     "z": lambda w: w,
     "z2": lambda w: w ** 2,
@@ -72,6 +75,10 @@ class ExperimentConfig:
     n_anchors: int = 8
 
     def validate(self):
+        for f in self.__dataclass_fields__.values():
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ConfigInvalid(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.base_surface.get("kind") != "disk":
             raise ConfigInvalid("base_surface.kind must be 'disk'")
         fam = self.perturbation_family
@@ -101,15 +108,14 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
         try:
+            extra = set(raw) - set(ExperimentConfig.__dataclass_fields__)
+            if extra:
+                raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
             cfg = ExperimentConfig(**raw)
-        except TypeError as exc:
-            raise ConfigInvalid(str(exc)) from exc
-        cfg.validate()
+            cfg.validate()
+        except (TypeError, ConfigInvalid) as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from exc
         return cfg
 
 

@@ -17,7 +17,8 @@ gap factor.  The completion of a zero-mean u has the certificate residual
 D d_gamma u, so the completable real traces are the kernel of D d_gamma,
 and Q projects onto its complement: d_gamma^H applied to D's top kappa
 right singular vectors, whose real and imaginary samples span a real
-space of dimension kappa.
+space of dimension kappa.  P = I - Q and Q are held as Q's orthonormal
+basis B on the nodes: P u = u - B (B^T u).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import boundary as bc
 from .boundary import BoundaryFunction, BoundaryOperator
-from .errors import CertificateFailed, DimensionMismatch, NoSpectralGap
+from .errors import CertificateFailed, NoSpectralGap
 
 __all__ = [
     "TraceTuple",
@@ -54,6 +55,8 @@ class TraceTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
+        if not self.traces:
+            raise ValueError("a trace tuple needs at least one trace")
 
     def __len__(self):
         return len(self.traces)
@@ -79,11 +82,13 @@ class TraceTuple:
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Complementary projections P (completable real traces) and Q = I - P."""
+    """Q = B B^T and P = I - Q (completable real traces), held as Q's basis B."""
 
-    p: BoundaryOperator
-    q: BoundaryOperator
-    kappa: int
+    basis: np.ndarray
+
+    @property
+    def kappa(self) -> int:
+        return self.basis.shape[1]
 
 
 _BAND_FLOOR = 0.5      # |Lambda J| on a resolved mode
@@ -91,6 +96,7 @@ _GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
 _MAX_BAND = 8          # widest defect band: discretization error grows with
                        # the mode number, and rank detection needs few modes
 _RANK_TOL = 1e-8       # relative singular value below which Q's basis ends
+_TAU_RANK = 1e-3       # defect rank threshold relative to max(||Lambda J||_2, 1)
 
 
 def _lj_hat(lam: BoundaryOperator) -> np.ndarray:
@@ -193,12 +199,10 @@ def _require_gap(sv: np.ndarray, kappa: int, above: float):
             f">= {_GAP_FACTOR} at kappa = {kappa}")
 
 
-def estimate_kappa(lam: BoundaryOperator, tau_rank: float = 1e-3) -> int:
+def estimate_kappa(lam: BoundaryOperator) -> int:
     """Rank of the defect operator = 1 - chi(M)."""
-    if tau_rank <= 0:
-        raise ValueError("tau_rank must be positive")
     _, sv, _ = _defect_spectrum(lam)
-    thresh = tau_rank * _rank_scale(lam)
+    thresh = _TAU_RANK * _rank_scale(lam)
     kappa = int(np.sum(sv > thresh))
     _require_gap(sv, kappa, sv[kappa - 1] if kappa > 0 else thresh)
     return kappa
@@ -221,17 +225,16 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     V_kappa holds the defect's top kappa right singular vectors on the band.
     Their images under d_gamma^H = -i omega, sampled on the nodes, have real
     and imaginary parts whose orthonormal basis B spans the complement of
-    the completable real traces, ker(D d_gamma); Q = B B^T.  Raises
-    NoSpectralGap when those 2 kappa real columns do not have rank exactly
-    kappa, as when kappa splits a degenerate singular pair, and when the
-    defect's kappa-th and (kappa+1)-th singular values are closer than
-    estimate_kappa's gap factor.  seed is accepted and ignored: nothing
-    here is random.
+    the completable real traces, ker(D d_gamma); Q = B B^T, returned as the
+    (N, kappa) array B.  Raises NoSpectralGap when those 2 kappa real
+    columns do not have rank exactly kappa, as when kappa splits a
+    degenerate singular pair, and when the defect's kappa-th and
+    (kappa+1)-th singular values are closer than estimate_kappa's gap
+    factor.  seed is accepted and ignored: nothing here is random.
     """
     n, length = lam.n_modes, lam.length
     if kappa == 0:
-        return ProjectionPair(bc.identity_operator(n, length),
-                              bc.zero_operator(n, length), 0)
+        return ProjectionPair(np.zeros((n, 0)))
     band, sv_defect, vh = _defect_spectrum(lam)
     v = vh[:kappa].conj().T
     c = np.zeros((n, v.shape[1]), dtype=complex)
@@ -244,10 +247,7 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
             f"real and imaginary samples of the top {kappa} defect vectors have "
             f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
     _require_gap(sv_defect, kappa, sv_defect[kappa - 1])
-    basis = u[:, :kappa]
-    q = basis @ basis.T
-    return ProjectionPair(BoundaryOperator(np.eye(n) - q, length),
-                          BoundaryOperator(q, length), kappa)
+    return ProjectionPair(u[:, :kappa])
 
 
 def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator) -> float:
@@ -266,7 +266,9 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
                    lam: BoundaryOperator, proj: ProjectionPair,
                    cert_tol_rel: float = 1e-8) -> BoundaryFunction:
     """eta = P re + i [J Lambda P re + <Im eta>/L]; certified against Lambda."""
-    pre = proj.p.apply(re_part)
+    bc._check_compatible_of(lam, re_part)
+    v = re_part.values()
+    pre = bc.from_samples(v - proj.basis @ (proj.basis.T @ v), lam.length)
     j = bc._integration_symbol(lam.n_modes, lam.length)
     hil = BoundaryFunction(lam.apply(pre).coeffs * j, lam.length)
     eta_v = pre.values().real + 1j * (hil.values().real + im_mean / lam.length)
@@ -297,6 +299,4 @@ def transport_immersion(e: TraceTuple, lam_prime: BoundaryOperator,
 
 def dn_distance(lam: BoundaryOperator, lam_prime: BoundaryOperator) -> float:
     """t = ||Lambda' - Lambda|| from H^1 to L2 over real functions."""
-    if lam.n_modes != lam_prime.n_modes or not np.isclose(lam.length, lam_prime.length):
-        raise DimensionMismatch("DN operators on different grids")
     return bc.operator_norm(lam_prime - lam, 1, 0)

@@ -173,13 +173,6 @@ class TestOperators:
         with pytest.raises(ValueError, match="real operator"):
             bc.operator_from_symbol(sym, TWO_PI)
 
-    def test_identity_and_zero(self):
-        n = 16
-        f = bc.from_samples(np.sin(grid(n)), TWO_PI)
-        assert np.allclose(bc.identity_operator(n, TWO_PI).apply(f).values(),
-                           f.values())
-        assert np.allclose(bc.zero_operator(n, TWO_PI).apply(f).values(), 0.0)
-
     def test_operator_norm_of_symbol(self):
         n = 64
         sym = np.abs(bc.mode_numbers(n)).astype(complex)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from eitlab import boundary as bc
 from eitlab import cli
@@ -25,20 +26,23 @@ def kappa_printed(capsys) -> int:
     return json_printed(capsys)["kappa"]
 
 
+SWEEP_CONFIG = {
+    "base_surface": {"kind": "disk"},
+    "perturbation_family": {"kind": "conformal_polynomial",
+                            "parameter_list": [0.05]},
+    "immersion": "z,z2",
+    "n_modes": 64,
+    "epsilon": 0.25,
+    "grid_resolution": 16,
+    "n_anchors": 2,
+}
+
+CLOUD_HEADER = "re_1,im_1,tag,chart_j,source_z_re,source_z_im\n"
+
+
 def write_config(tmp_path, out_dir):
-    cfg = {
-        "base_surface": {"kind": "disk"},
-        "perturbation_family": {"kind": "conformal_polynomial",
-                                "parameter_list": [0.05]},
-        "immersion": "z,z2",
-        "n_modes": 64,
-        "epsilon": 0.25,
-        "grid_resolution": 16,
-        "n_anchors": 2,
-        "output_dir": str(out_dir),
-    }
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**SWEEP_CONFIG, "output_dir": str(out_dir)}))
     return str(path)
 
 
@@ -187,3 +191,34 @@ class TestKappa:
         cli.main(["dn", "--surface", "disk", "--n-modes", "8", "--out", out])
         assert cli.main(["kappa", "--dn", out]) == cli.EXIT_OK
         assert json_printed(capsys) == {"kappa": 0, "spectral_gap": None}
+
+
+HAUSDORFF = ["hausdorff", "IN", "IN", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (HAUSDORFF, CLOUD_HEADER + "abc,0.2,interior,0,0.1,0.2\n"),
+    (HAUSDORFF, CLOUD_HEADER + "0.1,0.2,interior\n"),
+    (HAUSDORFF, ""),
+    (HAUSDORFF, CLOUD_HEADER + "0.1,0.2,boundary,0,0.1,0.2\n"),
+    (["kappa", "--dn", "IN"], json.dumps({"n": 8, "length": 6.28})),
+    (["reconstruct", "--traces", "IN", "--out", "OUT"], json.dumps({"trace": []})),
+    (["reconstruct", "--traces", "IN", "--out", "OUT"], json.dumps({"traces": []})),
+    (["sweep", "--config", "IN", "--out", "OUT"],
+     json.dumps({**SWEEP_CONFIG, "n_modes": "abc"})),
+    (["dn", "--surface", "conformal:abc", "--out", "OUT"], None),
+], ids=["cloud_non_numeric", "cloud_short_row", "cloud_empty_file",
+        "cloud_tag_off_chart", "dn_no_matrix", "no_traces", "empty_traces",
+        "sweep_n_modes_str",
+        "conformal_non_numeric"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, content):
+    # the message names the malformed file, or the surface string
+    src, out = tmp_path / "input", tmp_path / "out"
+    if content is not None:
+        src.write_text(content)
+    argv = [str(src) if a == "IN" else str(out) if a == "OUT" else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert (str(src) if content is not None else "'conformal:abc'") in err
+    assert not out.exists()
