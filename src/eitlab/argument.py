@@ -53,9 +53,8 @@ _OVERSAMPLE = 4
 _MERGE_REL = 1e-6  # duplicate image points: relative to the largest diameter
 
 
-def _contour_samples(eta_j: BoundaryFunction, n_points: int | None = None) -> np.ndarray:
-    n = n_points if n_points is not None else _OVERSAMPLE * eta_j.n_modes
-    return eta_j.values(n)
+def _contour_samples(eta_j: BoundaryFunction) -> np.ndarray:
+    return eta_j.values(_OVERSAMPLE * eta_j.n_modes)
 
 
 def _z_diameter(samples: np.ndarray) -> float:

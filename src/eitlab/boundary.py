@@ -2,10 +2,14 @@
 
 Functions on the boundary are stored by their Fourier coefficients in
 arclength parametrization, ``c_n = (1/N) sum_k f(l_k) exp(-2 pi i n k / N)``
-on ``N`` equispaced nodes ``l_k = k L / N``.  Operators are dense real
-``N x N`` matrices acting on nodal sample values; this is equivalent to the
-stacked (Re, Im)-coefficient representation for real-linear operators and
-keeps application to complex traces trivial.
+on ``N`` equispaced nodes ``l_k = k L / N``, N even and at least 8.  The
+coefficients are the whole representation: +, - and scalar * act on them,
+and samples (values, eval_at) and mean are complex for every function, real
+or not; a caller that needs real samples takes ``.real``.  Operators are
+dense real ``N x N`` matrices acting on nodal sample values; this is
+equivalent to the stacked (Re, Im)-coefficient representation for
+real-linear operators, and A(u + iv) = Au + iAv applies them to complex
+traces.
 
 The tangential derivative d_gamma and its inverse J act only as Fourier
 multipliers on coefficients (i omega and 1 / (i omega), both zero on the
@@ -50,7 +54,6 @@ __all__ = [
     "operator_from_coefficients",
 ]
 
-_REALITY_TOL = 1e-13
 _MEAN_TOL = 1e-10          # integrate_J: largest mean relative to ||f||_L2
 _EVAL_BLOCK = 1 << 17      # phase-kernel entries per eval_at block (2 MiB)
 
@@ -66,13 +69,10 @@ class BoundaryFunction:
 
     coeffs: np.ndarray
     length: float
-    is_real: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        n = c.size
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"need even N >= 8, got N={n}")
+        _require_grid(c.size)
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficients")
         if self.length <= 0:
@@ -95,10 +95,7 @@ class BoundaryFunction:
         c = _pad_spectrum(self.coeffs, m)
         if offset:
             c *= _phase_kernel(m, self.length, offset)[0]
-        v = np.fft.ifft(c) * m
-        if self.is_real:
-            return v.real
-        return v
+        return np.fft.ifft(c) * m
 
     def eval_at(self, l: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary arclength points.
@@ -112,7 +109,7 @@ class BoundaryFunction:
         for i in range(0, l.size, step):
             kern = _phase_kernel(self.n_modes, self.length, l[i:i + step])
             out[i:i + step] = kern @ self.coeffs
-        return out.real if self.is_real else out
+        return out
 
     @property
     def real(self) -> "BoundaryFunction":
@@ -120,23 +117,18 @@ class BoundaryFunction:
 
     @property
     def imag(self) -> "BoundaryFunction":
-        v = self.values()
-        return from_samples(np.asarray(v).imag if np.iscomplexobj(v) else np.zeros_like(v), self.length)
+        return from_samples(self.values().imag, self.length)
 
-    def __add__(self, other):
-        if isinstance(other, BoundaryFunction):
-            _check_compatible_f(self, other)
-            return from_samples(self.values() + other.values(), self.length)
-        return from_samples(self.values() + other, self.length)
+    def __add__(self, other: "BoundaryFunction") -> "BoundaryFunction":
+        _check_same_grid(self, other)
+        return BoundaryFunction(self.coeffs + other.coeffs, self.length)
 
-    def __sub__(self, other):
-        if isinstance(other, BoundaryFunction):
-            _check_compatible_f(self, other)
-            return from_samples(self.values() - other.values(), self.length)
-        return from_samples(self.values() - other, self.length)
+    def __sub__(self, other: "BoundaryFunction") -> "BoundaryFunction":
+        _check_same_grid(self, other)
+        return BoundaryFunction(self.coeffs - other.coeffs, self.length)
 
-    def __mul__(self, scalar):
-        return from_samples(self.values() * scalar, self.length)
+    def __mul__(self, scalar) -> "BoundaryFunction":
+        return BoundaryFunction(self.coeffs * scalar, self.length)
 
     __rmul__ = __mul__
 
@@ -151,8 +143,7 @@ class BoundaryFunction:
     @staticmethod
     def from_json(d: dict) -> "BoundaryFunction":
         c = np.asarray(d["coeffs_re"], dtype=float) + 1j * np.asarray(d["coeffs_im"], dtype=float)
-        f = BoundaryFunction(c, float(d["length"]))
-        return _tag_reality(f)
+        return BoundaryFunction(c, float(d["length"]))
 
 
 def _phase_kernel(n: int, length: float, l: np.ndarray) -> np.ndarray:
@@ -210,19 +201,17 @@ def _cas_norm(a: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def _tag_reality(f: BoundaryFunction) -> BoundaryFunction:
-    v = f.values()
-    scale = np.max(np.abs(v)) or 1.0
-    if np.max(np.abs(np.imag(v))) <= _REALITY_TOL * scale:
-        return BoundaryFunction(f.coeffs, f.length, is_real=True)
-    return f
+def _require_grid(n: int):
+    """The grid rule of every boundary function and operator: N even, N >= 8."""
+    if n < 8 or n % 2 != 0:
+        raise ValueError(f"need even N >= 8, got N={n}")
 
 
-def _check_compatible_f(a: BoundaryFunction, b: BoundaryFunction):
+def _check_same_grid(a, b):
+    """Raise DimensionMismatch unless two functions or operators share N and L."""
     if a.n_modes != b.n_modes or not np.isclose(a.length, b.length):
         raise DimensionMismatch(
-            f"functions on different grids: (N={a.n_modes}, L={a.length}) vs (N={b.n_modes}, L={b.length})"
-        )
+            f"different grids: (N={a.n_modes}, L={a.length}) vs (N={b.n_modes}, L={b.length})")
 
 
 def from_samples(values: np.ndarray, length: float) -> BoundaryFunction:
@@ -230,12 +219,7 @@ def from_samples(values: np.ndarray, length: float) -> BoundaryFunction:
     v = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite sample values")
-    n = v.size
-    if n < 8 or n % 2 != 0:
-        raise ValueError(f"need even N >= 8, got N={n}")
-    c = np.fft.fft(v) / n
-    f = BoundaryFunction(c, length)
-    return _tag_reality(f)
+    return BoundaryFunction(np.fft.fft(v) / v.size, length)
 
 
 def _omega(n: int, length: float) -> np.ndarray:
@@ -259,16 +243,9 @@ def _integration_symbol(n: int, length: float) -> np.ndarray:
     return sym
 
 
-def _multiply(f: BoundaryFunction, sym: np.ndarray) -> BoundaryFunction:
-    out = BoundaryFunction(f.coeffs * sym, f.length)
-    if f.is_real:
-        out = _tag_reality(out)
-    return out
-
-
 def derivative_gamma(f: BoundaryFunction) -> BoundaryFunction:
     """Tangential derivative; the (sign-ambiguous) Nyquist mode is dropped."""
-    return _multiply(f, _derivative_symbol(f.n_modes, f.length))
+    return BoundaryFunction(f.coeffs * _derivative_symbol(f.n_modes, f.length), f.length)
 
 
 def integrate_J(f: BoundaryFunction) -> BoundaryFunction:
@@ -280,13 +257,12 @@ def integrate_J(f: BoundaryFunction) -> BoundaryFunction:
     norm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * f.length) or 1.0
     if abs(f.coeffs[0]) * f.length > _MEAN_TOL * norm:
         raise NonZeroMean(f"mean {f.coeffs[0] * f.length:.3e} exceeds {_MEAN_TOL:.1e} * ||f||")
-    return _multiply(f, _integration_symbol(f.n_modes, f.length))
+    return BoundaryFunction(f.coeffs * _integration_symbol(f.n_modes, f.length), f.length)
 
 
 def mean(f: BoundaryFunction) -> complex:
     """Integral of f over the boundary (length-weighted mean convention)."""
-    m = f.length * f.coeffs[0]
-    return m.real if f.is_real else m
+    return f.length * f.coeffs[0]
 
 
 def sobolev_weights(n: int, length: float, s: float) -> np.ndarray:
@@ -321,6 +297,7 @@ class BoundaryOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
+        _require_grid(m.shape[0])
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -328,17 +305,19 @@ class BoundaryOperator:
         return self.matrix.shape[0]
 
     def apply(self, f: BoundaryFunction) -> BoundaryFunction:
-        _check_compatible_of(self, f)
-        return from_samples(self.matrix @ f.values(), self.length)
+        """A(u + iv) = Au + iAv, with no complex copy of the real matrix."""
+        _check_same_grid(self, f)
+        v = f.values()
+        return from_samples(self.matrix @ v.real + 1j * (self.matrix @ v.imag), self.length)
 
     __call__ = apply
 
     def __add__(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        _check_compatible_oo(self, other)
+        _check_same_grid(self, other)
         return BoundaryOperator(self.matrix + other.matrix, self.length)
 
     def __sub__(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        _check_compatible_oo(self, other)
+        _check_same_grid(self, other)
         return BoundaryOperator(self.matrix - other.matrix, self.length)
 
     def to_json(self) -> dict:
@@ -353,16 +332,6 @@ class BoundaryOperator:
         n = int(d["n"])
         m = np.asarray(d["matrix_row_major"], dtype=float).reshape(n, n)
         return BoundaryOperator(m, float(d["length"]))
-
-
-def _check_compatible_of(a: BoundaryOperator, f: BoundaryFunction):
-    if a.n_modes != f.n_modes or not np.isclose(a.length, f.length):
-        raise DimensionMismatch("operator/function grid mismatch")
-
-
-def _check_compatible_oo(a: BoundaryOperator, b: BoundaryOperator):
-    if a.n_modes != b.n_modes or not np.isclose(a.length, b.length):
-        raise DimensionMismatch("operator/operator grid mismatch")
 
 
 def operator_from_symbol(symbol: np.ndarray, length: float) -> BoundaryOperator:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from . import argument as ap
+from . import boundary as bc
 from . import dn as dnm
 from . import experiments as ex
 from . import holomorphic as hm
@@ -43,6 +44,10 @@ def _read_json(path: str, from_json):
 
 
 def _build_dn(args):
+    try:
+        bc._require_grid(args.n_modes)
+    except ValueError as exc:
+        raise ConfigInvalid(f"--n-modes: {exc}") from exc
     if args.surface == "disk":
         return dnm.dn_disk(args.n_modes)
     if args.surface.startswith("conformal:"):
@@ -50,12 +55,17 @@ def _build_dn(args):
             coeffs = tuple(map(float, args.surface.removeprefix("conformal:").split("+")))
         except ValueError as exc:
             raise ConfigInvalid(f"surface {args.surface!r}: {exc}") from exc
+        if not np.all(np.isfinite(coeffs)):
+            raise ConfigInvalid(f"surface {args.surface!r}: non-finite coefficient")
         return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes).operator
     if args.surface == "fem-disk":
         ex._require_fem_resolution(args.resolution)
         mesh = dnm.unit_disk_mesh(args.resolution)
         return dnm.dn_fem(mesh, n_modes=args.n_modes, rescale_to=2.0 * np.pi)
     if args.surface == "torus":
+        if args.resolution < dnm._TORUS_MIN_RESOLUTION:
+            raise ConfigInvalid(
+                f"--resolution must be >= {dnm._TORUS_MIN_RESOLUTION} for the torus")
         mesh = dnm.make_one_holed_torus_mesh(args.resolution)
         return dnm.dn_fem(mesh, n_modes=args.n_modes)
     if args.surface.endswith(".off"):
@@ -74,6 +84,8 @@ def _cmd_dn(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    if not args.epsilon > 0:
+        raise ConfigInvalid(f"--epsilon must be positive, got {args.epsilon}")
     e = _read_json(args.traces, hm.TraceTuple.from_json)
     cloud = ap.reconstruct(e, args.epsilon, args.grid_resolution)
     cloud.to_csv(args.out)
@@ -86,14 +98,14 @@ def _cmd_hausdorff(args) -> int:
     a = ap.ReconstructedCloud.from_csv(args.cloud_a)
     b = ap.ReconstructedCloud.from_csv(args.cloud_b)
     res = mt.hausdorff(a.points, b.points)
-    fa = mt.fill_distance(a.points)
-    fb = mt.fill_distance(b.points)
-    if args.out:
-        res.save(args.out, fa, fb)
     out = res.to_json()
-    out["fill_distance_a"] = fa
-    out["fill_distance_b"] = fb
-    print(json.dumps(out, indent=2))
+    out["fill_distance_a"] = mt.fill_distance(a.points)
+    out["fill_distance_b"] = mt.fill_distance(b.points)
+    text = json.dumps(out, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    print(text)
     return EXIT_OK
 
 

@@ -51,6 +51,7 @@ __all__ = [
 
 _TAIL_TOL = 1e-8        # dn_conformal: spectrum energy allowed past half the band
 _HOLE_RADIUS = 0.25     # make_one_holed_torus_mesh: radius of the hole circle
+_TORUS_MIN_RESOLUTION = 8  # make_one_holed_torus_mesh: fewest radial bands
 
 
 def dn_disk(n_modes: int, length: float = 2.0 * np.pi) -> BoundaryOperator:
@@ -118,7 +119,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     length = alpha * total
 
     # periodic part of s(theta) / alpha, vanishing at theta = 0
-    per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)).values()
+    per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)).values().real
     per_f = per_f - per_f[0]
 
     # E_k(theta) = exp(i k u(theta)) for k = 0 .. N/2, and the real spectra
@@ -289,8 +290,8 @@ def make_one_holed_torus_mesh(resolution: int) -> TriMesh:
     taken from the cut square before identification, so the flat metric is
     exact including across the seam.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
+    if resolution < _TORUS_MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {_TORUS_MIN_RESOLUTION}")
     nb = 8 * int(np.ceil(resolution / 2))  # divisible by 8: rays hit the corners
     n_layers = resolution
     ang = 2.0 * np.pi * np.arange(nb) / nb

@@ -266,8 +266,8 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
                    lam: BoundaryOperator, proj: ProjectionPair,
                    cert_tol_rel: float = 1e-8) -> BoundaryFunction:
     """eta = P re + i [J Lambda P re + <Im eta>/L]; certified against Lambda."""
-    bc._check_compatible_of(lam, re_part)
-    v = re_part.values()
+    bc._check_same_grid(lam, re_part)
+    v = re_part.values().real
     pre = bc.from_samples(v - proj.basis @ (proj.basis.T @ v), lam.length)
     j = bc._integration_symbol(lam.n_modes, lam.length)
     hil = BoundaryFunction(lam.apply(pre).coeffs * j, lam.length)

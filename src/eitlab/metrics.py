@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +57,6 @@ class HausdorffResult:
     def to_json(self) -> dict:
         return {"d_h": self.d_h, "r_ab": self.r_ab, "r_ba": self.r_ba,
                 "witness_a": int(self.witness_a), "witness_b": int(self.witness_b)}
-
-    def save(self, path: str, fill_a: float | None = None, fill_b: float | None = None):
-        d = self.to_json()
-        d["fill_distance_a"] = fill_a
-        d["fill_distance_b"] = fill_b
-        with open(path, "w") as fh:
-            json.dump(d, fh, indent=2)
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray, brute_force: bool = False) -> HausdorffResult:

@@ -104,19 +104,20 @@ class TestDerivativeAndIntegration:
         for m in range(1, 10):
             a = rng.standard_normal() + 1j * rng.standard_normal()
             c[m], c[-m] = a, np.conj(a)
-        f = bc.BoundaryFunction(c, TWO_PI, is_real=True)
+        f = bc.BoundaryFunction(c, TWO_PI)
         g = bc.integrate_J(bc.derivative_gamma(f))
         assert np.allclose(g.values(), f.values(), atol=1e-12)
 
     def test_J_drops_the_nyquist_mode(self):
         # J and d_gamma share one Nyquist convention: both drop the mode, so
         # J of a real function is real and d_gamma J removes exactly the
-        # mean and the Nyquist part
+        # mean and the Nyquist part (a Nyquist mode kept by J puts -0.0625i
+        # into the samples here)
         n = 16
         th = grid(n)
         f = bc.from_samples(np.cos(3 * th) + 0.5 * np.cos(8 * th), TWO_PI)
         g = bc.integrate_J(f)
-        assert g.is_real
+        assert np.abs(g.values().imag).max() <= 1e-15
         assert np.allclose(g.values(), np.sin(3 * th) / 3, atol=1e-14)
         back = bc.derivative_gamma(g)
         assert np.abs(back.values() - np.cos(3 * th)).max() < 1e-14
@@ -187,4 +188,28 @@ class TestOperators:
         op = dnm.dn_disk(n)
         op2 = bc.BoundaryOperator.from_json(op.to_json())
         assert np.allclose(op.matrix, op2.matrix)
+
+    @pytest.mark.parametrize("n", [0, 6, 7, 9, 31])
+    def test_operator_obeys_the_grid_rule(self, n):
+        with pytest.raises(ValueError, match="need even N >= 8"):
+            bc.BoundaryOperator(np.zeros((n, n)), TWO_PI)
+        d = {"n": n, "length": TWO_PI, "matrix_row_major": [0.0] * (n * n)}
+        with pytest.raises(ValueError, match="need even N >= 8"):
+            bc.BoundaryOperator.from_json(d)
+
+
+@pytest.mark.parametrize("n, length", [(8, TWO_PI), (16, 1.0)], ids=["modes", "length"])
+@pytest.mark.parametrize("combine", [
+    lambda f, g, a, b: f + g,
+    lambda f, g, a, b: f - g,
+    lambda f, g, a, b: a.apply(g),
+    lambda f, g, a, b: a - b,
+], ids=["function_plus_function", "function_minus_function", "apply",
+        "operator_minus_operator"])
+def test_grid_mismatch_raises(combine, n, length):
+    # f and a live on (16, 2 pi); g and b differ in N or in L
+    f, g = bc.from_samples(np.ones(16), TWO_PI), bc.from_samples(np.ones(n), length)
+    a, b = dnm.dn_disk(16), dnm.dn_disk(n, length)
+    with pytest.raises(DimensionMismatch, match="different grids"):
+        combine(f, g, a, b)
 

@@ -40,6 +40,12 @@ SWEEP_CONFIG = {
 CLOUD_HEADER = "re_1,im_1,tag,chart_j,source_z_re,source_z_im\n"
 
 
+def traces_json() -> str:
+    """A one-trace tuple, eta = exp(i theta) on 64 nodes."""
+    th = np.arange(64) * (2 * np.pi / 64)
+    return json.dumps(TraceTuple((bc.from_samples(np.exp(1j * th), 2 * np.pi),)).to_json())
+
+
 def write_config(tmp_path, out_dir):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**SWEEP_CONFIG, "output_dir": str(out_dir)}))
@@ -150,11 +156,8 @@ class TestDn:
 
 class TestReconstructAndHausdorff:
     def test_pipeline(self, tmp_path):
-        n = 64
-        th = np.arange(n) * (2 * np.pi / n)
-        e = TraceTuple((bc.from_samples(np.exp(1j * th), 2 * np.pi),))
         tr = tmp_path / "traces.json"
-        tr.write_text(json.dumps(e.to_json()))
+        tr.write_text(traces_json())
         ca = str(tmp_path / "a.csv")
         assert cli.main(["reconstruct", "--traces", str(tr), "--epsilon",
                          "0.25", "--grid-resolution", "16",
@@ -164,6 +167,18 @@ class TestReconstructAndHausdorff:
         with open(hj) as fh:
             d = json.load(fh)
         assert d["d_h"] == 0.0
+
+    def test_out_file_is_the_printed_json(self, tmp_path, capsys):
+        # A = {0, 1} and B = {3} on the real line: r_AB = 2, r_BA = 3
+        ca, cb = tmp_path / "a.csv", tmp_path / "b.csv"
+        ca.write_text(CLOUD_HEADER + "0,0,interior,0,0,0\n1,0,interior,0,0,0\n")
+        cb.write_text(CLOUD_HEADER + "3,0,interior,0,0,0\n")
+        hj = tmp_path / "h.json"
+        assert cli.main(["hausdorff", str(ca), str(cb), "--out", str(hj)]) == cli.EXIT_OK
+        assert hj.read_text() == capsys.readouterr().out.strip()
+        d = json.loads(hj.read_text())
+        assert (d["d_h"], d["r_ab"], d["r_ba"]) == (3.0, 2.0, 3.0)
+        assert (d["fill_distance_a"], d["fill_distance_b"]) == (1.0, 0.0)
 
     def test_missing_traces_exits_2(self, tmp_path):
         assert cli.main(["reconstruct", "--traces",
@@ -194,25 +209,38 @@ class TestKappa:
 
 
 HAUSDORFF = ["hausdorff", "IN", "IN", "--out", "OUT"]
+RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
 
 
-@pytest.mark.parametrize("argv, content", [
-    (HAUSDORFF, CLOUD_HEADER + "abc,0.2,interior,0,0.1,0.2\n"),
-    (HAUSDORFF, CLOUD_HEADER + "0.1,0.2,interior\n"),
-    (HAUSDORFF, ""),
-    (HAUSDORFF, CLOUD_HEADER + "0.1,0.2,boundary,0,0.1,0.2\n"),
-    (["kappa", "--dn", "IN"], json.dumps({"n": 8, "length": 6.28})),
-    (["reconstruct", "--traces", "IN", "--out", "OUT"], json.dumps({"trace": []})),
-    (["reconstruct", "--traces", "IN", "--out", "OUT"], json.dumps({"traces": []})),
+@pytest.mark.parametrize("argv, content, named", [
+    (HAUSDORFF, CLOUD_HEADER + "abc,0.2,interior,0,0.1,0.2\n", "IN"),
+    (HAUSDORFF, CLOUD_HEADER + "0.1,0.2,interior\n", "IN"),
+    (HAUSDORFF, "", "IN"),
+    (HAUSDORFF, CLOUD_HEADER + "0.1,0.2,boundary,0,0.1,0.2\n", "IN"),
+    (["kappa", "--dn", "IN"], json.dumps({"n": 8, "length": 6.28}), "IN"),
+    (RECONSTRUCT, json.dumps({"trace": []}), "IN"),
+    (RECONSTRUCT, json.dumps({"traces": []}), "IN"),
     (["sweep", "--config", "IN", "--out", "OUT"],
-     json.dumps({**SWEEP_CONFIG, "n_modes": "abc"})),
-    (["dn", "--surface", "conformal:abc", "--out", "OUT"], None),
+     json.dumps({**SWEEP_CONFIG, "n_modes": "abc"}), "IN"),
+    (["dn", "--surface", "conformal:abc", "--out", "OUT"], None, "'conformal:abc'"),
+    (["kappa", "--dn", "IN"],
+     json.dumps({"n": 7, "length": 6.28, "matrix_row_major": [0.0] * 49}), "IN"),
+    # out-of-range arguments, beside a well-formed traces file
+    (RECONSTRUCT + ["--epsilon", "-1"], traces_json(), "--epsilon"),
+    (RECONSTRUCT + ["--epsilon", "0"], traces_json(), "--epsilon"),
+    (["dn", "--surface", "torus", "--resolution", "3", "--out", "OUT"], None,
+     "--resolution"),
+    (["dn", "--surface", "conformal:nan", "--out", "OUT"], None, "'conformal:nan'"),
+    (["dn", "--surface", "disk", "--n-modes", "0", "--out", "OUT"], None, "--n-modes"),
+    (["dn", "--surface", "disk", "--n-modes", "7", "--out", "OUT"], None, "--n-modes"),
 ], ids=["cloud_non_numeric", "cloud_short_row", "cloud_empty_file",
         "cloud_tag_off_chart", "dn_no_matrix", "no_traces", "empty_traces",
         "sweep_n_modes_str",
-        "conformal_non_numeric"])
-def test_malformed_input_exits_2(tmp_path, capsys, argv, content):
-    # the message names the malformed file, or the surface string
+        "conformal_non_numeric", "dn_odd_n", "epsilon_negative", "epsilon_zero",
+        "torus_resolution_3", "conformal_nan", "n_modes_0", "n_modes_7"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, content, named):
+    # the message names the malformed file (IN), the surface string or the
+    # out-of-range argument
     src, out = tmp_path / "input", tmp_path / "out"
     if content is not None:
         src.write_text(content)
@@ -220,5 +248,5 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, content):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert (str(src) if content is not None else "'conformal:abc'") in err
+    assert (str(src) if named == "IN" else named) in err
     assert not out.exists()

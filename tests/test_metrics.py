@@ -108,16 +108,3 @@ class TestErrors:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             mt.hausdorff(np.ones((3, 2)), np.ones((3, 3)))
-
-
-class TestSerialization:
-    def test_save(self, tmp_path):
-        import json
-
-        res = mt.hausdorff(np.array([[0.0]]), np.array([[2.0]]))
-        path = str(tmp_path / "h.json")
-        res.save(path, fill_a=0.5, fill_b=0.25)
-        with open(path) as fh:
-            d = json.load(fh)
-        assert d["d_h"] == 2.0
-        assert d["fill_distance_a"] == 0.5
