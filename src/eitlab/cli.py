@@ -86,6 +86,9 @@ def _cmd_dn(args) -> int:
 def _cmd_reconstruct(args) -> int:
     if not args.epsilon > 0:
         raise ConfigInvalid(f"--epsilon must be positive, got {args.epsilon}")
+    if args.grid_resolution < ex._MIN_GRID_RESOLUTION:
+        raise ConfigInvalid(f"--grid-resolution must be >= {ex._MIN_GRID_RESOLUTION}, "
+                            f"got {args.grid_resolution}")
     e = _read_json(args.traces, hm.TraceTuple.from_json)
     cloud = ap.reconstruct(e, args.epsilon, args.grid_resolution)
     cloud.to_csv(args.out)

@@ -10,7 +10,7 @@ to the disk, where the Dirichlet integral is the same, and forms it as one
 real Gram of their cosine and sine parts there; the FEM backend contracts
 the Schur complement with them; it reads that complement off the trailing
 block of one sparse factorization of the stiffness matrix, boundary
-ordered last.
+ordered last and the interior ordered from its vertex graph.
 boundary.operator_from_coefficients turns b into the nodal matrix for both.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
@@ -118,16 +118,22 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     alpha = 2.0 * np.pi / total
     length = alpha * total
 
-    # periodic part of s(theta) / alpha, vanishing at theta = 0
-    per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)).values().real
+    # periodic part of s(theta) / alpha, vanishing at theta = 0.  The mean is
+    # removed by construction: what is left of it is rounding, which J
+    # discards and whose test would fail once ||speed - mean|| is that small
+    dev = bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)
+    dev = bc.BoundaryFunction(np.r_[0.0, dev.coeffs[1:]], dev.length)
+    per_f = bc.integrate_J(dev).values().real
     per_f = per_f - per_f[0]
 
-    # E_k(theta) = exp(i k u(theta)) for k = 0 .. N/2, and the real spectra
-    # of the columns [C_0 .. C_N/2, S_0 .. S_N/2] at p = 0 .. 4N
+    # C_k, S_k at u(theta) for k = 0 .. N/2, and the real spectra of the
+    # columns [C_0 .. C_N/2, S_0 .. S_N/2] at p = 0 .. 4N
     u_f = theta_f + per_f / mean_speed
     half = n // 2 + 1
-    e = np.exp(1j * np.outer(u_f, np.arange(half)))
-    cs_hat = np.fft.rfft(np.concatenate([e.real, e.imag], axis=1), axis=0) / fine
+    phase = np.outer(u_f, np.arange(half))
+    cs_f = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    del phase  # else alive through the Gram below, at this call's memory peak
+    cs_hat = np.fft.rfft(cs_f, axis=0) / fine
     # a real function's spectrum at +-p is counted once from p >= 0: twice,
     # except at p = 0 and the Nyquist p = 4N; likewise E_k and E_-k have the
     # same tail for 0 < k < N/2, and only E_0 and E_-N/2 stand alone
@@ -159,7 +165,8 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     # folds the modes |k| < 3N/2 onto the band in the same product.  q is
     # real, so the modes k >= 0 determine it.
     fold = 1.0 + 2.0 * np.cos(n * u_f)
-    q_hat = -np.conj((per_f * speed_f * fold) @ e) / (mean_speed ** 2 * fine)
+    wq = (per_f * speed_f * fold) @ cs_f
+    q_hat = -(wq[:half] - 1j * wq[half:]) / (mean_speed ** 2 * fine)
     u = np.arange(n) * (2.0 * np.pi / n)
     theta_nodes = u + np.fft.irfft(q_hat, n) * n
     s_eq = alpha * (mean_speed * u + per_f[::8])
@@ -271,11 +278,6 @@ def unit_disk_mesh(resolution: int) -> TriMesh:
     pts[-1] = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     p = np.concatenate(pts, axis=0)
     tri = Delaunay(p).simplices
-    # triangles ring by ring, so the P2 edge numbering is local and the
-    # minimum-degree factorization in dn_fem stays cheap (res 48: 3.6 s in
-    # Delaunay's scattered order, 0.36 s in this one)
-    c = p[tri].mean(axis=1)
-    tri = tri[np.argsort(np.hypot(c[:, 0], c[:, 1]), kind="stable")]
     nb = 6 * m
     boundary = np.arange(p.shape[0] - nb, p.shape[0])
     arc = 2.0 * np.pi * np.arange(nb) / nb  # positions on the unit circle
@@ -360,14 +362,16 @@ def make_one_holed_torus_mesh(resolution: int) -> TriMesh:
     return TriMesh(verts_new, tris_new, boundary, arc, tri_lengths)
 
 
-def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray,
+                                           np.ndarray]:
     """Quadratic Lagrange stiffness from intrinsic edge lengths.
 
     Each triangle is embedded in the plane from its three lengths; gradients
     of the six quadratic basis functions are integrated with the midpoint
     rule, which is exact for the quadratic integrands.  Returns the matrix
     on vertex plus edge-midpoint unknowns, the boundary node indices in loop
-    order and their arclength coordinates.
+    order, their arclength coordinates, and the two endpoint vertices of
+    each edge unknown (row j for node n_vertices + j).
     """
     l = mesh.tri_lengths
     t = mesh.triangles
@@ -376,17 +380,17 @@ def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]
 
     # global edge-midpoint numbering: one unknown per distinct edge, keyed
     # by its sorted vertex pair (lo * nv + hi) and numbered in order of first
-    # appearance; that keeps the mesh's locality, and with it the fill of
-    # the minimum-degree factorization in dn_fem (3.1M against 4.9M L+U
-    # non-zeros on the res-48 torus under sorted-key numbering)
+    # appearance
     lo = np.minimum(t[:, [1, 2, 0]], t[:, [2, 0, 1]])
     hi = np.maximum(t[:, [1, 2, 0]], t[:, [2, 0, 1]])
     edge_keys, first, inv = np.unique((lo * nv + hi).ravel(), return_index=True,
                                       return_inverse=True)
+    by_first = np.argsort(first)
     edge_id = np.empty(edge_keys.size, dtype=int)
-    edge_id[np.argsort(first)] = nv + np.arange(edge_keys.size)
+    edge_id[by_first] = nv + np.arange(edge_keys.size)
     mid = edge_id[inv].reshape(nt, 3)
     n_nodes = nv + edge_keys.size
+    ends = np.stack(np.divmod(edge_keys[by_first], nv), axis=1)
 
     # planar embedding per triangle: p0=(0,0), p1=(l2,0), p2 from l1, l0
     l0, l1, l2 = l[:, 0], l[:, 1], l[:, 2]
@@ -403,19 +407,22 @@ def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]
     g0 = -g1 - g2
     gl = np.stack([g0, g1, g2], axis=1)
 
-    # quadrature at the three edge midpoints, weight area/3 each
+    # quadrature at the three edge midpoints, weight area/3 each.  Each basis
+    # gradient there is a fixed combination of the barycentric gradients:
+    # row (f, q) of `comb` gives basis function f's at quadrature point q
     quad_bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    k_loc = np.zeros((nt, 6, 6))
-    for q in range(3):
-        lam = quad_bary[q]
-        grads = np.empty((nt, 6, 2))
+    comb = np.zeros((6, 3, 3))
+    for q, lam in enumerate(quad_bary):
         for i in range(3):
-            grads[:, i] = (4.0 * lam[i] - 1.0) * gl[:, i]
+            comb[i, q, i] = 4.0 * lam[i] - 1.0
         for k in range(3):  # midpoint of edge (k+1, k+2), opposite corner k
             i, j = (k + 1) % 3, (k + 2) % 3
-            grads[:, 3 + k] = 4.0 * (lam[i] * gl[:, j] + lam[j] * gl[:, i])
-        k_loc += (area[:, None, None] / 3.0) * np.einsum(
-            "tia,tja->tij", grads, grads)
+            comb[3 + k, q, j] = 4.0 * lam[i]
+            comb[3 + k, q, i] = 4.0 * lam[j]
+    # g[t, f] holds f's gradients at the three points, so one batched
+    # product sums the quadrature
+    g = (comb.reshape(18, 3) @ gl).reshape(nt, 6, 6)
+    k_loc = (area[:, None, None] / 3.0) * (g @ g.transpose(0, 2, 1))
 
     loc_ids = np.concatenate([t, mid], axis=1)
     rows = np.repeat(loc_ids, 6, axis=1).ravel()
@@ -435,7 +442,34 @@ def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]
     b_arc = np.empty(2 * loop.size)
     b_nodes[0::2], b_nodes[1::2] = loop, edge_id[pos]
     b_arc[0::2], b_arc[1::2] = arc, 0.5 * (arc + nxt_arc)
-    return k_mat, b_nodes, b_arc
+    return k_mat, b_nodes, b_arc, ends
+
+
+def _interior_order(k: sp.csr_matrix, bidx: np.ndarray,
+                    ends: np.ndarray) -> np.ndarray:
+    """Interior P2 nodes in elimination order, from the interior vertex graph.
+
+    The interior vertices take SuperLU's minimum-degree ordering of their
+    block of K, read off an incomplete factorization that keeps no entry;
+    that block is about a quarter of K_II.  Each interior edge unknown goes
+    immediately before the earlier of its two endpoints (stably, so edges
+    sharing that endpoint keep their numbering); an edge whose endpoints
+    both lie on the boundary goes after every interior vertex.  The triangle
+    order only breaks those ties, so it moves the fill by under 1%.
+    """
+    interior = np.ones(k.shape[0], dtype=bool)
+    interior[bidx] = False
+    nv = k.shape[0] - ends.shape[0]
+    iv = np.flatnonzero(interior[:nv])
+    perm = spla.spilu(k[iv][:, iv].tocsc(), drop_tol=np.inf, fill_factor=1,
+                      permc_spec="MMD_AT_PLUS_A").perm_c
+    # vertex v has rank perm[j] if v = iv[j]; boundary vertices rank last
+    rank = np.full(nv, iv.size)
+    rank[iv] = perm
+    # vertex keys are odd, edge keys even: an edge sorts just before its vertex
+    key = np.concatenate([2 * rank + 1, 2 * rank[ends].min(axis=1)])
+    nodes = np.flatnonzero(interior)
+    return nodes[np.argsort(key[nodes], kind="stable")]
 
 
 def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
@@ -445,10 +479,12 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     The stiffness matrix is assembled from quadratic Lagrange elements; a
     metric rho * g is passed as mesh.with_conformal_factor(rho).  The
     co-normal functional is the nodal Schur complement
-    S = K_BB - K_BI K_II^{-1} K_IB.  K is factored once, with the interior
-    under a minimum-degree ordering and the boundary nodes last, and with
-    the identity added on the boundary block; the trailing block of the
-    factors is then S + I, so S is read off without any solve.  The
+    S = K_BB - K_BI K_II^{-1} K_IB.  K is factored once, with the boundary
+    nodes last and the identity added on the boundary block; the trailing
+    block of the factors is then S + I, so S is read off without any solve.
+    The interior is ordered from the interior vertex graph: a minimum-degree
+    ordering of the interior vertices, with each edge unknown placed just
+    before the earlier of its endpoints (_interior_order).  The
     coefficient block b = V^H S V / L over the columns V = exp(2 pi i m l / L)
     of the modes |m| <= min(N/2, boundary nodes / 4) is taken to the nodal
     matrix, and that matrix to its symmetric part, the nodal image of b's
@@ -461,7 +497,7 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     """
     if order != 2:
         raise ValueError("dn_fem assembles P2 elements only")
-    k, bidx, b_arc = _p2_stiffness(mesh)
+    k, bidx, b_arc, ends = _p2_stiffness(mesh)
     # a component without boundary nodes makes K_II singular; SuperLU only
     # reports tiny pivots for it, so find such components on the pattern
     _, comp = csgraph.connected_components(k, directed=False)
@@ -469,15 +505,10 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     if stranded:
         raise SingularInterior(
             f"{stranded} interior nodes are not connected to the boundary")
-    iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
-    n_i, n_b = iidx.size, bidx.size
+    n_i, n_b = k.shape[0] - bidx.size, bidx.size
 
     try:
-        # an incomplete factorization that keeps no entry yields SuperLU's
-        # minimum-degree ordering of K_II without the numeric factor
-        perm = spla.spilu(k[iidx][:, iidx].tocsc(), drop_tol=np.inf,
-                          fill_factor=1, permc_spec="MMD_AT_PLUS_A").perm_c
-        elim = np.concatenate([iidx[np.argsort(perm)], bidx])
+        elim = np.concatenate([_interior_order(k, bidx, ends), bidx])
         # boundary last, and I added on its block: S annihilates constants,
         # the shift makes the matrix SPD, so the diagonal pivots need no
         # search, and the trailing block of its factors is S + I

@@ -39,6 +39,7 @@ __all__ = [
 # to 22, and at none for resolutions 23 to 30 (smallest gap 1.1e4, at 23),
 # so the floor does not depend on n_modes.
 _FEM_MIN_RESOLUTION = 23
+_MIN_GRID_RESOLUTION = 8  # fewest lattice points per side in classify
 
 # the values each ExperimentConfig annotation (a string here) accepts
 _FIELD_TYPES = {"dict": dict, "str": str, "int": int, "float": (int, float)}
@@ -98,8 +99,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"unknown immersion recipe {name!r}")
         if self.n_modes < 16 or self.n_modes % 2:
             raise ConfigInvalid("n_modes must be even and >= 16")
-        if self.epsilon <= 0 or self.grid_resolution < 8:
-            raise ConfigInvalid("epsilon > 0 and grid_resolution >= 8 required")
+        if self.epsilon <= 0 or self.grid_resolution < _MIN_GRID_RESOLUTION:
+            raise ConfigInvalid(
+                f"epsilon > 0 and grid_resolution >= {_MIN_GRID_RESOLUTION} required")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":

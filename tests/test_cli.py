@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from eitlab import argument as ap
 from eitlab import boundary as bc
 from eitlab import cli
 from eitlab import dn as dnm
@@ -180,6 +181,16 @@ class TestReconstructAndHausdorff:
         assert (d["d_h"], d["r_ab"], d["r_ba"]) == (3.0, 2.0, 3.0)
         assert (d["fill_distance_a"], d["fill_distance_b"]) == (1.0, 0.0)
 
+    def test_grid_resolution_floor_is_accepted(self, tmp_path):
+        # 8, the sweep config's floor, is the smallest --grid-resolution,
+        # and its lattice still reaches the interior
+        tr = tmp_path / "traces.json"
+        tr.write_text(traces_json())
+        out = tmp_path / "c.csv"
+        assert cli.main(["reconstruct", "--traces", str(tr), "--grid-resolution",
+                         "8", "--out", str(out)]) == cli.EXIT_OK
+        assert np.any(ap.ReconstructedCloud.from_csv(str(out)).chart_j >= 0)
+
     def test_missing_traces_exits_2(self, tmp_path):
         assert cli.main(["reconstruct", "--traces",
                          str(tmp_path / "nope.json"), "--out",
@@ -233,11 +244,17 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
     (["dn", "--surface", "conformal:nan", "--out", "OUT"], None, "'conformal:nan'"),
     (["dn", "--surface", "disk", "--n-modes", "0", "--out", "OUT"], None, "--n-modes"),
     (["dn", "--surface", "disk", "--n-modes", "7", "--out", "OUT"], None, "--n-modes"),
+    (RECONSTRUCT + ["--grid-resolution", "-3"], traces_json(), "--grid-resolution"),
+    (RECONSTRUCT + ["--grid-resolution", "0"], traces_json(), "--grid-resolution"),
+    (RECONSTRUCT + ["--grid-resolution", "1"], traces_json(), "--grid-resolution"),
+    (RECONSTRUCT + ["--grid-resolution", "7"], traces_json(), "--grid-resolution"),
 ], ids=["cloud_non_numeric", "cloud_short_row", "cloud_empty_file",
         "cloud_tag_off_chart", "dn_no_matrix", "no_traces", "empty_traces",
         "sweep_n_modes_str",
         "conformal_non_numeric", "dn_odd_n", "epsilon_negative", "epsilon_zero",
-        "torus_resolution_3", "conformal_nan", "n_modes_0", "n_modes_7"])
+        "torus_resolution_3", "conformal_nan", "n_modes_0", "n_modes_7",
+        "grid_resolution_-3", "grid_resolution_0", "grid_resolution_1",
+        "grid_resolution_7"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, content, named):
     # the message names the malformed file (IN), the surface string or the
     # out-of-range argument
