@@ -23,7 +23,7 @@ from . import dn as dnm
 from . import holomorphic as hm
 from . import metrics as mt
 from . import nearboundary as nb
-from .errors import ConfigInvalid, EitlabError
+from .errors import ConfigInvalid, EitlabError, EmptyCloud
 from .holomorphic import TraceTuple
 
 __all__ = [
@@ -145,7 +145,10 @@ class SweepRecord:
 
 
 def immersion_from_recipe(recipe: str, n_modes: int) -> TraceTuple:
-    """Boundary traces of the named holomorphic coordinates on the disk."""
+    """Closed-form traces of the named coordinates on the unit circle.
+
+    run_sweep completes their real parts under the family's s = 0 operator.
+    """
     th = np.arange(n_modes) * (2.0 * np.pi / n_modes)
     w = np.exp(1j * th)
     traces = []
@@ -180,11 +183,8 @@ def _perturbed_dn(cfg: ExperimentConfig, s: float):
     return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
 
 
-def _lemma1_references(lam, proj, seed: int, cert: float) -> list:
-    """Five seeded test traces completed under `lam`, with their H^3 norms.
-
-    Each completion is certified at the relative tolerance `cert`.
-    """
+def _lemma1_references(lam, proj, seed: int) -> list:
+    """Five seeded test traces completed under `lam`, with their H^3 norms."""
     n = lam.n_modes
     rng = np.random.default_rng(seed)
     th = np.arange(n) * (lam.length / n)
@@ -195,18 +195,18 @@ def _lemma1_references(lam, proj, seed: int, cert: float) -> list:
             vals += rng.standard_normal() * np.cos(2 * np.pi * m * th / lam.length)
             vals += rng.standard_normal() * np.sin(2 * np.pi * m * th / lam.length)
         f = bc.from_samples(vals, lam.length)
-        eta = hm.complete_trace(f, 0.0, lam, proj, cert_tol_rel=cert)
+        eta = hm.complete_trace(f, 0.0, lam, proj)
         refs.append((eta, bc.sobolev_norm(eta, 3)))
     return refs
 
 
-def _lemma1_ratio(refs, lam_p, proj_p, t: float, cert: float) -> float:
+def _lemma1_ratio(refs, lam_p, proj_p, t: float) -> float:
     """Max over the test traces of ||transport(eta) - eta||_C2 / (t ||eta||_H3)."""
     if t <= 0:
         return np.nan
     worst = 0.0
     for eta, h3 in refs:
-        eta_p = hm.beta_gamma(eta, lam_p, proj_p, cert_tol_rel=cert)
+        eta_p = hm.beta_gamma(eta, lam_p, proj_p)
         worst = max(worst, bc.ck_norm(eta_p - eta, 2) / (t * h3))
     return worst
 
@@ -215,8 +215,9 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     """Execute the sweep; returns (records, summary, clouds).
 
     A numerical failure at a perturbed parameter marks that record invalid.
-    A failure at the s = 0 reference (its operator, or the completion of the
-    lemma-1 test traces) raises instead, since no record can be measured
+    A failure at the s = 0 reference (its operator, the completion of the
+    recipe or of the lemma-1 test traces, or a reference cloud with no
+    interior point) raises instead, since no record can be measured
     against it.  A fem_metric mesh below resolution 23 leaves that
     operator without a spectral gap, whatever n_modes, so validation
     rejects it as ConfigInvalid.
@@ -226,15 +227,20 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     # the family at s = 0 on the same discretization, so that t measures
     # the perturbation and not the discretization error
     lam = _perturbed_dn(cfg, 0.0)
-    e = immersion_from_recipe(cfg.immersion, n)
     kappa_ref = hm.estimate_kappa(lam)
-    cert = 1e-8 if cfg.perturbation_family["kind"] == "conformal_polynomial" else 1e-2
-    lemma1_refs = _lemma1_references(
-        lam, hm.build_projections(lam, kappa_ref), cfg.seed, cert)
+    proj = hm.build_projections(lam, kappa_ref)
+    # the reference tuple is the recipe completed under lam, the same
+    # construction as every transported tuple, so a t = 0 record reads 0
+    e = hm.transport_immersion(immersion_from_recipe(cfg.immersion, n), lam, proj)
+    lemma1_refs = _lemma1_references(lam, proj, cfg.seed)
     # one shared winding classification: both clouds sample identical targets
     fields = [ap.classify(e[j], cfg.grid_resolution, cfg.epsilon)
               for j in range(len(e))]
     cloud_ref = ap.reconstruct(e, cfg.epsilon, cfg.grid_resolution, fields=fields)
+    if not cloud_ref.interior_points().size:
+        raise EmptyCloud(
+            f"immersion {cfg.immersion!r} gives no winding-1 chart on the "
+            "target grid, so the reference cloud has no interior point")
     ref_charts = nb.reference_charts(e, cfg.n_anchors)
     fill_ref = mt.fill_distance(cloud_ref.interior_points())
 
@@ -256,9 +262,8 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
                 records.append(rec)
                 continue
             proj_p = hm.build_projections(lam_p, rec.kappa_prime)
-            e_p = hm.transport_immersion(e, lam_p, proj_p, cert_tol_rel=cert)
-            rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lam_p, proj_p, rec.t,
-                                             cert)
+            e_p = hm.transport_immersion(e, lam_p, proj_p)
+            rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lam_p, proj_p, rec.t)
             cloud_p = ap.reconstruct(e_p, cfg.epsilon, cfg.grid_resolution,
                                      fields=fields)
             rec.d_h_interior = mt.hausdorff(cloud_ref.interior_points(),

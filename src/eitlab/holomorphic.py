@@ -3,10 +3,13 @@
 For a real boundary function u in the real-trace subspace of a surface with
 DN map Lambda, the full holomorphic trace is recovered as
 ``u + i (J Lambda u + <Im>/L)``; the operator ``I + (Lambda J)^2`` vanishes
-on that subspace and its range dimension equals ``1 - chi(M)``, so its
-singular values detect the topology.  The transport map sends traces of the
-reference surface to traces of a perturbed surface by projecting the real
-part and completing with the perturbed Hilbert transform.
+on that subspace, so its singular values detect the topology.  With one
+boundary circle its range dimension equals ``1 - chi(M)``; with more it
+sees only the interior periods, not the fluxes through the boundary
+circles (the annulus gives 0 where ``1 - chi = 1``).  The transport map
+sends traces of the reference surface to traces of a perturbed surface by
+projecting the real part and completing with the perturbed Hilbert
+transform.
 
 J is the multiplier of boundary.integrate_J: products with it scale the
 columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
@@ -82,9 +85,14 @@ class TraceTuple:
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Q = B B^T and P = I - Q (completable real traces), held as Q's basis B."""
+    """Q = B B^T and P = I - Q (completable real traces), held as Q's basis B.
+
+    defect_floor is sigma_{kappa+1}, the largest defect singular value below
+    the rank cut (0 when the band holds no more), which the certificate reads.
+    """
 
     basis: np.ndarray
+    defect_floor: float
 
     @property
     def kappa(self) -> int:
@@ -92,6 +100,7 @@ class ProjectionPair:
 
 
 _BAND_FLOOR = 0.5      # |Lambda J| on a resolved mode
+_CERT_FACTOR = 10.0    # certificate tolerance over the defect or rounding floor
 _GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
 _MAX_BAND = 8          # widest defect band: discretization error grows with
                        # the mode number, and rank detection needs few modes
@@ -185,9 +194,14 @@ def _rank_scale(lam: BoundaryOperator) -> float:
     return max(bc._cas_norm(lam.matrix, np.ones(lam.n_modes), j_abs), 1.0)
 
 
+def _floor(sv: np.ndarray, kappa: int) -> float:
+    """sv[kappa], the (kappa+1)-th defect value; 0 when the band holds no more."""
+    return float(sv[kappa]) if kappa < sv.size else 0.0
+
+
 def _gap(sv: np.ndarray, kappa: int, above: float) -> float:
     """above / sv[kappa]; inf when the band holds no (kappa+1)-th value or it is 0."""
-    below = sv[kappa] if kappa < sv.size else 0.0
+    below = _floor(sv, kappa)
     return float(above / below) if below > 0 else np.inf
 
 
@@ -200,7 +214,10 @@ def _require_gap(sv: np.ndarray, kappa: int, above: float):
 
 
 def estimate_kappa(lam: BoundaryOperator) -> int:
-    """Rank of the defect operator = 1 - chi(M)."""
+    """Rank of the defect operator: 1 - chi(M) when dM is one circle.
+
+    With more circles it counts the interior periods, not the boundary fluxes.
+    """
     _, sv, _ = _defect_spectrum(lam)
     thresh = _TAU_RANK * _rank_scale(lam)
     kappa = int(np.sum(sv > thresh))
@@ -230,12 +247,15 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     columns do not have rank exactly kappa, as when kappa splits a
     degenerate singular pair, and when the defect's kappa-th and
     (kappa+1)-th singular values are closer than estimate_kappa's gap
-    factor.  seed is accepted and ignored: nothing here is random.
+    factor.  The (kappa+1)-th value is kept as the pair's defect_floor, so
+    kappa = 0 takes the defect's SVD too.  seed is accepted and ignored:
+    nothing here is random.
     """
     n, length = lam.n_modes, lam.length
-    if kappa == 0:
-        return ProjectionPair(np.zeros((n, 0)))
     band, sv_defect, vh = _defect_spectrum(lam)
+    floor = _floor(sv_defect, kappa)
+    if kappa == 0:
+        return ProjectionPair(np.zeros((n, 0)), floor)
     v = vh[:kappa].conj().T
     c = np.zeros((n, v.shape[1]), dtype=complex)
     c[band] = np.conj(bc._derivative_symbol(n, length))[band, None] * v
@@ -247,7 +267,7 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
             f"real and imaginary samples of the top {kappa} defect vectors have "
             f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
     _require_gap(sv_defect, kappa, sv_defect[kappa - 1])
-    return ProjectionPair(u[:, :kappa])
+    return ProjectionPair(u[:, :kappa], floor)
 
 
 def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator) -> float:
@@ -264,8 +284,15 @@ def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator) -> float:
 
 def complete_trace(re_part: BoundaryFunction, im_mean: float,
                    lam: BoundaryOperator, proj: ProjectionPair,
-                   cert_tol_rel: float = 1e-8) -> BoundaryFunction:
-    """eta = P re + i [J Lambda P re + <Im eta>/L]; certified against Lambda."""
+                   cert_tol_rel: float | None = None) -> BoundaryFunction:
+    """eta = P re + i [J Lambda P re + <Im eta>/L]; certified against Lambda.
+
+    Raises CertificateFailed when certificate_residual(eta, lam) exceeds
+    cert_tol_rel ||eta||_H1.  The one rule for every surface, used unless
+    cert_tol_rel is given, is _CERT_FACTOR * max(proj.defect_floor, N eps):
+    the residual D d_gamma P u reaches the operator's defect floor, or the
+    rounding floor of the products that form it when that is larger.
+    """
     bc._check_same_grid(lam, re_part)
     v = re_part.values().real
     pre = bc.from_samples(v - proj.basis @ (proj.basis.T @ v), lam.length)
@@ -274,6 +301,9 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
     eta_v = pre.values().real + 1j * (hil.values().real + im_mean / lam.length)
     eta = bc.from_samples(eta_v, lam.length)
     res = certificate_residual(eta, lam)
+    if cert_tol_rel is None:
+        cert_tol_rel = _CERT_FACTOR * max(proj.defect_floor,
+                                          lam.n_modes * np.finfo(float).eps)
     tol = cert_tol_rel * max(bc.sobolev_norm(eta, 1), 1e-300)
     if res > tol:
         raise CertificateFailed(
@@ -282,19 +312,17 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
 
 
 def beta_gamma(eta: BoundaryFunction, lam_prime: BoundaryOperator,
-               proj_prime: ProjectionPair, cert_tol_rel: float = 1e-8) -> BoundaryFunction:
+               proj_prime: ProjectionPair) -> BoundaryFunction:
     """Transported trace: P' Re eta completed with the perturbed DN map."""
     im_mean = bc.mean(eta.imag)
-    return complete_trace(eta.real, float(np.real(im_mean)), lam_prime,
-                          proj_prime, cert_tol_rel)
+    return complete_trace(eta.real, float(np.real(im_mean)), lam_prime, proj_prime)
 
 
 def transport_immersion(e: TraceTuple, lam_prime: BoundaryOperator,
-                        proj_prime: ProjectionPair,
-                        cert_tol_rel: float = 1e-8) -> TraceTuple:
+                        proj_prime: ProjectionPair) -> TraceTuple:
     """Componentwise transport of an immersion's boundary traces."""
     return TraceTuple(
-        tuple(beta_gamma(eta, lam_prime, proj_prime, cert_tol_rel) for eta in e.traces))
+        tuple(beta_gamma(eta, lam_prime, proj_prime) for eta in e.traces))
 
 
 def dn_distance(lam: BoundaryOperator, lam_prime: BoundaryOperator) -> float:

@@ -27,7 +27,8 @@ def cloud_from_complex(points: np.ndarray) -> np.ndarray:
         points = points[:, None]
     return np.concatenate([points.real, points.imag], axis=1) \
         if not np.iscomplexobj(points) else \
-        np.stack([points.real, points.imag], axis=2).reshape(points.shape[0], -1)
+        np.stack([points.real, points.imag], axis=2).reshape(points.shape[0],
+                                                             2 * points.shape[1])
 
 
 def _as_real(cloud: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ anchors of one chart index share one compensated call per trace tuple.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -165,10 +164,6 @@ class DiagnosticReport:
 
     def to_json(self) -> dict:
         return {"anchors": self.anchors, "global_sup": self.global_sup}
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
 
 
 @dataclass(frozen=True)

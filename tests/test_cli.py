@@ -67,6 +67,19 @@ class TestSweep:
         assert (tmp_path / "out" / "sweep.csv").exists()
         assert "1 records (0 failed)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("immersion", ["z2", "z3"])
+    def test_no_winding_one_chart_exits_3(self, tmp_path, capsys, immersion):
+        # every target has winding 2 or 3 about w^2 or w^3, so the reference
+        # cloud has no interior point and no record could be measured
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SWEEP_CONFIG, "immersion": immersion,
+                                    "output_dir": str(tmp_path / "out")}))
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert f"EmptyCloud: immersion '{immersion}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"immersion": "z"}))

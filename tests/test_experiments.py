@@ -172,11 +172,28 @@ class TestRunSweep:
         n_ref = sum(any(eta is r for r in ref.e.traces) for eta in built)
         assert n_ref == len(probes) == len(ref.e) * cfg.n_anchors
         assert len(built) - n_ref == len(records) * cfg.n_anchors
-        e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
         for (used, e_p, rep), rec in zip(diags, records):
             assert used is ref and rec.near_boundary_sup == rep.global_sup
-            fresh = reference_charts(e, cfg.n_anchors)
+            fresh = reference_charts(ref.e, cfg.n_anchors)
             assert diagnostic(fresh, e_p).to_json() == rep.to_json()
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "conformal_polynomial", "parameter_list": [0.06, 0.0]},
+        {"kind": "fem_metric", "parameter_list": [0.08, 0.0], "resolution": 23},
+    ], ids=["conformal_polynomial", "fem_metric"])
+    def test_unperturbed_record_reads_zero(self, tmp_path, family):
+        # the reference tuple is the recipe completed under the s = 0
+        # operator, as every transported tuple is, so at s = 0 the two
+        # clouds coincide; closed-form references left the P2 disk's
+        # discretization error, 2.4e-6, in d_h_interior
+        records, _, _ = ex.run_sweep(small_config(tmp_path,
+                                                  perturbation_family=family))
+        assert [r.failure for r in records] == ["", ""]
+        zero = records[-1]
+        assert zero.s == 0.0 and zero.t == 0.0
+        assert zero.d_h_interior <= 1e-12
+        assert zero.d_h_full <= 1e-12
+        assert zero.near_boundary_sup <= 1e-12
 
     def test_kappa_mismatch_invalidates(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path,
@@ -325,7 +342,7 @@ class TestFemFamily:
 
     def test_fem_sweep_valid_end_to_end(self, tmp_path):
         # the reference is the s = 0 FEM operator on the same mesh, and the
-        # FEM certificate tolerance holds for transport and lemma-1 traces
+        # transport and lemma-1 traces pass the certificate rule
         cfg = small_config(
             tmp_path,
             perturbation_family={"kind": "fem_metric",

@@ -45,6 +45,14 @@ def relative_certificate(eta, lam):
     return hm.certificate_residual(eta, lam) / bc.sobolev_norm(eta, 1)
 
 
+def uncertified_completion(f, lam, basis):
+    """P f + i J Lambda P f with P = I - B B^T, and no certificate check."""
+    v = f.values().real
+    pre = bc.from_samples(v - basis @ (basis.T @ v), f.length)
+    return bc.from_samples(
+        pre.values().real + 1j * hm.j_lambda(lam).apply(pre).values().real, f.length)
+
+
 class TestHilbertTransform:
     def test_JL_maps_cos_to_sin(self, disk64):
         th = grid(64)
@@ -146,7 +154,7 @@ class TestProjections:
         pp = hm.build_projections(torus24, 2)
         th = grid(64)
         f = bc.from_samples(np.cos(th) + 0.5 * np.sin(3 * th), TWO_PI)
-        eta = hm.complete_trace(f, 0.0, torus24, pp, cert_tol_rel=1e-3)
+        eta = hm.complete_trace(f, 0.0, torus24, pp)
         assert bc.sobolev_norm(q_apply(pp, f), 0) > 0.1
         assert bc.sobolev_norm(q_apply(pp, eta.real), 0) < 1e-13
 
@@ -196,7 +204,7 @@ class TestCompleteTrace:
         assert abs(bc.mean(eta.imag) - 1.5 * TWO_PI) < 1e-10
 
     def test_torus_certificate_discrimination(self, torus24):
-        # projected real part passes at FEM tolerance, the unprojected
+        # projected real part passes the certificate, the unprojected
         # completion of a function with Qf != 0 fails by a wide margin
         pp = hm.build_projections(torus24, 2)
         rng = np.random.default_rng(3)
@@ -206,10 +214,9 @@ class TestCompleteTrace:
                    for m in range(1, 5))
         f = bc.from_samples(vals, TWO_PI)
         assert bc.sobolev_norm(q_apply(pp, f), 0) > 0.1
-        eta_p = hm.complete_trace(f, 0.0, torus24, pp, cert_tol_rel=1e-3)
+        eta_p = hm.complete_trace(f, 0.0, torus24, pp)
         rel_p = relative_certificate(eta_p, torus24)
-        hil = hm.j_lambda(torus24).apply(f)
-        eta_u = bc.from_samples(f.values().real + 1j * hil.values().real, TWO_PI)
+        eta_u = uncertified_completion(f, torus24, np.zeros((64, 0)))
         rel_u = relative_certificate(eta_u, torus24)
         assert rel_u > 10.0 * rel_p
 
@@ -224,7 +231,7 @@ class TestCompleteTrace:
         for lam in (torus24, torus48):
             pp = hm.build_projections(lam, 2)
             rel.append(relative_certificate(
-                hm.complete_trace(f, 0.0, lam, pp, cert_tol_rel=1e-4), lam))
+                hm.complete_trace(f, 0.0, lam, pp), lam))
         assert rel[0] > 5.0 * rel[1]
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=20)
@@ -242,20 +249,59 @@ class TestCompleteTrace:
         vals = sum(amps[2 * k] * np.cos((k + 1) * th)
                    + amps[2 * k + 1] * np.sin((k + 1) * th) for k in range(8))
         f = bc.from_samples(vals, TWO_PI)
-        eta = hm.complete_trace(f, 0.0, torus24, pp, cert_tol_rel=1e-3)
+        eta = hm.complete_trace(f, 0.0, torus24, pp)
         scale = max(bc.sobolev_norm(f, 0), 1.0)
         assert bc.sobolev_norm(q_apply(pp, eta.real), 0) < 1e-13 * scale
 
     def test_certificate_failure_raises(self, torus24):
         # an empty basis, the identity "projection", leaves the defect
         # component in
-        ident = hm.ProjectionPair(np.zeros((64, 0)))
+        floor = hm.build_projections(torus24, 2).defect_floor
+        ident = hm.ProjectionPair(np.zeros((64, 0)), floor)
         rng = np.random.default_rng(3)
         th = grid(64)
         vals = sum(rng.standard_normal() * np.cos(m * th) for m in range(1, 5))
         with pytest.raises(CertificateFailed):
-            hm.complete_trace(bc.from_samples(vals, TWO_PI), 0.0, torus24,
-                              ident, cert_tol_rel=1e-2)
+            hm.complete_trace(bc.from_samples(vals, TWO_PI), 0.0, torus24, ident)
+
+    @pytest.mark.parametrize("res", [24, 48])
+    def test_q_without_its_derivative_factor_is_refused(self, torus24, torus48,
+                                                        res):
+        # Q spanned by the samples of V itself, not of d_gamma^H V = -i omega V.
+        # V lies mostly on modes +-1, where -i omega only turns cos into sin,
+        # so this Q is close to the right one: cos(theta) + 0.02 sin(2 theta)
+        # completes with relative residual 8.6e-3 at both resolutions, which
+        # a constant 1e-2 accepted.  The rule refuses it above 10 sigma_3:
+        # 7.2e-3 at res 24, 5.6e-4 at res 48.
+        lam = {24: torus24, 48: torus48}[res]
+        pp = hm.build_projections(lam, 2)
+        band, _, vh = hm._defect_spectrum(lam)
+        c = np.zeros((64, 2), dtype=complex)
+        c[band] = vh[:2].conj().T
+        w = np.fft.ifft(c, axis=0) * 64
+        basis = np.linalg.svd(np.hstack([w.real, w.imag]),
+                              full_matrices=False)[0][:, :2]
+        th = grid(64)
+        f = bc.from_samples(np.cos(th) + 0.02 * np.sin(2 * th), TWO_PI)
+        eta = uncertified_completion(f, lam, basis)
+        assert 10.0 * pp.defect_floor < relative_certificate(eta, lam) < 1e-2
+        with pytest.raises(CertificateFailed):
+            hm.complete_trace(f, 0.0, lam, hm.ProjectionPair(basis, pp.defect_floor))
+        hm.complete_trace(f, 0.0, lam, pp)
+
+    def test_p2_disk_refuses_an_unresolved_mode(self):
+        # the res-23 P2 disk's defect floor, on modes 1..8, is 9.3e-5; cos 20
+        # theta, past that band, completes with relative residual 2.1e-3,
+        # which a constant 1e-2 accepted and the rule (9.3e-4) refuses
+        lam = dnm.dn_fem(dnm.unit_disk_mesh(23), n_modes=64, rescale_to=TWO_PI)
+        pp = hm.build_projections(lam, 0)
+        th = grid(64)
+        f = bc.from_samples(np.cos(20 * th), TWO_PI)
+        eta = uncertified_completion(f, lam, pp.basis)
+        assert 10.0 * pp.defect_floor < relative_certificate(eta, lam) < 1e-2
+        with pytest.raises(CertificateFailed):
+            hm.complete_trace(f, 0.0, lam, pp)
+        hm.complete_trace(bc.from_samples(np.cos(8 * th), TWO_PI), 0.0, lam, pp)
 
 
 class TestTransport:

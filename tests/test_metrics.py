@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eitlab import metrics as mt
 from eitlab.errors import EmptyCloud
@@ -22,28 +24,49 @@ class TestAgainstBruteForce:
             assert fast.r_ba == slow.r_ba
 
 
+def clouds(count):
+    """count point clouds in one space: R^1..R^3 (float) or C^1..C^3 (complex)."""
+
+    @st.composite
+    def build(draw):
+        dim = draw(st.integers(1, 3))
+        cplx = draw(st.booleans())
+        coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        out = []
+        for _ in range(count):
+            m = draw(st.integers(1, 30))
+            pts = draw(arrays(float, (m, dim), elements=coord))
+            if cplx:
+                pts = pts + 1j * draw(arrays(float, (m, dim), elements=coord))
+            out.append(pts)
+        return out
+
+    return build()
+
+
 class TestAxioms:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((20, 2))
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(clouds(1))
+    def test_identity(self, cs):
+        (a,) = cs
         assert mt.hausdorff(a, a).d_h == 0.0
 
-    def test_symmetry(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((15, 2))
-        b = rng.standard_normal((25, 2))
-        assert mt.hausdorff(a, b).d_h == mt.hausdorff(b, a).d_h
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(clouds(2))
+    def test_symmetry(self, cs):
+        a, b = cs
+        ab, ba = mt.hausdorff(a, b), mt.hausdorff(b, a)
+        assert ab.d_h == ba.d_h
+        assert (ab.r_ab, ab.r_ba) == (ba.r_ba, ba.r_ab)
 
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.standard_normal((10, 2))
-            b = rng.standard_normal((12, 2))
-            c = rng.standard_normal((8, 2))
-            ab = mt.hausdorff(a, b).d_h
-            bc = mt.hausdorff(b, c).d_h
-            ac = mt.hausdorff(a, c).d_h
-            assert ac <= ab + bc + 1e-12
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(clouds(3))
+    def test_triangle_inequality(self, cs):
+        a, b, c = cs
+        ab = mt.hausdorff(a, b).d_h
+        bc = mt.hausdorff(b, c).d_h
+        ac = mt.hausdorff(a, c).d_h
+        assert ac <= ab + bc + 1e-12
 
 
 class TestOracles:
@@ -100,10 +123,11 @@ class TestFillDistance:
 
 class TestErrors:
     def test_empty_cloud(self):
-        with pytest.raises(EmptyCloud):
-            mt.hausdorff(np.empty((0, 2)), np.ones((3, 2)))
-        with pytest.raises(EmptyCloud):
-            mt.hausdorff(np.ones((3, 2)), np.empty((0, 2)))
+        for dtype in (float, complex):
+            with pytest.raises(EmptyCloud):
+                mt.hausdorff(np.empty((0, 2), dtype), np.ones((3, 2), dtype))
+            with pytest.raises(EmptyCloud):
+                mt.hausdorff(np.ones((3, 2), dtype), np.empty((0, 2), dtype))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
