@@ -6,19 +6,18 @@ on ``N`` equispaced nodes ``l_k = k L / N``, N even and at least 8.  The
 coefficients are the whole representation: +, - and scalar * act on them,
 and samples (values, eval_at) and mean are complex for every function, real
 or not; a caller that needs real samples takes ``.real``.  Operators are
-dense real ``N x N`` matrices acting on nodal sample values; this is
-equivalent to the stacked (Re, Im)-coefficient representation for
-real-linear operators, and A(u + iv) = Au + iAv applies them to complex
-traces.
+held the same way, by the Fourier-basis matrix b_jk = <A e_k, e_j> / L of
+the modes e_k: apply, + and - act on b, and the nodal matrix F^H b F / N
+(F the unnormalized DFT) is derived only for the JSON format.  Operators
+are real, b_jk = conj(b_{-j,-k}), so A(u + iv) = Au + iAv.
 
 The tangential derivative d_gamma and its inverse J act only as Fourier
 multipliers on coefficients (i omega and 1 / (i omega), both zero on the
-Nyquist mode).  Operator products with J are taken in the operator's
-Fourier basis (_fourier_matrix), where J is diagonal.  Operator 2-norms are
-taken in the Hartley basis cas(2 pi k l / N), cas = cos + sin, as the top
-eigenvalue of a real Gram: the Sobolev weights and |J|'s multiplier are
-even in the mode number, and such a diagonal weight is diagonal there too
-(_cas_norm).
+Nyquist mode), and products with J scale the rows or columns of b.
+Operator 2-norms are taken in the Hartley basis cas(2 pi k l / N),
+cas = cos + sin, as the top eigenvalue of a real Gram: the Sobolev weights
+and |J|'s multiplier are even in the mode number, and such a diagonal
+weight is diagonal there too (_cas_norm).
 
 Fourier convention: coefficients are held in FFT ordering (modes
 0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
@@ -52,6 +51,7 @@ __all__ = [
     "operator_norm",
     "operator_from_symbol",
     "operator_from_coefficients",
+    "operator_from_matrix",
 ]
 
 _MEAN_TOL = 1e-10          # integrate_J: largest mean relative to ||f||_L2
@@ -75,8 +75,8 @@ class BoundaryFunction:
         _require_grid(c.size)
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficients")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError("length must be positive and finite")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -172,27 +172,18 @@ def _pad_spectrum(c: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _fourier_matrix(a: np.ndarray) -> np.ndarray:
-    """F A F^H / N: a nodal matrix in the Fourier basis (F the unnormalized DFT)."""
-    return np.fft.fft(np.fft.ifft(a, axis=1), axis=0)
-
-
-def _hartley(a: np.ndarray, axis: int) -> np.ndarray:
-    """H a along an axis for real a, H = Re F - Im F the unnormalized Hartley matrix."""
-    f = np.fft.fft(a, axis=axis)
-    return f.real - f.imag
-
-
-def _cas_norm(a: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
-    """||diag(w_rows) F A F^H diag(w_cols)||_2 / N for a real nodal matrix A.
+def _cas_norm(b: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
+    """||diag(w_rows) b diag(w_cols)||_2 for the Fourier-basis matrix b of a real operator.
 
     The weights must be even in the mode number (w[k] = w[-k]).  H = V F
     with V = ((1 + i) I + (1 - i) P) / 2 unitary, P the mode reversal
     k -> -k, and even weights commute with P, so the norm is that of the
-    real matrix M = diag(w_rows) H A H diag(w_cols) / N: the square root of
-    the top eigenvalue of the real Gram M^T M, the only one computed.
+    real matrix M = diag(w_rows) h diag(w_cols), h = H A H / N = Re b - Im bP
+    for the nodal matrix A (F = C - iS, so b = (C - iS) A (C + iS) / N and
+    bP = (C - iS) A (C - iS) / N): the square root of the top eigenvalue of
+    the real Gram M^T M, the only one computed.
     """
-    h = _hartley(_hartley(a, 0), 1) / a.shape[0]
+    h = b.real - b[:, -np.arange(b.shape[1])].imag
     m = w_rows[:, None] * h * w_cols[None, :]
     n = m.shape[1]
     top = eigvalsh(m.T @ m, subset_by_index=[n - 1, n - 1])[0]
@@ -288,37 +279,44 @@ def ck_norm(f: BoundaryFunction, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """Real-linear operator on boundary functions: dense real nodal matrix."""
+    """Real operator on boundary functions: its Fourier-basis matrix (FFT ordering)."""
 
-    matrix: np.ndarray
+    coeffs: np.ndarray
     length: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        b = np.asarray(self.coeffs, dtype=complex)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("operator matrix must be square")
-        _require_grid(m.shape[0])
-        object.__setattr__(self, "matrix", m)
+        _require_grid(b.shape[0])
+        if not np.all(np.isfinite(b)):
+            raise ValueError("non-finite coefficients")
+        if not 0 < self.length < np.inf:
+            raise ValueError("length must be positive and finite")
+        object.__setattr__(self, "coeffs", b)
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0]
+        return self.coeffs.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The real nodal matrix F^H b F / N, acting on sample values."""
+        return np.fft.ifft(np.fft.fft(self.coeffs, axis=1), axis=0).real
 
     def apply(self, f: BoundaryFunction) -> BoundaryFunction:
-        """A(u + iv) = Au + iAv, with no complex copy of the real matrix."""
         _check_same_grid(self, f)
-        v = f.values()
-        return from_samples(self.matrix @ v.real + 1j * (self.matrix @ v.imag), self.length)
+        return BoundaryFunction(self.coeffs @ f.coeffs, self.length)
 
     __call__ = apply
 
     def __add__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_same_grid(self, other)
-        return BoundaryOperator(self.matrix + other.matrix, self.length)
+        return BoundaryOperator(self.coeffs + other.coeffs, self.length)
 
     def __sub__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_same_grid(self, other)
-        return BoundaryOperator(self.matrix - other.matrix, self.length)
+        return BoundaryOperator(self.coeffs - other.coeffs, self.length)
 
     def to_json(self) -> dict:
         return {
@@ -330,15 +328,16 @@ class BoundaryOperator:
     @staticmethod
     def from_json(d: dict) -> "BoundaryOperator":
         n = int(d["n"])
+        _require_grid(n)
         m = np.asarray(d["matrix_row_major"], dtype=float).reshape(n, n)
-        return BoundaryOperator(m, float(d["length"]))
+        return operator_from_matrix(m, float(d["length"]))
 
 
 def operator_from_symbol(symbol: np.ndarray, length: float) -> BoundaryOperator:
     """Circulant operator with the given Fourier multiplier (FFT ordering).
 
-    The symbol must satisfy sigma(-n) = conj(sigma(n)) so the nodal matrix
-    is real (the operator maps real functions to real functions).
+    The symbol must satisfy sigma(-n) = conj(sigma(n)) so the operator is
+    real (it maps real functions to real functions).
     """
     sigma = np.asarray(symbol, dtype=complex)
     mirrored = np.conj(sigma[-np.arange(sigma.size)])
@@ -348,24 +347,33 @@ def operator_from_symbol(symbol: np.ndarray, length: float) -> BoundaryOperator:
 
 
 def operator_from_coefficients(b: np.ndarray, length: float) -> BoundaryOperator:
-    """Operator whose Fourier-basis matrix is b (FFT ordering, both axes).
+    """Real operator nearest to the Fourier-basis matrix b (FFT ordering, both axes).
 
-    The inverse of _fourier_matrix: the nodal matrix F^H b F / N.
+    The projection 0.5 (b + conj(b[-j, -k])), whose nodal matrix is the real
+    part of b's; it keeps an exactly Hermitian b exactly Hermitian.
     """
-    mat = np.fft.ifft(np.fft.fft(b, axis=1), axis=0)
-    return BoundaryOperator(mat.real, length)
+    r = -np.arange(b.shape[0])
+    return BoundaryOperator(0.5 * (b + np.conj(b[np.ix_(r, r)])), length)
+
+
+def operator_from_matrix(matrix: np.ndarray, length: float) -> BoundaryOperator:
+    """Operator whose nodal matrix, acting on sample values, is the real `matrix`.
+
+    b = F A F^H / N, the inverse of BoundaryOperator.matrix.
+    """
+    m = np.asarray(matrix, dtype=float)
+    return operator_from_coefficients(np.fft.fft(np.fft.ifft(m, axis=1), axis=0), length)
 
 
 def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:
     """H^{s_from} -> H^{s_to} operator norm over real-valued functions.
 
-    The largest singular value of the Sobolev-weighted matrix in the Fourier
-    basis; for a real operator the complexified norm coincides with the
+    The largest singular value of the Sobolev-weighted Fourier-basis
+    matrix; for a real operator the complexified norm coincides with the
     real-restricted one.  The weights are even in the mode number, so it is
     taken in the Hartley (cas) basis, from the top eigenvalue of one real
     Gram (_cas_norm).
     """
     n = a.n_modes
-    return _cas_norm(a.matrix, sobolev_weights(n, a.length, s_to),
+    return _cas_norm(a.coeffs, sobolev_weights(n, a.length, s_to),
                      1.0 / sobolev_weights(n, a.length, s_from))
-

@@ -10,8 +10,8 @@ to the disk, where the Dirichlet integral is the same, and forms it as one
 real Gram of their cosine and sine parts there; the FEM backend contracts
 the Schur complement with them; it reads that complement off the trailing
 block of one sparse factorization of the stiffness matrix, boundary
-ordered last and the interior ordered from its vertex graph.
-boundary.operator_from_coefficients turns b into the nodal matrix for both.
+ordered last and the interior ordered from its vertex graph.  b is the
+operator for both, through boundary.operator_from_coefficients.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
 points of different surfaces are identified by arclength from the image of
@@ -131,7 +131,9 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     u_f = theta_f + per_f / mean_speed
     half = n // 2 + 1
     phase = np.outer(u_f, np.arange(half))
-    cs_f = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+    cs_f = np.empty((fine, 2 * half))  # filled in place, with no cos and sin copies
+    np.cos(phase, out=cs_f[:, :half])
+    np.sin(phase, out=cs_f[:, half:])
     del phase  # else alive through the Gram below, at this call's memory peak
     cs_hat = np.fft.rfft(cs_f, axis=0) / fine
     # a real function's spectrum at +-p is counted once from p >= 0: twice,
@@ -145,8 +147,8 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
             f"{_TAIL_TOL:.1e}; increase N")
     # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
     # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian
-    w = np.sqrt(twice_p * np.arange(fine // 2 + 1))[:, None] * cs_hat
-    w = np.concatenate([w.real, w.imag], axis=0)
+    cs_hat *= np.sqrt(twice_p * np.arange(fine // 2 + 1))[:, None]
+    w = np.concatenate([cs_hat.real, cs_hat.imag], axis=0)
     d = (2.0 * np.pi / length) * (w.T @ w)
     # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
     #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
@@ -155,9 +157,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     cs = sg * d[np.ix_(ak, half + ak)]
     b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
          + 1j * (cs - cs.T))
-    m = bc.operator_from_coefficients(b, length).matrix
-    # the FFT round trip leaves the nodal matrix symmetric only to rounding
-    op = BoundaryOperator(0.5 * (m + m.T), length)
+    op = bc.operator_from_coefficients(b, length)
 
     # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
     # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
@@ -486,11 +486,10 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     ordering of the interior vertices, with each edge unknown placed just
     before the earlier of its endpoints (_interior_order).  The
     coefficient block b = V^H S V / L over the columns V = exp(2 pi i m l / L)
-    of the modes |m| <= min(N/2, boundary nodes / 4) is taken to the nodal
-    matrix, and that matrix to its symmetric part, the nodal image of b's
-    Hermitian part; the FFT round trip would leave even a Hermitian b
-    symmetric only to rounding, so this keeps the returned matrix exactly
-    symmetric in L2(Gamma, dl).
+    of the modes |m| <= min(N/2, boundary nodes / 4) is taken to its
+    Hermitian part, so the operator is exactly symmetric in L2(Gamma, dl).
+    On the full band b holds the Nyquist mode once, as +N/2, and is not the
+    matrix of a real operator; operator_from_coefficients projects it to one.
     `order` must be 2.  Raises SingularInterior when interior nodes
     cannot reach the boundary, when the factorization fails, or when it
     moves a boundary node out of the trailing block.
@@ -543,8 +542,7 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     v = np.exp(2j * np.pi * np.outer(arc, ms) / length)
     b = np.zeros((n, n), dtype=complex)
     b[np.ix_(ms % n, ms % n)] = v.conj().T @ (schur @ v) / length
-    m = bc.operator_from_coefficients(b, length).matrix
-    return BoundaryOperator(0.5 * (m + m.T), length)
+    return bc.operator_from_coefficients(0.5 * (b + b.conj().T), length)
 
 
 def load_off(path: str) -> TriMesh:

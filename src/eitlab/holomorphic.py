@@ -108,21 +108,16 @@ _RANK_TOL = 1e-8       # relative singular value below which Q's basis ends
 _TAU_RANK = 1e-3       # defect rank threshold relative to max(||Lambda J||_2, 1)
 
 
-def _lj_hat(lam: BoundaryOperator) -> np.ndarray:
-    """Lambda J in the Fourier basis: Lambda's columns scaled by J's multiplier."""
-    return bc._fourier_matrix(lam.matrix) * bc._integration_symbol(lam.n_modes, lam.length)
-
-
 def lambda_j(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite Lambda J, zero on constants."""
-    return bc.operator_from_coefficients(_lj_hat(lam), lam.length)
+    j = bc._integration_symbol(lam.n_modes, lam.length)
+    return bc.operator_from_coefficients(lam.coeffs * j, lam.length)
 
 
 def j_lambda(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite J Lambda (the Hilbert transform on the disk)."""
     j = bc._integration_symbol(lam.n_modes, lam.length)
-    return bc.operator_from_coefficients(j[:, None] * bc._fourier_matrix(lam.matrix),
-                                         lam.length)
+    return bc.operator_from_coefficients(j[:, None] * lam.coeffs, lam.length)
 
 
 def resolved_band(lam: BoundaryOperator) -> int:
@@ -131,11 +126,7 @@ def resolved_band(lam: BoundaryOperator) -> int:
     A band-limited discrete DN map annihilates modes beyond its cap; on the
     resolved band the eigenvalues of Lambda J have magnitude close to 1.
     """
-    return _resolved_band(np.diag(_lj_hat(lam)))
-
-
-def _resolved_band(lj_diag: np.ndarray) -> int:
-    mag = np.abs(lj_diag)
+    mag = np.abs(np.diag(lam.coeffs) * bc._integration_symbol(lam.n_modes, lam.length))
     m_max = 0
     for m in range(1, mag.size // 2):
         if min(mag[m], mag[-m]) < _BAND_FLOOR:
@@ -165,13 +156,15 @@ def _defect(lam: BoundaryOperator,
 
     The block is I + (Lambda J)[band, :] (Lambda J)[:, band] on the modes
     1 <= |m| <= max_mode, the only nonzero block of the projected defect.
+    Lambda J is Lambda's columns scaled by J's multiplier, formed on those
+    rows and columns only.
     """
-    lj = _lj_hat(lam)
     if max_mode is None:
-        max_mode = min(_resolved_band(np.diag(lj)), _MAX_BAND)
+        max_mode = min(resolved_band(lam), _MAX_BAND)
+    b, j = lam.coeffs, bc._integration_symbol(lam.n_modes, lam.length)
     ms = np.abs(bc.mode_numbers(lam.n_modes))
     band = np.flatnonzero((ms >= 1) & (ms <= max_mode))
-    block = np.eye(band.size) + lj[band, :] @ lj[:, band]
+    block = np.eye(band.size) + (b[band] * j) @ (b[:, band] * j[band])
     return band, block
 
 
@@ -191,7 +184,7 @@ def _rank_scale(lam: BoundaryOperator) -> float:
     eigenvalue of a real Gram (boundary._cas_norm).
     """
     j_abs = np.abs(bc._integration_symbol(lam.n_modes, lam.length))
-    return max(bc._cas_norm(lam.matrix, np.ones(lam.n_modes), j_abs), 1.0)
+    return max(bc._cas_norm(lam.coeffs, np.ones(lam.n_modes), j_abs), 1.0)
 
 
 def _floor(sv: np.ndarray, kappa: int) -> float:

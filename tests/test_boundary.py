@@ -189,6 +189,17 @@ class TestOperators:
         op2 = bc.BoundaryOperator.from_json(op.to_json())
         assert np.allclose(op.matrix, op2.matrix)
 
+    def test_operator_rejects_non_finite_coefficients_and_length(self):
+        b = np.zeros((8, 8), dtype=complex)
+        b[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite coefficients"):
+            bc.BoundaryOperator(b, TWO_PI)
+        for length in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="length must be positive and finite"):
+                bc.BoundaryOperator(np.zeros((8, 8)), length)
+            with pytest.raises(ValueError, match="length must be positive and finite"):
+                bc.BoundaryFunction(np.zeros(8), length)
+
     @pytest.mark.parametrize("n", [0, 6, 7, 9, 31])
     def test_operator_obeys_the_grid_rule(self, n):
         with pytest.raises(ValueError, match="need even N >= 8"):

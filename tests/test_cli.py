@@ -39,6 +39,7 @@ SWEEP_CONFIG = {
 }
 
 CLOUD_HEADER = "re_1,im_1,tag,chart_j,source_z_re,source_z_im\n"
+DISK8 = dnm.dn_disk(8).to_json()
 
 
 def traces_json() -> str:
@@ -249,6 +250,10 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
     (["dn", "--surface", "conformal:abc", "--out", "OUT"], None, "'conformal:abc'"),
     (["kappa", "--dn", "IN"],
      json.dumps({"n": 7, "length": 6.28, "matrix_row_major": [0.0] * 49}), "IN"),
+    (["kappa", "--dn", "IN"],
+     json.dumps({**DISK8, "matrix_row_major": [np.nan] + DISK8["matrix_row_major"][1:]}),
+     "IN"),
+    (["kappa", "--dn", "IN"], json.dumps({**DISK8, "length": -1.0}), "IN"),
     # out-of-range arguments, beside a well-formed traces file
     (RECONSTRUCT + ["--epsilon", "-1"], traces_json(), "--epsilon"),
     (RECONSTRUCT + ["--epsilon", "0"], traces_json(), "--epsilon"),
@@ -264,7 +269,8 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
 ], ids=["cloud_non_numeric", "cloud_short_row", "cloud_empty_file",
         "cloud_tag_off_chart", "dn_no_matrix", "no_traces", "empty_traces",
         "sweep_n_modes_str",
-        "conformal_non_numeric", "dn_odd_n", "epsilon_negative", "epsilon_zero",
+        "conformal_non_numeric", "dn_odd_n", "dn_nan", "dn_negative_length",
+        "epsilon_negative", "epsilon_zero",
         "torus_resolution_3", "conformal_nan", "n_modes_0", "n_modes_7",
         "grid_resolution_-3", "grid_resolution_0", "grid_resolution_1",
         "grid_resolution_7"])

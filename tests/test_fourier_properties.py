@@ -166,25 +166,43 @@ class TestFourierConjugation:
         w_from = bc.sobolev_weights(n, length, s_from)
         w_to = bc.sobolev_weights(n, length, s_to)
         ref = np.linalg.norm(w_to[:, None] * dense_fourier(a) / w_from[None, :], 2)
-        got = bc.operator_norm(bc.BoundaryOperator(a, length), s_from, s_to)
+        got = bc.operator_norm(bc.operator_from_matrix(a, length), s_from, s_to)
         assert abs(got - ref) <= 1e-12 * ref
+
+    @property_test
+    @given(n=sizes, length=lengths, seed=seeds)
+    def test_nodal_matrix_round_trip(self, n, length, seed):
+        """For a real nodal matrix m, .matrix returns m, apply acts as m on the
+        samples of real and complex functions, and the JSON file keeps b."""
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        op = bc.operator_from_matrix(m, length)
+        assert np.abs(op.matrix - m).max() <= 1e-13 * np.abs(m).max()
+        u, v = rng.standard_normal((2, n))
+        for samples in (u, u + 1j * v):
+            f = bc.from_samples(samples, length)
+            want = bc.from_samples(m @ f.values(), length).coeffs
+            assert np.abs(op.apply(f).coeffs - want).max() <= 1e-13 * np.abs(want).max()
+        back = bc.BoundaryOperator.from_json(op.to_json())
+        assert np.abs(back.coeffs - op.coeffs).max() <= 1e-13 * np.abs(op.coeffs).max()
 
     @property_test
     @given(n=sizes, seed=seeds, spread=st.floats(0.0, 8.0))
     def test_cas_norm_matches_fourier_svd(self, n, seed, spread):
-        """The top-eigenvalue norm against the SVD of diag(w) F A F^H diag(w') / N,
-        for weights even in the mode number spanning exp(+-spread)."""
+        """The top-eigenvalue norm against the SVD of diag(w) b diag(w'), b the
+        Fourier-basis matrix F A F^H / N of a real nodal matrix A, for weights
+        even in the mode number spanning exp(+-spread)."""
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
+        b = dense_fourier(rng.standard_normal((n, n)))
         half = np.abs(bc.mode_numbers(n)).astype(int)
         w_rows, w_cols = np.exp(rng.uniform(-spread, spread, (2, n // 2 + 1)))[:, half]
-        ref = np.linalg.norm(w_rows[:, None] * bc._fourier_matrix(a) * w_cols[None, :], 2)
-        assert abs(bc._cas_norm(a, w_rows, w_cols) - ref) <= 1e-12 * ref
+        ref = np.linalg.norm(w_rows[:, None] * b * w_cols[None, :], 2)
+        assert abs(bc._cas_norm(b, w_rows, w_cols) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_cas_norm_of_zero_is_zero(self, n):
         w = np.abs(bc.mode_numbers(n)) + 1.0
-        assert bc._cas_norm(np.zeros((n, n)), w, 1.0 / w) == 0.0
+        assert bc._cas_norm(np.zeros((n, n), dtype=complex), w, 1.0 / w) == 0.0
 
     @property_test
     @given(n=sizes, length=lengths, seed=seeds, data=st.data())
@@ -199,7 +217,7 @@ class TestFourierConjugation:
         pi0 = (f.conj().T @ (band[:, None] * f)).real / n
         lj = lam @ dense_j(n, length)
         ref = pi0 @ (np.eye(n) + lj @ lj) @ pi0
-        got = hm.defect_operator(bc.BoundaryOperator(lam, length), max_mode).matrix
+        got = hm.defect_operator(bc.operator_from_matrix(lam, length), max_mode).matrix
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
     @property_test
@@ -210,7 +228,7 @@ class TestFourierConjugation:
         lam = rng.standard_normal((n, n)) * (4.0 * np.pi / length)
         ref = np.linalg.norm(lam @ dense_j(n, length), 2)
         assert ref > 1.0  # so the scale is the norm, not the floor 1
-        scale = hm._rank_scale(bc.BoundaryOperator(lam, length))
+        scale = hm._rank_scale(bc.operator_from_matrix(lam, length))
         assert abs(scale - ref) <= 1e-12 * ref
 
 
