@@ -8,8 +8,11 @@ and samples (values, eval_at) and mean are complex for every function, real
 or not; a caller that needs real samples takes ``.real``.  Operators are
 held the same way, by the Fourier-basis matrix b_jk = <A e_k, e_j> / L of
 the modes e_k: apply, + and - act on b, and the nodal matrix F^H b F / N
-(F the unnormalized DFT) is derived only for the JSON format.  Operators
-are real, b_jk = conj(b_{-j,-k}), so A(u + iv) = Au + iAv.
+(F the unnormalized DFT) is derived only for the JSON format.  One reality
+rule holds for both: real coefficients mirror, c_{-k} = conj(c_k) and
+b_jk = conj(b_{-j,-k}).  The operator constructor projects every b onto it,
+so A(u + iv) = Au + iAv, and .real and .imag are that projection of a
+function's c and -i c (_real_part), exact on the Nyquist mode.
 
 The tangential derivative d_gamma and its inverse J act only as Fourier
 multipliers on coefficients (i omega and 1 / (i omega), both zero on the
@@ -24,7 +27,7 @@ Fourier convention: coefficients are held in FFT ordering (modes
 cosine cos(pi N l / L), so real samples have a real interpolant, and
 padding a spectrum to more modes splits it evenly between +N/2 and -N/2.
 Only this module codes that convention; every other module reaches the
-Fourier basis through the helpers here, all of them FFTs.
+Fourier basis through the helpers here.
 
 Orientation convention: the positive tangent direction is the one for which
 the disk identity ``J Lambda cos(n theta) = sin(n theta)`` holds.
@@ -50,7 +53,6 @@ __all__ = [
     "ck_norm",
     "operator_norm",
     "operator_from_symbol",
-    "operator_from_coefficients",
     "operator_from_matrix",
 ]
 
@@ -113,11 +115,11 @@ class BoundaryFunction:
 
     @property
     def real(self) -> "BoundaryFunction":
-        return from_samples(self.values().real, self.length)
+        return BoundaryFunction(_real_part(self.coeffs), self.length)
 
     @property
     def imag(self) -> "BoundaryFunction":
-        return from_samples(self.values().imag, self.length)
+        return BoundaryFunction(_real_part(-1j * self.coeffs), self.length)
 
     def __add__(self, other: "BoundaryFunction") -> "BoundaryFunction":
         _check_same_grid(self, other)
@@ -144,6 +146,11 @@ class BoundaryFunction:
     def from_json(d: dict) -> "BoundaryFunction":
         c = np.asarray(d["coeffs_re"], dtype=float) + 1j * np.asarray(d["coeffs_im"], dtype=float)
         return BoundaryFunction(c, float(d["length"]))
+
+
+def _real_part(c: np.ndarray) -> np.ndarray:
+    """Coefficients of Re f, 0.5 (c + conj(c[-k])) along axis 0, per column."""
+    return 0.5 * (c + np.conj(c[-np.arange(c.shape[0])]))
 
 
 def _phase_kernel(n: int, length: float, l: np.ndarray) -> np.ndarray:
@@ -279,7 +286,11 @@ def ck_norm(f: BoundaryFunction, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """Real operator on boundary functions: its Fourier-basis matrix (FFT ordering)."""
+    """Real operator on boundary functions: its Fourier-basis matrix (FFT ordering).
+
+    It stores 0.5 (b + conj(b[-j, -k])), the nodal real part: b bit for bit
+    when b is real, exactly Hermitian when b is.
+    """
 
     coeffs: np.ndarray
     length: float
@@ -293,7 +304,8 @@ class BoundaryOperator:
             raise ValueError("non-finite coefficients")
         if not 0 < self.length < np.inf:
             raise ValueError("length must be positive and finite")
-        object.__setattr__(self, "coeffs", b)
+        r = -np.arange(b.shape[0])
+        object.__setattr__(self, "coeffs", 0.5 * (b + np.conj(b[np.ix_(r, r)])))
 
     @property
     def n_modes(self) -> int:
@@ -340,20 +352,10 @@ def operator_from_symbol(symbol: np.ndarray, length: float) -> BoundaryOperator:
     real (it maps real functions to real functions).
     """
     sigma = np.asarray(symbol, dtype=complex)
-    mirrored = np.conj(sigma[-np.arange(sigma.size)])
-    if np.max(np.abs(sigma - mirrored)) > 1e-12 * max(np.max(np.abs(sigma)), 1.0):
+    # sigma - _real_part(sigma) is half of sigma(n) - conj(sigma(-n))
+    if np.max(np.abs(sigma - _real_part(sigma))) > 0.5e-12 * max(np.max(np.abs(sigma)), 1.0):
         raise ValueError("symbol does not define a real operator")
-    return operator_from_coefficients(np.diag(sigma), length)
-
-
-def operator_from_coefficients(b: np.ndarray, length: float) -> BoundaryOperator:
-    """Real operator nearest to the Fourier-basis matrix b (FFT ordering, both axes).
-
-    The projection 0.5 (b + conj(b[-j, -k])), whose nodal matrix is the real
-    part of b's; it keeps an exactly Hermitian b exactly Hermitian.
-    """
-    r = -np.arange(b.shape[0])
-    return BoundaryOperator(0.5 * (b + np.conj(b[np.ix_(r, r)])), length)
+    return BoundaryOperator(np.diag(sigma), length)
 
 
 def operator_from_matrix(matrix: np.ndarray, length: float) -> BoundaryOperator:
@@ -362,7 +364,7 @@ def operator_from_matrix(matrix: np.ndarray, length: float) -> BoundaryOperator:
     b = F A F^H / N, the inverse of BoundaryOperator.matrix.
     """
     m = np.asarray(matrix, dtype=float)
-    return operator_from_coefficients(np.fft.fft(np.fft.ifft(m, axis=1), axis=0), length)
+    return BoundaryOperator(np.fft.fft(np.fft.ifft(m, axis=1), axis=0), length)
 
 
 def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:

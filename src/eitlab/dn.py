@@ -11,7 +11,7 @@ real Gram of their cosine and sine parts there; the FEM backend contracts
 the Schur complement with them; it reads that complement off the trailing
 block of one sparse factorization of the stiffness matrix, boundary
 ordered last and the interior ordered from its vertex graph.  b is the
-operator for both, through boundary.operator_from_coefficients.
+operator for both: BoundaryOperator's constructor projects it to a real one.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
 points of different surfaces are identified by arclength from the image of
@@ -157,7 +157,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     cs = sg * d[np.ix_(ak, half + ak)]
     b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
          + 1j * (cs - cs.T))
-    op = bc.operator_from_coefficients(b, length)
+    op = bc.BoundaryOperator(b, length)
 
     # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
     # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
@@ -489,7 +489,8 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     of the modes |m| <= min(N/2, boundary nodes / 4) is taken to its
     Hermitian part, so the operator is exactly symmetric in L2(Gamma, dl).
     On the full band b holds the Nyquist mode once, as +N/2, and is not the
-    matrix of a real operator; operator_from_coefficients projects it to one.
+    matrix of a real operator; the BoundaryOperator constructor projects it
+    to one.
     `order` must be 2.  Raises SingularInterior when interior nodes
     cannot reach the boundary, when the factorization fails, or when it
     moves a boundary node out of the trailing block.
@@ -542,7 +543,7 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     v = np.exp(2j * np.pi * np.outer(arc, ms) / length)
     b = np.zeros((n, n), dtype=complex)
     b[np.ix_(ms % n, ms % n)] = v.conj().T @ (schur @ v) / length
-    return bc.operator_from_coefficients(0.5 * (b + b.conj().T), length)
+    return bc.BoundaryOperator(0.5 * (b + b.conj().T), length)
 
 
 def load_off(path: str) -> TriMesh:

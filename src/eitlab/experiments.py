@@ -185,17 +185,15 @@ def _perturbed_dn(cfg: ExperimentConfig, s: float):
 
 def _lemma1_references(lam, proj, seed: int) -> list:
     """Five seeded test traces completed under `lam`, with their H^3 norms."""
-    n = lam.n_modes
     rng = np.random.default_rng(seed)
-    th = np.arange(n) * (lam.length / n)
     refs = []
     for _ in range(5):
-        vals = np.zeros(n)
-        for m in range(1, 9):
-            vals += rng.standard_normal() * np.cos(2 * np.pi * m * th / lam.length)
-            vals += rng.standard_normal() * np.sin(2 * np.pi * m * th / lam.length)
-        f = bc.from_samples(vals, lam.length)
-        eta = hm.complete_trace(f, 0.0, lam, proj)
+        # a cos + b sin on mode m; on N = 16's Nyquist mode the halves sum to a
+        c = np.zeros(lam.n_modes, dtype=complex)
+        for m, (a, b) in enumerate(rng.standard_normal((8, 2)), start=1):
+            c[m] += 0.5 * (a - 1j * b)
+            c[-m] += 0.5 * (a + 1j * b)
+        eta = hm.complete_trace(bc.BoundaryFunction(c, lam.length), 0.0, lam, proj)
         refs.append((eta, bc.sobolev_norm(eta, 3)))
     return refs
 

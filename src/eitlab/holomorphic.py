@@ -19,9 +19,9 @@ the projections all read it; one more decides whether a rank clears the
 gap factor.  The completion of a zero-mean u has the certificate residual
 D d_gamma u, so the completable real traces are the kernel of D d_gamma,
 and Q projects onto its complement: d_gamma^H applied to D's top kappa
-right singular vectors, whose real and imaginary samples span a real
-space of dimension kappa.  P = I - Q and Q are held as Q's orthonormal
-basis B on the nodes: P u = u - B (B^T u).
+right singular vectors, whose real and imaginary parts span a real space
+of dimension kappa.  P = I - Q and Q are held as Q's orthonormal
+coefficient basis B: P u = u - B (B^H u), with no sample or FFT taken.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class TraceTuple:
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """Q = B B^T and P = I - Q (completable real traces), held as Q's basis B.
+    """Q = B B^H and P = I - Q (completable real traces), held as Q's basis B.
 
+    B is complex (N, kappa) with B^H B = I; its columns span kappa real functions.
     defect_floor is sigma_{kappa+1}, the largest defect singular value below
     the rank cut (0 when the band holds no more), which the certificate reads.
     """
@@ -111,13 +112,13 @@ _TAU_RANK = 1e-3       # defect rank threshold relative to max(||Lambda J||_2, 1
 def lambda_j(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite Lambda J, zero on constants."""
     j = bc._integration_symbol(lam.n_modes, lam.length)
-    return bc.operator_from_coefficients(lam.coeffs * j, lam.length)
+    return BoundaryOperator(lam.coeffs * j, lam.length)
 
 
 def j_lambda(lam: BoundaryOperator) -> BoundaryOperator:
     """Composite J Lambda (the Hilbert transform on the disk)."""
     j = bc._integration_symbol(lam.n_modes, lam.length)
-    return bc.operator_from_coefficients(j[:, None] * lam.coeffs, lam.length)
+    return BoundaryOperator(j[:, None] * lam.coeffs, lam.length)
 
 
 def resolved_band(lam: BoundaryOperator) -> int:
@@ -147,7 +148,7 @@ def defect_operator(lam: BoundaryOperator, max_mode: int | None = None) -> Bound
     band, block = _defect(lam, max_mode)
     b = np.zeros((lam.n_modes, lam.n_modes), dtype=complex)
     b[np.ix_(band, band)] = block
-    return bc.operator_from_coefficients(b, lam.length)
+    return BoundaryOperator(b, lam.length)
 
 
 def _defect(lam: BoundaryOperator,
@@ -233,11 +234,12 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     """Q onto the real span of d_gamma^H V_kappa, P = I - Q.
 
     V_kappa holds the defect's top kappa right singular vectors on the band.
-    Their images under d_gamma^H = -i omega, sampled on the nodes, have real
-    and imaginary parts whose orthonormal basis B spans the complement of
-    the completable real traces, ker(D d_gamma); Q = B B^T, returned as the
-    (N, kappa) array B.  Raises NoSpectralGap when those 2 kappa real
-    columns do not have rank exactly kappa, as when kappa splits a
+    The real and imaginary parts of their images c under d_gamma^H =
+    -i omega, the coefficient columns _real_part(c) and _real_part(-i c),
+    have an orthonormal basis B that spans the complement of the
+    completable real traces, ker(D d_gamma); Q = B B^H, returned as the
+    complex (N, kappa) array B.  Raises NoSpectralGap when those 2 kappa
+    real functions do not have rank exactly kappa, as when kappa splits a
     degenerate singular pair, and when the defect's kappa-th and
     (kappa+1)-th singular values are closer than estimate_kappa's gap
     factor.  The (kappa+1)-th value is kept as the pair's defect_floor, so
@@ -248,16 +250,13 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     band, sv_defect, vh = _defect_spectrum(lam)
     floor = _floor(sv_defect, kappa)
     if kappa == 0:
-        return ProjectionPair(np.zeros((n, 0)), floor)
-    v = vh[:kappa].conj().T
-    c = np.zeros((n, v.shape[1]), dtype=complex)
-    c[band] = np.conj(bc._derivative_symbol(n, length))[band, None] * v
-    # nodal samples of the coefficient columns; the band holds no Nyquist mode
-    w = np.fft.ifft(c, axis=0) * n
-    u, sv, _ = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)
+        return ProjectionPair(np.zeros((n, 0), dtype=complex), floor)
+    c = np.zeros((n, kappa), dtype=complex)
+    c[band] = np.conj(bc._derivative_symbol(n, length))[band, None] * vh[:kappa].conj().T
+    u, sv, _ = np.linalg.svd(bc._real_part(np.hstack([c, -1j * c])), full_matrices=False)
     if np.count_nonzero(sv > _RANK_TOL * sv[0]) != kappa:
         raise NoSpectralGap(
-            f"real and imaginary samples of the top {kappa} defect vectors have "
+            f"real and imaginary coefficients of the top {kappa} defect vectors have "
             f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
     _require_gap(sv_defect, kappa, sv_defect[kappa - 1])
     return ProjectionPair(u[:, :kappa], floor)
@@ -287,12 +286,12 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
     rounding floor of the products that form it when that is larger.
     """
     bc._check_same_grid(lam, re_part)
-    v = re_part.values().real
-    pre = bc.from_samples(v - proj.basis @ (proj.basis.T @ v), lam.length)
+    u, b = re_part.coeffs, proj.basis
+    pre = bc._real_part(u - b @ (b.conj().T @ u))
     j = bc._integration_symbol(lam.n_modes, lam.length)
-    hil = BoundaryFunction(lam.apply(pre).coeffs * j, lam.length)
-    eta_v = pre.values().real + 1j * (hil.values().real + im_mean / lam.length)
-    eta = bc.from_samples(eta_v, lam.length)
+    im = bc._real_part(j * (lam.coeffs @ pre))
+    im[0] += im_mean / lam.length
+    eta = BoundaryFunction(pre + 1j * im, lam.length)
     res = certificate_residual(eta, lam)
     if cert_tol_rel is None:
         cert_tol_rel = _CERT_FACTOR * max(proj.defect_floor,
@@ -307,8 +306,7 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
 def beta_gamma(eta: BoundaryFunction, lam_prime: BoundaryOperator,
                proj_prime: ProjectionPair) -> BoundaryFunction:
     """Transported trace: P' Re eta completed with the perturbed DN map."""
-    im_mean = bc.mean(eta.imag)
-    return complete_trace(eta.real, float(np.real(im_mean)), lam_prime, proj_prime)
+    return complete_trace(eta.real, bc.mean(eta.imag).real, lam_prime, proj_prime)
 
 
 def transport_immersion(e: TraceTuple, lam_prime: BoundaryOperator,

@@ -169,7 +169,7 @@ def _complex_gram_dn(domain, n):
     e = np.exp(1j * np.outer(u_f, bc.mode_numbers(n)))
     w = np.sqrt(np.abs(bc.mode_numbers(fine)))[:, None] * np.fft.fft(e, axis=0) / fine
     b = (TWO_PI / length) * (w.conj().T @ w)
-    matrix = bc.operator_from_coefficients(0.5 * (b + b.conj().T), length).matrix
+    matrix = bc.BoundaryOperator(0.5 * (b + b.conj().T), length).matrix
     fold = 1.0 + 2.0 * np.cos(n * u_f)
     q_hat = -np.conj((per_f * speed_f * fold) @ e) / (mean_speed ** 2 * fine)
     u = np.arange(n) * (TWO_PI / n)

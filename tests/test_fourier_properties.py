@@ -145,6 +145,45 @@ class TestShiftedSampling:
             assert not real or np.abs(got.imag).max() <= 1e-12
 
 
+class TestRealityRule:
+    @property_test
+    @given(n=sizes, length=lengths, frac=st.floats(0.0, 1.0), seed=seeds)
+    def test_real_and_imag_mirror_the_coefficients(self, n, length, frac, seed):
+        """.real and .imag of a complex spectrum with a nonzero Nyquist
+        coefficient: exactly mirrored coefficients, c_-k = conj(c_k), whose
+        samples are those of f's real and imaginary parts on every grid."""
+        rng = np.random.default_rng(seed)
+        c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
+        f = bc.BoundaryFunction(c, length)
+        assert f.coeffs[n // 2].real != 0.0 and f.coeffs[n // 2].imag != 0.0
+        mirror = -np.arange(n)
+        for part in (f.real, f.imag):
+            assert np.array_equal(part.coeffs, np.conj(part.coeffs[mirror]))
+        for m, offset in ((n, 0.0), (4 * n, 0.0), (n, frac * length),
+                          (8 * n, (frac - 2.0) * length)):
+            v = f.values(m, offset=offset)
+            tol = 1e-15 * np.abs(v).max()
+            assert np.abs(f.real.values(m, offset=offset) - v.real).max() <= tol
+            assert np.abs(f.imag.values(m, offset=offset) - v.imag).max() <= tol
+
+    @property_test
+    @given(n=sizes, length=lengths, seed=seeds)
+    def test_operator_constructor_makes_b_real(self, n, length, seed):
+        """From any complex b the constructor keeps an exactly real operator,
+        b_jk = conj(b_-j,-k), which apply, .matrix and operator_norm read alike."""
+        rng = np.random.default_rng(seed)
+        op = bc.BoundaryOperator(rng.standard_normal((n, n))
+                                 + 1j * rng.standard_normal((n, n)), length)
+        r = -np.arange(n)
+        assert np.array_equal(op.coeffs, np.conj(op.coeffs[np.ix_(r, r)]))
+        f = bc.BoundaryFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                length)
+        want = op.matrix @ f.values()
+        assert np.abs(op.apply(f).values() - want).max() <= 1e-13 * np.abs(want).max()
+        ref = np.linalg.norm(op.coeffs, 2)
+        assert abs(bc.operator_norm(op, 0, 0) - ref) <= 1e-13 * ref
+
+
 class TestResampler:
     @property_test
     @given(n=sizes, factor=st.sampled_from([2, 4]), length=lengths, seed=seeds)
