@@ -268,8 +268,13 @@ def sobolev_weights(n: int, length: float, s: float) -> np.ndarray:
 
 
 def sobolev_norm(f: BoundaryFunction, s: float) -> float:
-    w = sobolev_weights(f.n_modes, f.length, s)
-    return float(np.sqrt(np.sum((w * np.abs(f.coeffs)) ** 2) * f.length))
+    return float(_sobolev_norms(f.coeffs, f.length, s))
+
+
+def _sobolev_norms(c: np.ndarray, length: float, s: float) -> np.ndarray:
+    """H^s norm of the coefficients c, per column when c is an (N, m) block."""
+    w = sobolev_weights(c.shape[0], length, s)
+    return np.sqrt(np.sum((w * np.abs(c.T)) ** 2, axis=-1) * length)
 
 
 def ck_norm(f: BoundaryFunction, k: int) -> float:

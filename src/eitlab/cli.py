@@ -25,8 +25,6 @@ def _cmd_sweep(args) -> int:
     cfg = ex.ExperimentConfig.from_json(args.config)
     if args.out:
         cfg.output_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     records, summary, clouds = ex.run_sweep(cfg, verbose=args.verbose)
     ex.emit_outputs(records, summary, clouds, cfg.output_dir)
     n_bad = sum(not r.valid for r in records)
@@ -132,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="run a perturbation sweep from a config")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default=None)
-    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--verbose", action="store_true")
     ps.set_defaults(fn=_cmd_sweep)
 

@@ -3,9 +3,12 @@
 A sweep walks a perturbation parameter toward zero, builds the perturbed DN
 operator, transports the reference immersion traces, reconstructs both image
 clouds on a common target grid and reports the Hausdorff distances, the
-trace-transport operator ratio, the near-boundary pairing discrepancy and
-the immersion margins, together with log-log slopes against the operator
-perturbation size t.
+lemma-1 transport ratio, the near-boundary pairing discrepancy and the
+immersion margins, together with log-log slopes against the operator
+perturbation size t.  The lemma-1 ratio is the max, over the defect band's
+16 basis traces cos m theta and sin m theta (m = 1..8), of the transported
+trace's C^2 change over t times its H^3 norm.  Nothing in a sweep is
+random, so its outputs do not depend on the config's seed.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ __all__ = [
 ]
 
 # Measured over every even n_modes in 16..256: the s = 0 fem_metric operator
-# (P2 disk mesh) raises NoSpectralGap at some of them for each resolution up
-# to 22, and at none for resolutions 23 to 30 (smallest gap 1.1e4, at 23),
-# so the floor does not depend on n_modes.
+# (P2 disk mesh) raises NoSpectralGap at most of them for each resolution up
+# to 22, and at none for resolutions 23 to 30.  The thinnest margin is at 23,
+# where the defect's top value (9.26e-5 from n_modes 64 up) lies 10.80x below
+# the rank threshold 1e-3, so the floor does not depend on n_modes.
 _FEM_MIN_RESOLUTION = 23
 _MIN_GRID_RESOLUTION = 8  # fewest lattice points per side in classify
 
@@ -63,7 +67,11 @@ def _require_fem_resolution(res):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one perturbation sweep."""
+    """Declarative description of one perturbation sweep.
+
+    seed is accepted and ignored: nothing in a sweep is random.  It stays a
+    field so that config files that still carry it load.
+    """
 
     base_surface: dict
     perturbation_family: dict
@@ -183,30 +191,28 @@ def _perturbed_dn(cfg: ExperimentConfig, s: float):
     return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
 
 
-def _lemma1_references(lam, proj, seed: int) -> list:
-    """Five seeded test traces completed under `lam`, with their H^3 norms."""
-    rng = np.random.default_rng(seed)
-    refs = []
-    for _ in range(5):
-        # a cos + b sin on mode m; on N = 16's Nyquist mode the halves sum to a
-        c = np.zeros(lam.n_modes, dtype=complex)
-        for m, (a, b) in enumerate(rng.standard_normal((8, 2)), start=1):
-            c[m] += 0.5 * (a - 1j * b)
-            c[-m] += 0.5 * (a + 1j * b)
-        eta = hm.complete_trace(bc.BoundaryFunction(c, lam.length), 0.0, lam, proj)
-        refs.append((eta, bc.sobolev_norm(eta, 3)))
-    return refs
+def _lemma1_references(lam, proj) -> tuple[TraceTuple, np.ndarray]:
+    """The band's basis traces completed under `lam`, with their H^3 norms.
+
+    The real parts are cos m theta and sin m theta for m = 1..8, the modes
+    of the defect band (1..7 at N = 16, whose mode 8 is the Nyquist mode).
+    """
+    n = lam.n_modes
+    th = np.arange(n) * (2.0 * np.pi / n)
+    probes = TraceTuple(tuple(bc.from_samples(f(m * th), lam.length)
+                              for m in range(1, min(hm._MAX_BAND, n // 2 - 1) + 1)
+                              for f in (np.cos, np.sin)))
+    refs = hm.transport_immersion(probes, lam, proj)
+    return refs, np.array([bc.sobolev_norm(eta, 3) for eta in refs.traces])
 
 
-def _lemma1_ratio(refs, lam_p, proj_p, t: float) -> float:
-    """Max over the test traces of ||transport(eta) - eta||_C2 / (t ||eta||_H3)."""
+def _lemma1_ratio(refs: TraceTuple, h3: np.ndarray, lam_p, proj_p, t: float) -> float:
+    """Max over the basis traces of ||transport(eta) - eta||_C2 / (t ||eta||_H3)."""
     if t <= 0:
         return np.nan
-    worst = 0.0
-    for eta, h3 in refs:
-        eta_p = hm.beta_gamma(eta, lam_p, proj_p)
-        worst = max(worst, bc.ck_norm(eta_p - eta, 2) / (t * h3))
-    return worst
+    moved = hm.transport_immersion(refs, lam_p, proj_p)
+    return float(max(bc.ck_norm(moved[k] - refs[k], 2) / (t * h3[k])
+                     for k in range(len(refs))))
 
 
 def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
@@ -214,7 +220,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
 
     A numerical failure at a perturbed parameter marks that record invalid.
     A failure at the s = 0 reference (its operator, the completion of the
-    recipe or of the lemma-1 test traces, or a reference cloud with no
+    recipe or of the lemma-1 basis traces, or a reference cloud with no
     interior point) raises instead, since no record can be measured
     against it.  A fem_metric mesh below resolution 23 leaves that
     operator without a spectral gap, whatever n_modes, so validation
@@ -230,7 +236,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     # the reference tuple is the recipe completed under lam, the same
     # construction as every transported tuple, so a t = 0 record reads 0
     e = hm.transport_immersion(immersion_from_recipe(cfg.immersion, n), lam, proj)
-    lemma1_refs = _lemma1_references(lam, proj, cfg.seed)
+    lemma1_refs, lemma1_h3 = _lemma1_references(lam, proj)
     # one shared winding classification: both clouds sample identical targets
     fields = [ap.classify(e[j], cfg.grid_resolution, cfg.epsilon)
               for j in range(len(e))]
@@ -261,7 +267,8 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
                 continue
             proj_p = hm.build_projections(lam_p, rec.kappa_prime)
             e_p = hm.transport_immersion(e, lam_p, proj_p)
-            rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lam_p, proj_p, rec.t)
+            rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lemma1_h3, lam_p,
+                                             proj_p, rec.t)
             cloud_p = ap.reconstruct(e_p, cfg.epsilon, cfg.grid_resolution,
                                      fields=fields)
             rec.d_h_interior = mt.hausdorff(cloud_ref.interior_points(),
@@ -283,8 +290,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
 
     summary = _summarize(records, fill_ref, kappa_ref)
     summary["config"] = {k: getattr(cfg, k) for k in
-                         ("immersion", "n_modes", "epsilon", "grid_resolution",
-                          "seed")}
+                         ("immersion", "n_modes", "epsilon", "grid_resolution")}
     summary["perturbation_family"] = cfg.perturbation_family
     return records, summary, clouds
 
@@ -368,9 +374,9 @@ def _fresh(path: str) -> str:
 def emit_outputs(records, summary, clouds, output_dir: str):
     """Write sweep.csv, summary.json, clouds/*.csv, plotdata/*.tsv and SVGs.
 
-    Wall times are kept out of sweep.csv so reruns with the same seed produce
-    byte-identical tables; timings go to timings.csv instead.  The records
-    of one sweep share one reference cloud, written once as clouds/ref.csv.
+    Wall times are kept out of sweep.csv so reruns produce byte-identical
+    tables; timings go to timings.csv instead.  The records of one sweep
+    share one reference cloud, written once as clouds/ref.csv.
     """
     os.makedirs(output_dir, exist_ok=True)
     os.makedirs(os.path.join(output_dir, "clouds"), exist_ok=True)

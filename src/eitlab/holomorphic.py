@@ -9,7 +9,9 @@ sees only the interior periods, not the fluxes through the boundary
 circles (the annulus gives 0 where ``1 - chi = 1``).  The transport map
 sends traces of the reference surface to traces of a perturbed surface by
 projecting the real part and completing with the perturbed Hilbert
-transform.
+transform.  One routine completes a block of traces as the columns of one
+(N, m) coefficient array and certifies each column on its own, so a
+single trace is the block with one column.
 
 J is the multiplier of boundary.integrate_J: products with it scale the
 columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
@@ -43,7 +45,6 @@ __all__ = [
     "estimate_kappa",
     "build_projections",
     "complete_trace",
-    "beta_gamma",
     "transport_immersion",
     "dn_distance",
     "certificate_residual",
@@ -106,7 +107,8 @@ _GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
 _MAX_BAND = 8          # widest defect band: discretization error grows with
                        # the mode number, and rank detection needs few modes
 _RANK_TOL = 1e-8       # relative singular value below which Q's basis ends
-_TAU_RANK = 1e-3       # defect rank threshold relative to max(||Lambda J||_2, 1)
+_TAU_RANK = 1e-3       # defect rank threshold; Lambda J is dimensionless and
+                       # has magnitude about 1 on every resolved mode
 
 
 def lambda_j(lam: BoundaryOperator) -> BoundaryOperator:
@@ -177,17 +179,6 @@ def _defect_spectrum(lam: BoundaryOperator
     return band, sv, vh
 
 
-def _rank_scale(lam: BoundaryOperator) -> float:
-    """max(||Lambda J||_2, 1), the scale of the rank threshold.
-
-    J's multiplier is a unitary diagonal times |J|'s, which is even in the
-    mode number, so ||Lambda J||_2 = ||Lambda |J| ||_2, taken from the top
-    eigenvalue of a real Gram (boundary._cas_norm).
-    """
-    j_abs = np.abs(bc._integration_symbol(lam.n_modes, lam.length))
-    return max(bc._cas_norm(lam.coeffs, np.ones(lam.n_modes), j_abs), 1.0)
-
-
 def _floor(sv: np.ndarray, kappa: int) -> float:
     """sv[kappa], the (kappa+1)-th defect value; 0 when the band holds no more."""
     return float(sv[kappa]) if kappa < sv.size else 0.0
@@ -213,20 +204,20 @@ def estimate_kappa(lam: BoundaryOperator) -> int:
     With more circles it counts the interior periods, not the boundary fluxes.
     """
     _, sv, _ = _defect_spectrum(lam)
-    thresh = _TAU_RANK * _rank_scale(lam)
-    kappa = int(np.sum(sv > thresh))
-    _require_gap(sv, kappa, sv[kappa - 1] if kappa > 0 else thresh)
+    kappa = int(np.sum(sv > _TAU_RANK))
+    _require_gap(sv, kappa, sv[kappa - 1] if kappa > 0 else _TAU_RANK)
     return kappa
 
 
 def spectral_gap(lam: BoundaryOperator, kappa: int) -> float:
     """Ratio between the kappa-th and (kappa+1)-th defect singular values.
 
-    For kappa = 0 the numerator is the rank scale max(||Lambda J||_2, 1).
-    It is inf when the band holds no (kappa+1)-th value or it is exactly 0.
+    For kappa = 0 the numerator is 1, the magnitude of Lambda J on a
+    resolved mode.  It is inf when the band holds no (kappa+1)-th value or
+    it is exactly 0.
     """
     _, sv, _ = _defect_spectrum(lam)
-    return _gap(sv, kappa, sv[kappa - 1] if kappa > 0 else _rank_scale(lam))
+    return _gap(sv, kappa, sv[kappa - 1] if kappa > 0 else 1.0)
 
 
 def build_projections(lam: BoundaryOperator, kappa: int, *,
@@ -262,6 +253,13 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
     return ProjectionPair(u[:, :kappa], floor)
 
 
+def _residuals(c: np.ndarray, lam: BoundaryOperator) -> np.ndarray:
+    """L2 norm of Lambda Im eta + d_gamma Re eta for each coefficient column eta of c."""
+    d = bc._derivative_symbol(lam.n_modes, lam.length)
+    r = lam.coeffs @ bc._real_part(-1j * c) + d[:, None] * bc._real_part(c)
+    return bc._sobolev_norms(r, lam.length, 0)
+
+
 def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator) -> float:
     """L2 residual of the conjugate Cauchy-Riemann identity on the boundary.
 
@@ -270,8 +268,35 @@ def certificate_residual(eta: BoundaryFunction, lam: BoundaryOperator) -> float:
     traces; the conjugate one also tests that Re eta lies in the
     holomorphic subspace.
     """
-    r = lam.apply(eta.imag) + bc.derivative_gamma(eta.real)
-    return bc.sobolev_norm(r, 0)
+    bc._check_same_grid(lam, eta)
+    return float(_residuals(eta.coeffs[:, None], lam)[0])
+
+
+def _complete(u: np.ndarray, im_mean: np.ndarray, lam: BoundaryOperator,
+              proj: ProjectionPair, cert_tol_rel: float | None) -> np.ndarray:
+    """Coefficient columns P u + i [J Lambda P u + im_mean / L], each certified.
+
+    u is an (N, m) block of real coefficient columns and im_mean holds each
+    column's integral of Im eta.  Raises CertificateFailed when any column's
+    residual exceeds cert_tol_rel times its H1 norm, naming the worst one.
+    """
+    b, length = proj.basis, lam.length
+    pre = bc._real_part(u - b @ (b.conj().T @ u))
+    j = bc._integration_symbol(lam.n_modes, length)
+    im = bc._real_part(j[:, None] * (lam.coeffs @ pre))
+    im[0] += im_mean / length
+    eta = pre + 1j * im
+    if cert_tol_rel is None:
+        cert_tol_rel = _CERT_FACTOR * max(proj.defect_floor,
+                                          lam.n_modes * np.finfo(float).eps)
+    res = _residuals(eta, lam)
+    tol = cert_tol_rel * np.maximum(bc._sobolev_norms(eta, length, 1), 1e-300)
+    k = int(np.argmax(res / tol))
+    if res[k] > tol[k]:
+        raise CertificateFailed(
+            f"conjugate certificate residual {res[k]:.3e} > {tol[k]:.3e} "
+            f"(trace {k + 1} of {res.size})")
+    return eta
 
 
 def complete_trace(re_part: BoundaryFunction, im_mean: float,
@@ -286,34 +311,24 @@ def complete_trace(re_part: BoundaryFunction, im_mean: float,
     rounding floor of the products that form it when that is larger.
     """
     bc._check_same_grid(lam, re_part)
-    u, b = re_part.coeffs, proj.basis
-    pre = bc._real_part(u - b @ (b.conj().T @ u))
-    j = bc._integration_symbol(lam.n_modes, lam.length)
-    im = bc._real_part(j * (lam.coeffs @ pre))
-    im[0] += im_mean / lam.length
-    eta = BoundaryFunction(pre + 1j * im, lam.length)
-    res = certificate_residual(eta, lam)
-    if cert_tol_rel is None:
-        cert_tol_rel = _CERT_FACTOR * max(proj.defect_floor,
-                                          lam.n_modes * np.finfo(float).eps)
-    tol = cert_tol_rel * max(bc.sobolev_norm(eta, 1), 1e-300)
-    if res > tol:
-        raise CertificateFailed(
-            f"conjugate certificate residual {res:.3e} > {tol:.3e}")
-    return eta
-
-
-def beta_gamma(eta: BoundaryFunction, lam_prime: BoundaryOperator,
-               proj_prime: ProjectionPair) -> BoundaryFunction:
-    """Transported trace: P' Re eta completed with the perturbed DN map."""
-    return complete_trace(eta.real, bc.mean(eta.imag).real, lam_prime, proj_prime)
+    eta = _complete(re_part.coeffs[:, None], np.array([im_mean]), lam, proj,
+                    cert_tol_rel)
+    return BoundaryFunction(eta[:, 0], lam.length)
 
 
 def transport_immersion(e: TraceTuple, lam_prime: BoundaryOperator,
                         proj_prime: ProjectionPair) -> TraceTuple:
-    """Componentwise transport of an immersion's boundary traces."""
-    return TraceTuple(
-        tuple(beta_gamma(eta, lam_prime, proj_prime) for eta in e.traces))
+    """Each trace's real part projected by P' and completed under Lambda'.
+
+    The traces go through one completion as the columns of one coefficient
+    block, each keeping its integral of Im eta and certified on its own.
+    """
+    for eta in e.traces:
+        bc._check_same_grid(lam_prime, eta)
+    c = np.stack([eta.coeffs for eta in e.traces], axis=1)
+    eta_p = _complete(bc._real_part(c), e.length * c[0].imag, lam_prime,
+                      proj_prime, None)
+    return TraceTuple(tuple(BoundaryFunction(col, lam_prime.length) for col in eta_p.T))
 
 
 def dn_distance(lam: BoundaryOperator, lam_prime: BoundaryOperator) -> float:

@@ -7,18 +7,22 @@ renaming one of them must fail here, not only in the slow traced run.
 """
 
 import importlib
+import importlib.util
 import inspect
 import math
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from eitlab import dn as dnm
+from eitlab import experiments as ex
 from eitlab import holomorphic as hm
 from eitlab.boundary import BoundaryFunction
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def _traced_functions() -> list[str]:
@@ -61,3 +65,16 @@ def test_benchmark_fem_call_binds():
     sig = inspect.signature(dnm.dn_fem)
     sig.bind(None, n_modes=128, order=2, rescale_to=2.0 * math.pi)
     assert "order" in sig.parameters
+
+
+def test_benchmark_sweep_config_loads(tmp_path, monkeypatch):
+    # the sweep workload writes "seed" into its config, and from_json rejects
+    # unknown keys, so ExperimentConfig keeps seed as an ignored field;
+    # dropping it must fail here, not only in the benchmark
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.setup_conformal(3, str(tmp_path))
+    cfg = ex.ExperimentConfig.from_json(inputs["config"])
+    assert cfg.seed == 3

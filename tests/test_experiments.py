@@ -242,6 +242,24 @@ class TestOutputs:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
 
+    def test_sweep_csv_independent_of_seed(self, tmp_path):
+        # the config's seed reaches nothing: the lemma-1 ratio is a max over
+        # the band's basis traces, not over random ones
+        outs = []
+        for seed in (1, 2):
+            cfg = small_config(
+                tmp_path,
+                perturbation_family={"kind": "conformal_polynomial",
+                                     "parameter_list": [0.05]},
+                seed=seed,
+            )
+            records, summary, clouds = ex.run_sweep(cfg)
+            out = str(tmp_path / f"seed{seed}")
+            ex.emit_outputs(records, summary, clouds, out)
+            with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+                outs.append(fh.read())
+        assert outs[0] == outs[1]
+
     def test_reference_cloud_written_once(self, sweep, tmp_path, capsys):
         _, records, summary, clouds = sweep
         out = tmp_path / "emit"

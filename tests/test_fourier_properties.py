@@ -259,17 +259,6 @@ class TestFourierConjugation:
         got = hm.defect_operator(bc.operator_from_matrix(lam, length), max_mode).matrix
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
-    @property_test
-    @given(n=sizes, length=lengths, seed=seeds)
-    def test_rank_scale_matches_dense(self, n, length, seed):
-        """The rank scale max(||Lambda J||_2, 1) against J from dense DFTs."""
-        rng = np.random.default_rng(seed)
-        lam = rng.standard_normal((n, n)) * (4.0 * np.pi / length)
-        ref = np.linalg.norm(lam @ dense_j(n, length), 2)
-        assert ref > 1.0  # so the scale is the norm, not the floor 1
-        scale = hm._rank_scale(bc.operator_from_matrix(lam, length))
-        assert abs(scale - ref) <= 1e-12 * ref
-
 
 class TestResolvedBand:
     @property_test

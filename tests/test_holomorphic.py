@@ -309,7 +309,7 @@ class TestTransport:
         pp = hm.build_projections(disk64, 0)
         eta = hm.complete_trace(bc.from_samples(np.cos(2 * th), TWO_PI),
                                 0.7, disk64, pp)
-        eta2 = hm.beta_gamma(eta, disk64, pp)
+        eta2 = hm.transport_immersion(hm.TraceTuple((eta,)), disk64, pp)[0]
         assert np.abs(eta2.values() - eta.values()).max() < 1e-10
 
     def test_componentwise(self, disk64):
@@ -320,8 +320,50 @@ class TestTransport:
         lam_p = dnm.dn_conformal(dnm.ConformalDomain((0.03,)), 64).operator
         pp_p = hm.build_projections(lam_p, 0)
         moved = hm.transport_immersion(e, lam_p, pp_p)
-        single = hm.beta_gamma(e[1], lam_p, pp_p)
+        single = hm.transport_immersion(hm.TraceTuple((e[1],)), lam_p, pp_p)[0]
         assert np.abs(moved[1].values() - single.values()).max() < 1e-13
+
+    def test_block_matches_one_trace_at_a_time(self, torus24):
+        # each column of the block is the completion of that trace alone,
+        # imaginary mean included
+        pp = hm.build_projections(torus24, 2)
+        rng = np.random.default_rng(5)
+        th = grid(64)
+        e = hm.TraceTuple(tuple(
+            bc.from_samples(sum(complex(*rng.standard_normal(2)) * np.exp(1j * m * th)
+                                + complex(*rng.standard_normal(2)) * np.exp(-1j * m * th)
+                                for m in range(1, 6)) + 1j * rng.standard_normal(),
+                            TWO_PI)
+            for _ in range(6)))
+        moved = hm.transport_immersion(e, torus24, pp)
+        for eta, eta_p in zip(e.traces, moved.traces):
+            single = hm.complete_trace(eta.real, bc.mean(eta.imag).real, torus24, pp)
+            assert np.abs(eta_p.coeffs - single.coeffs).max() < 1e-13
+        assert abs(bc.mean(moved[0].imag) - bc.mean(e[0].imag)) < 1e-13
+
+    def test_bad_trace_cannot_hide_in_a_block(self, torus24):
+        # under the identity "projection" the real parts of completed traces
+        # still complete, but a trace with a small Q component fails its own
+        # certificate (8.4x over), although the block's summed residual over
+        # its summed H1 norm stays below the rule (0.37x)
+        pp = hm.build_projections(torus24, 2)
+        ident = hm.ProjectionPair(np.zeros((64, 0)), pp.defect_floor)
+        th = grid(64)
+        good = [hm.complete_trace(bc.from_samples(np.cos(m * th) + 0.3 * np.sin((m + 1) * th),
+                                                  TWO_PI), 0.0, torus24, pp).real
+                for m in range(1, 6)]
+        bad = good[0] + 0.05 * bc.from_samples(np.cos(th) + 0.5 * np.sin(3 * th), TWO_PI)
+        block = good[:2] + [bad] + good[2:]
+        assert bc.sobolev_norm(q_apply(pp, bad), 0) > 5e-3
+        etas = [uncertified_completion(f, torus24, ident.basis) for f in block]
+        res = np.array([hm.certificate_residual(eta, torus24) for eta in etas])
+        h1 = np.array([bc.sobolev_norm(eta, 1) for eta in etas])
+        rule = 10.0 * pp.defect_floor
+        assert res[2] / h1[2] > 5.0 * rule and res.sum() / h1.sum() < 0.5 * rule
+        with pytest.raises(CertificateFailed, match=r"\(trace 3 of 6\)"):
+            hm.transport_immersion(hm.TraceTuple(block), torus24, ident)
+        moved = hm.transport_immersion(hm.TraceTuple(good), torus24, ident)
+        assert len(moved) == 5
 
     def test_transport_distance_bounded_by_t(self, disk64):
         th = grid(64)
