@@ -13,7 +13,9 @@ Cauchy rule (Helsing & Ojala 2008), which is accurate up to the contour.
 Each target gets its own node count from its distance to the contour,
 rounded up to three significant bits (m * 2^k, m in 4..7): the sizes are
 7-smooth, so every FFT that samples the contour is fast, and the few sizes a
-call uses are each sampled once for all of its targets.
+call uses are each sampled once for all of its targets.  The targets x nodes
+kernel is built in tiles of target rows, at most boundary._EVAL_BLOCK
+entries each, so a call's memory does not grow with its number of targets.
 """
 
 from __future__ import annotations
@@ -137,12 +139,17 @@ def _node_plan(eta_j: BoundaryFunction, dists: np.ndarray,
     The plain rule refuses a target closer to the contour than the band
     4 * arclength / count of its rounded count.
     """
-    c_q = 40.0 * _z_diameter(_contour_samples(eta_j))
-    counts = np.maximum(eta_j.n_modes, np.ceil(c_q / np.maximum(dists, 1e-300)))
+    counts = np.maximum(eta_j.n_modes,
+                        np.ceil(_node_scale(eta_j) / np.maximum(dists, 1e-300)))
     if squared:
         counts *= 2
     counts = _round_up_nodes(counts)
     return counts, 4.0 * _z_arclength(eta_j) / counts
+
+
+def _node_scale(eta_j: BoundaryFunction) -> float:
+    """c_q = 40 diam: a target at distance d takes about c_q / d nodes."""
+    return 40.0 * _z_diameter(_contour_samples(eta_j))
 
 
 def _z_arclength(eta_j: BoundaryFunction) -> float:
@@ -156,18 +163,26 @@ def _cauchy_raw(numerators: Sequence[BoundaryFunction | None],
     """Trapezoidal sums (h / 2 pi i) sum eta_k d_gamma(eta_j) / (eta_j - z)^p.
 
     d_eta_j is d_gamma(eta_j).  The kernel d_eta_j / (eta_j - z)^p is built
-    once and weighted per numerator; None (the constant 1) costs one row-sum.
+    in tiles of target rows, at most _EVAL_BLOCK entries each, and each tile
+    is weighted per numerator before the next is built; None (the constant
+    1) costs one row-sum.
     """
     ej = eta_j.values(n_nodes)
     dj = d_eta_j.values(n_nodes)
-    kern = ej[None, :] - zs[:, None]
-    if squared:
-        kern **= 2
-    np.divide(dj[None, :], kern, out=kern)
+    nums = [None if eta_k is None else eta_k.values(n_nodes) for eta_k in numerators]
     out = np.empty((len(numerators), zs.size), dtype=complex)
-    for row, eta_k in enumerate(numerators):
-        out[row] = kern.sum(axis=1) if eta_k is None else kern @ eta_k.values(n_nodes)
-    return out * (eta_j.length / n_nodes / (2j * np.pi))
+    step = max(1, bc._EVAL_BLOCK // n_nodes)
+    tile = np.empty((min(step, zs.size), n_nodes), dtype=complex)  # one for all tiles
+    for i in range(0, zs.size, step):
+        z = zs[i:i + step, None]
+        kern = np.subtract(ej, z, out=tile[:z.shape[0]])
+        if squared:
+            kern **= 2
+        np.divide(dj[None, :], kern, out=kern)
+        for row, v in enumerate(nums):
+            out[row, i:i + step] = kern.sum(axis=1) if v is None else kern @ v
+    out *= eta_j.length / n_nodes / (2j * np.pi)
+    return out
 
 
 def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | None],
@@ -180,8 +195,10 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
     the contour samples, the distances and the node plan.  The targets are
     summed in one pass per distinct rounded node count (_node_plan), so the
     contour, its derivative and the numerators are sampled a few times per
-    call, not once per target.  The plain rule refuses targets inside the
-    exclusion band (TooCloseToContour).
+    call, not once per target.  The nearest-sample search stops where the
+    count reaches its floor N: a target farther out takes N nodes whatever
+    its distance.  The plain rule refuses targets inside the exclusion band
+    (TooCloseToContour).
 
     compensated=True is the rule for image coordinates of targets enclosed
     once: each row is divided by the winding row of the same node plan
@@ -196,7 +213,11 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
     if compensated:
         numerators.append(None)
     zs = np.asarray(zs, dtype=complex)
-    dists = contour_distance(eta_j, zs)
+    # past c_q / N the distance is reported as inf; the search stops at
+    # c_q / (N - 1), a little farther out, so that rounding in the tree's
+    # distances and in c_q / d cannot move a count
+    dists = _sample_distances(_contour_samples(eta_j), zs,
+                              _node_scale(eta_j) / (eta_j.n_modes - 1))
     out = np.empty((len(numerators), zs.size), dtype=complex)
     counts, eps_min = _node_plan(eta_j, dists, squared)
     if not compensated and np.any(dists < eps_min):

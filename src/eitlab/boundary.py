@@ -57,7 +57,9 @@ __all__ = [
 ]
 
 _MEAN_TOL = 1e-10          # integrate_J: largest mean relative to ||f||_L2
-_EVAL_BLOCK = 1 << 17      # phase-kernel entries per eval_at block (2 MiB)
+# entries per block of a dense kernel: eval_at's phase kernel, the Cauchy
+# kernel's target tiles (argument) and dn_conformal's spectra (2 MiB complex)
+_EVAL_BLOCK = 1 << 17
 
 
 def mode_numbers(n: int) -> np.ndarray:
@@ -309,8 +311,13 @@ class BoundaryOperator:
             raise ValueError("non-finite coefficients")
         if not 0 < self.length < np.inf:
             raise ValueError("length must be positive and finite")
-        r = -np.arange(b.shape[0])
-        object.__setattr__(self, "coeffs", 0.5 * (b + np.conj(b[np.ix_(r, r)])))
+        # b[-j, -k] by a flip and a roll, then the arithmetic in place: each
+        # fresh N x N temporary costs about as much as the arithmetic
+        p = np.roll(b[::-1, ::-1], 1, axis=(0, 1))
+        np.conj(p, out=p)
+        p += b
+        p *= 0.5
+        object.__setattr__(self, "coeffs", p)
 
     @property
     def n_modes(self) -> int:

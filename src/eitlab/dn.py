@@ -102,10 +102,11 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     modes e_k is b = <Lambda_D E_k, E_j> / L with E_k = e_k(s(theta)) on
     the disk.  E_k = C_|k| + i sgn(k) S_|k| with the real C_k = cos(k u),
     S_k = sin(k u), u = 2 pi s / L, so only the N/2 + 1 non-negative modes
-    are sampled, on 8N theta nodes, and taken to their disk spectra by one
-    real FFT; the real Dirichlet form d on the C's and S's is one Gram, and
-    b is gathered from it.  theta(s) is read off the
-    same samples.  Raises InterpolationUnderresolved when the E_k spectra
+    are sampled, on 8N theta nodes, and taken to their disk spectra by real
+    FFTs of column blocks, at most _EVAL_BLOCK samples each, written straight
+    into the rows of one real Gram: the Dirichlet form d on the C's and S's,
+    from which b is gathered.  theta(s) is read off the same samples, before
+    the FFTs.  Raises InterpolationUnderresolved when the E_k spectra
     hold more than _TAIL_TOL = 1e-8 of their energy at |p| >= 2N, half the
     band the nodes resolve.
     """
@@ -126,38 +127,15 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     per_f = bc.integrate_J(dev).values().real
     per_f = per_f - per_f[0]
 
-    # C_k, S_k at u(theta) for k = 0 .. N/2, and the real spectra of the
-    # columns [C_0 .. C_N/2, S_0 .. S_N/2] at p = 0 .. 4N
+    # C_k, S_k at u(theta) for k = 0 .. N/2: the columns [C_0 .. C_N/2,
+    # S_0 .. S_N/2]
     u_f = theta_f + per_f / mean_speed
     half = n // 2 + 1
     phase = np.outer(u_f, np.arange(half))
     cs_f = np.empty((fine, 2 * half))  # filled in place, with no cos and sin copies
     np.cos(phase, out=cs_f[:, :half])
     np.sin(phase, out=cs_f[:, half:])
-    del phase  # else alive through the Gram below, at this call's memory peak
-    cs_hat = np.fft.rfft(cs_f, axis=0) / fine
-    # a real function's spectrum at +-p is counted once from p >= 0: twice,
-    # except at p = 0 and the Nyquist p = 4N; likewise E_k and E_-k have the
-    # same tail for 0 < k < N/2, and only E_0 and E_-N/2 stand alone
-    twice_p, twice_k = _twice_inner(fine // 2 + 1), _twice_inner(half)
-    tail = twice_p[fine // 4:] @ (np.abs(cs_hat[fine // 4:]) ** 2) @ np.tile(twice_k, 2)
-    if tail > _TAIL_TOL * n:
-        raise InterpolationUnderresolved(
-            f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
-            f"{_TAIL_TOL:.1e}; increase N")
-    # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
-    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian
-    cs_hat *= np.sqrt(twice_p * np.arange(fine // 2 + 1))[:, None]
-    w = np.concatenate([cs_hat.real, cs_hat.imag], axis=0)
-    d = (2.0 * np.pi / length) * (w.T @ w)
-    # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
-    #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
-    ms = bc.mode_numbers(n)
-    ak, sg = np.abs(ms).astype(int), np.sign(ms)
-    cs = sg * d[np.ix_(ak, half + ak)]
-    b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
-         + 1j * (cs - cs.T))
-    op = bc.BoundaryOperator(b, length)
+    del phase  # else alive beside the spectra below, at this call's memory peak
 
     # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
     # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
@@ -170,7 +148,43 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     u = np.arange(n) * (2.0 * np.pi / n)
     theta_nodes = u + np.fft.irfft(q_hat, n) * n
     s_eq = alpha * (mean_speed * u + per_f[::8])
-    return ConformalDN(op, length, theta_nodes, s_eq, alpha)
+
+    # the real spectra of the columns at p = 0 .. 4N, a block of columns at a
+    # time, at most _EVAL_BLOCK samples each.  A real function's spectrum at
+    # +-p is counted once from p >= 0: twice, except at p = 0 and the Nyquist
+    # p = 4N; likewise E_k and E_-k have the same tail for 0 < k < N/2, and
+    # only E_0 and E_-N/2 stand alone.  Each block's tail is summed, and its
+    # spectra, scaled for the Dirichlet form, go to the real and imaginary
+    # rows of w
+    n_p = fine // 2 + 1
+    twice_p, twice_k = _twice_inner(n_p), np.tile(_twice_inner(half), 2)
+    scale = np.sqrt(twice_p * np.arange(n_p))[:, None]
+    w = np.empty((2 * n_p, 2 * half))
+    tail = 0.0
+    step = max(1, bc._EVAL_BLOCK // fine)
+    for c in range(0, 2 * half, step):
+        cols = slice(c, c + step)
+        spec = np.fft.rfft(cs_f[:, cols], axis=0, norm="forward")
+        tail += twice_p[fine // 4:] @ (np.abs(spec[fine // 4:]) ** 2) @ twice_k[cols]
+        spec *= scale
+        w[:n_p, cols] = spec.real
+        w[n_p:, cols] = spec.imag
+    del cs_f, spec
+    if tail > _TAIL_TOL * n:
+        raise InterpolationUnderresolved(
+            f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
+            f"{_TAIL_TOL:.1e}; increase N")
+    # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
+    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian
+    d = (2.0 * np.pi / length) * (w.T @ w)
+    # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
+    #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
+    ms = bc.mode_numbers(n)
+    ak, sg = np.abs(ms).astype(int), np.sign(ms)
+    cs = sg * d[np.ix_(ak, half + ak)]
+    b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
+         + 1j * (cs - cs.T))
+    return ConformalDN(bc.BoundaryOperator(b, length), length, theta_nodes, s_eq, alpha)
 
 
 def _twice_inner(m: int) -> np.ndarray:
@@ -484,7 +498,9 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     block of the factors is then S + I, so S is read off without any solve.
     The interior is ordered from the interior vertex graph: a minimum-degree
     ordering of the interior vertices, with each edge unknown placed just
-    before the earlier of its endpoints (_interior_order).  The
+    before the earlier of its endpoints (_interior_order).  K and its
+    bordered copy are released once factored, before the trailing block of
+    the factors is copied out.  The
     coefficient block b = V^H S V / L over the columns V = exp(2 pi i m l / L)
     of the modes |m| <= min(N/2, boundary nodes / 4) is taken to its
     Hermitian part, so the operator is exactly symmetric in L2(Gamma, dl).
@@ -517,6 +533,9 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
         lu = spla.splu(bordered, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
         raise SingularInterior(str(exc)) from exc
+    # the factors hold all that is needed of K; the copies of L and U below
+    # are this call's memory peak
+    del k, bordered
     # SuperLU composes the given order with a postorder of its elimination
     # tree, so S is read through the permutations it reports; a boundary
     # node moved out of the trailing block leaves no Schur complement there

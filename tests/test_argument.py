@@ -1,6 +1,7 @@
 """Contour-integral reconstruction of immersed surface images."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,76 @@ class TestCompensatedCauchy:
         diam = ap._z_diameter(ap._contour_samples(e[0]))
         chart = cloud.points[interior, cloud.chart_j[interior]]
         assert np.abs(chart - cloud.source_z[interior]).max() <= 1e-12 * diam
+
+
+def traced_peak(fn) -> float:
+    """Peak traced allocation of fn() above what was held on entry, in MB."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - entry) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelWorkingSet:
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_bounded_search_keeps_the_plan(self, e_pair, monkeypatch, squared):
+        # targets from the centre up to 1e-3 of the contour: the search stops
+        # short of the nearest sample for the targets that take N nodes, and
+        # every target still gets the count of its exact distance
+        rng = np.random.default_rng(7)
+        zs = (1.0 - np.geomspace(1.0, 1e-3, 300)) * np.exp(2j * np.pi * rng.random(300))
+        want = ap._node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs), squared)[0]
+        floor = e_pair.n_modes * (2 if squared else 1)
+        assert np.any(want == floor) and np.any(want > floor)
+        plans = []
+        real_plan = ap._node_plan
+
+        def recording_plan(eta_j, dists, sq=False):
+            plans.append(real_plan(eta_j, dists, sq))
+            return plans[-1]
+
+        monkeypatch.setattr(ap, "_node_plan", recording_plan)
+        with pytest.raises(TooCloseToContour):  # the plain rule refuses the closest
+            ap._cauchy_many(None, e_pair[0], zs, squared=squared)
+        if not squared:  # the compensated rule takes them all
+            ap._cauchy_many(e_pair.traces, e_pair[0], zs, compensated=True)
+        assert plans
+        for counts, _ in plans:
+            assert np.array_equal(counts, want)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("block", [1 << 40, 1], ids=["one_tile", "one_row_per_tile"])
+    def test_tiles_equal_one_tile(self, e_pair, monkeypatch, block, squared):
+        # each target's sums use only its own kernel row, so the default
+        # tiles give the bits of one tile.  A one-row tile's product goes to
+        # BLAS's dot kernel, not gemv, which sums the nodes in another order:
+        # its rows differ by up to 8.4 eps of their largest value
+        zs = ap.classify(e_pair[0], 48, 0.1).points_with_winding(1)
+        nums = (None, e_pair[0], e_pair[1])
+        tiled = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
+        with monkeypatch.context() as m:
+            m.setattr(bc, "_EVAL_BLOCK", block)
+            other = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
+        if block > 1:
+            assert np.array_equal(tiled, other)
+        else:
+            assert np.array_equal(tiled[0], other[0])  # the row-sums
+            for a, b in zip(tiled, other):
+                assert np.abs(a - b).max() <= 16 * np.finfo(float).eps * np.abs(a).max()
+
+    def test_dense_cloud_kernel_memory(self, e_pair):
+        # the benchmark's dense cloud: 6472 targets over six node counts, up
+        # to 3160 of them at 256 nodes.  One tile of _EVAL_BLOCK complex
+        # entries (2.1 MB) is built at a time; the whole kernel and the
+        # difference it was built from took 13.8 MB
+        zs = ap.classify(e_pair[0], 160, 0.2).points_with_winding(1)
+        assert zs.size == 6472
+        peak = traced_peak(lambda: ap._cauchy_many(e_pair.traces, e_pair[0], zs,
+                                                   compensated=True))
+        assert peak <= 4.0
 
 
 class TestClassify:

@@ -200,6 +200,17 @@ class TestOperators:
             with pytest.raises(ValueError, match="length must be positive and finite"):
                 bc.BoundaryFunction(np.zeros(8), length)
 
+    @pytest.mark.parametrize("n", [8, 10, 256])
+    def test_projection_equals_gathered_form(self, n):
+        # the flip-and-roll gather of b[-j, -k] against fancy indexing
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        keep = b.copy()
+        r = -np.arange(n)
+        got = bc.BoundaryOperator(b, TWO_PI).coeffs
+        assert np.array_equal(got, 0.5 * (b + np.conj(b[np.ix_(r, r)])))
+        assert np.array_equal(b, keep)  # the caller's b is not written
+
     @pytest.mark.parametrize("n", [0, 6, 7, 9, 31])
     def test_operator_obeys_the_grid_rule(self, n):
         with pytest.raises(ValueError, match="need even N >= 8"):

@@ -1,6 +1,7 @@
 """DN backends: analytic disk, conformal images, FEM surfaces, meshes."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ class TestConformalDN:
         ones = np.ones(n)
         assert np.abs(cdn.operator.matrix @ ones).max() < 1e-10
         assert np.abs(ones @ cdn.operator.matrix).max() < 1e-10
+
+    def test_spectra_memory(self):
+        # the 8N x (N + 2) cos/sin table (4.2 MB) and the Gram's rows (4.2 MB)
+        # are held together, beside one column block's spectra (1.1 MB) and
+        # its tail terms; the whole table's spectra took the peak to 17.0 MB
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            dnm.dn_conformal(dnm.ConformalDomain((0.04,)), 256)
+            peak = (tracemalloc.get_traced_memory()[1] - entry) / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.0
 
     def test_perturbation_size_decreases(self):
         n = 64
@@ -668,6 +682,28 @@ REAL_OPERATORS = {
     "conformal_0.08_n256": lambda: dnm.dn_conformal(dnm.ConformalDomain((0.08,)),
                                                     256).operator,
 }
+
+
+@pytest.mark.parametrize("name", REAL_OPERATORS)
+def test_projection_equals_gathered_form(name, monkeypatch):
+    """The constructor's flip-and-roll gather of b[-j, -k] moves no bit.
+
+    Each b that a backend hands to the constructor is projected to the
+    bits of 0.5 (b + conj(b[np.ix_(r, r)])), r = -arange(N)."""
+    raw = []
+    constructor = bc.BoundaryOperator
+
+    def recording(b, length):
+        raw.append((np.array(b, dtype=complex), length))
+        return constructor(b, length)
+
+    monkeypatch.setattr(bc, "BoundaryOperator", recording)
+    REAL_OPERATORS[name]()
+    assert raw
+    for b, length in raw:
+        r = -np.arange(b.shape[0])
+        want = 0.5 * (b + np.conj(b[np.ix_(r, r)]))
+        assert np.array_equal(constructor(b, length).coeffs, want)
 
 
 @pytest.mark.parametrize("name", REAL_OPERATORS)
