@@ -129,27 +129,22 @@ def _round_up_nodes(counts: np.ndarray) -> np.ndarray:
     return ((counts + (1 << shift) - 1) >> shift) << shift
 
 
-def _node_plan(eta_j: BoundaryFunction, dists: np.ndarray,
+def _node_plan(eta_j: BoundaryFunction, c_q: float, dists: np.ndarray,
                squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature node count per target distance, and the exclusion band.
 
-    The count resolves the kernel's scale diam / dist (doubled for the
-    squared kernel), rounded up onto the ladder m * 2^k (m in 4..7) and
-    capped at _MAX_NODES, so a call's targets share a handful of counts.
+    The count resolves the kernel's scale c_q / dist, c_q = 40 diam
+    (doubled for the squared kernel), rounded up onto the ladder m * 2^k
+    (m in 4..7) and capped at _MAX_NODES, so a call's targets share a
+    handful of counts.
     The plain rule refuses a target closer to the contour than the band
     4 * arclength / count of its rounded count.
     """
-    counts = np.maximum(eta_j.n_modes,
-                        np.ceil(_node_scale(eta_j) / np.maximum(dists, 1e-300)))
+    counts = np.maximum(eta_j.n_modes, np.ceil(c_q / np.maximum(dists, 1e-300)))
     if squared:
         counts *= 2
     counts = _round_up_nodes(counts)
     return counts, 4.0 * _z_arclength(eta_j) / counts
-
-
-def _node_scale(eta_j: BoundaryFunction) -> float:
-    """c_q = 40 diam: a target at distance d takes about c_q / d nodes."""
-    return 40.0 * _z_diameter(_contour_samples(eta_j))
 
 
 def _z_arclength(eta_j: BoundaryFunction) -> float:
@@ -213,13 +208,13 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
     if compensated:
         numerators.append(None)
     zs = np.asarray(zs, dtype=complex)
-    # past c_q / N the distance is reported as inf; the search stops at
-    # c_q / (N - 1), a little farther out, so that rounding in the tree's
-    # distances and in c_q / d cannot move a count
-    dists = _sample_distances(_contour_samples(eta_j), zs,
-                              _node_scale(eta_j) / (eta_j.n_modes - 1))
+    samples = _contour_samples(eta_j)
+    c_q = 40.0 * _z_diameter(samples)
+    # a target past c_q / N takes N nodes; the search stops a little farther
+    # out, so that rounding cannot move a count
+    dists = _sample_distances(samples, zs, c_q / (eta_j.n_modes - 1))
     out = np.empty((len(numerators), zs.size), dtype=complex)
-    counts, eps_min = _node_plan(eta_j, dists, squared)
+    counts, eps_min = _node_plan(eta_j, c_q, dists, squared)
     if not compensated and np.any(dists < eps_min):
         bad = int(np.argmax(dists < eps_min))
         raise TooCloseToContour(

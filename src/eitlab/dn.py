@@ -164,12 +164,16 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     step = max(1, bc._EVAL_BLOCK // fine)
     for c in range(0, 2 * half, step):
         cols = slice(c, c + step)
-        spec = np.fft.rfft(cs_f[:, cols], axis=0, norm="forward")
-        tail += twice_p[fine // 4:] @ (np.abs(spec[fine // 4:]) ** 2) @ twice_k[cols]
+        spec = np.fft.rfft(cs_f[:, cols], axis=0)
+        spec /= fine
+        power = np.abs(spec[fine // 4:])
+        power *= power
+        tail += twice_p[fine // 4:] @ power @ twice_k[cols]
         spec *= scale
         w[:n_p, cols] = spec.real
         w[n_p:, cols] = spec.imag
-    del cs_f, spec
+        del spec, power  # else alive beside the next block's spectra
+    del cs_f
     if tail > _TAIL_TOL * n:
         raise InterpolationUnderresolved(
             f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "

@@ -1,7 +1,6 @@
 """Contour-integral reconstruction of immersed surface images."""
 
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,12 @@ TWO_PI = 2.0 * np.pi
 def trace(fn, n=256):
     th = np.arange(n) * (TWO_PI / n)
     return bc.from_samples(fn(np.exp(1j * th)), TWO_PI)
+
+
+def node_plan(eta, dists, squared=False):
+    """_cauchy_many's node plan for targets at the given distances."""
+    return ap._node_plan(eta, 40.0 * ap._z_diameter(ap._contour_samples(eta)),
+                         dists, squared)
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +104,8 @@ class TestStackedNumerators:
         nums = (None, e_pair[0], e_pair[1])
         rows = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
         assert rows.shape == (len(nums), zs.size)
-        assert len(set(ap._node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs),
-                                     squared)[0])) > 2
+        assert len(set(node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs),
+                                 squared)[0])) > 2
         for row, eta_k in zip(rows, nums):
             single = ap._cauchy_many(eta_k, e_pair[0], zs, squared=squared)
             assert single.shape == (zs.size,)
@@ -150,8 +155,8 @@ class TestNodeLadder:
         with monkeypatch.context() as m:
             m.setattr(ap, "_round_up_nodes",
                       lambda c: np.minimum(c, ap._MAX_NODES).astype(int))
-            raw = ap._node_plan(e_pair[0], dists)[0]
-        counts = ap._node_plan(e_pair[0], dists)[0]
+            raw = node_plan(e_pair[0], dists)[0]
+        counts = node_plan(e_pair[0], dists)[0]
         passes = []
         real_raw = ap._cauchy_raw
 
@@ -213,17 +218,6 @@ class TestCompensatedCauchy:
         assert np.abs(chart - cloud.source_z[interior]).max() <= 1e-12 * diam
 
 
-def traced_peak(fn) -> float:
-    """Peak traced allocation of fn() above what was held on entry, in MB."""
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        fn()
-        return (tracemalloc.get_traced_memory()[1] - entry) / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 class TestKernelWorkingSet:
     @pytest.mark.parametrize("squared", [False, True])
     def test_bounded_search_keeps_the_plan(self, e_pair, monkeypatch, squared):
@@ -232,14 +226,14 @@ class TestKernelWorkingSet:
         # every target still gets the count of its exact distance
         rng = np.random.default_rng(7)
         zs = (1.0 - np.geomspace(1.0, 1e-3, 300)) * np.exp(2j * np.pi * rng.random(300))
-        want = ap._node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs), squared)[0]
+        want = node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs), squared)[0]
         floor = e_pair.n_modes * (2 if squared else 1)
         assert np.any(want == floor) and np.any(want > floor)
         plans = []
         real_plan = ap._node_plan
 
-        def recording_plan(eta_j, dists, sq=False):
-            plans.append(real_plan(eta_j, dists, sq))
+        def recording_plan(eta_j, c_q, dists, sq=False):
+            plans.append(real_plan(eta_j, c_q, dists, sq))
             return plans[-1]
 
         monkeypatch.setattr(ap, "_node_plan", recording_plan)
@@ -271,7 +265,7 @@ class TestKernelWorkingSet:
             for a, b in zip(tiled, other):
                 assert np.abs(a - b).max() <= 16 * np.finfo(float).eps * np.abs(a).max()
 
-    def test_dense_cloud_kernel_memory(self, e_pair):
+    def test_dense_cloud_kernel_memory(self, e_pair, traced_peak):
         # the benchmark's dense cloud: 6472 targets over six node counts, up
         # to 3160 of them at 256 nodes.  One tile of _EVAL_BLOCK complex
         # entries (2.1 MB) is built at a time; the whole kernel and the
