@@ -335,15 +335,16 @@ class ReconstructedCloud:
         for k in range(1, n + 1):
             header += [f"re_{k}", f"im_{k}"]
         header += ["tag", "chart_j", "source_z_re", "source_z_im"]
-        # columns re_1, im_1, re_2, ...; csv writes each float as its repr
+        # columns re_1, im_1, re_2, ...; each number written as its repr and
+        # each line ended by "\r\n", as csv.writer writes them
         coords = np.stack([self.points.real, self.points.imag], axis=-1)
-        columns = coords.reshape(self.n_points, 2 * n).T.tolist()
-        rows = zip(*columns, self.tags, self.chart_j.astype(int).tolist(),
-                   self.source_z.real.tolist(), self.source_z.imag.tolist())
+        columns = [*coords.reshape(self.n_points, 2 * n).T, self.chart_j.astype(int),
+                   self.source_z.real, self.source_z.imag]
+        text = [map(repr, col.tolist()) for col in columns]
+        rows = zip(*text[:2 * n], self.tags, *text[2 * n:])
+        lines = [",".join(header), *map(",".join, rows)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write("\r\n".join(lines) + "\r\n")
 
     @staticmethod
     def from_csv(path: str) -> "ReconstructedCloud":

@@ -58,7 +58,8 @@ __all__ = [
 
 _MEAN_TOL = 1e-10          # integrate_J: largest mean relative to ||f||_L2
 # entries per block of a dense kernel: eval_at's phase kernel, the Cauchy
-# kernel's target tiles (argument) and dn_conformal's spectra (2 MiB complex)
+# kernel's target tiles (argument) and dn_conformal's table of mode samples
+# (1 MiB real), whose spectra are about as many entries again
 _EVAL_BLOCK = 1 << 17
 
 
@@ -167,13 +168,12 @@ def _phase_kernel(n: int, length: float, l: np.ndarray) -> np.ndarray:
 
 
 def _pad_spectrum(c: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad an FFT-ordered spectrum of N <= m modes to m modes.
+    """Zero-pad an FFT-ordered spectrum of N <= m modes to m modes, along axis 0.
 
     The Nyquist coefficient is split evenly between +N/2 and -N/2.
     """
-    n = c.size
-    half = n // 2
-    out = np.zeros(m, dtype=complex)
+    half = c.shape[0] // 2
+    out = np.zeros((m,) + c.shape[1:], dtype=complex)
     out[:half] = c[:half]
     out[m - half + 1:] = c[half + 1:]
     out[half] = 0.5 * c[half]
@@ -281,13 +281,23 @@ def _sobolev_norms(c: np.ndarray, length: float, s: float) -> np.ndarray:
 
 def ck_norm(f: BoundaryFunction, k: int) -> float:
     """Discrete sup norm of f and its first k tangential derivatives."""
+    return float(_ck_norms(f.coeffs[:, None], f.length, k)[0])
+
+
+def _ck_norms(c: np.ndarray, length: float, k: int) -> np.ndarray:
+    """ck_norm of each column of an (N, m) block of coefficients c.
+
+    Each derivative's samples are taken on 4N nodes.
+    """
     if k not in (0, 1, 2):
         raise ValueError("k must be in {0, 1, 2}")
-    g = f
-    best = 0.0
+    n = c.shape[0]
+    sym = _derivative_symbol(n, length)[:, None]
+    best = np.zeros(c.shape[1])
     for _ in range(k + 1):
-        best = max(best, float(np.max(np.abs(g.values(4 * f.n_modes)))))
-        g = derivative_gamma(g)
+        vals = np.fft.ifft(_pad_spectrum(c, 4 * n), axis=0) * (4 * n)
+        best = np.maximum(best, np.max(np.abs(vals), axis=0))
+        c = c * sym
     return best
 
 

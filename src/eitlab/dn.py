@@ -102,11 +102,13 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     modes e_k is b = <Lambda_D E_k, E_j> / L with E_k = e_k(s(theta)) on
     the disk.  E_k = C_|k| + i sgn(k) S_|k| with the real C_k = cos(k u),
     S_k = sin(k u), u = 2 pi s / L, so only the N/2 + 1 non-negative modes
-    are sampled, on 8N theta nodes, and taken to their disk spectra by real
-    FFTs of column blocks, at most _EVAL_BLOCK samples each, written straight
-    into the rows of one real Gram: the Dirichlet form d on the C's and S's,
-    from which b is gathered.  theta(s) is read off the same samples, before
-    the FFTs.  Raises InterpolationUnderresolved when the E_k spectra
+    are sampled, on 8N theta nodes.  They are sampled a block of modes at a
+    time, at most _EVAL_BLOCK samples, one mode per row, in the order the
+    real FFTs read them, and each block's disk spectra are written straight
+    into the columns of one real Gram factor w; no whole table of samples is
+    held.  w^T w is the Dirichlet form d on the C's and S's, and w is freed
+    before b is gathered from d.  theta(s) is read off the same samples, a
+    block at a time.  Raises InterpolationUnderresolved when the E_k spectra
     hold more than _TAIL_TOL = 1e-8 of their energy at |p| >= 2N, half the
     band the nodes resolve.
     """
@@ -127,60 +129,64 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     per_f = bc.integrate_J(dev).values().real
     per_f = per_f - per_f[0]
 
-    # C_k, S_k at u(theta) for k = 0 .. N/2: the columns [C_0 .. C_N/2,
-    # S_0 .. S_N/2]
-    u_f = theta_f + per_f / mean_speed
-    half = n // 2 + 1
-    phase = np.outer(u_f, np.arange(half))
-    cs_f = np.empty((fine, 2 * half))  # filled in place, with no cos and sin copies
-    np.cos(phase, out=cs_f[:, :half])
-    np.sin(phase, out=cs_f[:, half:])
-    del phase  # else alive beside the spectra below, at this call's memory peak
-
     # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
     # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
     # Mode k + jN equals mode k at the nodes; the weight 1 + 2 cos(N u)
     # folds the modes |k| < 3N/2 onto the band in the same product.  q is
-    # real, so the modes k >= 0 determine it.
-    fold = 1.0 + 2.0 * np.cos(n * u_f)
-    wq = (per_f * speed_f * fold) @ cs_f
+    # real, so the modes k >= 0 determine it: wq holds the products with
+    # [C_0 .. C_N/2, S_0 .. S_N/2]
+    u_f = theta_f + per_f / mean_speed
+    half = n // 2 + 1
+    weight_q = per_f * speed_f * (1.0 + 2.0 * np.cos(n * u_f))
+    wq = np.empty(2 * half)
+
+    # C_k = cos(k u) and S_k = sin(k u) for k = 0 .. N/2, sampled a block of
+    # modes at a time, at most _EVAL_BLOCK samples, one mode per row, and
+    # taken to their real spectra at p = 0 .. 4N along the rows.  A real
+    # function's spectrum at +-p is counted once from p >= 0: twice, except
+    # at p = 0 and the Nyquist p = 4N; likewise E_k and E_-k have the same
+    # tail for 0 < k < N/2, and only E_0 and E_-N/2 stand alone.  Each
+    # block's tail is summed, and its spectra, scaled for the Dirichlet form,
+    # go to the columns [C_0 .. C_N/2, S_0 .. S_N/2] of w, real parts in the
+    # first n_p rows and imaginary parts in the rest
+    n_p = fine // 2 + 1
+    twice_p, twice_k = _twice_inner(n_p), np.tile(_twice_inner(half), 2)
+    scale = np.sqrt(twice_p * np.arange(n_p))
+    w = np.empty((2 * n_p, 2 * half))
+    tail = 0.0
+    step = max(1, bc._EVAL_BLOCK // fine)
+    for trig, c0 in ((np.cos, 0), (np.sin, half)):
+        for k in range(0, half, step):
+            cols = slice(c0 + k, c0 + min(k + step, half))
+            tab = np.outer(np.arange(k, min(k + step, half)), u_f)
+            trig(tab, out=tab)
+            wq[cols] = tab @ weight_q
+            spec = np.fft.rfft(tab, axis=1)
+            del tab  # else alive beside the block's tail terms
+            spec /= fine
+            power = np.abs(spec[:, fine // 4:])
+            power *= power
+            tail += twice_k[cols] @ power @ twice_p[fine // 4:]
+            del power
+            spec *= scale
+            w[:n_p, cols] = spec.real.T
+            w[n_p:, cols] = spec.imag.T
+            del spec  # else alive beside the next block's table
+    if tail > _TAIL_TOL * n:
+        raise InterpolationUnderresolved(
+            f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
+            f"{_TAIL_TOL:.1e}; increase N")
     q_hat = -(wq[:half] - 1j * wq[half:]) / (mean_speed ** 2 * fine)
     u = np.arange(n) * (2.0 * np.pi / n)
     theta_nodes = u + np.fft.irfft(q_hat, n) * n
     s_eq = alpha * (mean_speed * u + per_f[::8])
 
-    # the real spectra of the columns at p = 0 .. 4N, a block of columns at a
-    # time, at most _EVAL_BLOCK samples each.  A real function's spectrum at
-    # +-p is counted once from p >= 0: twice, except at p = 0 and the Nyquist
-    # p = 4N; likewise E_k and E_-k have the same tail for 0 < k < N/2, and
-    # only E_0 and E_-N/2 stand alone.  Each block's tail is summed, and its
-    # spectra, scaled for the Dirichlet form, go to the real and imaginary
-    # rows of w
-    n_p = fine // 2 + 1
-    twice_p, twice_k = _twice_inner(n_p), np.tile(_twice_inner(half), 2)
-    scale = np.sqrt(twice_p * np.arange(n_p))[:, None]
-    w = np.empty((2 * n_p, 2 * half))
-    tail = 0.0
-    step = max(1, bc._EVAL_BLOCK // fine)
-    for c in range(0, 2 * half, step):
-        cols = slice(c, c + step)
-        spec = np.fft.rfft(cs_f[:, cols], axis=0)
-        spec /= fine
-        power = np.abs(spec[fine // 4:])
-        power *= power
-        tail += twice_p[fine // 4:] @ power @ twice_k[cols]
-        spec *= scale
-        w[:n_p, cols] = spec.real
-        w[n_p:, cols] = spec.imag
-        del spec, power  # else alive beside the next block's spectra
-    del cs_f
-    if tail > _TAIL_TOL * n:
-        raise InterpolationUnderresolved(
-            f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
-            f"{_TAIL_TOL:.1e}; increase N")
     # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
-    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian
-    d = (2.0 * np.pi / length) * (w.T @ w)
+    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian.
+    # w goes before the gather, which would otherwise hold it beside b
+    d = w.T @ w
+    del w
+    d *= 2.0 * np.pi / length
     # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
     #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
     ms = bc.mode_numbers(n)

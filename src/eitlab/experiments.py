@@ -211,8 +211,8 @@ def _lemma1_ratio(refs: TraceTuple, h3: np.ndarray, lam_p, proj_p, t: float) -> 
     if t <= 0:
         return np.nan
     moved = hm.transport_immersion(refs, lam_p, proj_p)
-    return float(max(bc.ck_norm(moved[k] - refs[k], 2) / (t * h3[k])
-                     for k in range(len(refs))))
+    diff = np.stack([a.coeffs - b.coeffs for a, b in zip(moved.traces, refs.traces)], axis=1)
+    return float(np.max(bc._ck_norms(diff, moved.length, 2) / (t * h3)))
 
 
 def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
@@ -344,16 +344,16 @@ def _svg_scatter(path: str, cloud_a, cloud_b):
     span = max(x1 - x0, y1 - y0, 1e-12)
     pad = 0.05 * span
     # pixel coordinates of every point, both clouds at once; SVG's y axis
-    # points down, so y is flipped below
+    # points down, so y is flipped
     px = (np.stack([allp.real - x0, allp.imag - y0]) + pad) / (span + 2 * pad) * size
-    fills = ["#1f77b4"] * pa.size + ["#d62728"] * pb.size
+    px[1] = size - px[1]
+    # one circle per point, all of them formatted at once by one template
+    circle = '<circle cx="%%.2f" cy="%%.2f" r="1.5" fill="%s" fill-opacity="0.6"/>'
+    circles = "\n".join([circle % "#1f77b4"] * pa.size + [circle % "#d62728"] * pb.size)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
-    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{fill}" '
-              f'fill-opacity="0.6"/>'
-              for x, y, fill in zip(px[0].tolist(), (size - px[1]).tolist(), fills)]
-    parts.append("</svg>")
+             f'<rect width="{size}" height="{size}" fill="white"/>',
+             circles % tuple(px.T.ravel().tolist()), "</svg>"]
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
 

@@ -153,6 +153,25 @@ class TestNorms:
         assert abs(bc.ck_norm(f, 0) - 1.0) < 1e-10
         assert abs(bc.ck_norm(f, 2) - 9.0) < 1e-9
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_ck_norms_of_a_block_equal_per_function_loop(self, k):
+        # the per-function loop: sup of |f^(j)| on 4N samples, j = 0..k; the
+        # block takes the same FFTs and products column by column, so equal
+        rng = np.random.default_rng(5)
+        n, length = 64, 5.0
+        fs = [bc.from_samples(rng.standard_normal(n) + 1j * rng.standard_normal(n), length)
+              for _ in range(3)]
+        loop = []
+        for g in fs:
+            best = 0.0
+            for _ in range(k + 1):
+                best = max(best, float(np.max(np.abs(g.values(4 * n)))))
+                g = bc.derivative_gamma(g)
+            loop.append(best)
+        block = np.stack([f.coeffs for f in fs], axis=1)
+        assert np.array_equal(bc._ck_norms(block, length, k), loop)
+        assert [bc.ck_norm(f, k) for f in fs] == loop
+
     def test_norm_monotone_in_order(self):
         rng = np.random.default_rng(2)
         f = bc.from_samples(rng.standard_normal(64), TWO_PI)

@@ -139,17 +139,18 @@ class TestConformalDN:
         assert np.abs(ones @ cdn.operator.matrix).max() < 1e-10
 
     def test_spectra_memory(self, traced_peak):
-        # held at once: the 8N x (N + 2) cos/sin table, the Gram's rows w of
-        # the same size, and one column block's spectra.  The bound leaves
-        # one block more for what an FFT allocates beside its output (numpy
-        # 1.x copies the strided input block) or for the block's tail terms,
-        # and 0.4 MB for the 8N-sample vectors.  Measured 10.05 MB of the
-        # 10.95 MB under numpy 2.4; the whole table's spectra took 17.0 MB
+        # held at once: the Gram factor w, 2(4N + 1) x (N + 2) reals, one
+        # block of the cos/sin table, _EVAL_BLOCK reals, that block's
+        # spectra, (4N + 1) complex per mode, and its tail terms, 2N + 1 reals
+        # per mode.  0.4 MB more is left for the 8N-sample vectors.  Measured
+        # 6.47 MB of the 6.99 MB under numpy 2.4; holding the whole table
+        # beside w took 10.05 MB
         n = 256
-        table = 8 * n * (n + 2) * 8
-        block = (4 * n + 1) * (bc._EVAL_BLOCK // (8 * n)) * 16
+        modes = bc._EVAL_BLOCK // (8 * n)
+        w = 2 * (4 * n + 1) * (n + 2) * 8
+        block = bc._EVAL_BLOCK * 8 + modes * ((4 * n + 1) * 16 + (2 * n + 1) * 8)
         peak = traced_peak(lambda: dnm.dn_conformal(dnm.ConformalDomain((0.04,)), n))
-        assert peak <= (2 * table + 2 * block) / 1e6 + 0.4
+        assert peak <= (w + block) / 1e6 + 0.4
 
     def test_perturbation_size_decreases(self):
         n = 64
