@@ -167,11 +167,10 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
             power = np.abs(spec[:, fine // 4:])
             power *= power
             tail += twice_k[cols] @ power @ twice_p[fine // 4:]
-            del power
             spec *= scale
             w[:n_p, cols] = spec.real.T
             w[n_p:, cols] = spec.imag.T
-            del spec  # else alive beside the next block's table
+            del spec, power  # else alive beside the next block's table
     if tail > _TAIL_TOL * n:
         raise InterpolationUnderresolved(
             f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
