@@ -45,7 +45,6 @@ __all__ = [
     "winding_number",
     "classify",
     "reconstruct",
-    "derivative_integral",
     "immersion_check",
     "contour_distance",
 ]
@@ -238,12 +237,6 @@ def cauchy_integral(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
     number of eta_j around z.
     """
     return complex(_cauchy_many(eta_k, eta_j, np.array([z]))[0])
-
-
-def derivative_integral(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
-                        z: complex) -> complex:
-    """d/dz of the Cauchy integral: squared denominator, doubled nodes."""
-    return complex(_cauchy_many(eta_k, eta_j, np.array([z]), squared=True)[0])
 
 
 def winding_number(eta_j: BoundaryFunction, z: complex) -> int:

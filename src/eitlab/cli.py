@@ -55,7 +55,7 @@ def _build_dn(args):
             raise ConfigInvalid(f"surface {args.surface!r}: {exc}") from exc
         if not np.all(np.isfinite(coeffs)):
             raise ConfigInvalid(f"surface {args.surface!r}: non-finite coefficient")
-        return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes).operator
+        return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes)
     if args.surface == "fem-disk":
         ex._require_fem_resolution(args.resolution)
         mesh = dnm.unit_disk_mesh(args.resolution)

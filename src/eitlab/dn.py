@@ -12,6 +12,7 @@ the Schur complement with them; it reads that complement off the trailing
 block of one sparse factorization of the stiffness matrix, boundary
 ordered last and the interior ordered from its vertex graph.  b is the
 operator for both: BoundaryOperator's constructor projects it to a real one.
+All three backends return a BoundaryOperator.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
 points of different surfaces are identified by arclength from the image of
@@ -83,18 +84,7 @@ class ConformalDomain:
         return d
 
 
-@dataclass(frozen=True)
-class ConformalDN:
-    """DN operator of a conformal domain in arclength parametrization."""
-
-    operator: BoundaryOperator
-    length: float
-    theta_of_s: np.ndarray     # boundary correspondence at the N arclength nodes
-    s_of_theta: np.ndarray     # arclength at N equispaced theta nodes
-    scale: float               # similarity factor applied to the domain
-
-
-def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
+def dn_conformal(domain: ConformalDomain, n_modes: int) -> BoundaryOperator:
     """DN map of the conformal image of the disk, scaled to perimeter 2 pi.
 
     The operator acts on N arclength nodes.  The Dirichlet integral is
@@ -107,38 +97,29 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     real FFTs read them, and each block's disk spectra are written straight
     into the columns of one real Gram factor w; no whole table of samples is
     held.  w^T w is the Dirichlet form d on the C's and S's, and w is freed
-    before b is gathered from d.  theta(s) is read off the same samples, a
-    block at a time.  Raises InterpolationUnderresolved when the E_k spectra
-    hold more than _TAIL_TOL = 1e-8 of their energy at |p| >= 2N, half the
-    band the nodes resolve.
+    before b is gathered from d.  The correspondence enters only through
+    u(theta); no theta(s) is read off the samples.  Raises
+    InterpolationUnderresolved when the E_k spectra hold more than
+    _TAIL_TOL = 1e-8 of their energy at |p| >= 2N, half the band the nodes
+    resolve.
     """
     n = n_modes
     fine = 8 * n
     theta_f = np.arange(fine) * (2.0 * np.pi / fine)
     speed_f = np.abs(domain.map_derivative(theta_f))
     mean_speed = float(np.mean(speed_f))
-    total = 2.0 * np.pi * mean_speed
-    alpha = 2.0 * np.pi / total
-    length = alpha * total
 
-    # periodic part of s(theta) / alpha, vanishing at theta = 0.  The mean is
-    # removed by construction: what is left of it is rounding, which J
+    # periodic part of int_0^theta |Phi'|, vanishing at theta = 0.  The mean
+    # is removed by construction: what is left of it is rounding, which J
     # discards and whose test would fail once ||speed - mean|| is that small
     dev = bc.from_samples(speed_f - mean_speed, 2.0 * np.pi)
     dev = bc.BoundaryFunction(np.r_[0.0, dev.coeffs[1:]], dev.length)
     per_f = bc.integrate_J(dev).values().real
     per_f = per_f - per_f[0]
 
-    # theta = u + q(u) with q = -per / mean_speed and du = speed / mean_speed
-    # dtheta, so q's coefficients are -E^H (per * speed) / (mean_speed^2 fine).
-    # Mode k + jN equals mode k at the nodes; the weight 1 + 2 cos(N u)
-    # folds the modes |k| < 3N/2 onto the band in the same product.  q is
-    # real, so the modes k >= 0 determine it: wq holds the products with
-    # [C_0 .. C_N/2, S_0 .. S_N/2]
+    # u(theta): arclength on the image scaled to perimeter 2 pi
     u_f = theta_f + per_f / mean_speed
     half = n // 2 + 1
-    weight_q = per_f * speed_f * (1.0 + 2.0 * np.cos(n * u_f))
-    wq = np.empty(2 * half)
 
     # C_k = cos(k u) and S_k = sin(k u) for k = 0 .. N/2, sampled a block of
     # modes at a time, at most _EVAL_BLOCK samples, one mode per row, and
@@ -160,7 +141,6 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
             cols = slice(c0 + k, c0 + min(k + step, half))
             tab = np.outer(np.arange(k, min(k + step, half)), u_f)
             trig(tab, out=tab)
-            wq[cols] = tab @ weight_q
             spec = np.fft.rfft(tab, axis=1)
             del tab  # else alive beside the block's tail terms
             spec /= fine
@@ -175,17 +155,12 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
         raise InterpolationUnderresolved(
             f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
             f"{_TAIL_TOL:.1e}; increase N")
-    q_hat = -(wq[:half] - 1j * wq[half:]) / (mean_speed ** 2 * fine)
-    u = np.arange(n) * (2.0 * np.pi / n)
-    theta_nodes = u + np.fft.irfft(q_hat, n) * n
-    s_eq = alpha * (mean_speed * u + per_f[::8])
 
     # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
     # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian.
     # w goes before the gather, which would otherwise hold it beside b
     d = w.T @ w
     del w
-    d *= 2.0 * np.pi / length
     # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
     #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
     ms = bc.mode_numbers(n)
@@ -193,7 +168,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> ConformalDN:
     cs = sg * d[np.ix_(ak, half + ak)]
     b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
          + 1j * (cs - cs.T))
-    return ConformalDN(bc.BoundaryOperator(b, length), length, theta_nodes, s_eq, alpha)
+    return bc.BoundaryOperator(b, 2.0 * np.pi)
 
 
 def _twice_inner(m: int) -> np.ndarray:

@@ -172,7 +172,7 @@ def _perturbed_dn(cfg: ExperimentConfig, s: float):
         if s == 0.0:
             return dnm.dn_disk(cfg.n_modes)
         dom = dnm.ConformalDomain((s,))
-        return dnm.dn_conformal(dom, cfg.n_modes).operator
+        return dnm.dn_conformal(dom, cfg.n_modes)
     # fem_metric: anisotropic interior edge scaling of the disk mesh,
     # identity on the boundary, so the conformal class actually moves
     res = int(fam.get("resolution", 24))

@@ -18,24 +18,19 @@ __all__ = [
 
 
 def cloud_from_complex(points: np.ndarray) -> np.ndarray:
-    """Flatten an (m, n) complex cloud to real coordinates in R^{2n}.
+    """A point cloud in real coordinates, one point per row.
 
-    A 1-D complex array is read as m points in the plane.
+    A 1-D array is m points: on the line if real, in the plane if complex.
+    A real (m, d) array passes through; a complex (m, n) one goes to R^{2n},
+    each coordinate as its (re, im) pair.
     """
     points = np.asarray(points)
-    if points.ndim == 1:
-        points = points[:, None]
-    return np.concatenate([points.real, points.imag], axis=1) \
-        if not np.iscomplexobj(points) else \
-        np.stack([points.real, points.imag], axis=2).reshape(points.shape[0],
-                                                             2 * points.shape[1])
-
-
-def _as_real(cloud: np.ndarray) -> np.ndarray:
-    cloud = np.asarray(cloud)
-    if np.iscomplexobj(cloud):
-        return cloud_from_complex(cloud)
-    return np.atleast_2d(cloud.astype(float))
+    if points.ndim < 2:
+        points = points.reshape(-1, 1)
+    if not np.iscomplexobj(points):
+        return points.astype(float)
+    return np.stack([points.real, points.imag], axis=2).reshape(points.shape[0],
+                                                                2 * points.shape[1])
 
 
 def _check(a: np.ndarray, b: np.ndarray):
@@ -62,7 +57,7 @@ class HausdorffResult:
 
 def hausdorff(a: np.ndarray, b: np.ndarray, brute_force: bool = False) -> HausdorffResult:
     """d_H = max(r_AB, r_BA); witnesses index the farthest probe points."""
-    ar, br = _as_real(a), _as_real(b)
+    ar, br = cloud_from_complex(a), cloud_from_complex(b)
     _check(ar, br)
     if brute_force:
         d = np.sqrt(((br[:, None, :] - ar[None, :, :]) ** 2).sum(axis=2))
@@ -80,7 +75,7 @@ def hausdorff(a: np.ndarray, b: np.ndarray, brute_force: bool = False) -> Hausdo
 
 def fill_distance(cloud: np.ndarray) -> float:
     """Largest nearest-neighbor spacing: the sampling bias scale of the cloud."""
-    c = _as_real(cloud)
+    c = cloud_from_complex(cloud)
     if c.shape[0] < 2:
         return 0.0
     d, _ = cKDTree(c).query(c, k=2)

@@ -58,12 +58,14 @@ class TestCauchyOracles:
         assert ap.winding_number(e_pair[1], 0.3 + 0.0j) == 2
 
     def test_derivative_integrals(self, e_pair):
-        z = 0.4 - 0.2j
-        # d/dz of z through the z chart is 1, of z^2 is 2z, of a point
-        # outside is 0
-        assert abs(ap.derivative_integral(e_pair[0], e_pair[0], z) - 1.0) < 1e-11
-        assert abs(ap.derivative_integral(e_pair[1], e_pair[0], z) - 2 * z) < 1e-11
-        assert abs(ap.derivative_integral(e_pair[0], e_pair[0], 3.0 + 0j)) < 1e-11
+        # the squared kernel, which immersion_check runs, gives d/dz of the
+        # Cauchy integral: of z through the z chart 1, of z^2 2z, and 0 at a
+        # point outside
+        z = np.array([0.4 - 0.2j, 3.0 + 0j])
+        got = ap._cauchy_many(e_pair, e_pair[0], z, squared=True)
+        assert abs(got[0, 0] - 1.0) < 1e-11
+        assert abs(got[1, 0] - 2 * z[0]) < 1e-11
+        assert abs(got[0, 1]) < 1e-11
 
     def test_additivity_over_sheets(self, e_pair):
         # the z chart has two preimages over z^2-image points; summing the

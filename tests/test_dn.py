@@ -57,51 +57,26 @@ class TestConformalDN:
 
     def test_zero_perturbation_recovers_disk(self):
         n = 64
-        cdn = dnm.dn_conformal(dnm.ConformalDomain((0.0,)), n)
-        lam = dnm.dn_disk(n)
-        assert np.abs(cdn.operator.matrix - lam.matrix).max() < 1e-10
+        lam = dnm.dn_conformal(dnm.ConformalDomain((0.0,)), n)
+        assert lam.length == TWO_PI
+        assert np.abs(lam.matrix - dnm.dn_disk(n).matrix).max() < 1e-10
 
-    def test_closed_form_oracle(self):
-        # harmonic extension of cos(m theta) through the map has normal
-        # derivative m cos(m theta) / |Phi'| in arclength parametrization
-        n = 256
-        dom = dnm.ConformalDomain((0.04,))
-        cdn = dnm.dn_conformal(dom, n)
-        th = cdn.theta_of_s
-        speed = cdn.scale * np.abs(dom.map_derivative(th))
-        for m in (1, 3, 8):
-            f = bc.from_samples(np.cos(m * th), cdn.length)
-            got = cdn.operator.apply(f).values().real
-            assert np.abs(got - m * np.cos(m * th) / speed).max() < 1e-9
-
-    @pytest.mark.parametrize("coeffs", [(0.08,), (0.05, 0.03, 0.02)])
-    @pytest.mark.parametrize("n", [32, 256])
-    def test_correspondence_closed_form(self, coeffs, n):
-        # alpha * int_0^theta(s_i) |Phi'| = s_i, by 200-node Gauss-Legendre
-        dom = dnm.ConformalDomain(coeffs)
-        cdn = dnm.dn_conformal(dom, n)
-        x, w = np.polynomial.legendre.leggauss(200)
-        th = cdn.theta_of_s
-        nodes = 0.5 * th[:, None] * (x + 1.0)
-        s = cdn.scale * 0.5 * th * (np.abs(dom.map_derivative(nodes)) @ w)
-        assert np.abs(s - np.arange(n) * (cdn.length / n)).max() < 1e-11
-
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_tiny_coefficient(self, n):
+    @pytest.mark.parametrize("coeffs,n", [
+        ((0.04,), 256), ((0.08,), 64), ((0.05, 0.03, 0.02), 256),
         # at a2 = 1e-6 the rounding left in the mean of |Phi'| - its mean
         # (about 5e-16) exceeds 1e-10 of that deviation's norm, so testing
         # the mean before integrating raised NonZeroMean here
-        dom = dnm.ConformalDomain((1e-6,))
-        cdn = dnm.dn_conformal(dom, n)
-        x, w = np.polynomial.legendre.leggauss(200)
-        th = cdn.theta_of_s
-        s = cdn.scale * 0.5 * th * (np.abs(dom.map_derivative(
-            0.5 * th[:, None] * (x + 1.0))) @ w)
-        assert np.abs(s - np.arange(n) * (cdn.length / n)).max() < 1e-11
-        speed = cdn.scale * np.abs(dom.map_derivative(th))
+        ((1e-6,), 64), ((1e-6,), 256)])
+    def test_closed_form_oracle(self, coeffs, n):
+        # harmonic extension of cos(m theta) through the map has normal
+        # derivative m cos(m theta) / |Phi'| in arclength parametrization
+        dom = dnm.ConformalDomain(coeffs)
+        lam = dnm.dn_conformal(dom, n)
+        th, alpha = _theta_of_s(dom, n)
+        speed = alpha * np.abs(dom.map_derivative(th))
         for m in (1, 3, 8):
-            f = bc.from_samples(np.cos(m * th), cdn.length)
-            got = cdn.operator.apply(f).values().real
+            f = bc.from_samples(np.cos(m * th), lam.length)
+            got = lam.apply(f).values().real
             assert np.abs(got - m * np.cos(m * th) / speed).max() < 1e-9
 
     def test_underresolved_correspondence_raises(self):
@@ -116,34 +91,30 @@ class TestConformalDN:
 
     def test_symmetry(self):
         n = 128
-        cdn = dnm.dn_conformal(dnm.ConformalDomain((0.05,)), n)
-        b = cdn.operator.coeffs
+        b = dnm.dn_conformal(dnm.ConformalDomain((0.05,)), n).coeffs
         assert np.array_equal(b, b.conj().T)
 
     @pytest.mark.parametrize("coeffs", [(0.08,), (0.05, 0.03, 0.02)])
     @pytest.mark.parametrize("n", [32, 256])
     def test_matches_complex_gram_reference(self, coeffs, n):
         dom = dnm.ConformalDomain(coeffs)
-        cdn = dnm.dn_conformal(dom, n)
-        matrix, theta_of_s, s_of_theta = _complex_gram_dn(dom, n)
-        m = cdn.operator.matrix
+        m = dnm.dn_conformal(dom, n).matrix
+        matrix = _complex_gram_dn(dom, n)
         assert np.abs(m - matrix).max() <= 1e-14 * np.abs(matrix).max()
-        assert np.abs(cdn.theta_of_s - theta_of_s).max() <= 1e-14 * TWO_PI
-        assert np.abs(cdn.s_of_theta - s_of_theta).max() <= 1e-14 * cdn.length
 
     def test_gauge(self):
         n = 64
-        cdn = dnm.dn_conformal(dnm.ConformalDomain((0.05,)), n)
+        m = dnm.dn_conformal(dnm.ConformalDomain((0.05,)), n).matrix
         ones = np.ones(n)
-        assert np.abs(cdn.operator.matrix @ ones).max() < 1e-10
-        assert np.abs(ones @ cdn.operator.matrix).max() < 1e-10
+        assert np.abs(m @ ones).max() < 1e-10
+        assert np.abs(ones @ m).max() < 1e-10
 
     def test_spectra_memory(self, traced_peak):
         # held at once: the Gram factor w, 2(4N + 1) x (N + 2) reals, one
         # block of the cos/sin table, _EVAL_BLOCK reals, that block's
         # spectra, (4N + 1) complex per mode, and its tail terms, 2N + 1 reals
         # per mode.  0.4 MB more is left for the 8N-sample vectors.  Measured
-        # 6.47 MB of the 6.99 MB under numpy 2.4; holding the whole table
+        # 6.45 MB of the 6.99 MB under numpy 2.4; holding the whole table
         # beside w took 10.05 MB
         n = 256
         modes = bc._EVAL_BLOCK // (8 * n)
@@ -157,38 +128,53 @@ class TestConformalDN:
         lam = dnm.dn_disk(n)
         ts = []
         for a2 in (0.08, 0.04, 0.02):
-            op = dnm.dn_conformal(dnm.ConformalDomain((a2,)), n).operator
+            op = dnm.dn_conformal(dnm.ConformalDomain((a2,)), n)
             ts.append(bc.operator_norm(op - lam, 1, 0))
         assert ts[0] > ts[1] > ts[2] > 0
 
 
+def _theta_of_s(domain, n):
+    """theta at the N arclength nodes s_i = 2 pi i / N, and the scale alpha.
+
+    s(theta) = alpha int_0^theta |Phi'| with alpha = 2 pi / perimeter, both
+    integrals by 200-node Gauss-Legendre, is inverted by Newton's method
+    from theta = s.
+    """
+    x, w = np.polynomial.legendre.leggauss(200)
+
+    def arclength(th):
+        speed = np.abs(domain.map_derivative(0.5 * th[:, None] * (x + 1.0)))
+        return 0.5 * th * (speed @ w)
+
+    alpha = TWO_PI / arclength(np.array([TWO_PI]))[0]
+    s = np.arange(n) * (TWO_PI / n)
+    th = s.copy()
+    for _ in range(50):
+        step = (arclength(th) - s / alpha) / np.abs(domain.map_derivative(th))
+        th -= step
+        if np.abs(step).max() <= 1e-15:
+            break
+    return th, alpha
+
+
 def _complex_gram_dn(domain, n):
-    """dn_conformal's matrix, theta(s) and s(theta) from the full complex Gram.
+    """dn_conformal's matrix from the full complex Gram.
 
     All N exponentials E_k = exp(i k u) are sampled on 8N theta nodes, taken
-    to their disk spectra by a complex FFT, and b = W^H W / L with W the
-    spectra weighted by sqrt|p|; theta(s) is the complex inverse FFT of q's
-    N coefficients.
+    to their disk spectra by a complex FFT, and b = W^H W with W the spectra
+    weighted by sqrt|p|.
     """
     fine = 8 * n
     theta_f = np.arange(fine) * (TWO_PI / fine)
     speed_f = np.abs(domain.map_derivative(theta_f))
     mean_speed = np.mean(speed_f)
-    total = TWO_PI * mean_speed
-    alpha = TWO_PI / total
-    length = alpha * total
     per_f = bc.integrate_J(bc.from_samples(speed_f - mean_speed, TWO_PI)).values()
     per_f = per_f - per_f[0]
     u_f = theta_f + per_f / mean_speed
     e = np.exp(1j * np.outer(u_f, bc.mode_numbers(n)))
     w = np.sqrt(np.abs(bc.mode_numbers(fine)))[:, None] * np.fft.fft(e, axis=0) / fine
-    b = (TWO_PI / length) * (w.conj().T @ w)
-    matrix = bc.BoundaryOperator(0.5 * (b + b.conj().T), length).matrix
-    fold = 1.0 + 2.0 * np.cos(n * u_f)
-    q_hat = -np.conj((per_f * speed_f * fold) @ e) / (mean_speed ** 2 * fine)
-    u = np.arange(n) * (TWO_PI / n)
-    theta_of_s = u + (np.fft.ifft(q_hat) * n).real
-    return matrix, theta_of_s, alpha * (mean_speed * u + per_f[::8])
+    b = w.conj().T @ w
+    return bc.BoundaryOperator(0.5 * (b + b.conj().T), TWO_PI).matrix
 
 
 class TestDiskMesh:
@@ -679,8 +665,7 @@ REAL_OPERATORS = {
     "torus_res24_n64": lambda: dnm.dn_fem(dnm.make_one_holed_torus_mesh(24), n_modes=64),
     "p2_disk_res23_n64": lambda: dnm.dn_fem(dnm.unit_disk_mesh(23), n_modes=64,
                                            rescale_to=TWO_PI),
-    "conformal_0.08_n256": lambda: dnm.dn_conformal(dnm.ConformalDomain((0.08,)),
-                                                    256).operator,
+    "conformal_0.08_n256": lambda: dnm.dn_conformal(dnm.ConformalDomain((0.08,)), 256),
 }
 
 

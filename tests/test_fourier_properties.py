@@ -271,7 +271,7 @@ class TestResolvedBand:
     @given(a2=st.floats(0.0, 0.2), a3=st.floats(0.0, 0.1),
            n=st.sampled_from([32, 64]))
     def test_conformal(self, a2, a3, n):
-        lam = dnm.dn_conformal(dnm.ConformalDomain((a2, a3)), n).operator
+        lam = dnm.dn_conformal(dnm.ConformalDomain((a2, a3)), n)
         assert hm.resolved_band(lam) == dense_resolved_band(lam)
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=6)
@@ -279,3 +279,27 @@ class TestResolvedBand:
     def test_fem(self, res, n):
         lam = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=n)
         assert hm.resolved_band(lam) == dense_resolved_band(lam)
+
+
+class TestDiskHilbertTransform:
+    @property_test
+    @given(n=st.integers(4, 128).map(lambda k: 2 * k), length=lengths)
+    def test_j_lambda_is_diagonal_hilbert_symbol(self, n, length):
+        """J Lambda on the disk is diag(-i sgn m), zero on the mean and on the
+        Nyquist mode, whatever the perimeter."""
+        jl = hm.j_lambda(dnm.dn_disk(n, length)).coeffs
+        want = -1j * np.sign(bc.mode_numbers(n))
+        want[n // 2] = 0.0
+        assert np.array_equal(jl, np.diag(np.diag(jl)))
+        assert np.abs(np.diag(jl) - want).max() <= 2e-15
+
+    @property_test
+    @given(n=st.integers(4, 128).map(lambda k: 2 * k), length=lengths, seed=seeds)
+    def test_j_lambda_squares_to_minus_identity(self, n, length, seed):
+        """(J Lambda)^2 = -I on real zero-mean functions with no Nyquist mode."""
+        jl = hm.j_lambda(dnm.dn_disk(n, length))
+        c = bc.from_samples(np.random.default_rng(seed).standard_normal(n), length).coeffs
+        c[0] = c[n // 2] = 0.0
+        f = bc.BoundaryFunction(c, length)
+        got = jl.apply(jl.apply(f)).coeffs
+        assert np.abs(got + c).max() <= 2e-15 * np.abs(c).max()

@@ -317,7 +317,7 @@ class TestTransport:
         pp = hm.build_projections(disk64, 0)
         e = hm.TraceTuple((bc.from_samples(np.exp(1j * th), TWO_PI),
                            bc.from_samples(np.exp(2j * th), TWO_PI)))
-        lam_p = dnm.dn_conformal(dnm.ConformalDomain((0.03,)), 64).operator
+        lam_p = dnm.dn_conformal(dnm.ConformalDomain((0.03,)), 64)
         pp_p = hm.build_projections(lam_p, 0)
         moved = hm.transport_immersion(e, lam_p, pp_p)
         single = hm.transport_immersion(hm.TraceTuple((e[1],)), lam_p, pp_p)[0]
@@ -372,7 +372,7 @@ class TestTransport:
                            bc.from_samples(np.exp(2j * th), TWO_PI)))
         prev = np.inf
         for a2 in (0.06, 0.03, 0.015):
-            lam_p = dnm.dn_conformal(dnm.ConformalDomain((a2,)), 64).operator
+            lam_p = dnm.dn_conformal(dnm.ConformalDomain((a2,)), 64)
             pp_p = hm.build_projections(lam_p, 0)
             moved = hm.transport_immersion(e, lam_p, pp_p)
             t = hm.dn_distance(disk64, lam_p)
@@ -392,9 +392,9 @@ class TestDnDistance:
 
     def test_quadratic_in_family_parameter(self, disk64):
         t1 = hm.dn_distance(disk64,
-                            dnm.dn_conformal(dnm.ConformalDomain((0.04,)), 64).operator)
+                            dnm.dn_conformal(dnm.ConformalDomain((0.04,)), 64))
         t2 = hm.dn_distance(disk64,
-                            dnm.dn_conformal(dnm.ConformalDomain((0.02,)), 64).operator)
+                            dnm.dn_conformal(dnm.ConformalDomain((0.02,)), 64))
         assert 3.0 < t1 / t2 < 5.0
 
 

@@ -89,6 +89,18 @@ class TestOracles:
         flat = mt.cloud_from_complex(a)
         assert flat.shape == (1, 4)
         assert list(flat[0]) == [1.0, 2.0, 0.0, 0.0]
+        # a real cloud passes through, with no imaginary columns
+        assert mt.cloud_from_complex(np.array([[1.0, 2.0]])).tolist() == [[1.0, 2.0]]
+
+    def test_real_and_complex_lines_agree(self):
+        # a 1-D array is m points whether real or complex: on the real axis
+        # the two give the same distances
+        a, b = np.array([0.0, 1.0]), np.array([0.0, 5.0])
+        real, cplx = mt.hausdorff(a, b), mt.hausdorff(a + 0j, b + 0j)
+        assert (real.d_h, real.r_ab, real.r_ba) == (4.0, 4.0, 1.0)
+        assert (cplx.d_h, cplx.r_ab, cplx.r_ba) == (4.0, 4.0, 1.0)
+        line = np.array([0.0, 1.0, 3.0])
+        assert mt.fill_distance(line) == mt.fill_distance(line + 0j) == 2.0
 
     def test_witness_indices(self):
         a = np.array([[0.0], [1.0]])
