@@ -56,16 +56,15 @@ def _build_dn(args):
         if not np.all(np.isfinite(coeffs)):
             raise ConfigInvalid(f"surface {args.surface!r}: non-finite coefficient")
         return dnm.dn_conformal(dnm.ConformalDomain(coeffs), args.n_modes)
-    if args.surface == "fem-disk":
-        ex._require_fem_resolution(args.resolution)
-        mesh = dnm.unit_disk_mesh(args.resolution)
-        return dnm.dn_fem(mesh, n_modes=args.n_modes, rescale_to=2.0 * np.pi)
-    if args.surface == "torus":
-        if args.resolution < dnm._TORUS_MIN_RESOLUTION:
-            raise ConfigInvalid(
-                f"--resolution must be >= {dnm._TORUS_MIN_RESOLUTION} for the torus")
-        mesh = dnm.make_one_holed_torus_mesh(args.resolution)
-        return dnm.dn_fem(mesh, n_modes=args.n_modes)
+    if args.surface in ("fem-disk", "torus"):
+        disk = args.surface == "fem-disk"
+        build = dnm.unit_disk_mesh if disk else dnm.make_one_holed_torus_mesh
+        try:
+            mesh = build(args.resolution)
+        except ValueError as exc:
+            raise ConfigInvalid(f"--resolution: {exc}") from exc
+        return dnm.dn_fem(mesh, n_modes=args.n_modes,
+                          rescale_to=2.0 * np.pi if disk else None)
     if args.surface.endswith(".off"):
         mesh = dnm.load_off(args.surface)
         return dnm.dn_fem(mesh, n_modes=args.n_modes)

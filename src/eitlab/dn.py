@@ -263,6 +263,8 @@ class TriMesh:
 
 def unit_disk_mesh(resolution: int) -> TriMesh:
     """Delaunay mesh of the unit disk with 6*resolution boundary vertices."""
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     m = resolution
     pts = [np.zeros((1, 2))]
     for ring in range(1, m + 1):

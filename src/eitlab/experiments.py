@@ -37,12 +37,6 @@ __all__ = [
     "immersion_from_recipe",
 ]
 
-# Measured over every even n_modes in 16..256: the s = 0 fem_metric operator
-# (P2 disk mesh) raises NoSpectralGap at most of them for each resolution up
-# to 22, and at none for resolutions 23 to 30.  The thinnest margin is at 23,
-# where the defect's top value (9.26e-5 from n_modes 64 up) lies 10.80x below
-# the rank threshold 1e-3, so the floor does not depend on n_modes.
-_FEM_MIN_RESOLUTION = 23
 _MIN_GRID_RESOLUTION = 8  # fewest lattice points per side in classify
 
 # the values each ExperimentConfig annotation (a string here) accepts
@@ -54,15 +48,6 @@ _RECIPES = {
     "z3": lambda w: w ** 3,
     "expz": lambda w: np.exp(w),
 }
-
-
-def _require_fem_resolution(res):
-    """Raise ConfigInvalid unless res is a number >= _FEM_MIN_RESOLUTION."""
-    if not isinstance(res, (int, float)) or res < _FEM_MIN_RESOLUTION:
-        raise ConfigInvalid(
-            f"disk mesh resolution must be a number >= {_FEM_MIN_RESOLUTION}: "
-            "coarser P2 disk meshes leave the DN map (the fem_metric family "
-            "at s = 0) without a spectral gap")
 
 
 @dataclass
@@ -99,7 +84,13 @@ class ExperimentConfig:
         if any(p < 0 for p in ps):
             raise ConfigInvalid("parameters must be nonnegative")
         if fam["kind"] == "fem_metric":
-            _require_fem_resolution(fam.get("resolution", 24))
+            res = fam.get("resolution", 24)
+            if not isinstance(res, (int, float)):
+                raise ConfigInvalid(f"resolution must be a number, got {res!r}")
+            try:  # the mesh builder holds the floor
+                dnm.unit_disk_mesh(int(res))
+            except ValueError as exc:
+                raise ConfigInvalid(f"disk mesh resolution: {exc}") from exc
         if list(ps) != sorted(ps, reverse=True):
             raise ConfigInvalid("parameter_list must decrease toward 0")
         for name in self.immersion.split(","):
@@ -222,9 +213,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     A failure at the s = 0 reference (its operator, the completion of the
     recipe or of the lemma-1 basis traces, or a reference cloud with no
     interior point) raises instead, since no record can be measured
-    against it.  A fem_metric mesh below resolution 23 leaves that
-    operator without a spectral gap, whatever n_modes, so validation
-    rejects it as ConfigInvalid.
+    against it.
     """
     cfg.validate()
     n = cfg.n_modes

@@ -17,13 +17,15 @@ J is the multiplier of boundary.integrate_J: products with it scale the
 columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
 the defect D is formed on the resolved band only, at most 8 modes each
 side.  One helper takes that block's SVD, and kappa, the spectral gap and
-the projections all read it; one more decides whether a rank clears the
-gap factor.  The completion of a zero-mean u has the certificate residual
-D d_gamma u, so the completable real traces are the kernel of D d_gamma,
-and Q projects onto its complement: d_gamma^H applied to D's top kappa
-right singular vectors, whose real and imaginary parts span a real space
-of dimension kappa.  P = I - Q and Q are held as Q's orthonormal
-coefficient basis B: P u = u - B (B^H u), with no sample or FFT taken.
+the projections all read it.  kappa sits at the largest ratio of
+consecutive values of [1, singular values], 1 being |Lambda J| on a
+resolved mode, and that ratio must clear the gap factor.  The completion
+of a zero-mean u has the certificate residual D d_gamma u, so the
+completable real traces are the kernel of D d_gamma, and Q projects onto
+its complement: d_gamma^H applied to D's top kappa right singular
+vectors, whose real and imaginary parts span a real space of dimension
+kappa.  P = I - Q and Q are held as Q's orthonormal coefficient basis B:
+P u = u - B (B^H u), with no sample or FFT taken.
 """
 
 from __future__ import annotations
@@ -107,8 +109,6 @@ _GAP_FACTOR = 10.0     # defect singular-value ratio that separates the rank
 _MAX_BAND = 8          # widest defect band: discretization error grows with
                        # the mode number, and rank detection needs few modes
 _RANK_TOL = 1e-8       # relative singular value below which Q's basis ends
-_TAU_RANK = 1e-3       # defect rank threshold; Lambda J is dimensionless and
-                       # has magnitude about 1 on every resolved mode
 
 
 def lambda_j(lam: BoundaryOperator) -> BoundaryOperator:
@@ -184,28 +184,35 @@ def _floor(sv: np.ndarray, kappa: int) -> float:
     return float(sv[kappa]) if kappa < sv.size else 0.0
 
 
-def _gap(sv: np.ndarray, kappa: int, above: float) -> float:
-    """above / sv[kappa]; inf when the band holds no (kappa+1)-th value or it is 0."""
+def _gap(sv: np.ndarray, kappa: int) -> float:
+    """[1, *sv][kappa] / sv[kappa]; inf when sv[kappa] is absent or 0."""
+    above = float(sv[kappa - 1]) if kappa > 0 else 1.0
     below = _floor(sv, kappa)
-    return float(above / below) if below > 0 else np.inf
+    return above / below if below > 0 else np.inf
 
 
-def _require_gap(sv: np.ndarray, kappa: int, above: float):
-    """Raise NoSpectralGap unless above clears the (kappa+1)-th value by _GAP_FACTOR."""
-    if _gap(sv, kappa, above) < _GAP_FACTOR:
+def _require_gap(sv: np.ndarray, kappa: int):
+    """Raise NoSpectralGap unless _gap(sv, kappa) clears _GAP_FACTOR."""
+    gap = _gap(sv, kappa)
+    if gap < _GAP_FACTOR:
+        above = sv[kappa - 1] if kappa > 0 else 1.0
         raise NoSpectralGap(
             f"defect singular values {above:.6e} / {sv[kappa]:.6e} show no gap "
-            f">= {_GAP_FACTOR} at kappa = {kappa}")
+            f">= {_GAP_FACTOR} at kappa = {kappa} (ratio {gap:.3g})")
 
 
 def estimate_kappa(lam: BoundaryOperator) -> int:
     """Rank of the defect operator: 1 - chi(M) when dM is one circle.
 
     With more circles it counts the interior periods, not the boundary fluxes.
+    kappa is the k < m with the largest s_k / s_{k+1}, s = [1, sigma_1, ...,
+    sigma_m] clamped below at N eps so that rounding noise shows no gap;
+    NoSpectralGap names that ratio when it is below _GAP_FACTOR.
     """
     _, sv, _ = _defect_spectrum(lam)
-    kappa = int(np.sum(sv > _TAU_RANK))
-    _require_gap(sv, kappa, sv[kappa - 1] if kappa > 0 else _TAU_RANK)
+    s = np.maximum(sv, lam.n_modes * np.finfo(float).eps)
+    kappa = int(np.argmax(np.concatenate(([1.0], s[:-1])) / s))
+    _require_gap(s, kappa)
     return kappa
 
 
@@ -217,7 +224,7 @@ def spectral_gap(lam: BoundaryOperator, kappa: int) -> float:
     it is exactly 0.
     """
     _, sv, _ = _defect_spectrum(lam)
-    return _gap(sv, kappa, sv[kappa - 1] if kappa > 0 else 1.0)
+    return _gap(sv, kappa)
 
 
 def build_projections(lam: BoundaryOperator, kappa: int, *,
@@ -249,7 +256,7 @@ def build_projections(lam: BoundaryOperator, kappa: int, *,
         raise NoSpectralGap(
             f"real and imaginary coefficients of the top {kappa} defect vectors have "
             f"singular values {np.array2string(sv, precision=3)}, not rank {kappa}")
-    _require_gap(sv_defect, kappa, sv_defect[kappa - 1])
+    _require_gap(sv_defect, kappa)
     return ProjectionPair(u[:, :kappa], floor)
 
 

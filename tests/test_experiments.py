@@ -11,10 +11,9 @@ from eitlab import argument as ap
 from eitlab import cli
 from eitlab import dn as dnm
 from eitlab import experiments as ex
-from eitlab import holomorphic as hm
 from eitlab import metrics as mt
 from eitlab import nearboundary as nb
-from eitlab.errors import ConfigInvalid, NoSpectralGap
+from eitlab.errors import ConfigInvalid
 
 
 def small_config(tmp, **kw):
@@ -373,35 +372,25 @@ class TestFemFamily:
         assert all(r.lemma1_ratio > 0 for r in records)
         assert 0.8 <= summary["slope_dh_interior_vs_t"] <= 1.2
 
-    def test_reference_without_gap_raises(self, tmp_path):
-        # at resolution 16 the s = 0 operator has no spectral gap at any
-        # n_modes; with no reference the sweep could yield no records, so
-        # the config is rejected before any operator is built
+    def test_coarse_mesh_sweep_valid(self, tmp_path):
+        # at resolution 8 the s = 0 operator's defect floor is 4.2e-3, a gap
+        # of 236 at kappa = 0, and the certificate tolerance it sets still
+        # passes every transported and lemma-1 trace
         cfg = small_config(
             tmp_path,
             perturbation_family={"kind": "fem_metric",
-                                 "parameter_list": [0.08, 0.04],
-                                 "resolution": 16},
+                                 "parameter_list": [0.08, 0.04, 0.02, 0.01],
+                                 "resolution": 8},
         )
-        with pytest.raises(ConfigInvalid, match="resolution must be"):
-            ex.run_sweep(cfg)
-
-    @pytest.mark.parametrize("res", [16, 22])
-    def test_below_floor_operator_has_no_gap(self, res):
-        # what the resolution floor guards against: estimate_kappa on the
-        # s = 0 operator below it raises (resolution 22 at n_modes 64)
-        lam = dnm.dn_fem(dnm.unit_disk_mesh(res), n_modes=64,
-                         rescale_to=2.0 * np.pi)
-        with pytest.raises(NoSpectralGap):
-            hm.estimate_kappa(lam)
+        records, summary, _ = ex.run_sweep(cfg)
+        assert [r.failure for r in records] == [""] * 4
+        assert summary["n_valid"] == 4 and summary["kappa"] == 0
 
     def test_resolution_floor(self, tmp_path):
+        # a resolution must be a number that the disk mesh builder accepts
         fam = {"kind": "fem_metric", "parameter_list": [0.08]}
-        for res in (22, "24"):
-            with pytest.raises(ConfigInvalid, match="resolution must be"):
+        for res, match in (("24", "must be a number"), (0, "must be >= 1")):
+            with pytest.raises(ConfigInvalid, match=match):
                 small_config(tmp_path, perturbation_family={
                     **fam, "resolution": res}).validate()
-        small_config(tmp_path, perturbation_family={**fam, "resolution": 23}).validate()
-        lam = dnm.dn_fem(dnm.unit_disk_mesh(23), n_modes=64,
-                         rescale_to=2.0 * np.pi)
-        assert hm.estimate_kappa(lam) == 0
+        small_config(tmp_path, perturbation_family={**fam, "resolution": 1}).validate()

@@ -95,10 +95,15 @@ class TestEstimateKappa:
     def test_analytic_disk(self, disk64):
         assert hm.estimate_kappa(disk64) == 0
 
-    def test_fem_disk(self):
-        mesh = dnm.unit_disk_mesh(24)
+    @pytest.mark.parametrize("res", [8, 16, 22, 24])
+    def test_fem_disk(self, res):
+        # the P2 disk's defect holds only discretization error (4.2e-3 at
+        # res 8 down to 7.98e-5 at res 24), at least 236x below Lambda J's
+        # magnitude 1, so the largest gap is at kappa = 0 on coarse meshes too
+        mesh = dnm.unit_disk_mesh(res)
         lam = dnm.dn_fem(mesh, n_modes=64, rescale_to=TWO_PI)
         assert hm.estimate_kappa(lam) == 0
+        assert hm.spectral_gap(lam, 0) >= 10.0
 
     def test_torus(self, torus24):
         k = hm.estimate_kappa(torus24)
@@ -112,8 +117,9 @@ class TestEstimateKappa:
     def test_singular_values_straddling_the_threshold(self):
         # scaling the disk symbol by 1 + eps on modes +-m gives the defect
         # singular value 2 eps + eps^2 twice: 3.0e-3 on m = 2 and 6.0e-4 on
-        # m = 5 sit on both sides of the threshold 1e-3 * ||Lambda J||, only
-        # a factor 5 apart
+        # m = 5, on both sides of 1e-3 and only a factor 5 apart.  The rest
+        # of the band's defect is exactly 0, so the defect has rank 4: its
+        # largest ratio is 6.0e-4 over the N eps clamp
         sym = np.abs(bc.mode_numbers(64)).astype(float)
         for m, eps in ((2, 1.5e-3), (5, 3e-4)):
             sym[[m, -m]] *= 1.0 + eps
@@ -121,7 +127,21 @@ class TestEstimateKappa:
         sv = np.linalg.svd(hm.defect_operator(lam).matrix, compute_uv=False)
         assert np.allclose(sv[:4], [3.00225e-3, 3.00225e-3, 6.0009e-4, 6.0009e-4],
                            rtol=1e-8)
-        with pytest.raises(NoSpectralGap, match="show no gap"):
+        assert hm.estimate_kappa(lam) == 4
+        assert hm.spectral_gap(lam, 4) >= 10.0
+
+    def test_geometric_defect_has_no_gap(self):
+        # scaling the disk symbol on modes 1..8 so that the defect pairs
+        # fall 3x each (0.3, 0.1, ..., 1.4e-4) leaves no ratio >= 10: the
+        # largest, 1 / 0.3 = 3.33 at kappa = 0, is refused, as is every
+        # other kappa up to the whole band
+        sym = np.abs(bc.mode_numbers(64)).astype(float)
+        for m in range(1, 9):
+            sym[[m, -m]] *= np.sqrt(1.0 + 0.3 / 3.0 ** (m - 1))
+        lam = bc.operator_from_symbol(sym, TWO_PI)
+        sv = np.linalg.svd(hm.defect_operator(lam).matrix, compute_uv=False)
+        assert np.allclose(sv[:16:2], 0.3 / 3.0 ** np.arange(8), rtol=1e-8)
+        with pytest.raises(NoSpectralGap, match=r"at kappa = 0 \(ratio 3\.33\)"):
             hm.estimate_kappa(lam)
 
     def test_gap_without_a_next_singular_value_is_infinite(self):
