@@ -21,7 +21,6 @@ entries each, so a call's memory does not grow with its number of targets.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,7 @@ def _contour_samples(eta_j: BoundaryFunction) -> np.ndarray:
 
 def _z_diameter(samples: np.ndarray) -> float:
     # bounding-box diagonal; only sets quadrature and tolerance scales
-    w = samples.real.max() - samples.real.min()
-    h = samples.imag.max() - samples.imag.min()
-    return float(np.hypot(w, h))
+    return float(np.hypot(np.ptp(samples.real), np.ptp(samples.imag)))
 
 
 def _sample_distances(samples: np.ndarray, zs: np.ndarray,
@@ -129,21 +126,18 @@ def _round_up_nodes(counts: np.ndarray) -> np.ndarray:
 
 
 def _node_plan(eta_j: BoundaryFunction, c_q: float, dists: np.ndarray,
-               squared: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature node count per target distance, and the exclusion band.
+               squared: bool = False) -> np.ndarray:
+    """Quadrature node count per target distance.
 
     The count resolves the kernel's scale c_q / dist, c_q = 40 diam
     (doubled for the squared kernel), rounded up onto the ladder m * 2^k
     (m in 4..7) and capped at _MAX_NODES, so a call's targets share a
     handful of counts.
-    The plain rule refuses a target closer to the contour than the band
-    4 * arclength / count of its rounded count.
     """
     counts = np.maximum(eta_j.n_modes, np.ceil(c_q / np.maximum(dists, 1e-300)))
     if squared:
         counts *= 2
-    counts = _round_up_nodes(counts)
-    return counts, 4.0 * _z_arclength(eta_j) / counts
+    return _round_up_nodes(counts)
 
 
 def _z_arclength(eta_j: BoundaryFunction) -> float:
@@ -151,20 +145,22 @@ def _z_arclength(eta_j: BoundaryFunction) -> float:
     return float(np.mean(np.abs(d)) * eta_j.length)
 
 
-def _cauchy_raw(numerators: Sequence[BoundaryFunction | None],
-                eta_j: BoundaryFunction, d_eta_j: BoundaryFunction,
-                zs: np.ndarray, squared: bool, n_nodes: int) -> np.ndarray:
+def _cauchy_raw(nums: np.ndarray | None, ones: bool, eta_j: BoundaryFunction,
+                d_eta_j: BoundaryFunction, zs: np.ndarray, squared: bool,
+                n_nodes: int) -> np.ndarray:
     """Trapezoidal sums (h / 2 pi i) sum eta_k d_gamma(eta_j) / (eta_j - z)^p.
 
-    d_eta_j is d_gamma(eta_j).  The kernel d_eta_j / (eta_j - z)^p is built
-    in tiles of target rows, at most _EVAL_BLOCK entries each, and each tile
-    is weighted per numerator before the next is built; None (the constant
-    1) costs one row-sum.
+    nums, the (N, m) block of the numerators eta_k (or None), is sampled by
+    one inverse FFT and gives one row each; ones adds a last row, the
+    constant 1's row-sum.  d_eta_j is d_gamma(eta_j).  The kernel
+    d_eta_j / (eta_j - z)^p is built in tiles of target rows, at most
+    _EVAL_BLOCK entries each, and each tile takes one matrix-vector product
+    per numerator before the next is built.
     """
     ej = eta_j.values(n_nodes)
     dj = d_eta_j.values(n_nodes)
-    nums = [None if eta_k is None else eta_k.values(n_nodes) for eta_k in numerators]
-    out = np.empty((len(numerators), zs.size), dtype=complex)
+    vals = () if nums is None else bc._samples(nums, n_nodes)
+    out = np.empty((len(vals) + ones, zs.size), dtype=complex)
     step = max(1, bc._EVAL_BLOCK // n_nodes)
     tile = np.empty((min(step, zs.size), n_nodes), dtype=complex)  # one for all tiles
     for i in range(0, zs.size, step):
@@ -173,26 +169,28 @@ def _cauchy_raw(numerators: Sequence[BoundaryFunction | None],
         if squared:
             kern **= 2
         np.divide(dj[None, :], kern, out=kern)
-        for row, v in enumerate(nums):
-            out[row, i:i + step] = kern.sum(axis=1) if v is None else kern @ v
+        for row, v in enumerate(vals):
+            out[row, i:i + step] = kern @ v
+        if ones:
+            out[-1, i:i + step] = kern.sum(axis=1)
     out *= eta_j.length / n_nodes / (2j * np.pi)
     return out
 
 
-def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | None],
+def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
                  eta_j: BoundaryFunction, zs: np.ndarray,
                  squared: bool = False, compensated: bool = False) -> np.ndarray:
     """Cauchy integrals at many targets, nodes chosen per contour distance.
 
     eta_k is one numerator (None for the constant 1), giving one value per
-    target, or a sequence of numerators, giving one row each; all rows share
+    target, or a trace tuple, giving one row per trace; all rows share
     the contour samples, the distances and the node plan.  The targets are
     summed in one pass per distinct rounded node count (_node_plan), so the
     contour, its derivative and the numerators are sampled a few times per
     call, not once per target.  The nearest-sample search stops where the
     count reaches its floor N: a target farther out takes N nodes whatever
-    its distance.  The plain rule refuses targets inside the exclusion band
-    (TooCloseToContour).
+    its distance.  The plain rule refuses a target closer to the contour
+    than 4 * arclength / count of its count (TooCloseToContour).
 
     compensated=True is the rule for image coordinates of targets enclosed
     once: each row is divided by the winding row of the same node plan
@@ -202,29 +200,32 @@ def _cauchy_many(eta_k: BoundaryFunction | None | Sequence[BoundaryFunction | No
     winding row too: a target not enclosed once gives a ratio of two
     vanishing sums, which only that row reveals.
     """
-    single = eta_k is None or isinstance(eta_k, BoundaryFunction)
-    numerators = [eta_k] if single else list(eta_k)
-    if compensated:
-        numerators.append(None)
+    single = not isinstance(eta_k, TraceTuple)
+    # the numerators' coefficient block, (N, 1) for one trace
+    nums = None if eta_k is None else eta_k.coeffs.reshape(eta_k.n_modes, -1)
+    ones = eta_k is None or compensated
     zs = np.asarray(zs, dtype=complex)
     samples = _contour_samples(eta_j)
     c_q = 40.0 * _z_diameter(samples)
     # a target past c_q / N takes N nodes; the search stops a little farther
     # out, so that rounding cannot move a count
     dists = _sample_distances(samples, zs, c_q / (eta_j.n_modes - 1))
-    out = np.empty((len(numerators), zs.size), dtype=complex)
-    counts, eps_min = _node_plan(eta_j, c_q, dists, squared)
-    if not compensated and np.any(dists < eps_min):
-        bad = int(np.argmax(dists < eps_min))
-        raise TooCloseToContour(
-            f"target {zs[bad]} at distance {dists[bad]:.3e} < {eps_min[bad]:.3e}")
+    out = np.empty(((0 if nums is None else nums.shape[1]) + ones, zs.size), dtype=complex)
+    counts = _node_plan(eta_j, c_q, dists, squared)
+    if not compensated:
+        eps_min = 4.0 * _z_arclength(eta_j) / counts
+        if np.any(dists < eps_min):
+            bad = int(np.argmax(dists < eps_min))
+            raise TooCloseToContour(
+                f"target {zs[bad]} at distance {dists[bad]:.3e} < {eps_min[bad]:.3e}")
     d_eta_j = bc.derivative_gamma(eta_j)
     for n in np.unique(counts):
         sel = counts == n
-        out[:, sel] = _cauchy_raw(numerators, eta_j, d_eta_j, zs[sel], squared, int(n))
+        out[:, sel] = _cauchy_raw(nums, ones, eta_j, d_eta_j, zs[sel], squared, int(n))
     if compensated:
+        # the last row is the winding row, which is the constant 1's row too
         winding = out[-1]
-        out = out[:-1] / winding
+        out = (out if eta_k is None else out[:-1]) / winding
         return (out[0] if single else out), winding
     return out[0] if single else out
 
@@ -324,9 +325,7 @@ class ReconstructedCloud:
 
     def to_csv(self, path: str):
         n = self.n_coords
-        header = []
-        for k in range(1, n + 1):
-            header += [f"re_{k}", f"im_{k}"]
+        header = [f"{part}_{k}" for k in range(1, n + 1) for part in ("re", "im")]
         header += ["tag", "chart_j", "source_z_re", "source_z_im"]
         # columns re_1, im_1, re_2, ...; each number written as its repr and
         # each line ended by "\r\n", as csv.writer writes them
@@ -382,29 +381,28 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
     n = len(e)
     if fields is None:
         fields = [classify(e[j], grid_resolution, eps) for j in range(n)]
+    # each trace at 4N nodes: the boundary points, and the chart diameters
+    nb = _OVERSAMPLE * e.n_modes
+    boundary = bc._samples(e.coeffs, nb)
     pts, charts, srcs = [], [], []
-    diam_all = 0.0
     n_dropped = 0
     for j in range(n):
-        diam_all = max(diam_all, _z_diameter(_contour_samples(e[j])))
         zs = fields[j].points_with_winding(1)
         if zs.size == 0:
             continue
-        vals, winding = _cauchy_many(e.traces, e[j], zs, compensated=True)
+        vals, winding = _cauchy_many(e, e[j], zs, compensated=True)
         once = np.abs(winding - 1.0) < 0.1
         n_dropped += int(zs.size - once.sum())
         pts.append(vals[:, once].T)
         charts.append(np.full(once.sum(), j))
         srcs.append(zs[once])
-    # boundary samples at 4N nodes
-    nb = _OVERSAMPLE * e.n_modes
-    pts.append(np.stack([e[k].values(nb) for k in range(n)], axis=1))
+    pts.append(boundary.T)
     charts.append(np.full(nb, -1))
     srcs.append(np.full(nb, complex(np.nan, 0.0)))
     points, chart_j, source_z = (np.concatenate(a) for a in (pts, charts, srcs))
     # merge duplicates (same image point found by different charts, or
     # degenerate boundary samples); keep the earliest occurrence
-    merge_tol = _MERGE_REL * max(diam_all, 1e-6)
+    merge_tol = _MERGE_REL * max(*map(_z_diameter, boundary), 1e-6)
     flat = np.column_stack([points.real, points.imag])
     pairs = cKDTree(flat).query_pairs(merge_tol, output_type="ndarray")
     keep = np.ones(points.shape[0], dtype=bool)
@@ -437,7 +435,6 @@ def immersion_check(e: TraceTuple, fields: list[WindingField], m: int,
     if m > len(e):
         raise ValueError("m exceeds the number of coordinates")
     margins = []
-    n_samples = 0
     for j in range(len(e)):
         zs = fields[j].points_with_winding(1)
         if zs.size == 0:
@@ -445,18 +442,14 @@ def immersion_check(e: TraceTuple, fields: list[WindingField], m: int,
         if zs.size > max_samples_per_chart:
             step = zs.size // max_samples_per_chart
             zs = zs[::step][:max_samples_per_chart]
-        dmat = _cauchy_many(e.traces[:m], e[j], zs, squared=True).T
-        for row in dmat:
-            jac = np.zeros((2 * m, 2))
-            for k in range(m):
-                d = row[k]
-                jac[2 * k:2 * k + 2] = [[d.real, -d.imag], [d.imag, d.real]]
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if sv[0] == 0.0:
-                raise DerivativeVanishes("Jacobian identically zero at a sample")
-            margins.append(sv[-1] / sv[0])
-            n_samples += 1
+        d = _cauchy_many(e, e[j], zs, squared=True)[:m].T
+        # per sample, rows 2k and 2k + 1 are [Re d_k, -Im d_k], [Im d_k, Re d_k]
+        jac = np.stack([d.real, -d.imag, d.imag, d.real], axis=-1).reshape(-1, 2 * m, 2)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        if np.any(sv[:, 0] == 0.0):
+            raise DerivativeVanishes("Jacobian identically zero at a sample")
+        margins.extend(sv[:, -1] / sv[:, 0])
     if not margins:
         return ImmersionReport(False, False, 0.0, 0)
     mmin = float(min(margins))
-    return ImmersionReport(True, mmin >= sigma_min_tol, mmin, n_samples)
+    return ImmersionReport(True, mmin >= sigma_min_tol, mmin, len(margins))

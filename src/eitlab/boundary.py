@@ -89,18 +89,9 @@ class BoundaryFunction:
         return self.coeffs.size
 
     def values(self, n_points: int | None = None, offset: float = 0.0) -> np.ndarray:
-        """Sample values at offset + k L / n_points (default: native grid).
-
-        A shifted grid is one inverse FFT of the padded spectrum times the
-        phase of each mode at the offset, so the samples equal eval_at there.
-        """
+        """Sample values at offset + k L / n_points (default: native grid)."""
         m = self.n_modes if n_points is None else n_points
-        if m < self.n_modes:
-            raise ValueError("downsampling not supported")
-        c = _pad_spectrum(self.coeffs, m)
-        if offset:
-            c *= _phase_kernel(m, self.length, offset)[0]
-        return np.fft.ifft(c) * m
+        return _samples(self.coeffs[:, None], m, self.length, offset)[0]
 
     def eval_at(self, l: np.ndarray) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary arclength points.
@@ -179,6 +170,21 @@ def _pad_spectrum(c: np.ndarray, m: int) -> np.ndarray:
     out[half] = 0.5 * c[half]
     out[m - half] += 0.5 * c[half]
     return out
+
+
+def _samples(c: np.ndarray, m: int, length: float = 1.0,
+             offset: float = 0.0) -> np.ndarray:
+    """Samples at offset + k L / m of each coefficient column of c, as rows.
+
+    One inverse FFT of the padded spectrum, times each mode's phase at the
+    offset (so the samples equal eval_at there); a row has its column's bits.
+    """
+    if m < c.shape[0]:
+        raise ValueError("downsampling not supported")
+    p = _pad_spectrum(c, m)
+    if offset:
+        p *= _phase_kernel(m, length, offset).T
+    return np.ascontiguousarray((np.fft.ifft(p, axis=0) * m).T)
 
 
 def _cas_norm(b: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
@@ -274,9 +280,9 @@ def sobolev_norm(f: BoundaryFunction, s: float) -> float:
 
 
 def _sobolev_norms(c: np.ndarray, length: float, s: float) -> np.ndarray:
-    """H^s norm of the coefficients c, per column when c is an (N, m) block."""
+    """H^s norm of the coefficients c, per column (summed as a contiguous row)."""
     w = sobolev_weights(c.shape[0], length, s)
-    return np.sqrt(np.sum((w * np.abs(c.T)) ** 2, axis=-1) * length)
+    return np.sqrt(np.sum((w * np.abs(np.ascontiguousarray(c.T))) ** 2, axis=-1) * length)
 
 
 def ck_norm(f: BoundaryFunction, k: int) -> float:
@@ -295,8 +301,7 @@ def _ck_norms(c: np.ndarray, length: float, k: int) -> np.ndarray:
     sym = _derivative_symbol(n, length)[:, None]
     best = np.zeros(c.shape[1])
     for _ in range(k + 1):
-        vals = np.fft.ifft(_pad_spectrum(c, 4 * n), axis=0) * (4 * n)
-        best = np.maximum(best, np.max(np.abs(vals), axis=0))
+        best = np.maximum(best, np.max(np.abs(_samples(c, 4 * n)), axis=1))
         c = c * sym
     return best
 

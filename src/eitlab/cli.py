@@ -25,7 +25,10 @@ def _cmd_sweep(args) -> int:
     cfg = ex.ExperimentConfig.from_json(args.config)
     if args.out:
         cfg.output_dir = args.out
-    records, summary, clouds = ex.run_sweep(cfg, verbose=args.verbose)
+    try:  # run_sweep validates the config first
+        records, summary, clouds = ex.run_sweep(cfg, verbose=args.verbose)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{args.config}: {exc}") from exc
     ex.emit_outputs(records, summary, clouds, cfg.output_dir)
     n_bad = sum(not r.valid for r in records)
     print(f"sweep: {len(records)} records ({n_bad} failed) -> {cfg.output_dir}")

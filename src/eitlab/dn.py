@@ -207,10 +207,8 @@ class TriMesh:
             # default: uniform spacing, loop closes with the same gap
             self.perimeter = float(la[-1] + (la[1] - la[0])) if la.size > 1 else 0.0
         if self.tri_lengths is None:
-            p = self.vertices[self.triangles]
-            self.tri_lengths = np.stack(
-                [np.linalg.norm(p[:, (i + 1) % 3] - p[:, (i + 2) % 3], axis=1)
-                 for i in range(3)], axis=1)
+            u, v = _edge_ends(self.triangles)
+            self.tri_lengths = np.linalg.norm(self.vertices[u] - self.vertices[v], axis=2)
         self._validate()
 
     def _validate(self):
@@ -238,13 +236,9 @@ class TriMesh:
     perimeter: float | None = None
 
     def min_angle_deg(self) -> float:
-        l = self.tri_lengths
-        angles = []
-        for i in range(3):
-            a, b, c = l[:, i], l[:, (i + 1) % 3], l[:, (i + 2) % 3]
-            cosang = np.clip((b ** 2 + c ** 2 - a ** 2) / (2 * b * c), -1, 1)
-            angles.append(np.arccos(cosang))
-        return float(np.degrees(np.min(angles)))
+        a, b, c = (np.roll(self.tri_lengths, -i, axis=1) for i in range(3))
+        cosang = np.clip((b ** 2 + c ** 2 - a ** 2) / (2 * b * c), -1, 1)
+        return float(np.degrees(np.min(np.arccos(cosang))))
 
     def with_conformal_factor(self, rho: np.ndarray) -> "TriMesh":
         """Metric rho * g realized by scaling edge lengths by sqrt(rho) averaged
@@ -252,13 +246,15 @@ class TriMesh:
         rho = np.asarray(rho, dtype=float)
         if np.any(rho < 1e-6):
             raise ValueError("conformal factor must be >= 1e-6")
-        t = self.triangles
-        scaled = self.tri_lengths.copy()
-        for i in range(3):
-            u, v = t[:, (i + 1) % 3], t[:, (i + 2) % 3]
-            scaled[:, i] *= np.sqrt(0.5 * (rho[u] + rho[v]))
+        u, v = _edge_ends(self.triangles)
+        scaled = self.tri_lengths * np.sqrt(0.5 * (rho[u] + rho[v]))
         return TriMesh(self.vertices, self.triangles, self.boundary_loop,
                        self.boundary_arclength, scaled, self.perimeter)
+
+
+def _edge_ends(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End vertices of the edge opposite each corner, each shaped like triangles."""
+    return triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
 
 
 def unit_disk_mesh(resolution: int) -> TriMesh:
@@ -269,13 +265,11 @@ def unit_disk_mesh(resolution: int) -> TriMesh:
     pts = [np.zeros((1, 2))]
     for ring in range(1, m + 1):
         k = 6 * ring
-        ang = 2.0 * np.pi * (np.arange(k) + 0.5 * (ring % 2)) / k
+        # odd rings turn half a step, but not the boundary ring, so that
+        # arclength starts at theta = 0
+        ang = 2.0 * np.pi * (np.arange(k) + 0.5 * (ring % 2 if ring < m else 0)) / k
         r = ring / m
         pts.append(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1))
-    # boundary ring without angular offset so arclength starts at theta=0
-    k = 6 * m
-    ang = 2.0 * np.pi * np.arange(k) / k
-    pts[-1] = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     p = np.concatenate(pts, axis=0)
     tri = Delaunay(p).simplices
     nb = 6 * m
@@ -307,11 +301,8 @@ def make_one_holed_torus_mesh(resolution: int) -> TriMesh:
     t_exit = np.minimum(tx, ty)
     square = center + t_exit[:, None] * d
 
-    rings = []
-    for layer in range(n_layers + 1):
-        tau = layer / n_layers
-        rings.append((1.0 - tau) * circ + tau * square)
-    coords = np.concatenate(rings, axis=0)
+    coords = np.concatenate([(1.0 - tau) * circ + tau * square
+                             for tau in np.arange(n_layers + 1) / n_layers])
 
     # two triangles (a, b, e) and (a, e, c) per band cell, layer by layer
     k = np.arange(nb)
@@ -335,10 +326,8 @@ def make_one_holed_torus_mesh(resolution: int) -> TriMesh:
         avg = adj @ coords / deg[:, None]
         coords[free] += 0.6 * (avg[free] - coords[free])
 
-    p = coords[tris]
-    tri_lengths = np.stack(
-        [np.linalg.norm(p[:, (i + 1) % 3] - p[:, (i + 2) % 3], axis=1) for i in range(3)],
-        axis=1)
+    u, v = _edge_ends(tris)
+    tri_lengths = np.linalg.norm(coords[u] - coords[v], axis=2)
 
     # identify square-boundary vertices: (x,0)~(x,1), (0,y)~(1,y), corners -> one.
     # Ray k leaves at angle 2 pi k / nb; with q = nb / 8, r = (k + q) mod 4q
@@ -381,8 +370,8 @@ def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray,
     # global edge-midpoint numbering: one unknown per distinct edge, keyed
     # by its sorted vertex pair (lo * nv + hi) and numbered in order of first
     # appearance
-    lo = np.minimum(t[:, [1, 2, 0]], t[:, [2, 0, 1]])
-    hi = np.maximum(t[:, [1, 2, 0]], t[:, [2, 0, 1]])
+    u, v = _edge_ends(t)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     edge_keys, first, inv = np.unique((lo * nv + hi).ravel(), return_index=True,
                                       return_inverse=True)
     by_first = np.argsort(first)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,8 @@ class ExperimentConfig:
     n_anchors: int = 8
 
     def validate(self):
+        """Raise ConfigInvalid unless the config describes a sweep; return
+        the family's DN operator as a function of s (_perturbed_dn)."""
         for f in self.__dataclass_fields__.values():
             value = getattr(self, f.name)
             if not isinstance(value, _FIELD_TYPES[f.type]):
@@ -83,14 +85,7 @@ class ExperimentConfig:
             raise ConfigInvalid("empty parameter_list")
         if any(p < 0 for p in ps):
             raise ConfigInvalid("parameters must be nonnegative")
-        if fam["kind"] == "fem_metric":
-            res = fam.get("resolution", 24)
-            if not isinstance(res, (int, float)):
-                raise ConfigInvalid(f"resolution must be a number, got {res!r}")
-            try:  # the mesh builder holds the floor
-                dnm.unit_disk_mesh(int(res))
-            except ValueError as exc:
-                raise ConfigInvalid(f"disk mesh resolution: {exc}") from exc
+        dn_at = _perturbed_dn(self)
         if list(ps) != sorted(ps, reverse=True):
             raise ConfigInvalid("parameter_list must decrease toward 0")
         for name in self.immersion.split(","):
@@ -101,9 +96,11 @@ class ExperimentConfig:
         if self.epsilon <= 0 or self.grid_resolution < _MIN_GRID_RESOLUTION:
             raise ConfigInvalid(
                 f"epsilon > 0 and grid_resolution >= {_MIN_GRID_RESOLUTION} required")
+        return dn_at
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
+        """The config in a JSON file; run_sweep validates it."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
@@ -113,11 +110,9 @@ class ExperimentConfig:
             extra = set(raw) - set(ExperimentConfig.__dataclass_fields__)
             if extra:
                 raise ConfigInvalid(f"unknown config keys: {sorted(extra)}")
-            cfg = ExperimentConfig(**raw)
-            cfg.validate()
+            return ExperimentConfig(**raw)
         except (TypeError, ConfigInvalid) as exc:
             raise ConfigInvalid(f"{path}: {exc}") from exc
-        return cfg
 
 
 @dataclass
@@ -138,9 +133,10 @@ class SweepRecord:
     valid: bool = True
     failure: str = ""
 
-    CSV_FIELDS = ("s", "t", "t_alt", "lemma1_ratio", "d_h_interior", "d_h_full",
-                  "near_boundary_sup", "kappa", "kappa_prime",
-                  "immersion_margin", "valid", "failure")
+
+# sweep.csv's columns: every field but the wall time, which goes to timings.csv
+SweepRecord.CSV_FIELDS = tuple(f.name for f in fields(SweepRecord)
+                               if f.name != "wall_time")
 
 
 def immersion_from_recipe(recipe: str, n_modes: int) -> TraceTuple:
@@ -148,38 +144,41 @@ def immersion_from_recipe(recipe: str, n_modes: int) -> TraceTuple:
 
     run_sweep completes their real parts under the family's s = 0 operator.
     """
-    th = np.arange(n_modes) * (2.0 * np.pi / n_modes)
-    w = np.exp(1j * th)
-    traces = []
-    for name in recipe.split(","):
-        fn = _RECIPES[name.strip()]
-        traces.append(bc.from_samples(fn(w), 2.0 * np.pi))
-    return TraceTuple(tuple(traces))
+    w = np.exp(1j * (np.arange(n_modes) * (2.0 * np.pi / n_modes)))
+    return TraceTuple(bc.from_samples(_RECIPES[name.strip()](w), 2.0 * np.pi)
+                      for name in recipe.split(","))
 
 
-def _perturbed_dn(cfg: ExperimentConfig, s: float):
+def _perturbed_dn(cfg: ExperimentConfig):
+    """The family's DN operator as a function of the parameter s.
+
+    fem_metric scales the edges of one disk mesh, built here, by
+    1 + s bump sin(2 angle), bump = 1 - |midpoint| clipped to [0, 1]: an
+    interior metric, identity on the boundary, that moves the conformal class.
+    """
     fam = cfg.perturbation_family
     if fam["kind"] == "conformal_polynomial":
-        if s == 0.0:
-            return dnm.dn_disk(cfg.n_modes)
-        dom = dnm.ConformalDomain((s,))
-        return dnm.dn_conformal(dom, cfg.n_modes)
-    # fem_metric: anisotropic interior edge scaling of the disk mesh,
-    # identity on the boundary, so the conformal class actually moves
-    res = int(fam.get("resolution", 24))
-    mesh = dnm.unit_disk_mesh(res)
-    verts, tris, tl = mesh.vertices, mesh.triangles, mesh.tri_lengths.copy()
-    for i in range(3):
-        u = verts[tris[:, (i + 1) % 3]]
-        v = verts[tris[:, (i + 2) % 3]]
-        mid = 0.5 * (u + v)
-        d = v - u
-        ang = np.arctan2(d[:, 1], d[:, 0])
-        bump = np.clip(1.0 - np.linalg.norm(mid, axis=1), 0.0, 1.0)
-        tl[:, i] *= 1.0 + s * bump * np.sin(2.0 * ang)
-    pert = dnm.TriMesh(verts, tris, mesh.boundary_loop,
-                       mesh.boundary_arclength, tl)
-    return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
+        return lambda s: (dnm.dn_disk(cfg.n_modes) if s == 0.0 else
+                          dnm.dn_conformal(dnm.ConformalDomain((s,)), cfg.n_modes))
+    res = fam.get("resolution", 24)
+    if not isinstance(res, (int, float)):
+        raise ConfigInvalid(f"resolution must be a number, got {res!r}")
+    try:  # the mesh builder holds the floor
+        mesh = dnm.unit_disk_mesh(int(res))
+    except ValueError as exc:
+        raise ConfigInvalid(f"disk mesh resolution: {exc}") from exc
+    u, v = (mesh.vertices[i] for i in dnm._edge_ends(mesh.triangles))
+    bump = np.clip(1.0 - np.linalg.norm(0.5 * (u + v), axis=2), 0.0, 1.0)
+    d = v - u
+    sin2 = np.sin(2.0 * np.arctan2(d[..., 1], d[..., 0]))
+
+    def dn_at(s: float):
+        pert = dnm.TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop,
+                           mesh.boundary_arclength,
+                           mesh.tri_lengths * (1.0 + s * bump * sin2))
+        return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
+
+    return dn_at
 
 
 def _lemma1_references(lam, proj) -> tuple[TraceTuple, np.ndarray]:
@@ -194,7 +193,7 @@ def _lemma1_references(lam, proj) -> tuple[TraceTuple, np.ndarray]:
                               for m in range(1, min(hm._MAX_BAND, n // 2 - 1) + 1)
                               for f in (np.cos, np.sin)))
     refs = hm.transport_immersion(probes, lam, proj)
-    return refs, np.array([bc.sobolev_norm(eta, 3) for eta in refs.traces])
+    return refs, bc._sobolev_norms(refs.coeffs, refs.length, 3)
 
 
 def _lemma1_ratio(refs: TraceTuple, h3: np.ndarray, lam_p, proj_p, t: float) -> float:
@@ -202,8 +201,8 @@ def _lemma1_ratio(refs: TraceTuple, h3: np.ndarray, lam_p, proj_p, t: float) -> 
     if t <= 0:
         return np.nan
     moved = hm.transport_immersion(refs, lam_p, proj_p)
-    diff = np.stack([a.coeffs - b.coeffs for a, b in zip(moved.traces, refs.traces)], axis=1)
-    return float(np.max(bc._ck_norms(diff, moved.length, 2) / (t * h3)))
+    return float(np.max(bc._ck_norms(moved.coeffs - refs.coeffs, moved.length, 2)
+                        / (t * h3)))
 
 
 def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
@@ -215,11 +214,11 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
     interior point) raises instead, since no record can be measured
     against it.
     """
-    cfg.validate()
+    dn_at = cfg.validate()
     n = cfg.n_modes
     # the family at s = 0 on the same discretization, so that t measures
     # the perturbation and not the discretization error
-    lam = _perturbed_dn(cfg, 0.0)
+    lam = dn_at(0.0)
     kappa_ref = hm.estimate_kappa(lam)
     proj = hm.build_projections(lam, kappa_ref)
     # the reference tuple is the recipe completed under lam, the same
@@ -243,7 +242,7 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
         rec = SweepRecord(s=float(s))
         t0 = time.perf_counter()
         try:
-            lam_p = _perturbed_dn(cfg, float(s))
+            lam_p = dn_at(float(s))
             rec.t = hm.dn_distance(lam, lam_p)
             rec.t_alt = bc.operator_norm(lam_p - lam, 3, 2)
             rec.kappa = kappa_ref
@@ -293,24 +292,22 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 def _summarize(records, fill_ref: float, kappa_ref: int) -> dict:
     ok = [r for r in records if r.valid]
-    t = np.array([r.t for r in ok])
+    t, dh_interior, dh_full, nb_sup, ratio, margin = (
+        np.array([getattr(r, name) for r in ok], dtype=float) for name in
+        ("t", "d_h_interior", "d_h_full", "near_boundary_sup", "lemma1_ratio",
+         "immersion_margin"))
     return {
         "kappa": int(kappa_ref),
         "fill_distance_ref": fill_ref,
         "n_records": len(records),
         "n_valid": len(ok),
-        "slope_dh_interior_vs_t": _loglog_slope(
-            t, np.array([r.d_h_interior for r in ok])),
-        "slope_dh_full_vs_t": _loglog_slope(
-            t, np.array([r.d_h_full for r in ok])),
-        "slope_nb_sup_vs_t": _loglog_slope(
-            t, np.array([r.near_boundary_sup for r in ok])),
-        "lemma1_ratio_min": float(np.nanmin([r.lemma1_ratio for r in ok]))
-        if ok else np.nan,
-        "lemma1_ratio_max": float(np.nanmax([r.lemma1_ratio for r in ok]))
-        if ok else np.nan,
-        "immersion_margin_min": float(np.nanmin([r.immersion_margin for r in ok]))
-        if ok else np.nan,
+        "slope_dh_interior_vs_t": _loglog_slope(t, dh_interior),
+        "slope_dh_full_vs_t": _loglog_slope(t, dh_full),
+        "slope_nb_sup_vs_t": _loglog_slope(t, nb_sup),
+        # nanmin and nanmax of an empty column raise
+        "lemma1_ratio_min": float(np.nanmin(ratio)) if ok else np.nan,
+        "lemma1_ratio_max": float(np.nanmax(ratio)) if ok else np.nan,
+        "immersion_margin_min": float(np.nanmin(margin)) if ok else np.nan,
     }
 
 
@@ -367,10 +364,8 @@ def emit_outputs(records, summary, clouds, output_dir: str):
     tables; timings go to timings.csv instead.  The records of one sweep
     share one reference cloud, written once as clouds/ref.csv.
     """
-    os.makedirs(output_dir, exist_ok=True)
-    os.makedirs(os.path.join(output_dir, "clouds"), exist_ok=True)
-    os.makedirs(os.path.join(output_dir, "plotdata"), exist_ok=True)
-    os.makedirs(os.path.join(output_dir, "plots"), exist_ok=True)
+    for sub in ("clouds", "plotdata", "plots"):
+        os.makedirs(os.path.join(output_dir, sub), exist_ok=True)
 
     with open(_fresh(os.path.join(output_dir, "sweep.csv")), "w") as fh:
         fh.write(",".join(SweepRecord.CSV_FIELDS) + "\n")

@@ -9,9 +9,11 @@ sees only the interior periods, not the fluxes through the boundary
 circles (the annulus gives 0 where ``1 - chi = 1``).  The transport map
 sends traces of the reference surface to traces of a perturbed surface by
 projecting the real part and completing with the perturbed Hilbert
-transform.  One routine completes a block of traces as the columns of one
-(N, m) coefficient array and certifies each column on its own, so a
-single trace is the block with one column.
+transform.  A trace tuple is one (N, n) coefficient block, one column per
+trace, and one length: its traces share one grid, and a tuple built from
+traces on different grids raises ValueError.  One routine completes a
+block as one coefficient array and certifies each column on its own, so a
+single trace is the block with one column and a tuple is its own block.
 
 J is the multiplier of boundary.integrate_J: products with it scale the
 columns (Lambda J) or rows (J Lambda) of Lambda's Fourier-basis matrix, and
@@ -31,6 +33,7 @@ P u = u - B (B^H u), with no sample or FFT taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,37 +56,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TraceTuple:
-    """Boundary traces (eta_1, ..., eta_n) of a holomorphic immersion."""
+    """Boundary traces (eta_1, ..., eta_n) of a holomorphic immersion, on one grid.
 
-    traces: tuple
+    One (N, n) block of coefficient columns and one length L, built from
+    BoundaryFunctions that share N and L (ValueError otherwise).  e[k] is
+    trace k, a view of its column.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
-        if not self.traces:
-            raise ValueError("a trace tuple needs at least one trace")
+    coeffs: np.ndarray
+    length: float
+
+    def __init__(self, traces):
+        traces = tuple(traces)
+        grids = sorted({(eta.n_modes, eta.length) for eta in traces})
+        if len(grids) != 1:
+            raise ValueError(f"a trace tuple needs traces on one grid, got (N, L) in {grids}")
+        vars(self).update(coeffs=np.stack([eta.coeffs for eta in traces], axis=1),
+                          length=traces[0].length)
+
+    @classmethod
+    def _from_block(cls, c: np.ndarray, length: float) -> "TraceTuple":
+        e = object.__new__(cls)
+        vars(e).update(coeffs=c, length=length)
+        return e
+
+    @cached_property
+    def traces(self) -> tuple:
+        return tuple(BoundaryFunction(c, self.length) for c in self.coeffs.T)
 
     def __len__(self):
-        return len(self.traces)
+        return self.coeffs.shape[1]
 
     def __getitem__(self, k) -> BoundaryFunction:
         return self.traces[k]
 
     @property
-    def length(self) -> float:
-        return self.traces[0].length
-
-    @property
     def n_modes(self) -> int:
-        return self.traces[0].n_modes
+        return self.coeffs.shape[0]
 
     def to_json(self) -> dict:
         return {"traces": [t.to_json() for t in self.traces]}
 
     @staticmethod
     def from_json(d: dict) -> "TraceTuple":
-        return TraceTuple(tuple(BoundaryFunction.from_json(t) for t in d["traces"]))
+        return TraceTuple(BoundaryFunction.from_json(t) for t in d["traces"])
 
 
 @dataclass(frozen=True)
@@ -130,11 +148,10 @@ def resolved_band(lam: BoundaryOperator) -> int:
     resolved band the eigenvalues of Lambda J have magnitude close to 1.
     """
     mag = np.abs(np.diag(lam.coeffs) * bc._integration_symbol(lam.n_modes, lam.length))
-    m_max = 0
-    for m in range(1, mag.size // 2):
-        if min(mag[m], mag[-m]) < _BAND_FLOOR:
-            break
-        m_max = m
+    half = mag.size // 2
+    # modes 1 .. N/2 - 1, each with its negative
+    low = np.minimum(mag[1:half], mag[-1:-half:-1]) < _BAND_FLOOR
+    m_max = int(np.argmax(low)) if low.any() else low.size
     if m_max == 0:
         raise NoSpectralGap("operator resolves no boundary modes")
     return m_max
@@ -327,15 +344,13 @@ def transport_immersion(e: TraceTuple, lam_prime: BoundaryOperator,
                         proj_prime: ProjectionPair) -> TraceTuple:
     """Each trace's real part projected by P' and completed under Lambda'.
 
-    The traces go through one completion as the columns of one coefficient
-    block, each keeping its integral of Im eta and certified on its own.
+    The tuple's coefficient block goes through one completion, each column
+    keeping its integral of Im eta and certified on its own.
     """
-    for eta in e.traces:
-        bc._check_same_grid(lam_prime, eta)
-    c = np.stack([eta.coeffs for eta in e.traces], axis=1)
-    eta_p = _complete(bc._real_part(c), e.length * c[0].imag, lam_prime,
-                      proj_prime, None)
-    return TraceTuple(tuple(BoundaryFunction(col, lam_prime.length) for col in eta_p.T))
+    bc._check_same_grid(lam_prime, e)
+    eta_p = _complete(bc._real_part(e.coeffs), e.length * e.coeffs[0].imag,
+                      lam_prime, proj_prime, None)
+    return TraceTuple._from_block(eta_p, lam_prime.length)
 
 
 def dn_distance(lam: BoundaryOperator, lam_prime: BoundaryOperator) -> float:

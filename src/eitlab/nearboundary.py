@@ -99,11 +99,9 @@ def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0) -> Boun
     # grow symmetrically on the oversampled grid
     ratio_p = (deta[1:n_fine // 2] / scale).real
     ratio_m = (deta[:n_fine // 2:-1] / scale).real
-    ok_p = (ratio_p >= _C0) & (ratio_p <= 1.0 / _C0)
-    ok_m = (ratio_m >= _C0) & (ratio_m <= 1.0 / _C0)
-    kp = int(np.argmin(ok_p)) if not ok_p.all() else ok_p.size
-    km = int(np.argmin(ok_m)) if not ok_m.all() else ok_m.size
-    k = min(kp, km)
+    ok = ((ratio_p >= _C0) & (ratio_p <= 1.0 / _C0)
+          & (ratio_m >= _C0) & (ratio_m <= 1.0 / _C0))
+    k = int(np.argmin(ok)) if not ok.all() else ok.size
     if k * h < 4.0 * length / n:
         raise WindowCollapse(f"window {k * h:.3e} below 4 grid steps")
 
@@ -127,7 +125,7 @@ def unrectify(chart: BoundaryChart, s: np.ndarray | float,
 
 def _coordinate_at(e: TraceTuple, j: int, zs: np.ndarray) -> np.ndarray:
     """Image points above the targets zs in chart j, one row of n coordinates each."""
-    return ap._cauchy_many(e.traces, e[j], zs, compensated=True)[0].T
+    return ap._cauchy_many(e, e[j], zs, compensated=True)[0].T
 
 
 def pair_points(charts: Sequence[BoundaryChart], charts_p: Sequence[BoundaryChart],
@@ -183,7 +181,8 @@ class ReferenceCharts:
 def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
     """Build and probe the reference charts of every index at each anchor."""
     anchors = np.arange(n_anchors) * e.length / n_anchors
-    derivs = np.abs([bc.derivative_gamma(eta).eval_at(anchors) for eta in e.traces])
+    d_coeffs = bc._derivative_symbol(e.n_modes, e.length)[:, None] * e.coeffs
+    derivs = np.abs(bc._phase_kernel(e.n_modes, e.length, anchors) @ d_coeffs).T
     charts = []
     for i, a in enumerate(anchors.tolist()):
         admitted = []

@@ -103,15 +103,58 @@ class TestStackedNumerators:
     def test_rows_equal_single_numerator_calls(self, e_pair, squared):
         # targets at several contour distances, hence several node counts
         zs = np.array([0.0, 0.3 + 0.2j, 0.9, 0.97j, -0.99, 2.0 + 0.5j])
+        # the constant 1's row is the compensated rule's winding row; the
+        # target outside divides by its zero winding sum
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, winding = ap._cauchy_many(e_pair, e_pair[0], zs, squared=squared,
+                                         compensated=True)
+        rows = np.vstack([winding, ap._cauchy_many(e_pair, e_pair[0], zs, squared=squared)])
         nums = (None, e_pair[0], e_pair[1])
-        rows = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
         assert rows.shape == (len(nums), zs.size)
         assert len(set(node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs),
-                                 squared)[0])) > 2
+                                 squared))) > 2
         for row, eta_k in zip(rows, nums):
             single = ap._cauchy_many(eta_k, e_pair[0], zs, squared=squared)
             assert single.shape == (zs.size,)
             assert np.array_equal(row, single)
+
+    @pytest.mark.parametrize("n_traces", [1, 2, 4])
+    def test_one_inverse_fft_of_the_numerators_per_count(self, monkeypatch, n_traces):
+        # each pass transforms the contour, its derivative and the numerator
+        # block once: three inverse FFTs, whatever the number of numerators
+        e = TraceTuple(tuple(trace(lambda z, p=p: z ** p) for p in range(1, n_traces + 1)))
+        zs = np.array([0.0, 0.3 + 0.2j, 0.9, 0.97j, -0.99])
+        counts = set(node_plan(e[0], ap.contour_distance(e[0], zs)).tolist())
+        ifft, real_raw = np.fft.ifft, ap._cauchy_raw
+        transforms, passes = [], []
+
+        def counting_ifft(*args, **kwargs):
+            transforms.append(1)
+            return ifft(*args, **kwargs)
+
+        def counting_raw(*args):
+            before = len(transforms)
+            out = real_raw(*args)
+            passes.append(len(transforms) - before)
+            return out
+
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        monkeypatch.setattr(ap, "_cauchy_raw", counting_raw)
+        got, _ = ap._cauchy_many(e, e[0], zs, compensated=True)
+        assert len(passes) == len(counts) > 2
+        assert passes == [3] * len(counts)
+        for p, row in enumerate(got, 1):
+            assert np.abs(row - zs ** p).max() <= 1e-12
+
+    def test_arclength_only_on_the_plain_path(self, e_pair, monkeypatch):
+        # the exclusion band is read by the plain rule alone
+        calls, real = [], ap._z_arclength
+        monkeypatch.setattr(ap, "_z_arclength", lambda eta: calls.append(eta) or real(eta))
+        zs = np.array([0.0, 0.3 + 0.2j])
+        ap._cauchy_many(e_pair, e_pair[0], zs, compensated=True)
+        assert calls == []
+        ap._cauchy_many(e_pair, e_pair[0], zs)
+        assert len(calls) == 1
 
 
 def on_ladder(n):
@@ -157,8 +200,8 @@ class TestNodeLadder:
         with monkeypatch.context() as m:
             m.setattr(ap, "_round_up_nodes",
                       lambda c: np.minimum(c, ap._MAX_NODES).astype(int))
-            raw = node_plan(e_pair[0], dists)[0]
-        counts = node_plan(e_pair[0], dists)[0]
+            raw = node_plan(e_pair[0], dists)
+        counts = node_plan(e_pair[0], dists)
         passes = []
         real_raw = ap._cauchy_raw
 
@@ -167,7 +210,7 @@ class TestNodeLadder:
             return real_raw(*args)
 
         monkeypatch.setattr(ap, "_cauchy_raw", counting_raw)
-        got, _ = ap._cauchy_many(e_pair.traces, e_pair[0], zs, compensated=True)
+        got, _ = ap._cauchy_many(e_pair, e_pair[0], zs, compensated=True)
         assert np.abs(got[0] - zs).max() <= 1e-12
         assert sorted(passes) == sorted(set(counts.tolist()))
         assert all(on_ladder(n) and n <= ap._MAX_NODES for n in passes)
@@ -197,11 +240,11 @@ class TestCompensatedCauchy:
         for d in (1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9):
             w0 = (1.0 - d) * np.exp(1j * np.array([0.0, 0.4, 1.3, 2.9, -2.0]))
             z = f(w0)
-            got, _ = ap._cauchy_many(e.traces, e[0], z, compensated=True)
+            got, _ = ap._cauchy_many(e, e[0], z, compensated=True)
             assert np.abs(got[0] - z).max() <= 1e-12
             assert np.abs(got[1] - w0 ** 2).max() <= 1e-12
             try:
-                ap._cauchy_many(e.traces, e[0], z)
+                ap._cauchy_many(e, e[0], z)
             except TooCloseToContour:
                 refused += 1
         assert refused >= 3  # the plain rule refuses the closest targets
@@ -228,7 +271,7 @@ class TestKernelWorkingSet:
         # every target still gets the count of its exact distance
         rng = np.random.default_rng(7)
         zs = (1.0 - np.geomspace(1.0, 1e-3, 300)) * np.exp(2j * np.pi * rng.random(300))
-        want = node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs), squared)[0]
+        want = node_plan(e_pair[0], ap.contour_distance(e_pair[0], zs), squared)
         floor = e_pair.n_modes * (2 if squared else 1)
         assert np.any(want == floor) and np.any(want > floor)
         plans = []
@@ -242,9 +285,9 @@ class TestKernelWorkingSet:
         with pytest.raises(TooCloseToContour):  # the plain rule refuses the closest
             ap._cauchy_many(None, e_pair[0], zs, squared=squared)
         if not squared:  # the compensated rule takes them all
-            ap._cauchy_many(e_pair.traces, e_pair[0], zs, compensated=True)
+            ap._cauchy_many(e_pair, e_pair[0], zs, compensated=True)
         assert plans
-        for counts, _ in plans:
+        for counts in plans:
             assert np.array_equal(counts, want)
 
     @pytest.mark.parametrize("squared", [False, True])
@@ -255,11 +298,15 @@ class TestKernelWorkingSet:
         # BLAS's dot kernel, not gemv, which sums the nodes in another order:
         # its rows differ by up to 8.4 eps of their largest value
         zs = ap.classify(e_pair[0], 48, 0.1).points_with_winding(1)
-        nums = (None, e_pair[0], e_pair[1])
-        tiled = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
+
+        def sums():  # the row-sums, then one row per numerator
+            return np.vstack([ap._cauchy_many(None, e_pair[0], zs, squared=squared),
+                              ap._cauchy_many(e_pair, e_pair[0], zs, squared=squared)])
+
+        tiled = sums()
         with monkeypatch.context() as m:
             m.setattr(bc, "_EVAL_BLOCK", block)
-            other = ap._cauchy_many(nums, e_pair[0], zs, squared=squared)
+            other = sums()
         if block > 1:
             assert np.array_equal(tiled, other)
         else:
@@ -274,7 +321,7 @@ class TestKernelWorkingSet:
         # difference it was built from took 13.8 MB
         zs = ap.classify(e_pair[0], 160, 0.2).points_with_winding(1)
         assert zs.size == 6472
-        peak = traced_peak(lambda: ap._cauchy_many(e_pair.traces, e_pair[0], zs,
+        peak = traced_peak(lambda: ap._cauchy_many(e_pair, e_pair[0], zs,
                                                    compensated=True))
         assert peak <= 4.0
 
@@ -389,6 +436,31 @@ class TestReconstruct:
         # every interior point equals its source lattice target
         src = cloud.source_z[np.array(cloud.tags) == "interior"]
         assert np.abs(interior[:, 0] - src).max() < 1e-10
+
+    def test_samples_the_tuple_at_4n_once(self, e_pair, monkeypatch):
+        # one block sample gives the boundary points and the chart
+        # diameters; the Cauchy passes sample their own node counts
+        samples, real_raw = [], ap._cauchy_raw
+        inside = []
+        real_samples = bc._samples
+
+        def recording(c, m, *args):
+            if not inside:
+                samples.append((c.shape[1], m))
+            return real_samples(c, m, *args)
+
+        def marked_raw(*args):
+            inside.append(1)
+            try:
+                return real_raw(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(bc, "_samples", recording)
+        monkeypatch.setattr(ap, "_cauchy_raw", marked_raw)
+        cloud = ap.reconstruct(e_pair, eps=0.2, grid_resolution=24)
+        assert cloud.interior_points().shape[0] > 0
+        assert [m for cols, m in samples if cols == len(e_pair)] == [4 * e_pair.n_modes]
 
     def test_pair_matches_graph_of_square(self, e_pair):
         cloud = ap.reconstruct(e_pair, eps=0.2, grid_resolution=24)

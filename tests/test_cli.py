@@ -47,6 +47,13 @@ def traces_json() -> str:
     return json.dumps(TraceTuple((bc.from_samples(np.exp(1j * th), 2 * np.pi),)).to_json())
 
 
+def mixed_traces_json(n: int, length: float) -> str:
+    """exp(i theta) on 64 nodes beside exp(2 i theta) on n nodes, of length `length`."""
+    traces = [bc.from_samples(np.exp(1j * k * np.arange(m) * (2 * np.pi / m)), l).to_json()
+              for k, m, l in ((1, 64, 2 * np.pi), (2, n, length))]
+    return json.dumps({"traces": traces})
+
+
 def write_config(tmp_path, out_dir):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**SWEEP_CONFIG, "output_dir": str(out_dir)}))
@@ -246,6 +253,9 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
     (["kappa", "--dn", "IN"], json.dumps({"n": 8, "length": 6.28}), "IN"),
     (RECONSTRUCT, json.dumps({"trace": []}), "IN"),
     (RECONSTRUCT, json.dumps({"traces": []}), "IN"),
+    # a trace tuple's traces share one grid
+    (RECONSTRUCT, mixed_traces_json(32, 2 * np.pi), "IN"),
+    (RECONSTRUCT, mixed_traces_json(64, 3.0), "IN"),
     (["sweep", "--config", "IN", "--out", "OUT"],
      json.dumps({**SWEEP_CONFIG, "n_modes": "abc"}), "IN"),
     (["dn", "--surface", "conformal:abc", "--out", "OUT"], None, "'conformal:abc'"),
@@ -269,6 +279,7 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
     (RECONSTRUCT + ["--grid-resolution", "7"], traces_json(), "--grid-resolution"),
 ], ids=["cloud_non_numeric", "cloud_short_row", "cloud_empty_file",
         "cloud_tag_off_chart", "dn_no_matrix", "no_traces", "empty_traces",
+        "traces_mixed_n", "traces_mixed_l",
         "sweep_n_modes_str",
         "conformal_non_numeric", "dn_odd_n", "dn_nan", "dn_negative_length",
         "epsilon_negative", "epsilon_zero",

@@ -253,7 +253,7 @@ class TestFemDN:
             {"kind": "disk"},
             {"kind": "fem_metric", "resolution": 16, "parameter_list": [0.05]},
             "z", n_modes=32)
-        moved, disc = self._moved_and_disc(ex._perturbed_dn(cfg, 0.05))
+        moved, disc = self._moved_and_disc(ex._perturbed_dn(cfg)(0.05))
         assert moved > 2.0 * disc
 
     @pytest.mark.parametrize("n_modes", [32, 128])

@@ -202,7 +202,7 @@ class TestRunSweep:
         torus = dnm.dn_fem(mesh, n_modes=cfg.n_modes, rescale_to=2 * np.pi)
         # the s = 0 reference stays the disk; every perturbed operator is the torus
         monkeypatch.setattr(ex, "_perturbed_dn",
-                            lambda c, s: torus if s else dnm.dn_disk(c.n_modes))
+                            lambda c: lambda s: torus if s else dnm.dn_disk(c.n_modes))
         records, summary, _ = ex.run_sweep(cfg)
         assert not records[0].valid
         assert "kappa" in records[0].failure
@@ -352,8 +352,8 @@ class TestFemFamily:
                          n_modes=32,
                          perturbation_family={"kind": "fem_metric",
                                               "parameter_list": [0.0],
-                                              "resolution": 16}), 0.0)
-        lam = ex._perturbed_dn(cfg, 0.3)
+                                              "resolution": 16}))(0.0)
+        lam = ex._perturbed_dn(cfg)(0.3)
         diff = np.abs(lam.matrix - lam0.matrix).max()
         assert diff > 1e-4
 
@@ -385,6 +385,42 @@ class TestFemFamily:
         records, summary, _ = ex.run_sweep(cfg)
         assert [r.failure for r in records] == [""] * 4
         assert summary["n_valid"] == 4 and summary["kappa"] == 0
+
+    def test_one_mesh_and_one_validation_per_sweep(self, tmp_path, monkeypatch):
+        # eitlab sweep validates its config once, and the family builds its
+        # disk mesh once for the s = 0 reference and all four records
+        builds, validations = [], []
+        build, validate = dnm.unit_disk_mesh, ex.ExperimentConfig.validate
+        monkeypatch.setattr(dnm, "unit_disk_mesh", lambda res: builds.append(res) or build(res))
+        monkeypatch.setattr(ex.ExperimentConfig, "validate",
+                            lambda cfg: validations.append(cfg) or validate(cfg))
+        cfg = small_config(tmp_path, perturbation_family={
+            "kind": "fem_metric", "parameter_list": [0.08, 0.04, 0.02, 0.01],
+            "resolution": 8})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: getattr(cfg, k)
+                                    for k in ex.ExperimentConfig.__dataclass_fields__}))
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_OK
+        assert builds == [8] and len(validations) == 1
+        # without a resolution the family builds the default mesh
+        builds.clear()
+        ex._perturbed_dn(small_config(tmp_path, perturbation_family={
+            "kind": "fem_metric", "parameter_list": [0.08]}))
+        assert builds == [24]
+
+    def test_resolution_floor_in_run_sweep_and_cli(self, tmp_path, capsys):
+        # a config built in code is refused by run_sweep, a file by the CLI,
+        # which names it, before anything is written
+        cfg = small_config(tmp_path, perturbation_family={
+            "kind": "fem_metric", "parameter_list": [0.08], "resolution": 0})
+        with pytest.raises(ConfigInvalid, match="disk mesh resolution: resolution must be >= 1"):
+            ex.run_sweep(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: getattr(cfg, k)
+                                    for k in ex.ExperimentConfig.__dataclass_fields__}))
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"{path}: disk mesh resolution" in capsys.readouterr().err
+        assert not os.path.exists(cfg.output_dir)
 
     def test_resolution_floor(self, tmp_path):
         # a resolution must be a number that the disk mesh builder accepts

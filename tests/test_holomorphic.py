@@ -1,5 +1,7 @@
 """Trace completion, topology detection, projections and transport."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -424,3 +426,29 @@ class TestSerialization:
         e = hm.TraceTuple((bc.from_samples(np.exp(1j * th), TWO_PI),))
         e2 = hm.TraceTuple.from_json(e.to_json())
         assert np.allclose(e2[0].values(), e[0].values())
+
+
+class TestTraceTuple:
+    def test_one_coefficient_block(self):
+        th = grid(64)
+        traces = (bc.from_samples(np.exp(1j * th), TWO_PI),
+                  bc.from_samples(np.exp(2j * th), TWO_PI),
+                  bc.from_samples(np.cos(th) + 0j, TWO_PI))
+        e = hm.TraceTuple(traces)
+        assert e.coeffs.shape == (64, 3) and e.length == TWO_PI and len(e) == 3
+        for k, eta in enumerate(traces):
+            assert np.array_equal(e[k].coeffs, eta.coeffs) and e[k].length == TWO_PI
+            assert e[k] is e.traces[k]
+        # the JSON format is the list of the traces' own records
+        assert json.dumps(e.to_json()) == json.dumps(
+            {"traces": [eta.to_json() for eta in traces]})
+
+    @pytest.mark.parametrize("n, length", [(32, TWO_PI), (64, 3.0)],
+                             ids=["mixed_n", "mixed_l"])
+    def test_traces_on_different_grids_raise(self, n, length):
+        first = bc.from_samples(np.exp(1j * grid(64)), TWO_PI)
+        other = bc.from_samples(np.exp(1j * grid(n)), length)
+        with pytest.raises(ValueError, match="traces on one grid"):
+            hm.TraceTuple((first, other))
+        with pytest.raises(ValueError, match="traces on one grid"):
+            hm.TraceTuple.from_json({"traces": [first.to_json(), other.to_json()]})
