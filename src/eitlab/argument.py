@@ -145,21 +145,18 @@ def _z_arclength(eta_j: BoundaryFunction) -> float:
     return float(np.mean(np.abs(d)) * eta_j.length)
 
 
-def _cauchy_raw(nums: np.ndarray | None, ones: bool, eta_j: BoundaryFunction,
-                d_eta_j: BoundaryFunction, zs: np.ndarray, squared: bool,
-                n_nodes: int) -> np.ndarray:
+def _cauchy_raw(block: np.ndarray, ones: bool, length: float, zs: np.ndarray,
+                squared: bool, n_nodes: int) -> np.ndarray:
     """Trapezoidal sums (h / 2 pi i) sum eta_k d_gamma(eta_j) / (eta_j - z)^p.
 
-    nums, the (N, m) block of the numerators eta_k (or None), is sampled by
-    one inverse FFT and gives one row each; ones adds a last row, the
-    constant 1's row-sum.  d_eta_j is d_gamma(eta_j).  The kernel
-    d_eta_j / (eta_j - z)^p is built in tiles of target rows, at most
+    block holds the coefficient columns [eta_j | d_gamma eta_j | eta_k ...]
+    and is sampled by one inverse FFT; each numerator eta_k gives one row,
+    and ones adds a last row, the constant 1's row-sum.  The kernel
+    d_gamma eta_j / (eta_j - z)^p is built in tiles of target rows, at most
     _EVAL_BLOCK entries each, and each tile takes one matrix-vector product
     per numerator before the next is built.
     """
-    ej = eta_j.values(n_nodes)
-    dj = d_eta_j.values(n_nodes)
-    vals = () if nums is None else bc._samples(nums, n_nodes)
+    ej, dj, *vals = bc._samples(block, n_nodes)
     out = np.empty((len(vals) + ones, zs.size), dtype=complex)
     step = max(1, bc._EVAL_BLOCK // n_nodes)
     tile = np.empty((min(step, zs.size), n_nodes), dtype=complex)  # one for all tiles
@@ -173,7 +170,7 @@ def _cauchy_raw(nums: np.ndarray | None, ones: bool, eta_j: BoundaryFunction,
             out[row, i:i + step] = kern @ v
         if ones:
             out[-1, i:i + step] = kern.sum(axis=1)
-    out *= eta_j.length / n_nodes / (2j * np.pi)
+    out *= length / n_nodes / (2j * np.pi)
     return out
 
 
@@ -184,13 +181,14 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
 
     eta_k is one numerator (None for the constant 1), giving one value per
     target, or a trace tuple, giving one row per trace; all rows share
-    the contour samples, the distances and the node plan.  The targets are
-    summed in one pass per distinct rounded node count (_node_plan), so the
-    contour, its derivative and the numerators are sampled a few times per
-    call, not once per target.  The nearest-sample search stops where the
-    count reaches its floor N: a target farther out takes N nodes whatever
-    its distance.  The plain rule refuses a target closer to the contour
-    than 4 * arclength / count of its count (TooCloseToContour).
+    the contour samples, the distances and the node plan, and a numerator
+    shares the contour's grid (DimensionMismatch otherwise).  The targets
+    are summed in one pass per distinct rounded node count (_node_plan);
+    each pass samples the contour, its derivative and the numerators as one
+    coefficient block, by one inverse FFT.  The nearest-sample search stops
+    where the count reaches its floor N: a target farther out takes N nodes
+    whatever its distance.  The plain rule refuses a target closer to the
+    contour than 4 * arclength / count of its count (TooCloseToContour).
 
     compensated=True is the rule for image coordinates of targets enclosed
     once: each row is divided by the winding row of the same node plan
@@ -201,8 +199,12 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
     vanishing sums, which only that row reveals.
     """
     single = not isinstance(eta_k, TraceTuple)
-    # the numerators' coefficient block, (N, 1) for one trace
-    nums = None if eta_k is None else eta_k.coeffs.reshape(eta_k.n_modes, -1)
+    # [eta_j | d_gamma eta_j | eta_k], one column per numerator trace
+    cols = [eta_j.coeffs, bc.derivative_gamma(eta_j).coeffs]
+    if eta_k is not None:
+        bc._check_same_grid(eta_k, eta_j)
+        cols.append(eta_k.coeffs)
+    block = np.column_stack(cols)
     ones = eta_k is None or compensated
     zs = np.asarray(zs, dtype=complex)
     samples = _contour_samples(eta_j)
@@ -210,7 +212,7 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
     # a target past c_q / N takes N nodes; the search stops a little farther
     # out, so that rounding cannot move a count
     dists = _sample_distances(samples, zs, c_q / (eta_j.n_modes - 1))
-    out = np.empty(((0 if nums is None else nums.shape[1]) + ones, zs.size), dtype=complex)
+    out = np.empty((block.shape[1] - 2 + ones, zs.size), dtype=complex)
     counts = _node_plan(eta_j, c_q, dists, squared)
     if not compensated:
         eps_min = 4.0 * _z_arclength(eta_j) / counts
@@ -218,10 +220,9 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
             bad = int(np.argmax(dists < eps_min))
             raise TooCloseToContour(
                 f"target {zs[bad]} at distance {dists[bad]:.3e} < {eps_min[bad]:.3e}")
-    d_eta_j = bc.derivative_gamma(eta_j)
     for n in np.unique(counts):
         sel = counts == n
-        out[:, sel] = _cauchy_raw(nums, ones, eta_j, d_eta_j, zs[sel], squared, int(n))
+        out[:, sel] = _cauchy_raw(block, ones, eta_j.length, zs[sel], squared, int(n))
     if compensated:
         # the last row is the winding row, which is the constant 1's row too
         winding = out[-1]

@@ -77,6 +77,8 @@ class BoundaryFunction:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim != 1:
+            raise ValueError(f"coefficients must be one-dimensional, got shape {c.shape}")
         _require_grid(c.size)
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficients")

@@ -42,6 +42,12 @@ _MIN_GRID_RESOLUTION = 8  # fewest lattice points per side in classify
 # the values each ExperimentConfig annotation (a string here) accepts
 _FIELD_TYPES = {"dict": dict, "str": str, "int": int, "float": (int, float)}
 
+# the keys each perturbation family reads
+_FAMILY_KEYS = {
+    "conformal_polynomial": ("kind", "parameter_list"),
+    "fem_metric": ("kind", "parameter_list", "resolution"),
+}
+
 _RECIPES = {
     "z": lambda w: w,
     "z2": lambda w: w ** 2,
@@ -77,17 +83,24 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.base_surface.get("kind") != "disk":
             raise ConfigInvalid("base_surface.kind must be 'disk'")
+        _require_keys("base_surface", self.base_surface, ("kind",))
         fam = self.perturbation_family
-        if fam.get("kind") not in ("conformal_polynomial", "fem_metric"):
+        if fam.get("kind") not in _FAMILY_KEYS:
             raise ConfigInvalid("unknown perturbation_family.kind")
+        _require_keys("perturbation_family", fam, _FAMILY_KEYS[fam["kind"]])
         ps = fam.get("parameter_list", [])
-        if not ps:
-            raise ConfigInvalid("empty parameter_list")
+        if not isinstance(ps, list) or not ps:
+            raise ConfigInvalid(f"parameter_list must be a non-empty list, got {ps!r}")
+        for p in ps:
+            # bool is an int subclass, and JSON reads NaN and Infinity
+            if (isinstance(p, bool) or not isinstance(p, (int, float))
+                    or isinstance(p, float) and not np.isfinite(p)):
+                raise ConfigInvalid(f"parameter_list holds {p!r}, not a finite number")
         if any(p < 0 for p in ps):
             raise ConfigInvalid("parameters must be nonnegative")
+        if any(later >= p for p, later in zip(ps, ps[1:])):
+            raise ConfigInvalid(f"parameter_list must strictly decrease toward 0, got {ps}")
         dn_at = _perturbed_dn(self)
-        if list(ps) != sorted(ps, reverse=True):
-            raise ConfigInvalid("parameter_list must decrease toward 0")
         for name in self.immersion.split(","):
             if name.strip() not in _RECIPES:
                 raise ConfigInvalid(f"unknown immersion recipe {name!r}")
@@ -137,6 +150,13 @@ class SweepRecord:
 # sweep.csv's columns: every field but the wall time, which goes to timings.csv
 SweepRecord.CSV_FIELDS = tuple(f.name for f in fields(SweepRecord)
                                if f.name != "wall_time")
+
+
+def _require_keys(name: str, d: dict, keys: tuple):
+    """Raise ConfigInvalid naming any key of d outside keys."""
+    extra = sorted(set(d) - set(keys))
+    if extra:
+        raise ConfigInvalid(f"unknown {name} keys: {extra}")
 
 
 def immersion_from_recipe(recipe: str, n_modes: int) -> TraceTuple:

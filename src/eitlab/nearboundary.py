@@ -1,12 +1,14 @@
 """Rectified boundary charts and near-boundary point pairing.
 
-Near a boundary anchor a the map zeta(z) = (z - eta_j(a)) / d_gamma(eta_j)(a)
-straightens the trace curve psi(l) = zeta(eta_j(l)): the point with chart
-coordinates (s, r) is zeta = psi(s) + i r, so the curve is the line r = 0.
-A chart grows its arclength window while the tangent stays in a cone, and
-certifies that psi_1 = Re psi strictly increases on it, which makes
-(s, r) -> zeta one-to-one.  The curve's samples come from inverse FFTs of
-the padded spectrum on grids shifted to the anchor.  A perturbed and a
+A chart at a boundary anchor a is the trace eta_j, the anchor, the chart
+index, the tangent tau = d_gamma eta_j(a) and an arclength window.  The
+point with chart coordinates (s, r) is eta_j(s) + i r tau, in closed form:
+r = 0 is the trace curve, and r > 0 steps off it along i tau.  A chart grows
+its window while the tangent stays in a cone, and certifies that
+psi_1(l) = Re((eta_j(l) - eta_j(a)) / tau) strictly increases on it, which
+makes (s, r) -> eta_j(s) + i r tau one-to-one.  The tangent is sampled by
+one inverse FFT of the padded spectrum on a grid shifted to the anchor; the
+certificate reads a coefficient sum (build_chart).  A perturbed and a
 reference image point are paired when they have the same (s, r) in their
 own charts.  The reference charts depend on the reference tuple only, so
 `reference_charts` builds and probes them once for all perturbed tuples.
@@ -60,20 +62,12 @@ class BoundaryChart:
     eta_j: BoundaryFunction
     anchor: float
     chart_index: int
-    zeta_shift: complex
-    zeta_scale: complex
+    tangent: complex             # d_gamma eta_j(anchor)
     gamma_window: tuple          # (l_lo, l_hi), l_lo < anchor < l_hi
 
     @property
     def window_length(self) -> float:
         return self.gamma_window[1] - self.gamma_window[0]
-
-    def zeta(self, z: np.ndarray | complex) -> np.ndarray | complex:
-        return (z - self.zeta_shift) / self.zeta_scale
-
-    def psi(self, l: np.ndarray | float) -> np.ndarray | complex:
-        """Image of the curve in chart coordinates, psi = psi1 + i psi2."""
-        return self.zeta(self.eta_j.eval_at(np.atleast_1d(np.asarray(l, float))))
 
     def contains_l(self, l: np.ndarray | float) -> np.ndarray | bool:
         lo, hi = self.gamma_window
@@ -83,44 +77,49 @@ class BoundaryChart:
 def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0) -> BoundaryChart:
     """Grow a rectifying chart symmetrically from the anchor.
 
-    The window extends while the tangent stays inside the cone
-    Re(d_gamma eta_j(l) / d_gamma eta_j(a)) in [_C0, 1/_C0], and psi1 must
-    strictly increase on it (WindowCollapse otherwise).
+    The window extends, in steps h = L / 8N, while the tangent stays inside
+    the cone f(l) = Re(d_gamma eta_j(l) / tau) in [_C0, 1/_C0], tau =
+    d_gamma eta_j(a).  f is a real trigonometric polynomial of angular
+    frequencies below pi N / L, so between two window nodes it dips below
+    the smaller node value by at most h^2 / 8 max|f''| <= (h pi N / L)^2 / 8
+    max|f| <= pi^2 / 512 sum|c'_m| / |tau| (Bernstein's inequality; c'_m
+    the coefficients of d_gamma eta_j).  When pi^2 / 512 sum|c'_m| <
+    _C0 |tau|, f > 0 on the window, so psi_1, whose derivative f is,
+    strictly increases there; otherwise WindowCollapse.
     """
     length = eta_j.length
     n = eta_j.n_modes
     n_fine = 8 * n
     h = length / n_fine
+    d_eta = bc.derivative_gamma(eta_j)
     # d_gamma eta_j at a + k h, k = 0 .. n_fine - 1 (negative k wrap around)
-    deta = bc.derivative_gamma(eta_j).values(n_fine, offset=a)
-    scale = complex(deta[0])
-    if abs(scale) <= _DERIV_TOL:
-        raise DerivativeVanishes(f"|d_gamma eta_j({a})| = {abs(scale):.2e}")
+    tangents = d_eta.values(n_fine, offset=a)
+    tangent = complex(tangents[0])
+    if abs(tangent) <= _DERIV_TOL:
+        raise DerivativeVanishes(f"|d_gamma eta_j({a})| = {abs(tangent):.2e}")
     # grow symmetrically on the oversampled grid
-    ratio_p = (deta[1:n_fine // 2] / scale).real
-    ratio_m = (deta[:n_fine // 2:-1] / scale).real
+    ratio_p = (tangents[1:n_fine // 2] / tangent).real
+    ratio_m = (tangents[:n_fine // 2:-1] / tangent).real
     ok = ((ratio_p >= _C0) & (ratio_p <= 1.0 / _C0)
           & (ratio_m >= _C0) & (ratio_m <= 1.0 / _C0))
     k = int(np.argmin(ok)) if not ok.all() else ok.size
     if k * h < 4.0 * length / n:
         raise WindowCollapse(f"window {k * h:.3e} below 4 grid steps")
-
-    # psi1 on the window, steps h/4 (k >= 32 here)
-    eta_w = np.roll(eta_j.values(4 * n_fine, offset=a), 4 * k)[:8 * k + 1]
-    z_a = complex(eta_w[4 * k])
-    if np.any(np.diff(((eta_w - z_a) / scale).real) <= 0):
-        raise WindowCollapse("psi1 not strictly increasing on the window")
-    return BoundaryChart(eta_j, a, chart_index, z_a, scale, (a - k * h, a + k * h))
+    dip = np.pi ** 2 / 512 * np.abs(d_eta.coeffs).sum()
+    if not dip < _C0 * abs(tangent):
+        raise WindowCollapse(f"psi1 not certified increasing: dip bound {dip:.3e} "
+                             f">= {_C0} |tau| = {_C0 * abs(tangent):.3e}")
+    return BoundaryChart(eta_j, a, chart_index, tangent, (a - k * h, a + k * h))
 
 
 def unrectify(chart: BoundaryChart, s: np.ndarray | float,
               r: np.ndarray | float) -> np.ndarray | complex:
-    """Points with chart coordinates (s, r), zeta = psi(s) + i r, in closed form."""
+    """Points with chart coordinates (s, r): eta_j(s) + i r tau, in closed form."""
     s = np.asarray(s, dtype=float)
     if not np.all(chart.contains_l(s)):
         raise OutOfChart(f"s = {s} outside window {chart.gamma_window}")
-    psi = chart.psi(s).reshape(s.shape)
-    return chart.zeta_shift + chart.zeta_scale * (psi + 1j * np.asarray(r))
+    on_curve = chart.eta_j.eval_at(s).reshape(s.shape)
+    return on_curve + 1j * np.asarray(r) * chart.tangent
 
 
 def _coordinate_at(e: TraceTuple, j: int, zs: np.ndarray) -> np.ndarray:

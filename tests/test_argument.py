@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
-from eitlab.errors import TooCloseToContour
+from eitlab.errors import DimensionMismatch, TooCloseToContour
 from eitlab.holomorphic import TraceTuple
 
 TWO_PI = 2.0 * np.pi
@@ -120,8 +120,8 @@ class TestStackedNumerators:
 
     @pytest.mark.parametrize("n_traces", [1, 2, 4])
     def test_one_inverse_fft_of_the_numerators_per_count(self, monkeypatch, n_traces):
-        # each pass transforms the contour, its derivative and the numerator
-        # block once: three inverse FFTs, whatever the number of numerators
+        # each pass transforms the block [contour | derivative | numerators]
+        # once: one inverse FFT, whatever the number of numerators
         e = TraceTuple(tuple(trace(lambda z, p=p: z ** p) for p in range(1, n_traces + 1)))
         zs = np.array([0.0, 0.3 + 0.2j, 0.9, 0.97j, -0.99])
         counts = set(node_plan(e[0], ap.contour_distance(e[0], zs)).tolist())
@@ -142,7 +142,7 @@ class TestStackedNumerators:
         monkeypatch.setattr(ap, "_cauchy_raw", counting_raw)
         got, _ = ap._cauchy_many(e, e[0], zs, compensated=True)
         assert len(passes) == len(counts) > 2
-        assert passes == [3] * len(counts)
+        assert passes == [1] * len(counts)
         for p, row in enumerate(got, 1):
             assert np.abs(row - zs ** p).max() <= 1e-12
 
@@ -155,6 +155,11 @@ class TestStackedNumerators:
         assert calls == []
         ap._cauchy_many(e_pair, e_pair[0], zs)
         assert len(calls) == 1
+
+    def test_numerator_on_another_grid_raises(self, e_pair):
+        # the numerators are columns of the contour's coefficient block
+        with pytest.raises(DimensionMismatch):
+            ap.cauchy_integral(trace(lambda z: z ** 2, n=128), e_pair[0], 0.3)
 
 
 def on_ladder(n):

@@ -65,6 +65,15 @@ class TestBoundaryFunction:
         with pytest.raises(DimensionMismatch):
             _ = f + g
 
+    def test_two_dimensional_coefficients_raise(self):
+        # a (4, 2) array has 8 entries, but is not an 8-mode function
+        with pytest.raises(ValueError, match="one-dimensional, got shape"):
+            bc.BoundaryFunction(np.zeros((4, 2), dtype=complex), TWO_PI)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            bc.BoundaryFunction.from_json({"length": TWO_PI,
+                                           "coeffs_re": [[0, 0], [1, 0], [0, 0], [0, 0]],
+                                           "coeffs_im": [[0, 0]] * 4})
+
     def test_json_roundtrip(self):
         n = 16
         f = bc.from_samples(np.exp(1j * grid(n)), TWO_PI)

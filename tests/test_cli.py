@@ -241,6 +241,22 @@ class TestKappa:
         assert json_printed(capsys) == {"kappa": 0, "spectral_gap": None}
 
 
+def conformal_family(parameters) -> dict:
+    return {"kind": "conformal_polynomial", "parameter_list": parameters}
+
+
+# sweep configs malformed in one entry: the entries replaced, by name
+MALFORMED_SWEEPS = {
+    "parameter_non_numeric": {"perturbation_family": conformal_family([0.08, "x"])},
+    "parameter_bare_number": {"perturbation_family": conformal_family(0.08)},
+    "parameter_nan": {"perturbation_family": conformal_family([float("nan")])},
+    "parameter_bool": {"perturbation_family": conformal_family([True])},
+    "parameter_repeated": {"perturbation_family": conformal_family([0.08, 0.04, 0.04])},
+    "family_unknown_key": {"perturbation_family": {
+        "kind": "fem_metric", "parameter_list": [0.08], "resolutoin": 8}},
+    "surface_unknown_key": {"base_surface": {"kind": "disk", "radius": 2.0}},
+}
+
 HAUSDORFF = ["hausdorff", "IN", "IN", "--out", "OUT"]
 RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
 
@@ -258,6 +274,13 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
     (RECONSTRUCT, mixed_traces_json(64, 3.0), "IN"),
     (["sweep", "--config", "IN", "--out", "OUT"],
      json.dumps({**SWEEP_CONFIG, "n_modes": "abc"}), "IN"),
+    *((["sweep", "--config", "IN", "--out", "OUT"], json.dumps({**SWEEP_CONFIG, **change}),
+       "IN") for change in MALFORMED_SWEEPS.values()),
+    # a trace whose coefficients are nested lists
+    (RECONSTRUCT, json.dumps({"traces": [{
+        "n_modes": 8, "length": 2 * np.pi,
+        "coeffs_re": [[0, 0], [1, 0], [0, 0], [0, 0]],
+        "coeffs_im": [[0, 0]] * 4}]}), "IN"),
     (["dn", "--surface", "conformal:abc", "--out", "OUT"], None, "'conformal:abc'"),
     (["kappa", "--dn", "IN"],
      json.dumps({"n": 7, "length": 6.28, "matrix_row_major": [0.0] * 49}), "IN"),
@@ -280,7 +303,8 @@ RECONSTRUCT = ["reconstruct", "--traces", "IN", "--out", "OUT"]
 ], ids=["cloud_non_numeric", "cloud_short_row", "cloud_empty_file",
         "cloud_tag_off_chart", "dn_no_matrix", "no_traces", "empty_traces",
         "traces_mixed_n", "traces_mixed_l",
-        "sweep_n_modes_str",
+        "sweep_n_modes_str", *(f"sweep_{name}" for name in MALFORMED_SWEEPS),
+        "traces_2d_coeffs",
         "conformal_non_numeric", "dn_odd_n", "dn_nan", "dn_negative_length",
         "epsilon_negative", "epsilon_zero",
         "torus_resolution_3", "conformal_nan", "n_modes_0", "n_modes_7",

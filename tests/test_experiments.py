@@ -55,6 +55,38 @@ class TestConfigValidation:
                                      "parameter_list": [0.01, 0.02]},
             ).validate()
 
+    @pytest.mark.parametrize("ps, match", [
+        ([0.08, "x"], "'x', not a finite number"),
+        (0.08, "non-empty list, got 0.08"),
+        ([], "non-empty list"),
+        ([float("nan")], "nan, not a finite number"),
+        ([float("inf"), 0.01], "inf, not a finite number"),
+        ([True], "True, not a finite number"),
+        ([0.08, None], "None, not a finite number"),
+        ([0.08, 0.04, 0.04], "strictly decrease"),
+    ], ids=["non_numeric", "bare_number", "empty", "nan", "inf", "bool", "null",
+            "repeated"])
+    def test_malformed_parameter_list(self, tmp_path, ps, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            small_config(tmp_path, perturbation_family={
+                "kind": "conformal_polynomial", "parameter_list": ps}).validate()
+
+    @pytest.mark.parametrize("section, entries, key", [
+        ("base_surface", {"kind": "disk", "radius": 1.0}, "radius"),
+        ("perturbation_family", {"kind": "conformal_polynomial",
+                                 "parameter_list": [0.08], "resolution": 8}, "resolution"),
+        ("perturbation_family", {"kind": "fem_metric", "parameter_list": [0.08],
+                                 "resolutoin": 8}, "resolutoin"),
+    ], ids=["disk_radius", "conformal_resolution", "fem_misspelt_resolution"])
+    def test_unknown_section_key(self, tmp_path, section, entries, key):
+        # each kind accepts only the keys it reads
+        with pytest.raises(ConfigInvalid, match=f"unknown {section} keys: .*{key}"):
+            small_config(tmp_path, **{section: entries}).validate()
+
+    def test_integer_parameters_accepted(self, tmp_path):
+        small_config(tmp_path, perturbation_family={
+            "kind": "conformal_polynomial", "parameter_list": [0.06, 0]}).validate()
+
     def test_unknown_recipe(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             small_config(tmp_path, immersion="z,z9").validate()

@@ -21,7 +21,7 @@ def trace(fn, n=256):
 
 
 def dense_chart(eta_j, a, c0=0.5):
-    """Window, anchor value and tangent of a chart by dense eval_at."""
+    """Window and tangent of a chart by dense eval_at."""
     length, n = eta_j.length, eta_j.n_modes
     deta = bc.derivative_gamma(eta_j)
     scale = complex(deta.eval_at(a)[0])
@@ -34,7 +34,7 @@ def dense_chart(eta_j, a, c0=0.5):
 
     k = min(reach((deta.eval_at(a + steps * h) / scale).real),
             reach((deta.eval_at(a - steps * h) / scale).real))
-    return (a - k * h, a + k * h), complex(eta_j.eval_at(a)[0]), scale
+    return (a - k * h, a + k * h), scale
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +62,20 @@ MIXED = with_image(lambda z: z + 0.2 * z ** 2)
 MIXED_CHARTS = [1, 1, 1, 0, 0, 0, 1, 1]
 
 
+def gaussian_ripple(amp):
+    """w + amp sum_{k=40}^{120} exp(-(k - 80)^2 / 450) (-1)^k w^k: a tangent
+    that stays in the cone near w = 1 and speeds up near w = -1."""
+    k = np.arange(40, 121)
+    weights = amp * np.exp(-(k - 80) ** 2 / 450) * (-1.0) ** k
+    return trace(lambda w: w + weights @ w[None, :] ** k[:, None])
+
+
 class TestBuildChart:
     def test_unit_circle_anchor_zero(self, circ):
         # at a = 0: eta(0) = 1, d_gamma eta(0) = i, and the cone condition
         # cos(l) in [1/2, 2] gives the window +/- pi/3
         ch = nb.build_chart(circ, 0.0)
-        assert abs(ch.zeta_shift - 1.0) < 1e-12
-        assert abs(ch.zeta_scale - 1j) < 1e-12
+        assert abs(ch.tangent - 1j) < 1e-12
         lo, hi = ch.gamma_window
         assert abs(hi - np.pi / 3) < 0.05
         assert abs(lo + np.pi / 3) < 0.05
@@ -78,7 +85,6 @@ class TestBuildChart:
         ch0 = nb.build_chart(circ, 0.0)
         ch = nb.build_chart(circ, a)
         assert abs(ch.window_length - ch0.window_length) < 1e-10
-        assert abs(ch.zeta_shift - np.exp(1j * a)) < 1e-10
 
     def test_r_zero_on_curve(self, circ):
         ch = nb.build_chart(circ, 0.5)
@@ -92,22 +98,40 @@ class TestBuildChart:
              "perturbed": lambda z: z + 0.08 * z ** 2 + 0.04 * z ** 3}[curve]
         eta = trace(w)
         ch = nb.build_chart(eta, a)
-        window, z_a, scale = dense_chart(eta, a)
+        window, scale = dense_chart(eta, a)
         assert ch.gamma_window == window
-        assert abs(ch.zeta_shift - z_a) <= 1e-12
-        assert abs(ch.zeta_scale - scale) <= 1e-12
+        assert abs(ch.tangent - scale) <= 1e-12
 
-    def test_psi1_not_increasing_collapses(self, circ, monkeypatch):
-        # a curve traversed backwards inside the cone: psi1 decreases
-        values = bc.BoundaryFunction.values
+    def test_uncertified_window_collapses(self):
+        # sum|c'| = 30.9 at amplitude 0.01: pi^2 / 512 * 30.9 = 0.595 is not
+        # below _C0 |tau| = 0.510, though the cone holds for over 4 grid steps
+        eta = gaussian_ripple(0.01)
+        assert abs(np.abs(bc.derivative_gamma(eta).coeffs).sum() - 30.9) < 0.05
+        (lo, hi), _ = dense_chart(eta, 0.0)
+        assert hi - lo > 2 * 4 * TWO_PI / 256
+        with pytest.raises(WindowCollapse, match="not certified increasing"):
+            nb.build_chart(eta, 0.0)
 
-        def reversed_window(self, n=None, offset=0.0):
-            v = values(self, n, offset)
-            return v if n is None or n <= 8 * self.n_modes else v[::-1]
+    def test_certified_window_is_admitted(self):
+        # sum|c'| = 7.0 at amplitude 0.002: certified, with the cone's window
+        eta = gaussian_ripple(0.002)
+        assert abs(np.abs(bc.derivative_gamma(eta).coeffs).sum() - 7.0) < 0.05
+        ch = nb.build_chart(eta, 0.0)
+        assert ch.gamma_window == dense_chart(eta, 0.0)[0]
+        assert abs(ch.window_length - 2.092) < 1e-3
 
-        monkeypatch.setattr(bc.BoundaryFunction, "values", reversed_window)
-        with pytest.raises(WindowCollapse, match="strictly increasing"):
-            nb.build_chart(circ, 0.0)
+    def test_one_inverse_fft(self, monkeypatch):
+        # the tangent and the cone come from one 8N sampling; the
+        # certificate reads coefficients only
+        transforms, ifft = [], np.fft.ifft
+
+        def counting_ifft(*args, **kwargs):
+            transforms.append(args[0].shape)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+        nb.build_chart(trace(lambda z: z + 0.08 * z ** 2), 0.3)
+        assert transforms == [(8 * 256, 1)]
 
 
 class TestRectify:
@@ -126,7 +150,7 @@ class TestRectify:
         r = np.array([0.01, 0.04, 0.002])
         z = nb.unrectify(ch, s, r)
         assert z.shape == s.shape
-        assert np.abs(ch.zeta(z) - ch.psi(s) - 1j * r).max() < 1e-12
+        assert np.abs((z - circ.eval_at(s)) / ch.tangent - 1j * r).max() < 1e-12
         for k in range(s.size):
             assert abs(nb.unrectify(ch, s[k], r[k]) - z[k]) < 1e-15
 
