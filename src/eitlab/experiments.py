@@ -79,7 +79,8 @@ class ExperimentConfig:
         the family's DN operator as a function of s (_perturbed_dn)."""
         for f in self.__dataclass_fields__.values():
             value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]):
+            # bool is an int subclass: a JSON true is no number
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigInvalid(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.base_surface.get("kind") != "disk":
             raise ConfigInvalid("base_surface.kind must be 'disk'")

@@ -10,12 +10,12 @@ makes (s, r) -> eta_j(s) + i r tau one-to-one.  The tangent is sampled by
 one inverse FFT of the padded spectrum on a grid shifted to the anchor; the
 certificate reads a coefficient sum (build_chart).  A perturbed and a
 reference image point are paired when they have the same (s, r) in their
-own charts.  The reference charts depend on the reference tuple only, so
-`reference_charts` builds and probes them once for all perturbed tuples.
+own charts.  The coordinates belong to the reference chart, so
+`reference_charts` builds, probes and evaluates the reference side once for
+all perturbed tuples, and a perturbed tuple evaluates only its own side.
 Image points come from the compensated Cauchy rule of `argument`, which
-stays accurate up to the contour, so a target needs no separate
-near-contour quadrature.  The rule is exact per target, so the
-anchors of one chart index share one compensated call per trace tuple.
+stays accurate up to the contour and is exact per target, so the charts of
+one chart index share one call (pair_points).
 """
 
 from __future__ import annotations
@@ -127,29 +127,25 @@ def _coordinate_at(e: TraceTuple, j: int, zs: np.ndarray) -> np.ndarray:
     return ap._cauchy_many(e, e[j], zs, compensated=True)[0].T
 
 
-def pair_points(charts: Sequence[BoundaryChart], charts_p: Sequence[BoundaryChart],
-                e: TraceTuple, e_prime: TraceTuple, s: Sequence[np.ndarray],
-                r: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Reference and perturbed image points paired by their chart coordinates.
+def pair_points(e: TraceTuple, charts: Sequence[BoundaryChart],
+                s: Sequence[np.ndarray], r: Sequence[np.ndarray]) -> list[tuple]:
+    """Image points of e at the coordinates (s[i], r[i]) of each charts[i].
 
-    charts[i] and charts_p[i] are the reference and perturbed charts of one
-    anchor, and (s[i], r[i]) its chart coordinates.  Each (s, r) is placed in
-    both charts, and each immersion is evaluated there; since (s, r) -> zeta
-    is one-to-one on a chart, the pair needs no inverse chart map.  All
-    charts share one chart index, so every anchor's targets go into one
-    compensated Cauchy call per trace tuple.  The rows of p and of p_prime
-    are the pairs of (s[0], r[0]), then of (s[1], r[1]), and so on.
+    (s, r) -> zeta is one-to-one on a chart, so points at the same (s, r)
+    pair with no inverse chart map.  The charts of one chart index share one
+    compensated Cauchy call.  Item i is (p, once): one row of n coordinates
+    per target, and the targets enclosed once, |W - 1| < 0.1 on the winding
+    row (reconstruct's rule); the other rows are no image point.
     """
-    j = charts[0].chart_index
-    if any(ch.chart_index != j for ch in (*charts, *charts_p)):
-        raise OutOfChart("charts use different coordinate projections")
-
-    def targets(chs):
-        return np.concatenate([np.ravel(unrectify(ch, si, ri))
-                               for ch, si, ri in zip(chs, s, r, strict=True)])
-
-    return (_coordinate_at(e, j, targets(charts)),
-            _coordinate_at(e_prime, j, targets(charts_p)))
+    out = [None] * len(charts)
+    for j in dict.fromkeys(ch.chart_index for ch in charts):
+        idx = [i for i, ch in enumerate(charts) if ch.chart_index == j]
+        zs = np.concatenate([np.ravel(unrectify(charts[i], s[i], r[i])) for i in idx])
+        p, winding = ap._cauchy_many(e, e[j], zs, compensated=True)
+        ends = np.cumsum([np.size(s[i]) for i in idx])[:-1]
+        for i, rows, w in zip(idx, np.split(p.T, ends), np.split(winding, ends)):
+            out[i] = (rows, np.abs(w - 1.0) < 0.1)
+    return out
 
 
 @dataclass
@@ -167,34 +163,43 @@ class DiagnosticReport:
 class ReferenceCharts:
     """The reference immersion's admitted charts at equispaced anchors.
 
-    charts[i] holds the (j, chart) pairs of anchors[i] whose reference chart
+    charts[i] holds a (chart, s, r, p) entry per chart of anchors[i] that
     built and passed its single-sheet winding probe, largest tangential
-    derivative |d_gamma eta_j(a)| first.
+    derivative |d_gamma eta_j(a)| first: the chart coordinates the pairing
+    uses, and the reference image points there, one row each.  Coordinates
+    whose target is not enclosed once are left out.
     """
 
     e: TraceTuple
     anchors: tuple               # equispaced arclength parameters
-    charts: tuple                # per anchor, a tuple of (j, BoundaryChart)
+    charts: tuple                # per anchor, a tuple of (chart, s, r, p)
 
 
 def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
-    """Build and probe the reference charts of every index at each anchor."""
+    """Build and probe the reference charts of every index at each anchor,
+    and evaluate the reference points of all of them in one pair_points call."""
     anchors = np.arange(n_anchors) * e.length / n_anchors
     d_coeffs = bc._derivative_symbol(e.n_modes, e.length)[:, None] * e.coeffs
     derivs = np.abs(bc._phase_kernel(e.n_modes, e.length, anchors) @ d_coeffs).T
-    charts = []
+    built = []  # (anchor index, chart) per admitted chart
     for i, a in enumerate(anchors.tolist()):
-        admitted = []
         for j in np.argsort(derivs[:, i])[::-1].tolist():
             try:
                 chart = build_chart(e[j], a, j)
                 # the pairing needs a single preimage: probe the interior side
                 if ap.winding_number(e[j], unrectify(chart, a, _DEPTH)) == 1:
-                    admitted.append((j, chart))
+                    built.append((i, chart))
             except (DerivativeVanishes, WindowCollapse, TooCloseToContour):
                 pass
-        charts.append(tuple(admitted))
-    return ReferenceCharts(e, tuple(anchors.tolist()), tuple(charts))
+    feet = np.linspace(-0.25, 0.25, _N_FEET)
+    depths = _DEPTH * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
+    s = [np.repeat(ch.anchor + feet * ch.window_length, _N_DEPTHS) for _, ch in built]
+    r = [np.tile(depths, _N_FEET)] * len(built)
+    charts = [[] for _ in anchors]
+    points = pair_points(e, [ch for _, ch in built], s, r)
+    for (i, chart), si, ri, (p, once) in zip(built, s, r, points):
+        charts[i].append((chart, si[once], ri[once], p[once]))
+    return ReferenceCharts(e, tuple(anchors.tolist()), tuple(map(tuple, charts)))
 
 
 def near_boundary_diagnostic(ref: ReferenceCharts,
@@ -203,43 +208,37 @@ def near_boundary_diagnostic(ref: ReferenceCharts,
 
     Each anchor takes the first of its admitted reference charts whose
     perturbed chart builds; anchors where none does are recorded and
-    skipped.  Points are paired at rectified depths r in (0, _DEPTH]
-    above _N_FEET feet spread over half the perturbed window; feet outside
-    the reference window cannot be paired and are counted in n_failed.  The
-    anchors that chose one chart index are paired in one pair_points call.
+    skipped.  The perturbed points sit at the reference chart's (s, r), all
+    in one pair_points call.  A coordinate outside the perturbed window, or
+    whose perturbed target is not enclosed once, has no pair and counts in
+    n_failed; an anchor with no pair has no sup (AllChartsFailed if none has).
     """
     report = DiagnosticReport()
-    depths = _DEPTH * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
-    groups = {}  # chart index -> (entry, chart, chart_p, s, r) per built anchor
+    used = []  # (entry, chart_p, s, r, p) per anchor with a perturbed chart
     for a, admitted in zip(ref.anchors, ref.charts):
         entry = {"a": a, "chart_j": None, "window": None,
                  "sup_discrepancy": None, "n_failed": 0}
         report.anchors.append(entry)
-        for j, chart in admitted:
+        for chart, s, r, p in admitted:
             try:
-                chart_p = build_chart(e_prime[j], a, j)
+                chart_p = build_chart(e_prime[chart.chart_index], a, chart.chart_index)
                 break
             except (DerivativeVanishes, WindowCollapse):
                 pass
         else:
             entry["n_failed"] = len(ref.e)
             continue
-        entry["chart_j"] = j
+        entry["chart_j"] = chart.chart_index
         entry["window"] = list(chart.gamma_window)
-        feet = a + np.linspace(-0.25, 0.25, _N_FEET) * chart_p.window_length
-        inside = chart.contains_l(feet)  # the middle foot, a, always is
-        s, r = np.meshgrid(feet[inside], depths, indexing="ij")
-        entry["n_failed"] = int(np.count_nonzero(~inside)) * _N_DEPTHS
-        groups.setdefault(j, []).append(
-            (entry, chart, chart_p, s.ravel(), r.ravel()))
-    if not groups:
-        raise AllChartsFailed("no anchor admitted a valid chart")
-    for group in groups.values():
-        entries, charts, charts_p, s, r = zip(*group)
-        p, p_prime = pair_points(charts, charts_p, ref.e, e_prime, s, r)
-        gap = np.abs(p - p_prime).max(axis=1)
-        ends = np.cumsum([si.size for si in s])[:-1]
-        for entry, rows in zip(entries, np.split(gap, ends)):
-            entry["sup_discrepancy"] = float(rows.max())
+        inside = chart_p.contains_l(s)
+        used.append((entry, chart_p, s[inside], r[inside], p[inside]))
+    entries, charts_p, s, r, p = zip(*used) if used else ((),) * 5
+    for entry, p_ref, (p_prime, once) in zip(entries, p,
+                                             pair_points(e_prime, charts_p, s, r)):
+        entry["n_failed"] = _N_FEET * _N_DEPTHS - int(np.count_nonzero(once))
+        if once.any():
+            entry["sup_discrepancy"] = float(np.abs(p_ref[once] - p_prime[once]).max())
             report.global_sup = max(report.global_sup, entry["sup_discrepancy"])
+    if all(entry["sup_discrepancy"] is None for entry in report.anchors):
+        raise AllChartsFailed("no anchor paired a near-boundary point")
     return report

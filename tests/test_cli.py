@@ -255,6 +255,9 @@ MALFORMED_SWEEPS = {
     "family_unknown_key": {"perturbation_family": {
         "kind": "fem_metric", "parameter_list": [0.08], "resolutoin": 8}},
     "surface_unknown_key": {"base_surface": {"kind": "disk", "radius": 2.0}},
+    # a JSON true is no number, though bool is an int subclass
+    "n_anchors_bool": {"n_anchors": True},
+    "epsilon_bool": {"epsilon": True},
 }
 
 HAUSDORFF = ["hausdorff", "IN", "IN", "--out", "OUT"]

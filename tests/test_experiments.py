@@ -83,6 +83,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match=f"unknown {section} keys: .*{key}"):
             small_config(tmp_path, **{section: entries}).validate()
 
+    @pytest.mark.parametrize("name", ["n_modes", "epsilon", "grid_resolution", "seed",
+                                      "n_anchors"])
+    def test_bool_number_field(self, tmp_path, name):
+        # a JSON true is a Python bool, and bool is an int subclass
+        with pytest.raises(ConfigInvalid, match=f"{name} must be of type .*, got True"):
+            small_config(tmp_path, **{name: True}).validate()
+
     def test_integer_parameters_accepted(self, tmp_path):
         small_config(tmp_path, perturbation_family={
             "kind": "conformal_polynomial", "parameter_list": [0.06, 0]}).validate()
@@ -175,6 +182,14 @@ class TestRunSweep:
         built, probes, refs, diags = [], [], [], []
         build_chart, winding_number = nb.build_chart, ap.winding_number
         reference_charts, diagnostic = nb.reference_charts, nb.near_boundary_diagnostic
+        cauchy_many = ap._cauchy_many
+        stage = [None]  # the near-boundary call under way: "ref" or a record number
+        cauchy = []     # (stage, numerator tuple) per _cauchy_many call in one
+
+        def counting_cauchy(eta_k, *args, **kwargs):
+            if stage[0] is not None:
+                cauchy.append((stage[0], eta_k))
+            return cauchy_many(eta_k, *args, **kwargs)
 
         def counting_chart(eta_j, a, chart_index=0):
             built.append(eta_j)
@@ -185,17 +200,22 @@ class TestRunSweep:
             return winding_number(eta_j, z)
 
         def kept_reference(*args):
+            stage[0] = "ref"
             refs.append(reference_charts(*args))
+            stage[0] = None
             return refs[-1]
 
         def kept_diagnostic(ref, e_prime):
+            stage[0] = len(diags)
             diags.append((ref, e_prime, diagnostic(ref, e_prime)))
+            stage[0] = None
             return diags[-1][2]
 
         monkeypatch.setattr(nb, "build_chart", counting_chart)
         monkeypatch.setattr(ap, "winding_number", counting_winding)
         monkeypatch.setattr(nb, "reference_charts", kept_reference)
         monkeypatch.setattr(nb, "near_boundary_diagnostic", kept_diagnostic)
+        monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
         records, _, _ = ex.run_sweep(cfg)
         assert len(records) == len(diags) == 2 and all(r.valid for r in records)
         (ref,) = refs
@@ -203,6 +223,14 @@ class TestRunSweep:
         n_ref = sum(any(eta is r for r in ref.e.traces) for eta in built)
         assert n_ref == len(probes) == len(ref.e) * cfg.n_anchors
         assert len(built) - n_ref == len(records) * cfg.n_anchors
+        # the reference tuple is evaluated once per admitted chart index for
+        # the sweep, the perturbed tuple once per used index per record
+        admitted = {ch.chart_index for charts in ref.charts for ch, *_ in charts}
+        ref_calls = [eta is ref.e for st, eta in cauchy if st == "ref"]
+        assert ref_calls == [True] * len(admitted)
+        for k, (_, e_p, rep) in enumerate(diags):
+            used = {a["chart_j"] for a in rep.anchors} - {None}
+            assert [eta is e_p for st, eta in cauchy if st == k] == [True] * len(used)
         for (used, e_p, rep), rec in zip(diags, records):
             assert used is ref and rec.near_boundary_sup == rep.global_sup
             fresh = reference_charts(ref.e, cfg.n_anchors)

@@ -210,9 +210,8 @@ class TestPairPoints:
         ch = nb.build_chart(e_pair[0], 0.0, 0)
         s = np.array([-0.05, 0.0, 0.05])
         r = np.array([0.02, 0.01, 0.04])
-        p, p_prime = nb.pair_points([ch], [ch], e_pair, e_pair, [s], [r])
-        assert p.shape == (3, 2)
-        assert np.array_equal(p, p_prime)
+        ((p, once),) = nb.pair_points(e_pair, [ch], [s], [r])
+        assert p.shape == (3, 2) and once.all()
         z = nb.unrectify(ch, s, r)
         assert np.abs(p[:, 0] - z).max() < 1e-12
         assert np.abs(p[:, 1] - z ** 2).max() < 1e-12
@@ -222,21 +221,35 @@ class TestPairPoints:
         a2 = 0.04
         e_p = TraceTuple((trace(lambda z: z + a2 * z ** 2),
                           trace(lambda z: (z + a2 * z ** 2) ** 2)))
-        ch = nb.build_chart(e_pair[0], 0.0, 0)
-        ch_p = nb.build_chart(e_p[0], 0.0, 0)
-        s = np.array([-0.1, 0.1])
-        p, p_prime = nb.pair_points([ch], [ch_p], e_pair, e_p, [s],
-                                    [np.full(2, 1e-7)])
-        for k in range(2):
-            assert np.abs(p[:, k] - e_pair[k].eval_at(s)).max() < 1e-6
-            assert np.abs(p_prime[:, k] - e_p[k].eval_at(s)).max() < 1e-6
+        s, r = np.array([-0.1, 0.1]), np.full(2, 1e-7)
+        for e in (e_pair, e_p):
+            # the capped winding row is no single-sheet test this close to
+            # the contour (|W - 1| = 0.73 at r = 1e-7), so the mask is not read
+            ((p, _),) = nb.pair_points(e, [nb.build_chart(e[0], 0.0, 0)], [s], [r])
+            for k in range(2):
+                assert np.abs(p[:, k] - e[k].eval_at(s)).max() < 1e-6
 
-    def test_chart_index_mismatch(self, e_pair):
-        ch0 = nb.build_chart(e_pair[0], 0.0, 0)
-        ch1 = nb.build_chart(e_pair[1], 0.0, 1)
-        with pytest.raises(OutOfChart):
-            nb.pair_points([ch0], [ch1], e_pair, e_pair, [np.zeros(1)],
-                           [np.full(1, 0.01)])
+    def test_two_chart_indices(self, monkeypatch):
+        # charts of both indices, interleaved, give the rows of one call per index
+        e = MIXED[0]
+        charts = [nb.build_chart(e[0], 0.0, 0), nb.build_chart(e[1], 0.0, 1),
+                  nb.build_chart(e[0], 1.0, 0)]
+        s = [np.array([0.0, 0.05]), np.array([0.02]), np.array([0.9, 1.0, 1.1])]
+        r = [np.full(si.size, 0.03) for si in s]
+        calls, cauchy_many = [], ap._cauchy_many
+
+        def counting_cauchy(eta_k, eta_j, zs, **kwargs):
+            calls.append(eta_j)
+            return cauchy_many(eta_k, eta_j, zs, **kwargs)
+
+        monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
+        both = nb.pair_points(e, charts, s, r)
+        assert len(calls) == 2 and calls[0] is e[0] and calls[1] is e[1]
+        alone = [*nb.pair_points(e, charts[::2], s[::2], r[::2]),
+                 *nb.pair_points(e, charts[1:2], s[1:2], r[1:2])]
+        for (p, once), (q, once_q), si in zip(both, [alone[0], alone[2], alone[1]], s):
+            assert p.shape == (si.size, 2) and once.all()
+            assert np.array_equal(p, q) and np.array_equal(once, once_q)
 
 
 class TestReferenceCharts:
@@ -246,13 +259,21 @@ class TestReferenceCharts:
         # z^2 has the larger derivative everywhere but winds twice
         ref = nb.reference_charts(e_pair, n_anchors=4)
         assert ref.anchors == tuple(np.arange(4) * TWO_PI / 4)
-        assert [[j for j, _ in admitted] for admitted in ref.charts] == [[0]] * 4
-        for a, ((_, chart),) in zip(ref.anchors, ref.charts):
+        assert [[ch.chart_index for ch, *_ in admitted]
+                for admitted in ref.charts] == [[0]] * 4
+        for a, ((chart, s, r, p),) in zip(ref.anchors, ref.charts):
             assert chart.eta_j is e_pair[0] and chart.anchor == a
+            # _N_FEET feet over half the window, each at _N_DEPTHS depths
+            feet = a + np.array([-0.25, 0.0, 0.25]) * chart.window_length
+            assert np.array_equal(s, np.repeat(feet, 4))
+            assert np.array_equal(r, np.tile(0.05 * np.arange(1, 5) / 4, 3))
+            # to rounding: a batch of other targets may sum in another order
+            z = nb.unrectify(chart, s, r)
+            assert np.abs(p - nb._coordinate_at(e_pair, 0, z)).max() < 1e-14
 
     def test_admitted_in_derivative_order(self):
         ref = nb.reference_charts(MIXED[0])
-        assert [[j for j, _ in admitted] for admitted in ref.charts] == [
+        assert [[ch.chart_index for ch, *_ in admitted] for admitted in ref.charts] == [
             [j, 1 - j] for j in MIXED_CHARTS]
 
     def test_frozen(self, e_pair):
@@ -297,18 +318,75 @@ class TestDiagnostic:
         assert all(a["chart_j"] == 0 for a in rep.anchors)
         assert rep.global_sup < 1e-7
 
-    def test_feet_outside_reference_window_are_counted(self, circ):
-        # the reference z + 0.1 z^5 turns its tangent out of the cone within
-        # about 0.38 of each anchor; the perturbed circle keeps it for pi/3,
-        # so the outer feet, at a -/+ pi/6, have no reference coordinates
-        ref = TraceTuple((trace(lambda z: z + 0.1 * z ** 5),))
-        pert = TraceTuple((circ,))
+    def test_feet_outside_perturbed_window_are_counted(self, circ):
+        # the reference circle keeps its tangent in the cone for pi/3 of each
+        # anchor; the perturbed z + 0.1 z^5 turns it out within about 0.38,
+        # so the outer feet, at a -/+ pi/6, have no perturbed coordinates
+        ref = TraceTuple((circ,))
+        pert = TraceTuple((trace(lambda z: z + 0.1 * z ** 5),))
         for a in (0.0, np.pi):
-            assert nb.build_chart(ref[0], a).gamma_window[1] - a < np.pi / 6
+            assert nb.build_chart(pert[0], a).gamma_window[1] - a < np.pi / 6
         rep = nb.near_boundary_diagnostic(nb.reference_charts(ref, n_anchors=2), pert)
         assert [a["chart_j"] for a in rep.anchors] == [0, 0]
         assert [a["n_failed"] for a in rep.anchors] == [2 * 4, 2 * 4]
         assert rep.global_sup > 0
+
+    def test_swapped_traces_pair_nothing(self, e_pair):
+        # the perturbed chart 0 is z^2, which encloses every target twice:
+        # its compensated ratios are finite but no image points
+        swapped = TraceTuple((e_pair[1], e_pair[0]))
+        ref = nb.reference_charts(e_pair, n_anchors=4)
+        for chart, s, r, _ in (admitted[0] for admitted in ref.charts):
+            ch_p = nb.build_chart(swapped[0], chart.anchor, 0)
+            inside = ch_p.contains_l(s)
+            zs = nb.unrectify(ch_p, s[inside], r[inside])
+            winding = ap._cauchy_many(None, swapped[0], zs, compensated=True)[1]
+            assert np.abs(winding - 2.0).max() < 1e-6
+        with pytest.raises(AllChartsFailed):
+            nb.near_boundary_diagnostic(ref, swapped)
+
+    def test_anchor_without_pair_has_no_sup(self, e_pair, monkeypatch):
+        # perturbed targets not enclosed once drop from their anchor alone
+        ref = nb.reference_charts(e_pair, n_anchors=4)
+        e_p = with_image(lambda z: z ** 2)[1]
+        pair_points = nb.pair_points
+
+        def first_not_once(e, charts, s, r):
+            out = pair_points(e, charts, s, r)
+            if e is not ref.e:
+                out[0] = (out[0][0], np.zeros_like(out[0][1]))
+            return out
+
+        monkeypatch.setattr(nb, "pair_points", first_not_once)
+        rep = nb.near_boundary_diagnostic(ref, e_p)
+        assert [a["sup_discrepancy"] is None for a in rep.anchors] == [
+            True, False, False, False]
+        assert [a["n_failed"] for a in rep.anchors] == [12, 0, 0, 0]
+        assert [a["chart_j"] for a in rep.anchors] == [0] * 4
+
+    def test_pairs_at_reference_coordinates(self, monkeypatch):
+        # every record pairs at the reference chart's (s, r), whatever its
+        # own window: feet spread by the perturbed window would move
+        e = MIXED[0]
+        ref = nb.reference_charts(e)
+        paired, pair_points = [], nb.pair_points
+
+        def kept(e_, charts, s, r):
+            paired.append((charts, s, r))
+            return pair_points(e_, charts, s, r)
+
+        monkeypatch.setattr(nb, "pair_points", kept)
+        for a2 in (0.08, 0.02):
+            rep = nb.near_boundary_diagnostic(ref, with_image(
+                lambda z: z + 0.2 * z ** 2, a2)[1])
+            ((charts_p, s_p, r_p),) = paired
+            paired.clear()
+            for entry, admitted, ch_p, s, r in zip(rep.anchors, ref.charts,
+                                                  charts_p, s_p, r_p):
+                chart, s_ref, r_ref, _ = admitted[0]
+                assert entry["chart_j"] == chart.chart_index == ch_p.chart_index
+                assert ch_p.gamma_window != chart.gamma_window
+                assert np.array_equal(s, s_ref) and np.array_equal(r, r_ref)
 
     def test_probe_precedes_perturbed_chart(self, e_pair, monkeypatch):
         built = []
@@ -359,32 +437,32 @@ class TestMixedChartIndices:
             a, j = entry["a"], entry["chart_j"]
             ch = nb.build_chart(e[j], a, j)
             ch_p = nb.build_chart(e_p[j], a, j)
-            feet = a + np.linspace(-0.25, 0.25, nb._N_FEET) * ch_p.window_length
-            s, r = np.meshgrid(feet[ch.contains_l(feet)], depths, indexing="ij")
-            p, p_prime = nb.pair_points([ch], [ch_p], e, e_p, [s.ravel()],
-                                        [r.ravel()])
+            feet = a + np.linspace(-0.25, 0.25, nb._N_FEET) * ch.window_length
+            s, r = np.meshgrid(feet[ch_p.contains_l(feet)], depths, indexing="ij")
+            ((p, _),) = nb.pair_points(e, [ch], [s.ravel()], [r.ravel()])
+            ((p_prime, _),) = nb.pair_points(e_p, [ch_p], [s.ravel()], [r.ravel()])
             sups.append(float(np.abs(p - p_prime).max()))
             assert abs(entry["sup_discrepancy"] - sups[-1]) <= 1e-12 * sups[-1]
         assert rep.global_sup == max(a["sup_discrepancy"] for a in rep.anchors)
         # the anchors are not all alike, so rows given to the wrong anchor show
         assert max(sups) - min(sups) > 1e-3 * max(sups)
 
-    @pytest.mark.parametrize("second, n_used, n_probes", [
+    @pytest.mark.parametrize("second, n_admitted, n_used, n_probes", [
         # every index is probed once, at every anchor, by reference_charts
-        (lambda z: z ** 2, 1, 16),            # the z^2 chart fails every probe
-        (lambda z: z + 0.2 * z ** 2, 2, 16),  # MIXED: every first chart holds
+        (lambda z: z ** 2, 1, 1, 16),            # the z^2 chart fails every probe
+        (lambda z: z + 0.2 * z ** 2, 2, 2, 16),  # MIXED: every first chart holds
     ], ids=["square", "mixed"])
     def test_one_compensated_call_per_tuple_and_index(self, monkeypatch, second,
-                                                      n_used, n_probes):
+                                                      n_admitted, n_used, n_probes):
         e, e_p = with_image(second)
-        calls = {True: 0, False: 0}
+        calls = []  # (numerator tuple, compensated) per _cauchy_many call
         probed, probes = [], []
         cauchy_many, build_chart = ap._cauchy_many, nb.build_chart
         winding_number = ap.winding_number
 
-        def counting_cauchy(*args, compensated=False, **kwargs):
-            calls[compensated] += 1
-            return cauchy_many(*args, compensated=compensated, **kwargs)
+        def counting_cauchy(eta_k, *args, compensated=False, **kwargs):
+            calls.append((eta_k, compensated))
+            return cauchy_many(eta_k, *args, compensated=compensated, **kwargs)
 
         def counting_chart(eta_j, a, chart_index=0):
             chart = build_chart(eta_j, a, chart_index)
@@ -399,9 +477,15 @@ class TestMixedChartIndices:
         monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
         monkeypatch.setattr(ap, "winding_number", counting_winding)
         monkeypatch.setattr(nb, "build_chart", counting_chart)
-        rep = nb.near_boundary_diagnostic(nb.reference_charts(e), e_p)
+        ref = nb.reference_charts(e)
+        # the reference side: one call per admitted index, for every record
+        assert [(eta_k is e, c) for eta_k, c in calls] == [(True, True)] * n_admitted
+        assert len({ch.chart_index for admitted in ref.charts
+                    for ch, *_ in admitted}) == n_admitted
+        calls.clear()
+        rep = nb.near_boundary_diagnostic(ref, e_p)
         used = {a["chart_j"] for a in rep.anchors}
         assert len(used) == n_used
-        assert calls[True] == 2 * n_used        # one per trace tuple and index
-        assert calls[False] == 0                # probes count crossings
+        # the perturbed side: one call per used index; probes count crossings
+        assert [(eta_k is e_p, c) for eta_k, c in calls] == [(True, True)] * n_used
         assert len(probes) == len(probed) == n_probes
