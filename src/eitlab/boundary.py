@@ -18,9 +18,10 @@ The tangential derivative d_gamma and its inverse J act only as Fourier
 multipliers on coefficients (i omega and 1 / (i omega), both zero on the
 Nyquist mode), and products with J scale the rows or columns of b.
 Operator 2-norms are taken in the Hartley basis cas(2 pi k l / N),
-cas = cos + sin, as the top eigenvalue of a real Gram: the Sobolev weights
-and |J|'s multiplier are even in the mode number, and such a diagonal
-weight is diagonal there too (_cas_norm).
+cas = cos + sin, from the top eigenvalue of a real Gram, found by Lanczos
+from a fixed start: the Sobolev weights and |J|'s multiplier are even in
+the mode number, and such a diagonal weight is diagonal there too
+(_cas_norm).
 
 Fourier convention: coefficients are held in FFT ordering (modes
 0, 1, ..., N/2 - 1, -N/2, ..., -1).  The Nyquist coefficient stands for the
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from scipy.sparse.linalg import eigsh
 
 from .errors import DimensionMismatch, NonZeroMean
 
@@ -198,12 +199,22 @@ def _cas_norm(b: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
     real matrix M = diag(w_rows) h diag(w_cols), h = H A H / N = Re b - Im bP
     for the nodal matrix A (F = C - iS, so b = (C - iS) A (C + iS) / N and
     bP = (C - iS) A (C - iS) / N): the square root of the top eigenvalue of
-    the real Gram M^T M, the only one computed.
+    the real Gram M^T M, found by Lanczos (ARPACK) from a fixed start
+    vector, so that equal inputs give equal bits.  The start is the ramp
+    1, 2, ..., N over the modes, not a constant: a constant is even under P,
+    so an operator symmetric under s -> -s whose top singular vector is odd
+    under it (sin-like) would be missed.  A zero M has norm 0, which
+    ARPACK cannot start from; a non-finite M raises ValueError.
     """
     h = b.real - b[:, -np.arange(b.shape[1])].imag
     m = w_rows[:, None] * h * w_cols[None, :]
+    if not np.isfinite(m).all():
+        raise ValueError("operator norm of a matrix with infs or NaNs")
+    if not m.any():
+        return 0.0
     n = m.shape[1]
-    top = eigvalsh(m.T @ m, subset_by_index=[n - 1, n - 1])[0]
+    top = eigsh(m.T @ m, k=1, v0=np.arange(1.0, n + 1),
+                return_eigenvectors=False)[0]
     # the Gram is positive semi-definite; the clamp keeps the root real
     # should rounding take its top eigenvalue below 0
     return float(np.sqrt(max(top, 0.0)))
@@ -403,7 +414,7 @@ def operator_norm(a: BoundaryOperator, s_from: float, s_to: float) -> float:
     matrix; for a real operator the complexified norm coincides with the
     real-restricted one.  The weights are even in the mode number, so it is
     taken in the Hartley (cas) basis, from the top eigenvalue of one real
-    Gram (_cas_norm).
+    Gram, found by Lanczos from a fixed start vector (_cas_norm).
     """
     n = a.n_modes
     return _cas_norm(a.coeffs, sobolev_weights(n, a.length, s_to),

@@ -50,7 +50,8 @@ __all__ = [
     "load_off",
 ]
 
-_TAIL_TOL = 1e-8        # dn_conformal: spectrum energy allowed past half the band
+_TAIL_TOL = 1e-8        # dn_conformal: spectrum energy allowed past half the band,
+                        # on 4N nodes and, where that fails, on 8N
 _HOLE_RADIUS = 0.25     # make_one_holed_torus_mesh: radius of the hole circle
 _TORUS_MIN_RESOLUTION = 8  # make_one_holed_torus_mesh: fewest radial bands
 
@@ -70,6 +71,9 @@ class ConformalDomain:
     def __post_init__(self):
         a = tuple(complex(v) for v in self.coeffs)
         object.__setattr__(self, "coeffs", a)
+        for i, v in enumerate(a):
+            if not np.isfinite(v):
+                raise ValueError(f"coefficient a_{i + 2} = {v} is not finite")
         k = np.arange(2, 2 + len(a))
         if len(a) and np.sum(k * np.abs(np.asarray(a))) >= 1.0:
             raise UnivalenceViolated(
@@ -92,19 +96,51 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> BoundaryOperator:
     modes e_k is b = <Lambda_D E_k, E_j> / L with E_k = e_k(s(theta)) on
     the disk.  E_k = C_|k| + i sgn(k) S_|k| with the real C_k = cos(k u),
     S_k = sin(k u), u = 2 pi s / L, so only the N/2 + 1 non-negative modes
-    are sampled, on 8N theta nodes.  They are sampled a block of modes at a
-    time, at most _EVAL_BLOCK samples, one mode per row, in the order the
-    real FFTs read them, and each block's disk spectra are written straight
-    into the columns of one real Gram factor w; no whole table of samples is
-    held.  w^T w is the Dirichlet form d on the C's and S's, and w is freed
-    before b is gathered from d.  The correspondence enters only through
-    u(theta); no theta(s) is read off the samples.  Raises
-    InterpolationUnderresolved when the E_k spectra hold more than
-    _TAIL_TOL = 1e-8 of their energy at |p| >= 2N, half the band the nodes
-    resolve.
+    are sampled, on 4N theta nodes, or on 8N when the 4N spectra fail their
+    tail check (_gram_factor).  w^T w of the real Gram factor w is the
+    Dirichlet form d on the C's and S's, and w is freed before b is
+    gathered from d.  The correspondence enters only through u(theta); no
+    theta(s) is read off the samples.  Raises InterpolationUnderresolved
+    when on 8N nodes too the E_k spectra hold more than _TAIL_TOL = 1e-8 of
+    their energy past half the band the nodes resolve, |p| >= 2N.
     """
     n = n_modes
-    fine = 8 * n
+    for fine in (4 * n, 8 * n):
+        w, tail = _gram_factor(domain, n, fine)
+        if tail <= _TAIL_TOL * n:
+            break
+        del w  # else alive beside the 8N factor
+    else:
+        raise InterpolationUnderresolved(
+            f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
+            f"{_TAIL_TOL:.1e}; increase N")
+
+    # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
+    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian.
+    # w goes before the gather, which would otherwise hold it beside b
+    d = w.T @ w
+    del w
+    # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
+    #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
+    half = n // 2 + 1
+    ms = bc.mode_numbers(n)
+    ak, sg = np.abs(ms).astype(int), np.sign(ms)
+    cs = sg * d[np.ix_(ak, half + ak)]
+    b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
+         + 1j * (cs - cs.T))
+    return bc.BoundaryOperator(b, 2.0 * np.pi)
+
+
+def _gram_factor(domain: ConformalDomain, n: int,
+                 fine: int) -> tuple[np.ndarray, float]:
+    """dn_conformal's real Gram factor w on `fine` theta nodes, and its tail.
+
+    The tail is the E_k spectra's energy at |p| >= fine / 4, half the band
+    the nodes resolve, summed over the N modes.  The modes are sampled a
+    block at a time, at most _EVAL_BLOCK samples, one mode per row, in the
+    order the real FFTs read them, and each block's disk spectra are written
+    straight into the columns of w; no whole table of samples is held.
+    """
     theta_f = np.arange(fine) * (2.0 * np.pi / fine)
     speed_f = np.abs(domain.map_derivative(theta_f))
     mean_speed = float(np.mean(speed_f))
@@ -121,15 +157,14 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> BoundaryOperator:
     u_f = theta_f + per_f / mean_speed
     half = n // 2 + 1
 
-    # C_k = cos(k u) and S_k = sin(k u) for k = 0 .. N/2, sampled a block of
-    # modes at a time, at most _EVAL_BLOCK samples, one mode per row, and
-    # taken to their real spectra at p = 0 .. 4N along the rows.  A real
-    # function's spectrum at +-p is counted once from p >= 0: twice, except
-    # at p = 0 and the Nyquist p = 4N; likewise E_k and E_-k have the same
-    # tail for 0 < k < N/2, and only E_0 and E_-N/2 stand alone.  Each
-    # block's tail is summed, and its spectra, scaled for the Dirichlet form,
-    # go to the columns [C_0 .. C_N/2, S_0 .. S_N/2] of w, real parts in the
-    # first n_p rows and imaginary parts in the rest
+    # C_k = cos(k u) and S_k = sin(k u) for k = 0 .. N/2, taken to their real
+    # spectra at p = 0 .. fine / 2 along the rows.  A real function's
+    # spectrum at +-p is counted once from p >= 0: twice, except at p = 0
+    # and the Nyquist p = fine / 2; likewise E_k and E_-k have the same tail
+    # for 0 < k < N/2, and only E_0 and E_-N/2 stand alone.  Each block's
+    # tail is summed, and its spectra, scaled for the Dirichlet form, go to
+    # the columns [C_0 .. C_N/2, S_0 .. S_N/2] of w, real parts in the first
+    # n_p rows and imaginary parts in the rest
     n_p = fine // 2 + 1
     twice_p, twice_k = _twice_inner(n_p), np.tile(_twice_inner(half), 2)
     scale = np.sqrt(twice_p * np.arange(n_p))
@@ -151,24 +186,7 @@ def dn_conformal(domain: ConformalDomain, n_modes: int) -> BoundaryOperator:
             w[:n_p, cols] = spec.real.T
             w[n_p:, cols] = spec.imag.T
             del spec, power  # else alive beside the next block's table
-    if tail > _TAIL_TOL * n:
-        raise InterpolationUnderresolved(
-            f"boundary correspondence spectrum tail {tail / n:.2e} exceeds "
-            f"{_TAIL_TOL:.1e}; increase N")
-
-    # d = sum_p c_p |p| Re(conj(f_p) g_p) over the real and imaginary rows:
-    # a syrk, so d is exactly symmetric and the gathered b exactly Hermitian.
-    # w goes before the gather, which would otherwise hold it beside b
-    d = w.T @ w
-    del w
-    # b_jk = d(C_j, C_k) + sg_j sg_k d(S_j, S_k)
-    #        + i (sg_k d(C_j, S_k) - sg_j d(S_j, C_k)),  sg = sgn of the mode
-    ms = bc.mode_numbers(n)
-    ak, sg = np.abs(ms).astype(int), np.sign(ms)
-    cs = sg * d[np.ix_(ak, half + ak)]
-    b = (d[np.ix_(ak, ak)] + np.outer(sg, sg) * d[np.ix_(half + ak, half + ak)]
-         + 1j * (cs - cs.T))
-    return bc.BoundaryOperator(b, 2.0 * np.pi)
+    return w, tail
 
 
 def _twice_inner(m: int) -> np.ndarray:

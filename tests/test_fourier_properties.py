@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import dft
+from scipy.sparse.linalg import eigsh
 
 from eitlab import boundary as bc
 from eitlab import dn as dnm
@@ -242,6 +243,49 @@ class TestFourierConjugation:
     def test_cas_norm_of_zero_is_zero(self, n):
         w = np.abs(bc.mode_numbers(n)) + 1.0
         assert bc._cas_norm(np.zeros((n, n), dtype=complex), w, 1.0 / w) == 0.0
+
+    @pytest.mark.parametrize("s_from,s_to", [(1, 0), (3, 2)])
+    def test_cas_norm_on_nearly_degenerate_sweep_difference(self, s_from, s_to):
+        """t and t_alt of the sweep's s = 0.01 record, whose top two
+        singular values differ by 1.5e-4 relative, against a dense SVD."""
+        n = 256
+        diff = dnm.dn_conformal(dnm.ConformalDomain((0.01,)), n) - dnm.dn_disk(n)
+        w_rows = bc.sobolev_weights(n, TWO_PI, s_to)
+        w_cols = 1.0 / bc.sobolev_weights(n, TWO_PI, s_from)
+        sv = np.linalg.svd(w_rows[:, None] * diff.coeffs * w_cols[None, :],
+                           compute_uv=False)
+        assert sv[0] / sv[1] < 1.0002
+        got = bc._cas_norm(diff.coeffs, w_rows, w_cols)
+        assert abs(got - sv[0]) <= 1e-14 * sv[0]
+        assert bc._cas_norm(diff.coeffs, w_rows, w_cols) == got
+
+    def test_cas_norm_sees_an_odd_top_singular_vector(self):
+        """An operator symmetric under s -> -s whose top singular vector is
+        sin s, 1.5e-4 above the cos s one.  Lanczos from a constant start,
+        even under that reflection, returns the even top, 256.0000 against
+        256.0384; the ramp start finds the odd one."""
+        n = 256
+        l = np.arange(n) * (TWO_PI / n)
+        ks = np.arange(1, n // 2)
+        a, b = 1.0 + 0.5 * np.cos(ks) ** 2, 1.0 + 0.5 * np.sin(1.3 * ks) ** 2
+        a[0], b[0] = 2.0, 2.0 * 1.00015
+        c, s = np.cos(np.outer(l, ks)), np.sin(np.outer(l, ks))
+        op = bc.operator_from_matrix((c * a) @ c.T + (s * b) @ s.T, TWO_PI)
+        ref = np.linalg.norm(op.matrix, 2)
+        ones = np.ones(n)
+        assert abs(bc._cas_norm(op.coeffs, ones, ones) - ref) <= 1e-14 * ref
+        h = op.coeffs.real - op.coeffs[:, -np.arange(n)].imag
+        top = eigsh(h.T @ h, k=1, v0=np.full(n, n ** -0.5), return_eigenvectors=False)[0]
+        assert np.sqrt(top) < (1.0 - 1e-4) * ref
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cas_norm_refuses_non_finite(self, bad):
+        n = 16
+        b = dense_fourier(np.eye(n))
+        b[3, 5] = bad
+        w = np.ones(n)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            bc._cas_norm(b, w, w)
 
     @property_test
     @given(n=sizes, length=lengths, seed=seeds, data=st.data())
