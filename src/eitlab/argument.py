@@ -51,6 +51,7 @@ __all__ = [
 _MAX_NODES = 16384  # 4 * 2^12, on the node ladder
 _OVERSAMPLE = 4
 _MERGE_REL = 1e-6  # duplicate image points: relative to the largest diameter
+_ONCE_TOL = 0.1    # a target is enclosed once where |W - 1| < _ONCE_TOL
 
 
 def _contour_samples(eta_j: BoundaryFunction) -> np.ndarray:
@@ -99,18 +100,19 @@ def _crossing_winding(samples: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np
     return np.cumsum(counts[::-1], axis=0)[::-1][1:]
 
 
-def _winding_bound(eta_j: BoundaryFunction, samples: np.ndarray) -> float:
-    """Distance from the samples beyond which the polygon's winding is the curve's.
+def _winding_bound(eta_j: BoundaryFunction) -> tuple[np.ndarray, float]:
+    """4N samples, and the distance from them past which their polygon winds as the curve does.
 
     On a step h = L / len(samples) an arc leaves its chord by at most
     h^2 / 8 max|eta_j''| <= h^2 / 8 sum omega^2 |c| (c the coefficients), so
     the straight-line homotopy from the curve to the polygon stays within
     half the longest chord plus that deviation of a sample.
     """
+    samples = _contour_samples(eta_j)
     h = eta_j.length / samples.size
     curvature = np.sum(bc._omega(eta_j.n_modes, eta_j.length) ** 2 * np.abs(eta_j.coeffs))
     chord = np.abs(np.roll(samples, -1) - samples).max()
-    return float(chord / 2 + h * h / 8 * curvature)
+    return samples, float(chord / 2 + h * h / 8 * curvature)
 
 
 def _round_up_nodes(counts: np.ndarray) -> np.ndarray:
@@ -138,11 +140,6 @@ def _node_plan(eta_j: BoundaryFunction, c_q: float, dists: np.ndarray,
     if squared:
         counts *= 2
     return _round_up_nodes(counts)
-
-
-def _z_arclength(eta_j: BoundaryFunction) -> float:
-    d = bc.derivative_gamma(eta_j).values(_OVERSAMPLE * eta_j.n_modes)
-    return float(np.mean(np.abs(d)) * eta_j.length)
 
 
 def _cauchy_raw(block: np.ndarray, ones: bool, length: float, zs: np.ndarray,
@@ -184,11 +181,11 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
     the contour samples, the distances and the node plan, and a numerator
     shares the contour's grid (DimensionMismatch otherwise).  The targets
     are summed in one pass per distinct rounded node count (_node_plan);
-    each pass samples the contour, its derivative and the numerators as one
-    coefficient block, by one inverse FFT.  The nearest-sample search stops
-    where the count reaches its floor N: a target farther out takes N nodes
-    whatever its distance.  The plain rule refuses a target closer to the
-    contour than 4 * arclength / count of its count (TooCloseToContour).
+    each pass samples the block [contour | derivative | numerators] by one
+    inverse FFT, and one 4N sample of its first two columns sets the plan
+    and the band.  The nearest-sample search stops where the count reaches
+    N, which any target farther out takes.  The plain rule refuses a target
+    closer to the contour than 4 * arclength / count (TooCloseToContour).
 
     compensated=True is the rule for image coordinates of targets enclosed
     once: each row is divided by the winding row of the same node plan
@@ -207,7 +204,7 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
     block = np.column_stack(cols)
     ones = eta_k is None or compensated
     zs = np.asarray(zs, dtype=complex)
-    samples = _contour_samples(eta_j)
+    samples, d_samples = bc._samples(block[:, :2], _OVERSAMPLE * eta_j.n_modes)
     c_q = 40.0 * _z_diameter(samples)
     # a target past c_q / N takes N nodes; the search stops a little farther
     # out, so that rounding cannot move a count
@@ -215,7 +212,7 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
     out = np.empty((block.shape[1] - 2 + ones, zs.size), dtype=complex)
     counts = _node_plan(eta_j, c_q, dists, squared)
     if not compensated:
-        eps_min = 4.0 * _z_arclength(eta_j) / counts
+        eps_min = 4.0 * (np.mean(np.abs(d_samples)) * eta_j.length) / counts
         if np.any(dists < eps_min):
             bad = int(np.argmax(dists < eps_min))
             raise TooCloseToContour(
@@ -229,6 +226,12 @@ def _cauchy_many(eta_k: BoundaryFunction | TraceTuple | None,
         out = (out if eta_k is None else out[:-1]) / winding
         return (out[0] if single else out), winding
     return out[0] if single else out
+
+
+def _image_points(e: TraceTuple, j: int, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of n coordinates above zs in chart j, and once: the rows that are image points."""
+    p, winding = _cauchy_many(e, e[j], zs, compensated=True)
+    return p.T, np.abs(winding - 1.0) < _ONCE_TOL
 
 
 def cauchy_integral(eta_k: BoundaryFunction | None, eta_j: BoundaryFunction,
@@ -248,8 +251,7 @@ def winding_number(eta_j: BoundaryFunction, z: complex) -> int:
     samples than the bound raises TooCloseToContour.
     """
     z = complex(z)
-    samples = _contour_samples(eta_j)
-    bound = _winding_bound(eta_j, samples)
+    samples, bound = _winding_bound(eta_j)
     dist = np.abs(samples - z).min()
     if not dist > bound:
         raise TooCloseToContour(f"target {z} at distance {dist:.3e} <= {bound:.3e}")
@@ -263,7 +265,6 @@ class WindingField:
     grid: np.ndarray          # complex lattice points, flattened
     winding: np.ndarray       # int per point; 0 where near-contour
     near_contour: np.ndarray  # bool marker per point
-    epsilon: float
     shape: tuple
 
     def points_with_winding(self, w: int) -> np.ndarray:
@@ -280,8 +281,7 @@ def classify(eta_j: BoundaryFunction, grid_resolution: int, eps: float) -> Windi
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    samples = _contour_samples(eta_j)
-    bound = _winding_bound(eta_j, samples)
+    samples, bound = _winding_bound(eta_j)
     if not eps > bound:
         raise TooCloseToContour(f"eps {eps:.3e} <= winding certificate {bound:.3e}")
     x0, x1 = samples.real.min(), samples.real.max()
@@ -296,7 +296,7 @@ def classify(eta_j: BoundaryFunction, grid_resolution: int, eps: float) -> Windi
     near = np.isfinite(_sample_distances(samples, grid, np.nextafter(eps, np.inf)))
     winding = _crossing_winding(samples, xs, ys).ravel()
     winding[near] = 0
-    return WindingField(grid, winding, near, eps, (grid_resolution, grid_resolution))
+    return WindingField(grid, winding, near, (grid_resolution, grid_resolution))
 
 
 @dataclass
@@ -391,10 +391,9 @@ def reconstruct(e: TraceTuple, eps: float, grid_resolution: int = 64,
         zs = fields[j].points_with_winding(1)
         if zs.size == 0:
             continue
-        vals, winding = _cauchy_many(e, e[j], zs, compensated=True)
-        once = np.abs(winding - 1.0) < 0.1
+        vals, once = _image_points(e, j, zs)
         n_dropped += int(zs.size - once.sum())
-        pts.append(vals[:, once].T)
+        pts.append(vals[once])
         charts.append(np.full(once.sum(), j))
         srcs.append(zs[once])
     pts.append(boundary.T)

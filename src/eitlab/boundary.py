@@ -7,7 +7,7 @@ coefficients are the whole representation: +, - and scalar * act on them,
 and samples (values, eval_at) and mean are complex for every function, real
 or not; a caller that needs real samples takes ``.real``.  Operators are
 held the same way, by the Fourier-basis matrix b_jk = <A e_k, e_j> / L of
-the modes e_k: apply, + and - act on b, and the nodal matrix F^H b F / N
+the modes e_k: apply and - act on b, and the nodal matrix F^H b F / N
 (F the unnormalized DFT) is derived only for the JSON format.  One reality
 rule holds for both: real coefficients mirror, c_{-k} = conj(c_k) and
 b_jk = conj(b_{-j,-k}).  The operator constructor projects every b onto it,
@@ -206,13 +206,14 @@ def _cas_norm(b: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
     under it (sin-like) would be missed.  A zero M has norm 0, which
     ARPACK cannot start from; a non-finite M raises ValueError.
     """
-    h = b.real - b[:, -np.arange(b.shape[1])].imag
-    m = w_rows[:, None] * h * w_cols[None, :]
+    n = b.shape[1]
+    m = b.real - b.imag[:, -np.arange(n)]  # gathers real parts, not complex entries
+    m *= w_rows[:, None]
+    m *= w_cols[None, :]
     if not np.isfinite(m).all():
         raise ValueError("operator norm of a matrix with infs or NaNs")
     if not m.any():
         return 0.0
-    n = m.shape[1]
     top = eigsh(m.T @ m, k=1, v0=np.arange(1.0, n + 1),
                 return_eigenvectors=False)[0]
     # the Gram is positive semi-definite; the clamp keeps the root real
@@ -361,10 +362,6 @@ class BoundaryOperator:
         return BoundaryFunction(self.coeffs @ f.coeffs, self.length)
 
     __call__ = apply
-
-    def __add__(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        _check_same_grid(self, other)
-        return BoundaryOperator(self.coeffs + other.coeffs, self.length)
 
     def __sub__(self, other: "BoundaryOperator") -> "BoundaryOperator":
         _check_same_grid(self, other)

@@ -20,6 +20,8 @@ class NoSpectralGap(EitlabError):
 class CertificateFailed(EitlabError):
     """Completed trace violates the conjugate Cauchy-Riemann identity."""
 
+    trace: int = 0  # column of the worst trace in the certified block
+
 
 class TooCloseToContour(EitlabError):
     """Target lies inside a quadrature exclusion band or the winding certificate."""

@@ -26,7 +26,7 @@ from . import dn as dnm
 from . import holomorphic as hm
 from . import metrics as mt
 from . import nearboundary as nb
-from .errors import ConfigInvalid, EitlabError, EmptyCloud
+from .errors import CertificateFailed, ConfigInvalid, EitlabError, EmptyCloud
 from .holomorphic import TraceTuple
 
 __all__ = [
@@ -105,6 +105,9 @@ class ExperimentConfig:
         for name in self.immersion.split(","):
             if name.strip() not in _RECIPES:
                 raise ConfigInvalid(f"unknown immersion recipe {name!r}")
+        # z,z2 at the other defaults, s = 0.08 .. 0.01: the conformal family fails every
+        # record at 16-24, only s = 0.08 (lemma-1) at 26-38, none from 40; fem_metric at
+        # resolution 24 fails every record (AllChartsFailed) at 16-24, none from 26
         if self.n_modes < 16 or self.n_modes % 2:
             raise ConfigInvalid("n_modes must be even and >= 16")
         if self.epsilon <= 0 or self.grid_resolution < _MIN_GRID_RESOLUTION:
@@ -221,7 +224,12 @@ def _lemma1_ratio(refs: TraceTuple, h3: np.ndarray, lam_p, proj_p, t: float) -> 
     """Max over the basis traces of ||transport(eta) - eta||_C2 / (t ||eta||_H3)."""
     if t <= 0:
         return np.nan
-    moved = hm.transport_immersion(refs, lam_p, proj_p)
+    try:
+        moved = hm.transport_immersion(refs, lam_p, proj_p)
+    except CertificateFailed as exc:  # name this stage and the basis trace
+        m, odd = divmod(exc.trace, 2)
+        raise CertificateFailed(f"lemma-1 transport of basis trace "
+                                f"{('cos', 'sin')[odd]}({m + 1} theta): {exc}") from exc
     return float(np.max(bc._ck_norms(moved.coeffs - refs.coeffs, moved.length, 2)
                         / (t * h3)))
 
@@ -269,28 +277,24 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
             rec.kappa = kappa_ref
             rec.kappa_prime = hm.estimate_kappa(lam_p)
             if rec.kappa_prime != rec.kappa:
-                rec.valid = False
-                rec.failure = "kappa mismatch"
-                rec.wall_time = time.perf_counter() - t0
-                records.append(rec)
-                continue
-            proj_p = hm.build_projections(lam_p, rec.kappa_prime)
-            e_p = hm.transport_immersion(e, lam_p, proj_p)
-            rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lemma1_h3, lam_p,
-                                             proj_p, rec.t)
-            cloud_p = ap.reconstruct(e_p, cfg.epsilon, cfg.grid_resolution,
-                                     fields=fields)
-            rec.d_h_interior = mt.hausdorff(cloud_ref.interior_points(),
-                                            cloud_p.interior_points()).d_h
-            rec.d_h_full = mt.hausdorff(cloud_ref.points, cloud_p.points).d_h
-            diag = nb.near_boundary_diagnostic(ref_charts, e_p)
-            rec.near_boundary_sup = diag.global_sup
-            imm = ap.immersion_check(e_p, fields, m=len(e))
-            rec.immersion_margin = imm.min_margin if imm.applicable else np.nan
-            clouds.append((float(s), cloud_ref, cloud_p))
+                rec.valid, rec.failure = False, "kappa mismatch"
+            else:
+                proj_p = hm.build_projections(lam_p, rec.kappa_prime)
+                e_p = hm.transport_immersion(e, lam_p, proj_p)
+                rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lemma1_h3, lam_p,
+                                                 proj_p, rec.t)
+                cloud_p = ap.reconstruct(e_p, cfg.epsilon, cfg.grid_resolution,
+                                         fields=fields)
+                rec.d_h_interior = mt.hausdorff(cloud_ref.interior_points(),
+                                                cloud_p.interior_points()).d_h
+                rec.d_h_full = mt.hausdorff(cloud_ref.points, cloud_p.points).d_h
+                diag = nb.near_boundary_diagnostic(ref_charts, e_p)
+                rec.near_boundary_sup = diag.global_sup
+                imm = ap.immersion_check(e_p, fields, m=len(e))
+                rec.immersion_margin = imm.min_margin if imm.applicable else np.nan
+                clouds.append((float(s), cloud_ref, cloud_p))
         except EitlabError as exc:
-            rec.valid = False
-            rec.failure = f"{type(exc).__name__}: {exc}"
+            rec.valid, rec.failure = False, f"{type(exc).__name__}: {exc}"
         rec.wall_time = time.perf_counter() - t0
         if verbose:
             print(f"s={s}: t={rec.t:.3e} d_h={rec.d_h_interior:.3e} "

@@ -317,9 +317,11 @@ def _complete(u: np.ndarray, im_mean: np.ndarray, lam: BoundaryOperator,
     tol = cert_tol_rel * np.maximum(bc._sobolev_norms(eta, length, 1), 1e-300)
     k = int(np.argmax(res / tol))
     if res[k] > tol[k]:
-        raise CertificateFailed(
+        exc = CertificateFailed(
             f"conjugate certificate residual {res[k]:.3e} > {tol[k]:.3e} "
             f"(trace {k + 1} of {res.size})")
+        exc.trace = k
+        raise exc
     return eta
 
 

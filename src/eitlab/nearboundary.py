@@ -122,11 +122,6 @@ def unrectify(chart: BoundaryChart, s: np.ndarray | float,
     return on_curve + 1j * np.asarray(r) * chart.tangent
 
 
-def _coordinate_at(e: TraceTuple, j: int, zs: np.ndarray) -> np.ndarray:
-    """Image points above the targets zs in chart j, one row of n coordinates each."""
-    return ap._cauchy_many(e, e[j], zs, compensated=True)[0].T
-
-
 def pair_points(e: TraceTuple, charts: Sequence[BoundaryChart],
                 s: Sequence[np.ndarray], r: Sequence[np.ndarray]) -> list[tuple]:
     """Image points of e at the coordinates (s[i], r[i]) of each charts[i].
@@ -134,17 +129,17 @@ def pair_points(e: TraceTuple, charts: Sequence[BoundaryChart],
     (s, r) -> zeta is one-to-one on a chart, so points at the same (s, r)
     pair with no inverse chart map.  The charts of one chart index share one
     compensated Cauchy call.  Item i is (p, once): one row of n coordinates
-    per target, and the targets enclosed once, |W - 1| < 0.1 on the winding
-    row (reconstruct's rule); the other rows are no image point.
+    per target, and the targets enclosed once (argument._image_points, the
+    rule reconstruct uses); the other rows are no image point.
     """
     out = [None] * len(charts)
     for j in dict.fromkeys(ch.chart_index for ch in charts):
         idx = [i for i, ch in enumerate(charts) if ch.chart_index == j]
         zs = np.concatenate([np.ravel(unrectify(charts[i], s[i], r[i])) for i in idx])
-        p, winding = ap._cauchy_many(e, e[j], zs, compensated=True)
+        p, once = ap._image_points(e, j, zs)
         ends = np.cumsum([np.size(s[i]) for i in idx])[:-1]
-        for i, rows, w in zip(idx, np.split(p.T, ends), np.split(winding, ends)):
-            out[i] = (rows, np.abs(w - 1.0) < 0.1)
+        for i, rows, o in zip(idx, np.split(p, ends), np.split(once, ends)):
+            out[i] = (rows, o)
     return out
 
 

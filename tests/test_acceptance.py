@@ -190,7 +190,7 @@ def test_criterion_09_near_boundary_pairing(sweep):
     # on the overlap strip
     pair = hm.TraceTuple((trace(lambda z: z), trace(lambda z: z ** 2)))
     zs = (1.0 - np.array([2e-3, 8e-3])) * np.exp(0.4j)
-    got = nb._coordinate_at(pair, 0, zs)[:, 1]
+    got = ap._image_points(pair, 0, zs)[0][:, 1]
     plain = np.array([ap.cauchy_integral(pair[1], pair[0], z) for z in zs])
     overlap_worst = max(np.abs(got - zs ** 2).max(), np.abs(got - plain).max())
     ok = mono and rep0.global_sup < 1e-7 and overlap_worst < 1e-8

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
-from eitlab.errors import DimensionMismatch, TooCloseToContour
+from eitlab.errors import DimensionMismatch, EmptyCloud, TooCloseToContour
 from eitlab.holomorphic import TraceTuple
 
 TWO_PI = 2.0 * np.pi
@@ -146,15 +146,41 @@ class TestStackedNumerators:
         for p, row in enumerate(got, 1):
             assert np.abs(row - zs ** p).max() <= 1e-12
 
-    def test_arclength_only_on_the_plain_path(self, e_pair, monkeypatch):
-        # the exclusion band is read by the plain rule alone
-        calls, real = [], ap._z_arclength
-        monkeypatch.setattr(ap, "_z_arclength", lambda eta: calls.append(eta) or real(eta))
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_one_4n_sample_per_call(self, e_pair, compensated, monkeypatch):
+        # the contour and its derivative are sampled at 4N by one call on
+        # either rule: the node plan reads the first row, the plain rule's
+        # exclusion band the second; the passes here take N nodes
+        sizes, real = [], bc._samples
+        monkeypatch.setattr(bc, "_samples",
+                            lambda c, m, *a: sizes.append((c.shape[1], m)) or real(c, m, *a))
         zs = np.array([0.0, 0.3 + 0.2j])
-        ap._cauchy_many(e_pair, e_pair[0], zs, compensated=True)
-        assert calls == []
-        ap._cauchy_many(e_pair, e_pair[0], zs)
-        assert len(calls) == 1
+        ap._cauchy_many(e_pair, e_pair[0], zs, compensated=compensated)
+        n = e_pair.n_modes
+        assert sizes == [(2, 4 * n), (4, n)]
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_contour_sample_rows_have_each_columns_bits(self, n):
+        # the one 4N sample of [eta_j | d_gamma eta_j] equals sampling each
+        # alone, so the plan and the band read the bits they read before
+        eta = trace(lambda z: z + 0.04 * z ** 3, n=n)
+        d = bc.derivative_gamma(eta)
+        rows = bc._samples(np.column_stack([eta.coeffs, d.coeffs]), 4 * n)
+        assert np.array_equal(rows[0], ap._contour_samples(eta))
+        assert np.array_equal(rows[1], d.values(4 * n))
+
+    def test_plain_band_is_four_arclengths_per_count(self, e_pair):
+        # a target this close takes the capped count, and the unit circle's
+        # arclength is 2 pi: the band is 4 * 2 pi / 16384 = 1.53e-3
+        band = 4.0 * TWO_PI / ap._MAX_NODES
+        for d in (0.9 * band, 1.1 * band):
+            z = complex(1.0 - d, 0.0)
+            assert node_plan(e_pair[0], np.array([d]))[0] == ap._MAX_NODES
+            if d < band:
+                with pytest.raises(TooCloseToContour):
+                    ap.cauchy_integral(e_pair[1], e_pair[0], z)
+            else:
+                assert abs(ap.cauchy_integral(e_pair[1], e_pair[0], z) - z ** 2) < 1e-12
 
     def test_numerator_on_another_grid_raises(self, e_pair):
         # the numerators are columns of the contour's coefficient block
@@ -266,6 +292,15 @@ class TestCompensatedCauchy:
         diam = ap._z_diameter(ap._contour_samples(e[0]))
         chart = cloud.points[interior, cloud.chart_j[interior]]
         assert np.abs(chart - cloud.source_z[interior]).max() <= 1e-12 * diam
+
+    def test_image_points_are_targets_enclosed_once(self, e_pair):
+        # z^2 encloses 0.3 twice and z once; neither encloses 1.5
+        zs = np.array([0.3 + 0j, 1.5 + 0j])
+        p, once = ap._image_points(e_pair, 0, zs)
+        assert p.shape == (2, 2) and once.tolist() == [True, False]
+        assert np.abs(p[0] - [zs[0], zs[0] ** 2]).max() < 1e-12
+        _, once = ap._image_points(e_pair, 1, zs)
+        assert once.tolist() == [False, False]
 
 
 class TestKernelWorkingSet:
@@ -426,7 +461,7 @@ class TestCrossingWinding:
         # 8-mode circle: half its longest chord is 0.098 and the chord-to-arc
         # deviation adds (2 pi / 32)^2 / 8, so the bound is 0.1028
         e8 = trace(lambda z: z, n=8)
-        bound = ap._winding_bound(e8, ap._contour_samples(e8))
+        _, bound = ap._winding_bound(e8)
         assert abs(bound - (np.sin(np.pi / 32) + (np.pi / 16) ** 2 / 8)) < 1e-12
         with pytest.raises(TooCloseToContour):
             ap.classify(e8, 24, 0.1)
@@ -444,8 +479,8 @@ class TestReconstruct:
 
     def test_samples_the_tuple_at_4n_once(self, e_pair, monkeypatch):
         # one block sample gives the boundary points and the chart
-        # diameters; the Cauchy passes sample their own node counts
-        samples, real_raw = [], ap._cauchy_raw
+        # diameters; each Cauchy call samples its own contour and node counts
+        samples, real_many = [], ap._cauchy_many
         inside = []
         real_samples = bc._samples
 
@@ -454,15 +489,15 @@ class TestReconstruct:
                 samples.append((c.shape[1], m))
             return real_samples(c, m, *args)
 
-        def marked_raw(*args):
+        def marked_many(*args, **kwargs):
             inside.append(1)
             try:
-                return real_raw(*args)
+                return real_many(*args, **kwargs)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(bc, "_samples", recording)
-        monkeypatch.setattr(ap, "_cauchy_raw", marked_raw)
+        monkeypatch.setattr(ap, "_cauchy_many", marked_many)
         cloud = ap.reconstruct(e_pair, eps=0.2, grid_resolution=24)
         assert cloud.interior_points().shape[0] > 0
         assert [m for cols, m in samples if cols == len(e_pair)] == [4 * e_pair.n_modes]
@@ -580,6 +615,23 @@ def rowwise_csv(cloud, path):
                     repr(float(cloud.source_z[i].real)),
                     repr(float(cloud.source_z[i].imag))]
             w.writerow(row)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case, error, match", [
+        ("eps 0", ValueError, "eps must be positive"),
+        ("eps -0.1", ValueError, "eps must be positive"),
+        ("header-only cloud", EmptyCloud, "no points"),
+    ])
+    def test_refused(self, e_z, tmp_path, case, error, match):
+        if case.startswith("eps"):
+            call = lambda: ap.classify(e_z[0], 16, float(case.split()[1]))
+        else:
+            path = tmp_path / "cloud.csv"
+            path.write_text("re_1,im_1,tag,chart_j,source_z_re,source_z_im\r\n")
+            call = lambda: ap.ReconstructedCloud.from_csv(str(path))
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestCsvRoundtrip:

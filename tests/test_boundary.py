@@ -181,6 +181,24 @@ class TestNorms:
         assert np.array_equal(bc._ck_norms(block, length, k), loop)
         assert [bc.ck_norm(f, k) for f in fs] == loop
 
+    @pytest.mark.parametrize("s_from, s_to", [(1, 0), (3, 2)], ids=["t", "t_alt"])
+    def test_hartley_matrix_equals_gathered_complex_form(self, s_from, s_to, monkeypatch):
+        # on a sweep's s = 0.08 difference at N = 256, M built from real
+        # parts and weighted in place has the bits of gathering the complex
+        # b and weighting by products: the Gram and the norm are equal
+        n = 256
+        a = dnm.dn_conformal(dnm.ConformalDomain((0.08,)), n) - dnm.dn_disk(n)
+        w_rows = bc.sobolev_weights(n, a.length, s_to)
+        w_cols = 1.0 / bc.sobolev_weights(n, a.length, s_from)
+        h = a.coeffs.real - a.coeffs[:, -np.arange(n)].imag
+        m = w_rows[:, None] * h * w_cols[None, :]
+        grams, eigsh = [], bc.eigsh
+        monkeypatch.setattr(bc, "eigsh", lambda g, **kw: grams.append(g) or eigsh(g, **kw))
+        got = bc.operator_norm(a, s_from, s_to)
+        assert len(grams) == 1 and np.array_equal(grams[0], m.T @ m)
+        top = eigsh(m.T @ m, k=1, v0=np.arange(1.0, n + 1), return_eigenvectors=False)[0]
+        assert got == float(np.sqrt(top))
+
     def test_norm_monotone_in_order(self):
         rng = np.random.default_rng(2)
         f = bc.from_samples(rng.standard_normal(64), TWO_PI)

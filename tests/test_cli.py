@@ -74,6 +74,18 @@ class TestSweep:
         assert (tmp_path / "out" / "sweep.csv").exists()
         assert "1 records (0 failed)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_prints_one_line_per_record(self, tmp_path, capsys, verbose):
+        path = tmp_path / "cfg.json"
+        family = {"kind": "conformal_polynomial", "parameter_list": [0.05, 0.02]}
+        path.write_text(json.dumps({**SWEEP_CONFIG, "perturbation_family": family,
+                                    "output_dir": str(tmp_path / "out")}))
+        argv = ["sweep", "--config", str(path)] + ["--verbose"] * verbose
+        assert cli.main(argv) == cli.EXIT_OK
+        *records, last = capsys.readouterr().out.splitlines()
+        assert last.startswith("sweep: 2 records (0 failed)")
+        assert [line.split(":")[0] for line in records] == ["s=0.05", "s=0.02"] * verbose
+
     @pytest.mark.parametrize("immersion", ["z2", "z3"])
     def test_no_winding_one_chart_exits_3(self, tmp_path, capsys, immersion):
         # every target has winding 2 or 3 about w^2 or w^3, so the reference

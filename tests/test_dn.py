@@ -650,7 +650,16 @@ class TestOffIO:
         ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2", "truncated"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n", "outside 0..2"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "outside 0..2"),
-    ], ids=["empty", "truncated_faces", "negative_index", "index_past_end"])
+        ("COFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "not an OFF file"),
+        ("OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "negative counts"),
+        ("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n", "only triangle faces"),
+        # a tetrahedron, every edge traversed once each way: closed
+        ("OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+         "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n", "no boundary"),
+        ("OFF\n6 2 0\n0 0 0\n1 0 0\n0 1 0\n2 0 0\n3 0 0\n2 1 0\n"
+         "3 0 1 2\n3 3 4 5\n", "multiple loops"),
+    ], ids=["empty", "truncated_faces", "negative_index", "index_past_end", "not_off",
+            "negative_count", "quad_face", "closed", "two_loops"])
     def test_malformed_rejected(self, tmp_path, text, fault):
         path = tmp_path / "bad.off"
         path.write_text(text)

@@ -1,5 +1,7 @@
 """Sweep configuration, execution, determinism and output layout."""
 
+import csv
+import dataclasses
 import json
 import os
 from types import SimpleNamespace
@@ -93,6 +95,17 @@ class TestConfigValidation:
     def test_integer_parameters_accepted(self, tmp_path):
         small_config(tmp_path, perturbation_family={
             "kind": "conformal_polynomial", "parameter_list": [0.06, 0]}).validate()
+
+    @pytest.mark.parametrize("change, match", [
+        ({"perturbation_family": {"kind": "conformal_polynomial",
+                                  "parameter_list": [0.06, -0.03]}}, "nonnegative"),
+        ({"epsilon": 0.0}, "epsilon > 0"),
+        ({"epsilon": -0.25}, "epsilon > 0"),
+        ({"grid_resolution": 7}, "grid_resolution >= 8"),
+    ], ids=["negative_parameter", "epsilon_zero", "epsilon_negative", "grid_7"])
+    def test_out_of_range_value(self, tmp_path, change, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            small_config(tmp_path, **change).validate()
 
     def test_unknown_recipe(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -254,7 +267,7 @@ class TestRunSweep:
         assert zero.d_h_full <= 1e-12
         assert zero.near_boundary_sup <= 1e-12
 
-    def test_kappa_mismatch_invalidates(self, tmp_path, monkeypatch):
+    def test_kappa_mismatch_invalidates(self, tmp_path, monkeypatch, capsys):
         cfg = small_config(tmp_path,
                            perturbation_family={"kind": "conformal_polynomial",
                                                 "parameter_list": [0.05]})
@@ -263,10 +276,37 @@ class TestRunSweep:
         # the s = 0 reference stays the disk; every perturbed operator is the torus
         monkeypatch.setattr(ex, "_perturbed_dn",
                             lambda c: lambda s: torus if s else dnm.dn_disk(c.n_modes))
-        records, summary, _ = ex.run_sweep(cfg)
+        records, summary, _ = ex.run_sweep(cfg, verbose=True)
         assert not records[0].valid
         assert "kappa" in records[0].failure
         assert summary["n_valid"] == 0
+        # the record takes its line in the verbose log like any other
+        assert capsys.readouterr().out.startswith("s=0.05: ")
+
+
+    def test_failures_name_their_stage(self, tmp_path, capsys):
+        # at 24 modes s = 0.06 fails the transport of a lemma-1 basis trace,
+        # not of the immersion, and s = 0.03 pairs no near-boundary point;
+        # the sweep still writes its tables, and exits 3
+        cfg = small_config(tmp_path, n_modes=24)
+        records, summary, _ = ex.run_sweep(cfg)
+        assert not any(r.valid for r in records) and summary["n_valid"] == 0
+        assert records[0].failure.startswith(
+            "CertificateFailed: lemma-1 transport of basis trace sin(1 theta): "
+            "conjugate certificate residual")
+        assert records[0].failure.endswith("(trace 2 of 16)")
+        assert records[1].failure == ("AllChartsFailed: no anchor paired a "
+                                      "near-boundary point")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert "2 records (2 failed)" in capsys.readouterr().out
+        out = tmp_path / "out"
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["valid"], r["failure"]) for r in rows] == [
+            ("false", r.failure) for r in records]
+        assert json.loads((out / "summary.json").read_text())["n_valid"] == 0
 
 
 class TestOutputs:

@@ -112,6 +112,18 @@ class TestBuildChart:
         with pytest.raises(WindowCollapse, match="not certified increasing"):
             nb.build_chart(eta, 0.0)
 
+    @pytest.mark.parametrize("curve, a", [("w100", 0.0), ("w100", np.pi), ("ripple", np.pi)])
+    def test_short_window_collapses(self, curve, a):
+        # the tangent leaves the cone within 4 grid steps of the anchor while
+        # the dip bound is certified: only the window's floor refuses the chart
+        eta = {"w100": trace(lambda z: z + 0.02 * z ** 100),
+               "ripple": gaussian_ripple(0.002)}[curve]
+        (lo, hi), tau = dense_chart(eta, a)
+        assert hi - lo < 2 * 4 * TWO_PI / 256
+        assert np.pi ** 2 / 512 * np.abs(bc.derivative_gamma(eta).coeffs).sum() < 0.5 * abs(tau)
+        with pytest.raises(WindowCollapse, match="below 4 grid steps"):
+            nb.build_chart(eta, a)
+
     def test_certified_window_is_admitted(self):
         # sum|c'| = 7.0 at amplitude 0.002: certified, with the cone's window
         eta = gaussian_ripple(0.002)
@@ -167,12 +179,12 @@ class TestNearContourCoordinates:
 
     def test_identity_chart_near_boundary(self, e_pair):
         z = 0.97 + 0.0j
-        got = nb._coordinate_at(e_pair, 0, np.array([z]))[0]
+        got = ap._image_points(e_pair, 0, np.array([z]))[0][0]
         assert abs(got[0] - z) < 1e-12
 
     def test_square_coordinate_near_boundary(self, e_pair):
         z = 0.97 + 0.0j
-        got = nb._coordinate_at(e_pair, 0, np.array([z]))[0]
+        got = ap._image_points(e_pair, 0, np.array([z]))[0][0]
         assert abs(got[1] - z ** 2) < 1e-12
 
     def test_foot_value_at_zero_distance_limit(self, e_pair):
@@ -182,17 +194,17 @@ class TestNearContourCoordinates:
         z = complex((1.0 - 1e-6) * np.exp(1j * s))
         with pytest.raises(TooCloseToContour):
             ap.cauchy_integral(e_pair[1], e_pair[0], z)
-        got = nb._coordinate_at(e_pair, 0, np.array([z]))[0]
+        got = ap._image_points(e_pair, 0, np.array([z]))[0][0]
         assert abs(got[1] - z ** 2) < 1e-12
 
     def test_agrees_with_plain_quadrature_in_overlap(self, e_pair):
-        arclen = ap._z_arclength(e_pair[0])
-        # smallest distance plain quadrature accepts at the node cap
-        eps_min = 4.0 * arclen / 16384
+        # smallest distance plain quadrature accepts at the node cap: the
+        # unit circle's arclength is 2 pi
+        eps_min = 4.0 * TWO_PI / ap._MAX_NODES
         d = np.array([2e-3, 8e-3])
         assert np.all(d > eps_min)
         zs = (1.0 - d) * np.exp(0.4j)
-        got = nb._coordinate_at(e_pair, 0, zs)
+        got = ap._image_points(e_pair, 0, zs)[0]
         assert got.shape == (2, 2)
         for z, row in zip(zs, got):
             plain = ap.cauchy_integral(e_pair[1], e_pair[0], z)
@@ -269,7 +281,7 @@ class TestReferenceCharts:
             assert np.array_equal(r, np.tile(0.05 * np.arange(1, 5) / 4, 3))
             # to rounding: a batch of other targets may sum in another order
             z = nb.unrectify(chart, s, r)
-            assert np.abs(p - nb._coordinate_at(e_pair, 0, z)).max() < 1e-14
+            assert np.abs(p - ap._image_points(e_pair, 0, z)[0]).max() < 1e-14
 
     def test_admitted_in_derivative_order(self):
         ref = nb.reference_charts(MIXED[0])
