@@ -1,14 +1,15 @@
 """Sweep harness: perturbation families, stability measurements, outputs.
 
-A sweep walks a perturbation parameter toward zero, builds the perturbed DN
-operator, transports the reference immersion traces, reconstructs both image
-clouds on a common target grid and reports the Hausdorff distances, the
-lemma-1 transport ratio, the near-boundary pairing discrepancy and the
-immersion margins, together with log-log slopes against the operator
-perturbation size t.  The lemma-1 ratio is the max, over the defect band's
-16 basis traces cos m theta and sin m theta (m = 1..8), of the transported
-trace's C^2 change over t times its H^3 norm.  Nothing in a sweep is
-random, so its outputs do not depend on the config's seed.
+A sweep's real traces, the immersion recipe's and then the defect band's
+basis traces cos m theta and sin m theta (m = 1..8), are one block on one
+grid, completed once under the family's s = 0 operator and once under each
+perturbed operator.  A sweep walks the parameter toward zero, reconstructs
+both image clouds of the immersion on a common target grid and reports the
+Hausdorff distances, the lemma-1 ratio (the max over the basis traces of the
+transported trace's C^2 change over t times its H^3 norm), the near-boundary
+pairing discrepancy and the immersion margins, with log-log slopes against
+the operator perturbation size t.  Nothing in a sweep is random, so its
+outputs do not depend on the config's seed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "SweepRecord",
     "run_sweep",
     "emit_outputs",
-    "immersion_from_recipe",
 ]
 
 _MIN_GRID_RESOLUTION = 8  # fewest lattice points per side in classify
@@ -48,11 +48,13 @@ _FAMILY_KEYS = {
     "fem_metric": ("kind", "parameter_list", "resolution"),
 }
 
+# each recipe's real part on the unit circle, as a function of theta; every
+# recipe's imaginary part has mean 0, so its real part names the trace
 _RECIPES = {
-    "z": lambda w: w,
-    "z2": lambda w: w ** 2,
-    "z3": lambda w: w ** 3,
-    "expz": lambda w: np.exp(w),
+    "z": np.cos,
+    "z2": lambda th: np.cos(2.0 * th),
+    "z3": lambda th: np.cos(3.0 * th),
+    "expz": lambda th: np.exp(np.cos(th)) * np.cos(np.sin(th)),
 }
 
 
@@ -113,6 +115,8 @@ class ExperimentConfig:
         if self.epsilon <= 0 or self.grid_resolution < _MIN_GRID_RESOLUTION:
             raise ConfigInvalid(
                 f"epsilon > 0 and grid_resolution >= {_MIN_GRID_RESOLUTION} required")
+        if self.n_anchors < 1:
+            raise ConfigInvalid(f"n_anchors must be >= 1, got {self.n_anchors}")
         return dn_at
 
     @staticmethod
@@ -163,16 +167,6 @@ def _require_keys(name: str, d: dict, keys: tuple):
         raise ConfigInvalid(f"unknown {name} keys: {extra}")
 
 
-def immersion_from_recipe(recipe: str, n_modes: int) -> TraceTuple:
-    """Closed-form traces of the named coordinates on the unit circle.
-
-    run_sweep completes their real parts under the family's s = 0 operator.
-    """
-    w = np.exp(1j * (np.arange(n_modes) * (2.0 * np.pi / n_modes)))
-    return TraceTuple(bc.from_samples(_RECIPES[name.strip()](w), 2.0 * np.pi)
-                      for name in recipe.split(","))
-
-
 def _perturbed_dn(cfg: ExperimentConfig):
     """The family's DN operator as a function of the parameter s.
 
@@ -185,10 +179,10 @@ def _perturbed_dn(cfg: ExperimentConfig):
         return lambda s: (dnm.dn_disk(cfg.n_modes) if s == 0.0 else
                           dnm.dn_conformal(dnm.ConformalDomain((s,)), cfg.n_modes))
     res = fam.get("resolution", 24)
-    if not isinstance(res, (int, float)):
-        raise ConfigInvalid(f"resolution must be a number, got {res!r}")
+    if isinstance(res, bool) or not isinstance(res, int):  # as _FIELD_TYPES's ints
+        raise ConfigInvalid(f"resolution must be an integer, got {res!r}")
     try:  # the mesh builder holds the floor
-        mesh = dnm.unit_disk_mesh(int(res))
+        mesh = dnm.unit_disk_mesh(res)
     except ValueError as exc:
         raise ConfigInvalid(f"disk mesh resolution: {exc}") from exc
     u, v = (mesh.vertices[i] for i in dnm._edge_ends(mesh.triangles))
@@ -205,33 +199,29 @@ def _perturbed_dn(cfg: ExperimentConfig):
     return dn_at
 
 
-def _lemma1_references(lam, proj) -> tuple[TraceTuple, np.ndarray]:
-    """The band's basis traces completed under `lam`, with their H^3 norms.
-
-    The real parts are cos m theta and sin m theta for m = 1..8, the modes
-    of the defect band (1..7 at N = 16, whose mode 8 is the Nyquist mode).
-    """
-    n = lam.n_modes
+def _real_traces(cfg: ExperimentConfig) -> tuple[tuple[str, ...], TraceTuple]:
+    """(column names, block): the recipe's real traces, then the band's basis
+    traces cos m theta and sin m theta, m = 1..8 (1..7 at N = 16, whose mode
+    8 is the Nyquist mode), on one grid."""
+    n = cfg.n_modes
     th = np.arange(n) * (2.0 * np.pi / n)
-    probes = TraceTuple(tuple(bc.from_samples(f(m * th), lam.length)
-                              for m in range(1, min(hm._MAX_BAND, n // 2 - 1) + 1)
-                              for f in (np.cos, np.sin)))
-    refs = hm.transport_immersion(probes, lam, proj)
-    return refs, bc._sobolev_norms(refs.coeffs, refs.length, 3)
+    names, columns = [], []
+    for recipe in map(str.strip, cfg.immersion.split(",")):
+        names.append(f"transport of immersion trace {recipe}")
+        columns.append(_RECIPES[recipe](th))
+    for m in range(1, min(hm._MAX_BAND, n // 2 - 1) + 1):
+        for f in (np.cos, np.sin):
+            names.append(f"lemma-1 transport of basis trace {f.__name__}({m} theta)")
+            columns.append(f(m * th))
+    return tuple(names), TraceTuple(bc.from_samples(c, 2.0 * np.pi) for c in columns)
 
 
-def _lemma1_ratio(refs: TraceTuple, h3: np.ndarray, lam_p, proj_p, t: float) -> float:
-    """Max over the basis traces of ||transport(eta) - eta||_C2 / (t ||eta||_H3)."""
-    if t <= 0:
-        return np.nan
+def _transport(block: TraceTuple, names, lam, proj) -> TraceTuple:
+    """hm.transport_immersion, its CertificateFailed naming the failing column."""
     try:
-        moved = hm.transport_immersion(refs, lam_p, proj_p)
-    except CertificateFailed as exc:  # name this stage and the basis trace
-        m, odd = divmod(exc.trace, 2)
-        raise CertificateFailed(f"lemma-1 transport of basis trace "
-                                f"{('cos', 'sin')[odd]}({m + 1} theta): {exc}") from exc
-    return float(np.max(bc._ck_norms(moved.coeffs - refs.coeffs, moved.length, 2)
-                        / (t * h3)))
+        return hm.transport_immersion(block, lam, proj)
+    except CertificateFailed as exc:
+        raise CertificateFailed(f"{names[exc.trace]}: {exc}") from exc
 
 
 def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
@@ -239,21 +229,23 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
 
     A numerical failure at a perturbed parameter marks that record invalid.
     A failure at the s = 0 reference (its operator, the completion of the
-    recipe or of the lemma-1 basis traces, or a reference cloud with no
-    interior point) raises instead, since no record can be measured
-    against it.
+    real traces, or a reference cloud with no interior point) raises
+    instead, since no record can be measured against it.
     """
     dn_at = cfg.validate()
-    n = cfg.n_modes
     # the family at s = 0 on the same discretization, so that t measures
     # the perturbation and not the discretization error
     lam = dn_at(0.0)
     kappa_ref = hm.estimate_kappa(lam)
     proj = hm.build_projections(lam, kappa_ref)
-    # the reference tuple is the recipe completed under lam, the same
-    # construction as every transported tuple, so a t = 0 record reads 0
-    e = hm.transport_immersion(immersion_from_recipe(cfg.immersion, n), lam, proj)
-    lemma1_refs, lemma1_h3 = _lemma1_references(lam, proj)
+    # the reference block is the real traces completed under lam, the same
+    # construction as every transported block, so a t = 0 record reads 0;
+    # its first n columns are the immersion, the rest the lemma-1 basis
+    names, real = _real_traces(cfg)
+    ref = _transport(real, names, lam, proj)
+    n = len(cfg.immersion.split(","))
+    e = TraceTuple._from_block(ref.coeffs[:, :n], ref.length)
+    basis_h3 = bc._sobolev_norms(ref.coeffs[:, n:], ref.length, 3)
     # one shared winding classification: both clouds sample identical targets
     fields = [ap.classify(e[j], cfg.grid_resolution, cfg.epsilon)
               for j in range(len(e))]
@@ -280,9 +272,12 @@ def run_sweep(cfg: ExperimentConfig, verbose: bool = False):
                 rec.valid, rec.failure = False, "kappa mismatch"
             else:
                 proj_p = hm.build_projections(lam_p, rec.kappa_prime)
-                e_p = hm.transport_immersion(e, lam_p, proj_p)
-                rec.lemma1_ratio = _lemma1_ratio(lemma1_refs, lemma1_h3, lam_p,
-                                                 proj_p, rec.t)
+                moved = _transport(ref, names, lam_p, proj_p)
+                e_p = TraceTuple._from_block(moved.coeffs[:, :n], moved.length)
+                if rec.t > 0:  # max ||transport(eta) - eta||_C2 / (t ||eta||_H3)
+                    change = bc._ck_norms(moved.coeffs[:, n:] - ref.coeffs[:, n:],
+                                          moved.length, 2)
+                    rec.lemma1_ratio = float(np.max(change / (rec.t * basis_h3)))
                 cloud_p = ap.reconstruct(e_p, cfg.epsilon, cfg.grid_resolution,
                                          fields=fields)
                 rec.d_h_interior = mt.hausdorff(cloud_ref.interior_points(),

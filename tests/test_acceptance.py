@@ -182,8 +182,9 @@ def test_criterion_09_near_boundary_pairing(sweep):
     cfg, records, _, _, _ = sweep
     sups = [r.near_boundary_sup for r in records if r.valid]
     mono = all(sups[i + 1] <= 1.1 * sups[i] for i in range(len(sups) - 1))
-    # unperturbed limit
-    e = ex.immersion_from_recipe(cfg.immersion, cfg.n_modes)
+    # unperturbed limit, on the closed forms of the sweep's recipe z,z2
+    e = TraceTuple((trace(lambda z: z, cfg.n_modes),
+                    trace(lambda z: z ** 2, cfg.n_modes)))
     rep0 = nb.near_boundary_diagnostic(
         nb.reference_charts(e, cfg.n_anchors), e)
     # compensated rule against the closed form z^2 and the plain quadrature

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from eitlab import argument as ap
+from eitlab import boundary as bc
 from eitlab import cli
 from eitlab import dn as dnm
 from eitlab import experiments as ex
+from eitlab import holomorphic as hm
 from eitlab import metrics as mt
 from eitlab import nearboundary as nb
 from eitlab.errors import ConfigInvalid
@@ -102,7 +104,17 @@ class TestConfigValidation:
         ({"epsilon": 0.0}, "epsilon > 0"),
         ({"epsilon": -0.25}, "epsilon > 0"),
         ({"grid_resolution": 7}, "grid_resolution >= 8"),
-    ], ids=["negative_parameter", "epsilon_zero", "epsilon_negative", "grid_7"])
+        ({"n_anchors": 0}, "n_anchors must be >= 1, got 0"),
+        ({"n_anchors": -2}, "n_anchors must be >= 1, got -2"),
+        # a JSON true is no resolution, and a float is not truncated to one
+        ({"perturbation_family": {"kind": "fem_metric", "parameter_list": [0.08],
+                                  "resolution": True}},
+         "resolution must be an integer, got True"),
+        ({"perturbation_family": {"kind": "fem_metric", "parameter_list": [0.08],
+                                  "resolution": 6.9}},
+         "resolution must be an integer, got 6.9"),
+    ], ids=["negative_parameter", "epsilon_zero", "epsilon_negative", "grid_7",
+            "anchors_0", "anchors_negative", "bool_resolution", "float_resolution"])
     def test_out_of_range_value(self, tmp_path, change, match):
         with pytest.raises(ConfigInvalid, match=match):
             small_config(tmp_path, **change).validate()
@@ -137,13 +149,23 @@ class TestConfigValidation:
 
 
 class TestImmersionRecipes:
-    def test_traces_on_unit_circle(self):
-        e = ex.immersion_from_recipe("z,z2,expz", 64)
-        th = np.arange(64) * (2 * np.pi / 64)
-        w = np.exp(1j * th)
-        assert np.allclose(e[0].values(), w, atol=1e-13)
-        assert np.allclose(e[1].values(), w ** 2, atol=1e-13)
-        assert np.allclose(e[2].values(), np.exp(w), atol=1e-12)
+    def test_completion_reproduces_closed_forms(self, tmp_path):
+        # a recipe names its coordinate's real part on the circle; completed
+        # under the disk's DN map, the recipe columns of the sweep's block
+        # are the closed forms w, w^2, w^3 and e^w, and the band's basis
+        # traces follow them
+        cfg = small_config(tmp_path, immersion="z,z2,z3,expz")
+        names, real = ex._real_traces(cfg)
+        lam = dnm.dn_disk(cfg.n_modes)
+        ref = hm.transport_immersion(real, lam, hm.build_projections(lam, 0))
+        w = np.exp(1j * np.arange(cfg.n_modes) * (2 * np.pi / cfg.n_modes))
+        for k, (recipe, closed) in enumerate(
+                zip(("z", "z2", "z3", "expz"), (w, w ** 2, w ** 3, np.exp(w)))):
+            assert names[k] == f"transport of immersion trace {recipe}"
+            assert np.abs(ref[k].values() - closed).max() <= 1e-13
+        assert names[4:6] == ("lemma-1 transport of basis trace cos(1 theta)",
+                              "lemma-1 transport of basis trace sin(1 theta)")
+        assert len(names) == len(ref) == 4 + 16
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +316,7 @@ class TestRunSweep:
         assert records[0].failure.startswith(
             "CertificateFailed: lemma-1 transport of basis trace sin(1 theta): "
             "conjugate certificate residual")
-        assert records[0].failure.endswith("(trace 2 of 16)")
+        assert records[0].failure.endswith("(trace 4 of 18)")
         assert records[1].failure == ("AllChartsFailed: no anchor paired a "
                                       "near-boundary point")
         path = tmp_path / "cfg.json"
@@ -307,6 +329,44 @@ class TestRunSweep:
         assert [(r["valid"], r["failure"]) for r in rows] == [
             ("false", r.failure) for r in records]
         assert json.loads((out / "summary.json").read_text())["n_valid"] == 0
+
+
+    def test_one_completion_per_operator(self, tmp_path, monkeypatch):
+        # the recipe and the lemma-1 basis are one block: completed once
+        # under the s = 0 operator and once per record
+        calls = []
+        transport = hm.transport_immersion
+        monkeypatch.setattr(hm, "transport_immersion",
+                            lambda e, *a: calls.append(len(e)) or transport(e, *a))
+        records, _, _ = ex.run_sweep(small_config(tmp_path))
+        assert all(r.valid for r in records)
+        assert calls == [2 + 16] * (1 + len(records))
+
+    def test_failed_immersion_trace_names_its_stage(self, tmp_path, monkeypatch):
+        # each perturbed operator is the disk's on the defect band and twice
+        # it past the band: every basis trace completes, and expz, whose
+        # modes reach past the band, does not
+        cfg = small_config(tmp_path, immersion="z,expz")
+        disk = dnm.dn_disk(cfg.n_modes)
+        scale = 1.0 + (np.abs(bc.mode_numbers(cfg.n_modes)) > 8)
+        wrong_tail = bc.BoundaryOperator(disk.coeffs * scale, disk.length)
+        monkeypatch.setattr(ex, "_perturbed_dn",
+                            lambda c: lambda s: wrong_tail if s else disk)
+        records, _, _ = ex.run_sweep(cfg)
+        for r in records:
+            assert not r.valid and r.kappa_prime == 0
+            assert r.failure.startswith("CertificateFailed: transport of immersion "
+                                        "trace expz: conjugate certificate residual")
+            assert r.failure.endswith("(trace 2 of 18)")
+
+    def test_expz_sweep_valid(self, tmp_path):
+        # expz reaches past the defect band, and its sweep is valid end to end
+        records, summary, _ = ex.run_sweep(small_config(
+            tmp_path, immersion="z,expz", perturbation_family={
+                "kind": "conformal_polynomial",
+                "parameter_list": [0.08, 0.04, 0.02, 0.01]}))
+        assert [r.failure for r in records] == [""] * 4
+        assert summary["n_valid"] == 4
 
 
 class TestOutputs:
@@ -523,9 +583,9 @@ class TestFemFamily:
         assert not os.path.exists(cfg.output_dir)
 
     def test_resolution_floor(self, tmp_path):
-        # a resolution must be a number that the disk mesh builder accepts
+        # a resolution must be an integer that the disk mesh builder accepts
         fam = {"kind": "fem_metric", "parameter_list": [0.08]}
-        for res, match in (("24", "must be a number"), (0, "must be >= 1")):
+        for res, match in (("24", "must be an integer"), (0, "must be >= 1")):
             with pytest.raises(ConfigInvalid, match=match):
                 small_config(tmp_path, perturbation_family={
                     **fam, "resolution": res}).validate()
