@@ -11,11 +11,13 @@ one inverse FFT of the padded spectrum on a grid shifted to the anchor; the
 certificate reads a coefficient sum (build_chart).  A perturbed and a
 reference image point are paired when they have the same (s, r) in their
 own charts.  The coordinates belong to the reference chart, so
-`reference_charts` builds, probes and evaluates the reference side once for
-all perturbed tuples, and a perturbed tuple evaluates only its own side.
-Image points come from the compensated Cauchy rule of `argument`, which
-stays accurate up to the contour and is exact per target, so the charts of
-one chart index share one call (pair_points).
+`reference_charts` builds and evaluates the reference side once for all
+perturbed tuples, and a perturbed tuple evaluates only its own side.  A
+reference chart is admitted when one of its targets is enclosed once, and an
+anchor's charts are ordered by their own tangent, largest |tau| first.
+Image points and the enclosed-once mask come from the compensated Cauchy
+rule of `argument`, which stays accurate up to the contour and is exact per
+target, so the charts of one chart index share one call (pair_points).
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ import numpy as np
 from . import boundary as bc
 from . import argument as ap
 from .boundary import BoundaryFunction
-from .errors import (
-    AllChartsFailed,
-    DerivativeVanishes,
-    OutOfChart,
-    TooCloseToContour,
-    WindowCollapse,
-)
+from .errors import AllChartsFailed, DerivativeVanishes, OutOfChart, WindowCollapse
 from .holomorphic import TraceTuple
 
 __all__ = [
@@ -159,10 +155,10 @@ class ReferenceCharts:
     """The reference immersion's admitted charts at equispaced anchors.
 
     charts[i] holds a (chart, s, r, p) entry per chart of anchors[i] that
-    built and passed its single-sheet winding probe, largest tangential
-    derivative |d_gamma eta_j(a)| first: the chart coordinates the pairing
-    uses, and the reference image points there, one row each.  Coordinates
-    whose target is not enclosed once are left out.
+    built and has a target enclosed once, largest tangent |chart.tangent|
+    first (an exact tie keeps index order): the chart coordinates the
+    pairing uses, and the reference image points there, one row each.
+    Coordinates whose target is not enclosed once are left out.
     """
 
     e: TraceTuple
@@ -171,21 +167,19 @@ class ReferenceCharts:
 
 
 def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
-    """Build and probe the reference charts of every index at each anchor,
-    and evaluate the reference points of all of them in one pair_points call."""
+    """Build the reference chart of every index at each anchor, evaluate the
+    reference points of all of them in one pair_points call, and admit the
+    charts with a target enclosed once, ordered by -|tangent| (stable)."""
     anchors = np.arange(n_anchors) * e.length / n_anchors
-    d_coeffs = bc._derivative_symbol(e.n_modes, e.length)[:, None] * e.coeffs
-    derivs = np.abs(bc._phase_kernel(e.n_modes, e.length, anchors) @ d_coeffs).T
-    built = []  # (anchor index, chart) per admitted chart
+    built = []  # (anchor index, chart) per chart that builds
     for i, a in enumerate(anchors.tolist()):
-        for j in np.argsort(derivs[:, i])[::-1].tolist():
+        for j in range(len(e)):
             try:
-                chart = build_chart(e[j], a, j)
-                # the pairing needs a single preimage: probe the interior side
-                if ap.winding_number(e[j], unrectify(chart, a, _DEPTH)) == 1:
-                    built.append((i, chart))
-            except (DerivativeVanishes, WindowCollapse, TooCloseToContour):
+                built.append((i, build_chart(e[j], a, j)))
+            except (DerivativeVanishes, WindowCollapse):
                 pass
+    # each anchor's charts, largest tangent first; stable, so a tie keeps index order
+    built.sort(key=lambda item: (item[0], -abs(item[1].tangent)))
     feet = np.linspace(-0.25, 0.25, _N_FEET)
     depths = _DEPTH * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
     s = [np.repeat(ch.anchor + feet * ch.window_length, _N_DEPTHS) for _, ch in built]
@@ -193,7 +187,9 @@ def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
     charts = [[] for _ in anchors]
     points = pair_points(e, [ch for _, ch in built], s, r)
     for (i, chart), si, ri, (p, once) in zip(built, s, r, points):
-        charts[i].append((chart, si[once], ri[once], p[once]))
+        # the pairing needs a single preimage
+        if once.any():
+            charts[i].append((chart, si[once], ri[once], p[once]))
     return ReferenceCharts(e, tuple(anchors.tolist()), tuple(map(tuple, charts)))
 
 
@@ -221,7 +217,7 @@ def near_boundary_diagnostic(ref: ReferenceCharts,
             except (DerivativeVanishes, WindowCollapse):
                 pass
         else:
-            entry["n_failed"] = len(ref.e)
+            entry["n_failed"] = _N_FEET * _N_DEPTHS
             continue
         entry["chart_j"] = chart.chart_index
         entry["window"] = list(chart.gamma_window)

@@ -214,8 +214,8 @@ class TestRunSweep:
 
     def test_reference_charts_built_once(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path)
-        built, probes, refs, diags = [], [], [], []
-        build_chart, winding_number = nb.build_chart, ap.winding_number
+        built, built_ref, refs, diags = [], set(), [], []
+        build_chart = nb.build_chart
         reference_charts, diagnostic = nb.reference_charts, nb.near_boundary_diagnostic
         cauchy_many = ap._cauchy_many
         stage = [None]  # the near-boundary call under way: "ref" or a record number
@@ -228,11 +228,13 @@ class TestRunSweep:
 
         def counting_chart(eta_j, a, chart_index=0):
             built.append(eta_j)
-            return build_chart(eta_j, a, chart_index)
+            chart = build_chart(eta_j, a, chart_index)
+            if stage[0] == "ref":
+                built_ref.add(chart_index)
+            return chart
 
-        def counting_winding(eta_j, z):
-            probes.append(z)
-            return winding_number(eta_j, z)
+        def no_probe(eta_j, z):
+            raise AssertionError("a crossing-count probe in the diagnostic")
 
         def kept_reference(*args):
             stage[0] = "ref"
@@ -247,7 +249,7 @@ class TestRunSweep:
             return diags[-1][2]
 
         monkeypatch.setattr(nb, "build_chart", counting_chart)
-        monkeypatch.setattr(ap, "winding_number", counting_winding)
+        monkeypatch.setattr(ap, "winding_number", no_probe)
         monkeypatch.setattr(nb, "reference_charts", kept_reference)
         monkeypatch.setattr(nb, "near_boundary_diagnostic", kept_diagnostic)
         monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
@@ -256,13 +258,15 @@ class TestRunSweep:
         (ref,) = refs
         # every index once per anchor for the sweep, one chart per record
         n_ref = sum(any(eta is r for r in ref.e.traces) for eta in built)
-        assert n_ref == len(probes) == len(ref.e) * cfg.n_anchors
+        assert n_ref == len(ref.e) * cfg.n_anchors
         assert len(built) - n_ref == len(records) * cfg.n_anchors
-        # the reference tuple is evaluated once per admitted chart index for
-        # the sweep, the perturbed tuple once per used index per record
+        # the reference tuple is evaluated once per chart index that builds,
+        # for the sweep, and admits the z chart alone; the perturbed tuple
+        # once per used index per record
         admitted = {ch.chart_index for charts in ref.charts for ch, *_ in charts}
+        assert built_ref == {0, 1} and admitted == {0}
         ref_calls = [eta is ref.e for st, eta in cauchy if st == "ref"]
-        assert ref_calls == [True] * len(admitted)
+        assert ref_calls == [True] * len(built_ref)
         for k, (_, e_p, rep) in enumerate(diags):
             used = {a["chart_j"] for a in rep.anchors} - {None}
             assert [eta is e_p for st, eta in cauchy if st == k] == [True] * len(used)
@@ -270,6 +274,39 @@ class TestRunSweep:
             assert used is ref and rec.near_boundary_sup == rep.global_sup
             fresh = reference_charts(ref.e, cfg.n_anchors)
             assert diagnostic(fresh, e_p).to_json() == rep.to_json()
+
+    def test_admission_margin(self, tmp_path, monkeypatch):
+        # the benchmark's reference tuple: z, z2 completed at N = 256, 8
+        # anchors.  A chart is admitted by its own targets' winding rows,
+        # and the 0.1 rule sits far from both sides of every target
+        refs, reference_charts = [], nb.reference_charts
+
+        def kept_reference(*args):
+            refs.append(reference_charts(*args))
+            return refs[-1]
+
+        monkeypatch.setattr(nb, "reference_charts", kept_reference)
+        cfg = small_config(tmp_path, n_modes=256, n_anchors=8, perturbation_family={
+            "kind": "conformal_polynomial", "parameter_list": [0.08]})
+        ex.run_sweep(cfg)
+        (ref,) = refs
+        feet = np.linspace(-0.25, 0.25, nb._N_FEET)
+        depths = nb._DEPTH * np.arange(1, nb._N_DEPTHS + 1) / nb._N_DEPTHS
+        kept, dropped = [], []  # |W - 1| per admitted and per rejected target
+        for a, admitted in zip(ref.anchors, ref.charts):
+            by_index = {ch.chart_index: set(zip(s, r)) for ch, s, r, _ in admitted}
+            assert all(by_index.values())
+            for j in range(len(ref.e)):
+                chart = nb.build_chart(ref.e[j], a, j)
+                s = np.repeat(a + feet * chart.window_length, nb._N_DEPTHS)
+                r = np.tile(depths, nb._N_FEET)
+                zs = nb.unrectify(chart, s, r)
+                w = ap._cauchy_many(None, ref.e[j], zs, compensated=True)[1]
+                once = np.array([pt in by_index.get(j, ()) for pt in zip(s, r)])
+                kept += np.abs(w[once] - 1).tolist()
+                dropped += np.abs(w[~once] - 1).tolist()
+        assert len(kept) == len(dropped) == 8 * nb._N_FEET * nb._N_DEPTHS
+        assert max(kept) <= 1e-12 and min(dropped) >= 0.9
 
     @pytest.mark.parametrize("family", [
         {"kind": "conformal_polynomial", "parameter_list": [0.06, 0.0]},

@@ -268,7 +268,8 @@ class TestReferenceCharts:
     """The reference half of the diagnostic, built once per reference tuple."""
 
     def test_square_chart_fails_its_probe(self, e_pair):
-        # z^2 has the larger derivative everywhere but winds twice
+        # z^2 has the larger derivative everywhere but encloses each of its
+        # targets twice, so its chart is not admitted
         ref = nb.reference_charts(e_pair, n_anchors=4)
         assert ref.anchors == tuple(np.arange(4) * TWO_PI / 4)
         assert [[ch.chart_index for ch, *_ in admitted]
@@ -287,6 +288,13 @@ class TestReferenceCharts:
         ref = nb.reference_charts(MIXED[0])
         assert [[ch.chart_index for ch, *_ in admitted] for admitted in ref.charts] == [
             [j, 1 - j] for j in MIXED_CHARTS]
+
+    def test_exact_tie_keeps_index_order(self):
+        # (z, z): equal tangents at every anchor, so the charts stay in index order
+        z64 = trace(lambda z: z, 64)
+        ref = nb.reference_charts(TraceTuple((z64, z64)), n_anchors=4)
+        assert [[ch.chart_index for ch, *_ in admitted]
+                for admitted in ref.charts] == [[0, 1]] * 4
 
     def test_frozen(self, e_pair):
         ref = nb.reference_charts(e_pair, n_anchors=2)
@@ -376,6 +384,27 @@ class TestDiagnostic:
         assert [a["n_failed"] for a in rep.anchors] == [12, 0, 0, 0]
         assert [a["chart_j"] for a in rep.anchors] == [0] * 4
 
+    def test_anchor_without_perturbed_chart_counts_its_coordinates(self, e_pair,
+                                                                   monkeypatch):
+        # no perturbed chart at the second anchor: its 12 coordinates have no pair
+        ref = nb.reference_charts(e_pair, n_anchors=4)
+        e_p = with_image(lambda z: z ** 2)[1]
+        whole = nb.near_boundary_diagnostic(ref, e_p).anchors
+        build_chart = nb.build_chart
+
+        def collapse_at_second(eta_j, a, chart_index=0):
+            if eta_j is e_p[chart_index] and a == ref.anchors[1]:
+                raise WindowCollapse("no perturbed chart")
+            return build_chart(eta_j, a, chart_index)
+
+        monkeypatch.setattr(nb, "build_chart", collapse_at_second)
+        rep = nb.near_boundary_diagnostic(ref, e_p)
+        assert rep.anchors[1] == {"a": ref.anchors[1], "chart_j": None, "window": None,
+                                  "sup_discrepancy": None,
+                                  "n_failed": nb._N_FEET * nb._N_DEPTHS}
+        assert [a["n_failed"] for a in whole] == [0] * 4
+        assert rep.anchors[::2] == whole[::2] and rep.anchors[3] == whole[3]
+
     def test_pairs_at_reference_coordinates(self, monkeypatch):
         # every record pairs at the reference chart's (s, r), whatever its
         # own window: feet spread by the perturbed window would move
@@ -410,8 +439,8 @@ class TestDiagnostic:
 
         monkeypatch.setattr(nb, "build_chart", counting)
         nb.near_boundary_diagnostic(nb.reference_charts(e_pair, n_anchors=4), e_pair)
-        # the z^2 chart, tried first, fails the winding probe on its
-        # reference chart, so its perturbed chart is never built
+        # the z^2 chart, tried first, encloses none of its reference targets
+        # once, so it is not admitted and its perturbed chart is never built
         assert built.count(1) == 4
         assert built.count(0) == 8
 
@@ -459,18 +488,16 @@ class TestMixedChartIndices:
         # the anchors are not all alike, so rows given to the wrong anchor show
         assert max(sups) - min(sups) > 1e-3 * max(sups)
 
-    @pytest.mark.parametrize("second, n_admitted, n_used, n_probes", [
-        # every index is probed once, at every anchor, by reference_charts
-        (lambda z: z ** 2, 1, 1, 16),            # the z^2 chart fails every probe
-        (lambda z: z + 0.2 * z ** 2, 2, 2, 16),  # MIXED: every first chart holds
+    @pytest.mark.parametrize("second, n_admitted, n_used", [
+        (lambda z: z ** 2, 1, 1),            # the z^2 chart encloses no target once
+        (lambda z: z + 0.2 * z ** 2, 2, 2),  # MIXED: every first chart holds
     ], ids=["square", "mixed"])
     def test_one_compensated_call_per_tuple_and_index(self, monkeypatch, second,
-                                                      n_admitted, n_used, n_probes):
+                                                      n_admitted, n_used):
         e, e_p = with_image(second)
         calls = []  # (numerator tuple, compensated) per _cauchy_many call
-        probed, probes = [], []
+        built = []  # chart index per reference chart that builds
         cauchy_many, build_chart = ap._cauchy_many, nb.build_chart
-        winding_number = ap.winding_number
 
         def counting_cauchy(eta_k, *args, compensated=False, **kwargs):
             calls.append((eta_k, compensated))
@@ -478,26 +505,27 @@ class TestMixedChartIndices:
 
         def counting_chart(eta_j, a, chart_index=0):
             chart = build_chart(eta_j, a, chart_index)
-            if eta_j is e[chart_index]:  # a reference chart: it gets probed
-                probed.append(chart_index)
+            if eta_j is e[chart_index]:
+                built.append(chart_index)
             return chart
 
-        def counting_winding(eta_j, z):
-            probes.append(z)
-            return winding_number(eta_j, z)
+        def no_probe(eta_j, z):
+            raise AssertionError("winding_number called")
 
         monkeypatch.setattr(ap, "_cauchy_many", counting_cauchy)
-        monkeypatch.setattr(ap, "winding_number", counting_winding)
+        monkeypatch.setattr(ap, "winding_number", no_probe)
         monkeypatch.setattr(nb, "build_chart", counting_chart)
         ref = nb.reference_charts(e)
-        # the reference side: one call per admitted index, for every record
-        assert [(eta_k is e, c) for eta_k, c in calls] == [(True, True)] * n_admitted
+        # every index is built once at every anchor, and the reference side
+        # makes one call per index that builds, for every record
+        assert len(built) == 16 and set(built) == {0, 1}
+        assert [(eta_k is e, c) for eta_k, c in calls] == [(True, True)] * 2
         assert len({ch.chart_index for admitted in ref.charts
                     for ch, *_ in admitted}) == n_admitted
         calls.clear()
         rep = nb.near_boundary_diagnostic(ref, e_p)
         used = {a["chart_j"] for a in rep.anchors}
         assert len(used) == n_used
-        # the perturbed side: one call per used index; probes count crossings
+        # the perturbed side: one call per used index
         assert [(eta_k is e_p, c) for eta_k, c in calls] == [(True, True)] * n_used
-        assert len(probes) == len(probed) == n_probes
+        assert len(built) == 16
