@@ -13,8 +13,9 @@ reference image point are paired when they have the same (s, r) in their
 own charts.  The coordinates belong to the reference chart, so
 `reference_charts` builds and evaluates the reference side once for all
 perturbed tuples, and a perturbed tuple evaluates only its own side.  A
-reference chart is admitted when one of its targets is enclosed once, and an
-anchor's charts are ordered by their own tangent, largest |tau| first.
+reference chart is admitted when one of its targets is enclosed once; an
+anchor pairs every admitted chart whose perturbed chart builds, and its sup
+is the max over all of them, so no choice of chart enters it.
 Image points and the enclosed-once mask come from the compensated Cauchy
 rule of `argument`, which stays accurate up to the contour and is exact per
 target, so the charts of one chart index share one call (pair_points).
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _C0 = 0.5
+_CONE_MARGIN = 1e-9  # relative: a ratio on the cone's edge is outside it
 _DERIV_TOL = 1e-8
 _N_FEET = 3     # diagnostic feet per anchor, spread over half the window
 _N_DEPTHS = 4   # diagnostic depths per foot, up to _DEPTH
@@ -75,7 +77,8 @@ def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0) -> Boun
 
     The window extends, in steps h = L / 8N, while the tangent stays inside
     the cone f(l) = Re(d_gamma eta_j(l) / tau) in [_C0, 1/_C0], tau =
-    d_gamma eta_j(a).  f is a real trigonometric polynomial of angular
+    d_gamma eta_j(a), shrunk by _CONE_MARGIN so that no rounding admits a
+    ratio on its edge.  f is a real trigonometric polynomial of angular
     frequencies below pi N / L, so between two window nodes it dips below
     the smaller node value by at most h^2 / 8 max|f''| <= (h pi N / L)^2 / 8
     max|f| <= pi^2 / 512 sum|c'_m| / |tau| (Bernstein's inequality; c'_m
@@ -96,8 +99,8 @@ def build_chart(eta_j: BoundaryFunction, a: float, chart_index: int = 0) -> Boun
     # grow symmetrically on the oversampled grid
     ratio_p = (tangents[1:n_fine // 2] / tangent).real
     ratio_m = (tangents[:n_fine // 2:-1] / tangent).real
-    ok = ((ratio_p >= _C0) & (ratio_p <= 1.0 / _C0)
-          & (ratio_m >= _C0) & (ratio_m <= 1.0 / _C0))
+    lo, hi = _C0 * (1.0 + _CONE_MARGIN), (1.0 - _CONE_MARGIN) / _C0
+    ok = (ratio_p >= lo) & (ratio_p <= hi) & (ratio_m >= lo) & (ratio_m <= hi)
     k = int(np.argmin(ok)) if not ok.all() else ok.size
     if k * h < 4.0 * length / n:
         raise WindowCollapse(f"window {k * h:.3e} below 4 grid steps")
@@ -155,10 +158,9 @@ class ReferenceCharts:
     """The reference immersion's admitted charts at equispaced anchors.
 
     charts[i] holds a (chart, s, r, p) entry per chart of anchors[i] that
-    built and has a target enclosed once, largest tangent |chart.tangent|
-    first (an exact tie keeps index order): the chart coordinates the
-    pairing uses, and the reference image points there, one row each.
-    Coordinates whose target is not enclosed once are left out.
+    built and has a target enclosed once, in index order: the chart
+    coordinates the pairing uses, and the reference image points there, one
+    row each.  Coordinates whose target is not enclosed once are left out.
     """
 
     e: TraceTuple
@@ -169,7 +171,7 @@ class ReferenceCharts:
 def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
     """Build the reference chart of every index at each anchor, evaluate the
     reference points of all of them in one pair_points call, and admit the
-    charts with a target enclosed once, ordered by -|tangent| (stable)."""
+    charts with a target enclosed once."""
     anchors = np.arange(n_anchors) * e.length / n_anchors
     built = []  # (anchor index, chart) per chart that builds
     for i, a in enumerate(anchors.tolist()):
@@ -178,8 +180,6 @@ def reference_charts(e: TraceTuple, n_anchors: int = 8) -> ReferenceCharts:
                 built.append((i, build_chart(e[j], a, j)))
             except (DerivativeVanishes, WindowCollapse):
                 pass
-    # each anchor's charts, largest tangent first; stable, so a tie keeps index order
-    built.sort(key=lambda item: (item[0], -abs(item[1].tangent)))
     feet = np.linspace(-0.25, 0.25, _N_FEET)
     depths = _DEPTH * np.arange(1, _N_DEPTHS + 1) / _N_DEPTHS
     s = [np.repeat(ch.anchor + feet * ch.window_length, _N_DEPTHS) for _, ch in built]
@@ -197,39 +197,36 @@ def near_boundary_diagnostic(ref: ReferenceCharts,
                              e_prime: TraceTuple) -> DiagnosticReport:
     """Sup of |p - p'| over paired near-boundary points.
 
-    Each anchor takes the first of its admitted reference charts whose
-    perturbed chart builds; anchors where none does are recorded and
-    skipped.  The perturbed points sit at the reference chart's (s, r), all
-    in one pair_points call.  A coordinate outside the perturbed window, or
-    whose perturbed target is not enclosed once, has no pair and counts in
-    n_failed; an anchor with no pair has no sup (AllChartsFailed if none has).
+    Each anchor pairs every admitted reference chart whose perturbed chart
+    builds, at the reference chart's (s, r), all in one pair_points call, and
+    takes the max; its entry lists the chart indices that paired.  n_failed
+    counts the coordinates with no pair: outside the perturbed window or not
+    enclosed once, and 12 per chart whose perturbed chart does not build (12
+    when none is admitted).  An anchor with no pair has no sup
+    (AllChartsFailed if none has).
     """
     report = DiagnosticReport()
-    used = []  # (entry, chart_p, s, r, p) per anchor with a perturbed chart
+    used = []  # (entry, chart_p, s, r, p) per perturbed chart that builds
     for a, admitted in zip(ref.anchors, ref.charts):
-        entry = {"a": a, "chart_j": None, "window": None,
-                 "sup_discrepancy": None, "n_failed": 0}
+        entry = {"a": a, "charts": [], "sup_discrepancy": None,
+                 "n_failed": _N_FEET * _N_DEPTHS * max(len(admitted), 1)}
         report.anchors.append(entry)
         for chart, s, r, p in admitted:
             try:
                 chart_p = build_chart(e_prime[chart.chart_index], a, chart.chart_index)
-                break
             except (DerivativeVanishes, WindowCollapse):
-                pass
-        else:
-            entry["n_failed"] = _N_FEET * _N_DEPTHS
-            continue
-        entry["chart_j"] = chart.chart_index
-        entry["window"] = list(chart.gamma_window)
-        inside = chart_p.contains_l(s)
-        used.append((entry, chart_p, s[inside], r[inside], p[inside]))
+                continue
+            inside = chart_p.contains_l(s)
+            used.append((entry, chart_p, s[inside], r[inside], p[inside]))
     entries, charts_p, s, r, p = zip(*used) if used else ((),) * 5
-    for entry, p_ref, (p_prime, once) in zip(entries, p,
-                                             pair_points(e_prime, charts_p, s, r)):
-        entry["n_failed"] = _N_FEET * _N_DEPTHS - int(np.count_nonzero(once))
+    for entry, chart_p, p_ref, (p_prime, once) in zip(
+            entries, charts_p, p, pair_points(e_prime, charts_p, s, r)):
+        entry["n_failed"] -= int(np.count_nonzero(once))
         if once.any():
-            entry["sup_discrepancy"] = float(np.abs(p_ref[once] - p_prime[once]).max())
-            report.global_sup = max(report.global_sup, entry["sup_discrepancy"])
+            sup = float(np.abs(p_ref[once] - p_prime[once]).max())
+            entry["charts"].append(chart_p.chart_index)
+            entry["sup_discrepancy"] = max(entry["sup_discrepancy"] or 0.0, sup)
+            report.global_sup = max(report.global_sup, sup)
     if all(entry["sup_discrepancy"] is None for entry in report.anchors):
         raise AllChartsFailed("no anchor paired a near-boundary point")
     return report

@@ -256,10 +256,11 @@ class TestRunSweep:
         records, _, _ = ex.run_sweep(cfg)
         assert len(records) == len(diags) == 2 and all(r.valid for r in records)
         (ref,) = refs
-        # every index once per anchor for the sweep, one chart per record
+        # every index once per anchor for the sweep, and per record one
+        # chart per admitted chart
         n_ref = sum(any(eta is r for r in ref.e.traces) for eta in built)
         assert n_ref == len(ref.e) * cfg.n_anchors
-        assert len(built) - n_ref == len(records) * cfg.n_anchors
+        assert len(built) - n_ref == len(records) * sum(map(len, ref.charts))
         # the reference tuple is evaluated once per chart index that builds,
         # for the sweep, and admits the z chart alone; the perturbed tuple
         # once per used index per record
@@ -268,7 +269,7 @@ class TestRunSweep:
         ref_calls = [eta is ref.e for st, eta in cauchy if st == "ref"]
         assert ref_calls == [True] * len(built_ref)
         for k, (_, e_p, rep) in enumerate(diags):
-            used = {a["chart_j"] for a in rep.anchors} - {None}
+            used = {j for a in rep.anchors for j in a["charts"]}
             assert [eta is e_p for st, eta in cauchy if st == k] == [True] * len(used)
         for (used, e_p, rep), rec in zip(diags, records):
             assert used is ref and rec.near_boundary_sup == rep.global_sup

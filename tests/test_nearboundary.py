@@ -8,6 +8,8 @@ import pytest
 
 from eitlab import argument as ap
 from eitlab import boundary as bc
+from eitlab import experiments as ex
+from eitlab import holomorphic as hm
 from eitlab import nearboundary as nb
 from eitlab.errors import AllChartsFailed, OutOfChart, TooCloseToContour, WindowCollapse
 from eitlab.holomorphic import TraceTuple
@@ -27,9 +29,10 @@ def dense_chart(eta_j, a, c0=0.5):
     scale = complex(deta.eval_at(a)[0])
     h = length / (8 * n)
     steps = np.arange(1, 4 * n)
+    lo, hi = c0 * (1 + nb._CONE_MARGIN), (1 - nb._CONE_MARGIN) / c0
 
     def reach(ratio):
-        ok = (ratio >= c0) & (ratio <= 1.0 / c0)
+        ok = (ratio >= lo) & (ratio <= hi)
         return ok.size if ok.all() else int(np.argmin(ok))
 
     k = min(reach((deta.eval_at(a + steps * h) / scale).real),
@@ -57,9 +60,9 @@ def with_image(second, a2=0.02):
 
 
 # (z, z + 0.2 z^2): |1 + 0.4 z| > 1 where Re z > -0.2, so the second chart
-# has the larger derivative there and the anchors choose both chart indices
+# has the larger derivative there and the first elsewhere; every anchor
+# admits and pairs both
 MIXED = with_image(lambda z: z + 0.2 * z ** 2)
-MIXED_CHARTS = [1, 1, 1, 0, 0, 0, 1, 1]
 
 
 def gaussian_ripple(amp):
@@ -79,6 +82,19 @@ class TestBuildChart:
         lo, hi = ch.gamma_window
         assert abs(hi - np.pi / 3) < 0.05
         assert abs(lo + np.pi / 3) < 0.05
+
+    @pytest.mark.parametrize("n", [30, 48])
+    def test_cone_edge_is_outside_at_every_anchor(self, n):
+        # the ratio cos(k h), h = 2 pi / 8N, is exactly 1/2 at k = 8N/6: that
+        # sample is outside the cone whatever its rounding, so the window is
+        # 8N/6 - 1 steps each way at every anchor (with no margin, rounding
+        # gave one step more at 3 pi/2 at N = 48, and at the other three at 30)
+        z = bc.from_samples(np.exp(1j * (TWO_PI * np.arange(n) / n)), TWO_PI)
+        k = 8 * n // 6 - 1
+        for a in np.arange(4) * np.pi / 2:
+            lo, hi = nb.build_chart(z, a).gamma_window
+            assert abs(hi - a - k * TWO_PI / (8 * n)) < 1e-12
+            assert abs(a - lo - k * TWO_PI / (8 * n)) < 1e-12
 
     def test_translation_equivariance(self, circ):
         a = 1.2345
@@ -284,31 +300,32 @@ class TestReferenceCharts:
             z = nb.unrectify(chart, s, r)
             assert np.abs(p - ap._image_points(e_pair, 0, z)[0]).max() < 1e-14
 
-    def test_admitted_in_derivative_order(self):
+    def test_admitted_in_index_order(self):
+        # whichever chart has the larger tangent at an anchor
         ref = nb.reference_charts(MIXED[0])
-        assert [[ch.chart_index for ch, *_ in admitted] for admitted in ref.charts] == [
-            [j, 1 - j] for j in MIXED_CHARTS]
-
-    def test_exact_tie_keeps_index_order(self):
-        # (z, z): equal tangents at every anchor, so the charts stay in index order
-        z64 = trace(lambda z: z, 64)
-        ref = nb.reference_charts(TraceTuple((z64, z64)), n_anchors=4)
         assert [[ch.chart_index for ch, *_ in admitted]
-                for admitted in ref.charts] == [[0, 1]] * 4
+                for admitted in ref.charts] == [[0, 1]] * 8
 
     def test_frozen(self, e_pair):
         ref = nb.reference_charts(e_pair, n_anchors=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ref.anchors = (0.0,)
 
-    def test_falls_back_when_perturbed_chart_fails(self):
-        # a constant second perturbed trace has no chart, so the anchors
-        # that admitted index 1 first pair in their index-0 charts
+    def test_failed_perturbed_chart_is_skipped_and_counted(self):
+        # a constant second perturbed trace has no chart: every anchor pairs
+        # its index-0 chart alone, as if index 1 were never admitted, and
+        # counts the 12 coordinates of its index-1 chart
         e, e_p = MIXED
         flat = TraceTuple((e_p[0], bc.from_samples(np.full(256, 1.0 + 0j), TWO_PI)))
-        rep = nb.near_boundary_diagnostic(nb.reference_charts(e), flat)
-        assert [a["chart_j"] for a in rep.anchors] == [0] * 8
-        assert all(a["n_failed"] == 0 for a in rep.anchors)
+        ref = nb.reference_charts(e)
+        rep = nb.near_boundary_diagnostic(ref, flat)
+        assert [a["charts"] for a in rep.anchors] == [[0]] * 8
+        assert [a["n_failed"] for a in rep.anchors] == [12] * 8
+        first = nb.ReferenceCharts(e, ref.anchors, tuple(c[:1] for c in ref.charts))
+        alone = nb.near_boundary_diagnostic(first, flat)
+        assert [a["sup_discrepancy"] for a in rep.anchors] == [
+            a["sup_discrepancy"] for a in alone.anchors]
+        assert [a["n_failed"] for a in alone.anchors] == [0] * 8
 
 
 class TestDiagnostic:
@@ -316,10 +333,8 @@ class TestDiagnostic:
         rep = nb.near_boundary_diagnostic(nb.reference_charts(e_pair, n_anchors=4),
                                           e_pair)
         assert rep.global_sup < 1e-7
-        built = [a for a in rep.anchors if a["chart_j"] is not None]
-        assert len(built) == 4
-        for a in built:
-            assert a["n_failed"] == 0
+        assert [a["charts"] for a in rep.anchors] == [[0]] * 4
+        assert [a["n_failed"] for a in rep.anchors] == [0] * 4
 
     def test_sup_tracks_perturbation(self, e_pair):
         sups = []
@@ -335,7 +350,7 @@ class TestDiagnostic:
     def test_sixteen_anchors_all_valid_on_disk(self, circ):
         e = TraceTuple((circ,))
         rep = nb.near_boundary_diagnostic(nb.reference_charts(e, n_anchors=16), e)
-        assert all(a["chart_j"] == 0 for a in rep.anchors)
+        assert [a["charts"] for a in rep.anchors] == [[0]] * 16
         assert rep.global_sup < 1e-7
 
     def test_feet_outside_perturbed_window_are_counted(self, circ):
@@ -347,7 +362,7 @@ class TestDiagnostic:
         for a in (0.0, np.pi):
             assert nb.build_chart(pert[0], a).gamma_window[1] - a < np.pi / 6
         rep = nb.near_boundary_diagnostic(nb.reference_charts(ref, n_anchors=2), pert)
-        assert [a["chart_j"] for a in rep.anchors] == [0, 0]
+        assert [a["charts"] for a in rep.anchors] == [[0], [0]]
         assert [a["n_failed"] for a in rep.anchors] == [2 * 4, 2 * 4]
         assert rep.global_sup > 0
 
@@ -382,7 +397,7 @@ class TestDiagnostic:
         assert [a["sup_discrepancy"] is None for a in rep.anchors] == [
             True, False, False, False]
         assert [a["n_failed"] for a in rep.anchors] == [12, 0, 0, 0]
-        assert [a["chart_j"] for a in rep.anchors] == [0] * 4
+        assert [a["charts"] for a in rep.anchors] == [[], [0], [0], [0]]
 
     def test_anchor_without_perturbed_chart_counts_its_coordinates(self, e_pair,
                                                                    monkeypatch):
@@ -399,7 +414,7 @@ class TestDiagnostic:
 
         monkeypatch.setattr(nb, "build_chart", collapse_at_second)
         rep = nb.near_boundary_diagnostic(ref, e_p)
-        assert rep.anchors[1] == {"a": ref.anchors[1], "chart_j": None, "window": None,
+        assert rep.anchors[1] == {"a": ref.anchors[1], "charts": [],
                                   "sup_discrepancy": None,
                                   "n_failed": nb._N_FEET * nb._N_DEPTHS}
         assert [a["n_failed"] for a in whole] == [0] * 4
@@ -422,10 +437,11 @@ class TestDiagnostic:
                 lambda z: z + 0.2 * z ** 2, a2)[1])
             ((charts_p, s_p, r_p),) = paired
             paired.clear()
-            for entry, admitted, ch_p, s, r in zip(rep.anchors, ref.charts,
-                                                  charts_p, s_p, r_p):
-                chart, s_ref, r_ref, _ = admitted[0]
-                assert entry["chart_j"] == chart.chart_index == ch_p.chart_index
+            assert [a["charts"] for a in rep.anchors] == [[0, 1]] * 8
+            admitted = [c for charts in ref.charts for c in charts]
+            assert len(charts_p) == len(admitted) == 16
+            for (chart, s_ref, r_ref, _), ch_p, s, r in zip(admitted, charts_p, s_p, r_p):
+                assert (chart.anchor, chart.chart_index) == (ch_p.anchor, ch_p.chart_index)
                 assert ch_p.gamma_window != chart.gamma_window
                 assert np.array_equal(s, s_ref) and np.array_equal(r, r_ref)
 
@@ -439,8 +455,8 @@ class TestDiagnostic:
 
         monkeypatch.setattr(nb, "build_chart", counting)
         nb.near_boundary_diagnostic(nb.reference_charts(e_pair, n_anchors=4), e_pair)
-        # the z^2 chart, tried first, encloses none of its reference targets
-        # once, so it is not admitted and its perturbed chart is never built
+        # the z^2 chart encloses none of its reference targets once, so it
+        # is not admitted and its perturbed chart is never built
         assert built.count(1) == 4
         assert built.count(0) == 8
 
@@ -467,36 +483,44 @@ class TestMixedChartIndices:
     def test_anchors_choose_both_indices(self):
         e, e_p = MIXED
         rep = nb.near_boundary_diagnostic(nb.reference_charts(e), e_p)
-        assert [a["chart_j"] for a in rep.anchors] == MIXED_CHARTS
+        assert [a["charts"] for a in rep.anchors] == [[0, 1]] * 8
+        assert [a["n_failed"] for a in rep.anchors] == [0] * 8
 
     def test_each_anchor_matches_its_own_pairing(self):
         e, e_p = MIXED
         rep = nb.near_boundary_diagnostic(nb.reference_charts(e), e_p)
         depths = 0.05 * np.arange(1, nb._N_DEPTHS + 1) / nb._N_DEPTHS
-        sups = []
+        sups = []  # per anchor, the sup of each chart paired on its own
         for entry in rep.anchors:
-            a, j = entry["a"], entry["chart_j"]
-            ch = nb.build_chart(e[j], a, j)
-            ch_p = nb.build_chart(e_p[j], a, j)
-            feet = a + np.linspace(-0.25, 0.25, nb._N_FEET) * ch.window_length
-            s, r = np.meshgrid(feet[ch_p.contains_l(feet)], depths, indexing="ij")
-            ((p, _),) = nb.pair_points(e, [ch], [s.ravel()], [r.ravel()])
-            ((p_prime, _),) = nb.pair_points(e_p, [ch_p], [s.ravel()], [r.ravel()])
-            sups.append(float(np.abs(p - p_prime).max()))
-            assert abs(entry["sup_discrepancy"] - sups[-1]) <= 1e-12 * sups[-1]
+            a = entry["a"]
+            sups.append([])
+            for j in entry["charts"]:
+                ch = nb.build_chart(e[j], a, j)
+                ch_p = nb.build_chart(e_p[j], a, j)
+                feet = a + np.linspace(-0.25, 0.25, nb._N_FEET) * ch.window_length
+                s, r = np.meshgrid(feet[ch_p.contains_l(feet)], depths, indexing="ij")
+                ((p, _),) = nb.pair_points(e, [ch], [s.ravel()], [r.ravel()])
+                ((p_prime, _),) = nb.pair_points(e_p, [ch_p], [s.ravel()], [r.ravel()])
+                sups[-1].append(float(np.abs(p - p_prime).max()))
+            assert len(sups[-1]) == 2
+            assert abs(entry["sup_discrepancy"] - max(sups[-1])) <= 1e-12 * max(sups[-1])
         assert rep.global_sup == max(a["sup_discrepancy"] for a in rep.anchors)
-        # the anchors are not all alike, so rows given to the wrong anchor show
-        assert max(sups) - min(sups) > 1e-3 * max(sups)
+        # the anchors are not all alike, so rows given to the wrong anchor
+        # show, and each chart sets the max somewhere, so one left out shows
+        maxima = [max(chart_sups) for chart_sups in sups]
+        assert max(maxima) - min(maxima) > 1e-3 * max(maxima)
+        assert {int(np.argmax(chart_sups)) for chart_sups in sups} == {0, 1}
 
     @pytest.mark.parametrize("second, n_admitted, n_used", [
         (lambda z: z ** 2, 1, 1),            # the z^2 chart encloses no target once
-        (lambda z: z + 0.2 * z ** 2, 2, 2),  # MIXED: every first chart holds
+        (lambda z: z + 0.2 * z ** 2, 2, 2),  # MIXED: both charts pair at every anchor
     ], ids=["square", "mixed"])
     def test_one_compensated_call_per_tuple_and_index(self, monkeypatch, second,
                                                       n_admitted, n_used):
         e, e_p = with_image(second)
         calls = []  # (numerator tuple, compensated) per _cauchy_many call
         built = []  # chart index per reference chart that builds
+        built_p = []  # chart index per perturbed chart that builds
         cauchy_many, build_chart = ap._cauchy_many, nb.build_chart
 
         def counting_cauchy(eta_k, *args, compensated=False, **kwargs):
@@ -505,8 +529,7 @@ class TestMixedChartIndices:
 
         def counting_chart(eta_j, a, chart_index=0):
             chart = build_chart(eta_j, a, chart_index)
-            if eta_j is e[chart_index]:
-                built.append(chart_index)
+            (built if eta_j is e[chart_index] else built_p).append(chart_index)
             return chart
 
         def no_probe(eta_j, z):
@@ -524,8 +547,48 @@ class TestMixedChartIndices:
                     for ch, *_ in admitted}) == n_admitted
         calls.clear()
         rep = nb.near_boundary_diagnostic(ref, e_p)
-        used = {a["chart_j"] for a in rep.anchors}
+        used = {j for a in rep.anchors for j in a["charts"]}
         assert len(used) == n_used
-        # the perturbed side: one call per used index
+        # the perturbed side: a chart per admitted chart, and one call per
+        # used index, however many charts it has
+        assert len(built_p) == 8 * n_admitted
         assert [(eta_k is e_p, c) for eta_k, c in calls] == [(True, True)] * n_used
         assert len(built) == 16
+
+
+class TestRounding:
+    """A change in the last bits of a trace cannot move the sup."""
+
+    def test_rounding_cannot_move_the_sup(self):
+        # the README sweep with immersion z,expz: at pi/2 and 3 pi/2,
+        # |d_gamma z| = |d_gamma e^z| = 1, and scaling expz's coefficients by
+        # 16 ulps swaps which is larger at pi/2.  The max over every admitted
+        # chart reads the same; a first chart in -|tau| order read 9.425e-3
+        # at s = 0.08 before the scaling and 9.565e-3 after it
+        cfg = ex.ExperimentConfig(
+            base_surface={"kind": "disk"}, immersion="z,expz", n_modes=128,
+            perturbation_family={"kind": "conformal_polynomial",
+                                 "parameter_list": [0.08, 0.04, 0.02, 0.01]},
+            epsilon=0.2, grid_resolution=32)
+        dn_at = cfg.validate()
+
+        def complete(block, s):  # as run_sweep: the block under Lambda(s)
+            lam = dn_at(s)
+            return hm.transport_immersion(
+                block, lam, hm.build_projections(lam, hm.estimate_kappa(lam)))
+
+        ref = complete(ex._real_traces(cfg)[1], 0.0)
+        e = TraceTuple._from_block(ref.coeffs[:, :2], ref.length)
+        e_ps = [TraceTuple._from_block(complete(ref, s).coeffs[:, :2], ref.length)
+                for s in cfg.perturbation_family["parameter_list"]]
+        scaled = TraceTuple((e[0], bc.BoundaryFunction(e[1].coeffs * (1 + 16 * 2.2e-16),
+                                                       e.length)))
+        gaps, sups = [], []
+        for base in (e, scaled):
+            tau = [nb.build_chart(base[j], np.pi / 2, j).tangent for j in range(2)]
+            gaps.append(abs(tau[1]) - abs(tau[0]))
+            charts = nb.reference_charts(base)
+            sups.append([f"{nb.near_boundary_diagnostic(charts, e_p).global_sup:.3e}"
+                         for e_p in e_ps])
+        assert gaps[0] < 0 < gaps[1] and max(map(abs, gaps)) < 1e-14
+        assert sups[0] == sups[1] == ["9.565e-03", "2.399e-03", "5.980e-04", "1.499e-04"]
