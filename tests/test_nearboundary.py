@@ -306,6 +306,13 @@ class TestReferenceCharts:
         assert [[ch.chart_index for ch, *_ in admitted]
                 for admitted in ref.charts] == [[0, 1]] * 8
 
+    def test_exact_tie_keeps_index_order(self):
+        # (z, z): equal tangents at every anchor, so the charts stay in index order
+        z64 = trace(lambda z: z, 64)
+        ref = nb.reference_charts(TraceTuple((z64, z64)), n_anchors=4)
+        assert [[ch.chart_index for ch, *_ in admitted]
+                for admitted in ref.charts] == [[0, 1]] * 4
+
     def test_frozen(self, e_pair):
         ref = nb.reference_charts(e_pair, n_anchors=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
