@@ -100,6 +100,9 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_hausdorff(args) -> int:
     a = ap.ReconstructedCloud.from_csv(args.cloud_a)
     b = ap.ReconstructedCloud.from_csv(args.cloud_b)
+    if a.n_coords != b.n_coords:
+        raise ConfigInvalid(f"{args.cloud_a} and {args.cloud_b} have {a.n_coords} "
+                            f"and {b.n_coords} coordinates")
     res = mt.hausdorff(a.points, b.points)
     out = res.to_json()
     out["fill_distance_a"] = mt.fill_distance(a.points)

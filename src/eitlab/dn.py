@@ -12,6 +12,7 @@ the Schur complement with them; it reads that complement off the trailing
 block of one sparse factorization of the stiffness matrix, boundary
 ordered last and the interior ordered from its vertex graph.  b is the
 operator for both: BoundaryOperator's constructor projects it to a real one.
+A TriMesh numbers its edges once, and the P2 edge unknowns use that numbering.
 All three backends return a BoundaryOperator.
 
 All perturbed domains can be rescaled to perimeter 2*pi so that boundary
@@ -22,7 +23,7 @@ rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,6 +208,11 @@ class TriMesh:
     `tri_lengths[f, i]` is the metric length of the edge opposite corner i of
     triangle f; assembling from lengths keeps the discretization purely
     intrinsic (flat-torus and conformally scaled metrics reuse the same code).
+
+    Validation numbers the edges once, in order of first appearance along the
+    corners, as int32 ids: `corner_edges[f, i]` is the edge opposite corner i,
+    `edge_vertices[j]` edge j's two vertices, lower first, and `loop_edges[k]`
+    the edge from loop vertex k to the next.
     """
 
     vertices: np.ndarray          # (V, d) reference positions
@@ -230,18 +236,28 @@ class TriMesh:
         self._validate()
 
     def _validate(self):
-        # undirected edges keyed by their sorted vertex pair, lo * nv + hi
+        # the edge opposite each corner, undirected, keyed by its sorted
+        # vertex pair lo * nv + hi and numbered in order of first appearance
         nv = self.n_vertices
-        a, b = self.triangles.ravel(), self.triangles[:, [1, 2, 0]].ravel()
-        keys, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                 return_counts=True)
+        u, v = _edge_ends(self.triangles)
+        keys, first, inv, counts = np.unique(
+            (np.minimum(u, v) * nv + np.maximum(u, v)).ravel(),
+            return_index=True, return_inverse=True, return_counts=True)
         if np.any(counts > 2):
             raise NonManifoldMesh("an edge is shared by more than two triangles")
         loop, succ = self.boundary_loop, np.roll(self.boundary_loop, -1)
-        loop_keys = np.unique(np.minimum(loop, succ) * nv + np.maximum(loop, succ))
-        if not np.array_equal(keys[counts == 1], loop_keys):
+        loop_keys, loop_inv = np.unique(np.minimum(loop, succ) * nv
+                                        + np.maximum(loop, succ), return_inverse=True)
+        once = np.flatnonzero(counts == 1)
+        if not np.array_equal(keys[once], loop_keys):
             raise NonManifoldMesh("boundary edges do not form the declared single loop")
-        self._n_edges = keys.size
+        by_first = np.argsort(first)
+        edge_id = np.empty(keys.size, dtype=np.int32)
+        edge_id[by_first] = np.arange(keys.size)
+        self.corner_edges = edge_id[inv].reshape(self.triangles.shape)
+        self.edge_vertices = np.stack(np.divmod(keys[by_first], nv),
+                                      axis=1).astype(np.int32)
+        self.loop_edges = edge_id[once[loop_inv]]
 
     @property
     def n_vertices(self) -> int:
@@ -249,7 +265,7 @@ class TriMesh:
 
     @property
     def euler_characteristic(self) -> int:
-        return self.n_vertices - self._n_edges + self.triangles.shape[0]
+        return self.n_vertices - len(self.edge_vertices) + len(self.triangles)
 
     perimeter: float | None = None
 
@@ -265,9 +281,8 @@ class TriMesh:
         if np.any(rho < 1e-6):
             raise ValueError("conformal factor must be >= 1e-6")
         u, v = _edge_ends(self.triangles)
-        scaled = self.tri_lengths * np.sqrt(0.5 * (rho[u] + rho[v]))
-        return TriMesh(self.vertices, self.triangles, self.boundary_loop,
-                       self.boundary_arclength, scaled, self.perimeter)
+        scale = np.sqrt(0.5 * (rho[u] + rho[v]))
+        return replace(self, tri_lengths=self.tri_lengths * scale)
 
 
 def _edge_ends(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,35 +384,21 @@ def make_one_holed_torus_mesh(resolution: int) -> TriMesh:
     return TriMesh(verts_new, tris_new, boundary, arc, tri_lengths)
 
 
-def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray,
-                                           np.ndarray]:
+def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Quadratic Lagrange stiffness from intrinsic edge lengths.
 
     Each triangle is embedded in the plane from its three lengths; gradients
     of the six quadratic basis functions are integrated with the midpoint
-    rule, which is exact for the quadratic integrands.  Returns the matrix
-    on vertex plus edge-midpoint unknowns, the boundary node indices in loop
-    order, their arclength coordinates, and the two endpoint vertices of
-    each edge unknown (row j for node n_vertices + j).
+    rule, which is exact for the quadratic integrands.  The unknowns are the
+    vertices, then one midpoint per edge in the mesh's edge numbering (node
+    n_vertices + j for edge j).  Returns the matrix, the boundary node
+    indices in loop order and their arclength coordinates.
     """
     l = mesh.tri_lengths
     t = mesh.triangles
     nv = mesh.n_vertices
     nt = t.shape[0]
-
-    # global edge-midpoint numbering: one unknown per distinct edge, keyed
-    # by its sorted vertex pair (lo * nv + hi) and numbered in order of first
-    # appearance
-    u, v = _edge_ends(t)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    edge_keys, first, inv = np.unique((lo * nv + hi).ravel(), return_index=True,
-                                      return_inverse=True)
-    by_first = np.argsort(first)
-    edge_id = np.empty(edge_keys.size, dtype=int)
-    edge_id[by_first] = nv + np.arange(edge_keys.size)
-    mid = edge_id[inv].reshape(nt, 3)
-    n_nodes = nv + edge_keys.size
-    ends = np.stack(np.divmod(edge_keys[by_first], nv), axis=1)
+    n_nodes = nv + len(mesh.edge_vertices)
 
     # planar embedding per triangle: p0=(0,0), p1=(l2,0), p2 from l1, l0
     l0, l1, l2 = l[:, 0], l[:, 1], l[:, 2]
@@ -431,25 +432,19 @@ def _p2_stiffness(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray,
     g = (comb.reshape(18, 3) @ gl).reshape(nt, 6, 6)
     k_loc = (area[:, None, None] / 3.0) * (g @ g.transpose(0, 2, 1))
 
-    loc_ids = np.concatenate([t, mid], axis=1)
+    loc_ids = np.concatenate([t, nv + mesh.corner_edges], axis=1)
     rows = np.repeat(loc_ids, 6, axis=1).ravel()
     cols = np.tile(loc_ids, (1, 6)).ravel()
     k_mat = sp.csr_matrix((k_loc.ravel(), (rows, cols)), shape=(n_nodes, n_nodes))
 
     # boundary nodes: vertex, midpoint, vertex, midpoint, ... along the loop
-    loop = mesh.boundary_loop
-    arc = mesh.boundary_arclength
-    nxt_v = np.roll(loop, -1)
-    b_keys = np.minimum(loop, nxt_v) * nv + np.maximum(loop, nxt_v)
-    pos = np.minimum(np.searchsorted(edge_keys, b_keys), edge_keys.size - 1)
-    if np.any(edge_keys[pos] != b_keys):
-        raise NonManifoldMesh("boundary loop edge missing from mesh")
+    loop, arc = mesh.boundary_loop, mesh.boundary_arclength
     nxt_arc = np.append(arc[1:], arc[0] + mesh.perimeter)
     b_nodes = np.empty(2 * loop.size, dtype=int)
     b_arc = np.empty(2 * loop.size)
-    b_nodes[0::2], b_nodes[1::2] = loop, edge_id[pos]
+    b_nodes[0::2], b_nodes[1::2] = loop, nv + mesh.loop_edges
     b_arc[0::2], b_arc[1::2] = arc, 0.5 * (arc + nxt_arc)
-    return k_mat, b_nodes, b_arc, ends
+    return k_mat, b_nodes, b_arc
 
 
 def _interior_order(k: sp.csr_matrix, bidx: np.ndarray,
@@ -495,18 +490,18 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     bordered copy are released once factored, before the trailing block of
     the factors is copied out.  The
     coefficient block b = V^H S V / L over the columns V = exp(2 pi i m l / L)
-    of the modes |m| <= min(N/2, boundary nodes / 4) is taken to its
-    Hermitian part, so the operator is exactly symmetric in L2(Gamma, dl).
-    On the full band b holds the Nyquist mode once, as +N/2, and is not the
-    matrix of a real operator; the BoundaryOperator constructor projects it
-    to one.
+    is taken to its Hermitian part, so the operator is exactly symmetric in
+    L2(Gamma, dl).  The modes m are bc.mode_numbers(N) with |m| <= boundary
+    nodes / 4, ascending; the full band holds the Nyquist mode once, and b
+    is then not the matrix of a real operator: the BoundaryOperator
+    constructor projects it to one.
     `order` must be 2.  Raises SingularInterior when interior nodes
     cannot reach the boundary, when the factorization fails, or when it
     moves a boundary node out of the trailing block.
     """
     if order != 2:
         raise ValueError("dn_fem assembles P2 elements only")
-    k, bidx, b_arc, ends = _p2_stiffness(mesh)
+    k, bidx, b_arc = _p2_stiffness(mesh)
     # a component without boundary nodes makes K_II singular; SuperLU only
     # reports tiny pivots for it, so find such components on the pattern
     _, comp = csgraph.connected_components(k, directed=False)
@@ -517,7 +512,7 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     n_i, n_b = k.shape[0] - bidx.size, bidx.size
 
     try:
-        elim = np.concatenate([_interior_order(k, bidx, ends), bidx])
+        elim = np.concatenate([_interior_order(k, bidx, mesh.edge_vertices), bidx])
         # boundary last, and I added on its block: S annihilates constants,
         # the shift makes the matrix SPD, so the diagonal pivots need no
         # search, and the trailing block of its factors is S + I
@@ -546,12 +541,8 @@ def dn_fem(mesh: TriMesh, n_modes: int = 128, rescale_to: float | None = None,
     # the coefficient formula below produces the 1/scale decay of the DN map
 
     n = n_modes
-    cap = min(n // 2, arc.size // 4)
-    if cap >= n // 2:
-        # full band: include the Nyquist mode once (as +N/2)
-        ms = np.arange(-(n // 2) + 1, n // 2 + 1)
-    else:
-        ms = np.arange(-cap, cap + 1)
+    ms = bc.mode_numbers(n)
+    ms = np.sort(ms[np.abs(ms) <= arc.size // 4]).astype(int)
     v = np.exp(2j * np.pi * np.outer(arc, ms) / length)
     b = np.zeros((n, n), dtype=complex)
     b[np.ix_(ms % n, ms % n)] = v.conj().T @ (schur @ v) / length

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -173,6 +173,7 @@ def _perturbed_dn(cfg: ExperimentConfig):
     fem_metric scales the edges of one disk mesh, built here, by
     1 + s bump sin(2 angle), bump = 1 - |midpoint| clipped to [0, 1]: an
     interior metric, identity on the boundary, that moves the conformal class.
+    Each s replaces only the lengths, so the base mesh's perimeter is kept.
     """
     fam = cfg.perturbation_family
     if fam["kind"] == "conformal_polynomial":
@@ -191,9 +192,7 @@ def _perturbed_dn(cfg: ExperimentConfig):
     sin2 = np.sin(2.0 * np.arctan2(d[..., 1], d[..., 0]))
 
     def dn_at(s: float):
-        pert = dnm.TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_loop,
-                           mesh.boundary_arclength,
-                           mesh.tri_lengths * (1.0 + s * bump * sin2))
+        pert = replace(mesh, tri_lengths=mesh.tri_lengths * (1.0 + s * bump * sin2))
         return dnm.dn_fem(pert, n_modes=cfg.n_modes, rescale_to=2.0 * np.pi)
 
     return dn_at
@@ -324,11 +323,16 @@ def _summarize(records, fill_ref: float, kappa_ref: int) -> dict:
         "slope_dh_interior_vs_t": _loglog_slope(t, dh_interior),
         "slope_dh_full_vs_t": _loglog_slope(t, dh_full),
         "slope_nb_sup_vs_t": _loglog_slope(t, nb_sup),
-        # nanmin and nanmax of an empty column raise
-        "lemma1_ratio_min": float(np.nanmin(ratio)) if ok else np.nan,
-        "lemma1_ratio_max": float(np.nanmax(ratio)) if ok else np.nan,
-        "immersion_margin_min": float(np.nanmin(margin)) if ok else np.nan,
+        "lemma1_ratio_min": _finite_extreme(np.min, ratio),
+        "lemma1_ratio_max": _finite_extreme(np.max, ratio),
+        "immersion_margin_min": _finite_extreme(np.min, margin),
     }
+
+
+def _finite_extreme(reduce, x: np.ndarray) -> float:
+    """reduce(x) over its finite entries, NaN if none (t = 0 makes NaN ratios)."""
+    x = x[np.isfinite(x)]
+    return float(reduce(x)) if x.size else np.nan
 
 
 def _fmt(v) -> str:

@@ -211,6 +211,19 @@ class TestReconstructAndHausdorff:
         assert (d["d_h"], d["r_ab"], d["r_ba"]) == (3.0, 2.0, 3.0)
         assert (d["fill_distance_a"], d["fill_distance_b"]) == (1.0, 0.0)
 
+    def test_coordinate_count_mismatch_exits_2(self, tmp_path, capsys):
+        # a cloud in C beside a cloud in C^2: a config error naming both
+        # files and their coordinate counts, and no --out file
+        ca, cb = tmp_path / "a.csv", tmp_path / "b.csv"
+        ca.write_text(CLOUD_HEADER + "0,0,interior,0,0,0\n")
+        cb.write_text("re_1,im_1,re_2,im_2,tag,chart_j,source_z_re,source_z_im\n"
+                      "0,0,0,0,interior,0,0,0\n")
+        hj = tmp_path / "h.json"
+        assert cli.main(["hausdorff", str(ca), str(cb), "--out", str(hj)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{ca} and {cb} have 1 and 2 coordinates" in err
+        assert not hj.exists()
+
     def test_grid_resolution_floor_is_accepted(self, tmp_path):
         # 8, the sweep config's floor, is the smallest --grid-resolution,
         # and its lattice still reaches the interior

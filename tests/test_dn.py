@@ -1,5 +1,6 @@
 """DN backends: analytic disk, conformal images, FEM surfaces, meshes."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -312,31 +313,16 @@ class TestFemDN:
         assert np.abs(got - got.T).max() < 1e-12 * np.abs(got).max()
 
     def test_p2_numbering_matches_edge_loop(self):
-        mesh = dnm.make_one_holed_torus_mesh(8)
-        k, b_nodes, b_arc, _ = dnm._p2_stiffness(mesh)
-        t, nv = mesh.triangles, mesh.n_vertices
-        # reference: number each edge when first met, triangle by triangle
-        edge_id = {}
-        mid = np.empty_like(t)
-        for f in range(len(t)):
-            for i in range(3):
-                key = tuple(sorted((t[f, (i + 1) % 3], t[f, (i + 2) % 3])))
-                mid[f, i] = edge_id.setdefault(key, nv + len(edge_id))
-        k = k.tocsr()
-        assert k.shape[0] == nv + len(edge_id) == nv + mesh._n_edges
-        for f in range(len(t)):
-            for i in range(3):
-                # a P2 edge unknown couples to both endpoints of its edge
-                assert k[mid[f, i], t[f, (i + 1) % 3]] != 0.0
-                assert k[mid[f, i], t[f, (i + 2) % 3]] != 0.0
-        loop, arc = mesh.boundary_loop, mesh.boundary_arclength
-        nxt = np.roll(loop, -1)
-        want = [edge_id[tuple(sorted(e))] for e in zip(loop, nxt)]
-        assert np.array_equal(b_nodes[0::2], loop)
-        assert np.array_equal(b_nodes[1::2], want)
-        nxt_arc = np.append(arc[1:], arc[0] + mesh.perimeter)
-        assert np.array_equal(b_arc[0::2], arc)
-        assert np.array_equal(b_arc[1::2], 0.5 * (arc + nxt_arc))
+        _check_p2_numbering(dnm.make_one_holed_torus_mesh(8))
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp: _torus_with_conformal_factor(),
+        lambda tmp: _torus_with_replaced_lengths(),
+        lambda tmp: _off_disk_mesh(tmp),
+    ], ids=["with_conformal_factor", "replaced_lengths", "off_file"])
+    def test_p2_numbering_on_derived_meshes(self, build, tmp_path):
+        # every way a mesh is built numbers its edges the same way
+        _check_p2_numbering(build(tmp_path))
 
     def test_disconnected_interior_raises(self):
         # a closed tetrahedron beside the disk has no boundary edge, so the
@@ -410,7 +396,7 @@ class TestFemDN:
         monkeypatch.setattr(dnm.spla, "spilu", ordering)
         mesh = dnm.unit_disk_mesh(8)
         dnm.dn_fem(mesh, n_modes=32)
-        k, _, _, _ = dnm._p2_stiffness(mesh)
+        k, _, _ = dnm._p2_stiffness(mesh)
         assert shapes == [k.shape]
         # the ordering comes from the interior vertices' block alone
         n_iv = mesh.n_vertices - mesh.boundary_loop.size
@@ -473,7 +459,7 @@ def _dn_fem_fill(mesh, monkeypatch):
 def _p2_minimum_degree_fill(mesh):
     """Non-zeros of L + U when all of K_II takes SuperLU's minimum-degree
     order, boundary last and shifted by I as in dn_fem."""
-    k, bidx, _, _ = dnm._p2_stiffness(mesh)
+    k, bidx, _ = dnm._p2_stiffness(mesh)
     iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
     perm = spla.spilu(k[iidx][:, iidx].tocsc(), drop_tol=np.inf, fill_factor=1,
                       permc_spec="MMD_AT_PLUS_A").perm_c
@@ -487,7 +473,7 @@ def _p2_minimum_degree_fill(mesh):
 def _nodal_schur_dn(mesh, n, rescale_to):
     """DN matrix from the dense nodal Schur complement, one boundary column
     per sparse solve, contracted with the capped Fourier modes."""
-    k, bidx, arc, _ = dnm._p2_stiffness(mesh)
+    k, bidx, arc = dnm._p2_stiffness(mesh)
     k = k.tocsr()
     iidx = np.setdiff1d(np.arange(k.shape[0]), bidx)
     schur = k[bidx][:, bidx].toarray()
@@ -506,6 +492,55 @@ def _nodal_schur_dn(mesh, n, rescale_to):
     b = v.conj().T @ schur @ v / length
     u = np.exp(2j * np.pi * np.outer(np.arange(n) * (length / n), ms) / length)
     return (u @ b @ u.conj().T).real / n
+
+
+def _check_p2_numbering(mesh):
+    """The mesh's edge table and the P2 unknowns against a dict numbering."""
+    k, b_nodes, b_arc = dnm._p2_stiffness(mesh)
+    t, nv = mesh.triangles, mesh.n_vertices
+    # reference: number each edge when first met, triangle by triangle
+    edge_id = {}
+    mid = np.empty_like(t)
+    for f in range(len(t)):
+        for i in range(3):
+            key = tuple(sorted((t[f, (i + 1) % 3], t[f, (i + 2) % 3])))
+            mid[f, i] = edge_id.setdefault(key, nv + len(edge_id))
+    k = k.tocsr()
+    assert k.shape[0] == nv + len(edge_id) == nv + len(mesh.edge_vertices)
+    assert np.array_equal(mesh.corner_edges, mid - nv)
+    assert np.array_equal(mesh.edge_vertices, list(edge_id))
+    for f in range(len(t)):
+        for i in range(3):
+            # a P2 edge unknown couples to both endpoints of its edge
+            assert k[mid[f, i], t[f, (i + 1) % 3]] != 0.0
+            assert k[mid[f, i], t[f, (i + 2) % 3]] != 0.0
+    loop, arc = mesh.boundary_loop, mesh.boundary_arclength
+    nxt = np.roll(loop, -1)
+    want = [edge_id[tuple(sorted(e))] for e in zip(loop, nxt)]
+    assert np.array_equal(mesh.loop_edges, np.subtract(want, nv))
+    assert np.array_equal(b_nodes[0::2], loop)
+    assert np.array_equal(b_nodes[1::2], want)
+    nxt_arc = np.append(arc[1:], arc[0] + mesh.perimeter)
+    assert np.array_equal(b_arc[0::2], arc)
+    assert np.array_equal(b_arc[1::2], 0.5 * (arc + nxt_arc))
+
+
+def _torus_with_conformal_factor():
+    mesh = dnm.make_one_holed_torus_mesh(8)
+    return mesh.with_conformal_factor(1.0 + mesh.vertices[:, 0] ** 2)
+
+
+def _torus_with_replaced_lengths():
+    mesh = dnm.make_one_holed_torus_mesh(8)
+    return dataclasses.replace(mesh, tri_lengths=1.1 * mesh.tri_lengths)
+
+
+def _off_disk_mesh(tmp_path):
+    """The resolution-6 disk mesh written to an OFF file and read back."""
+    mesh = dnm.unit_disk_mesh(6)
+    path = os.path.join(tmp_path, "disk.off")
+    _write_off(path, mesh.vertices, mesh.triangles)
+    return dnm.load_off(path)
 
 
 def _mesh_from_faces(verts, tris):

@@ -327,6 +327,18 @@ class TestRunSweep:
         assert zero.d_h_full <= 1e-12
         assert zero.near_boundary_sup <= 1e-12
 
+    def test_all_zero_t_summary_does_not_warn(self, tmp_path):
+        # every valid record has t = 0, so every lemma-1 ratio is NaN by
+        # design; the summary reads NaN for its extremes, and no
+        # RuntimeWarning (an error under this suite's filter) is raised
+        family = {"kind": "conformal_polynomial", "parameter_list": [0.0]}
+        records, summary, _ = ex.run_sweep(small_config(tmp_path,
+                                                        perturbation_family=family))
+        assert [r.failure for r in records] == [""] and records[0].t == 0.0
+        assert np.isnan(summary["lemma1_ratio_min"])
+        assert np.isnan(summary["lemma1_ratio_max"])
+        assert summary["immersion_margin_min"] > 0.0
+
     def test_kappa_mismatch_invalidates(self, tmp_path, monkeypatch, capsys):
         cfg = small_config(tmp_path,
                            perturbation_family={"kind": "conformal_polynomial",
